@@ -283,7 +283,7 @@ class push_qaf : public quorum_access<S> {
       recheck_waits();
     } else if (const auto* m = message_cast<clock_req>(payload)) {
       // Figure 3, lines 10-11.
-      reply(origin, make_message<clock_resp>(m->seq, clock_));
+      this->unicast(origin, make_message<clock_resp>(m->seq, clock_));
     } else if (const auto* m = message_cast<clock_resp>(payload)) {
       on_clock_resp(origin, *m);
     } else if (const auto* m = message_cast<set_req>(payload)) {
@@ -296,7 +296,7 @@ class push_qaf : public quorum_access<S> {
         state_ = m->update(state_);
         ++clock_;
       }
-      reply(origin, make_message<set_resp>(m->seq, clock_));
+      this->unicast(origin, make_message<set_resp>(m->seq, clock_));
     } else if (const auto* m = message_cast<set_resp>(payload)) {
       on_set_resp(origin, *m);
     }
@@ -352,16 +352,6 @@ class push_qaf : public quorum_access<S> {
 
   void arm_gossip_timer() {
     gossip_timer_ = this->set_timer(options_.gossip_period);
-  }
-
-  /// Point-to-point response: direct when targeted access is on (one
-  /// physical message over an up channel, flooded around a downed one),
-  /// the seed's flooded unicast otherwise.
-  void reply(process_id origin, message_ptr m) {
-    if (options_.selector)
-      this->multicast(process_set::singleton(origin), std::move(m));
-    else
-      this->unicast(origin, std::move(m));
   }
 
   /// Applies at most once per (origin, seq); only targeted mode can see

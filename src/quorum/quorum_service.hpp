@@ -380,7 +380,7 @@ class quorum_service : public component {
     if (const auto* m = message_cast<gossip_msg>(payload)) {
       on_gossip(origin, *m);
     } else if (const auto* m = message_cast<probe_msg>(payload)) {
-      reply(origin, make_message<probe_ack_msg>(m->req, clock_));
+      this->unicast(origin, make_message<probe_ack_msg>(m->req, clock_));
     } else if (const auto* m = message_cast<probe_ack_msg>(payload)) {
       on_probe_ack(origin, *m);
     } else if (const auto* m = message_cast<set_batch_msg>(payload)) {
@@ -602,15 +602,6 @@ class quorum_service : public component {
     }
   }
 
-  /// Point-to-point ack: direct when targeted access is on, the seed's
-  /// flooded unicast otherwise.
-  void reply(process_id origin, message_ptr m) {
-    if (options_.selector)
-      this->multicast(process_set::singleton(origin), std::move(m));
-    else
-      this->unicast(origin, std::move(m));
-  }
-
   void gossip_tick() {
     // Figure 3 lines 12-14, batched: advance the shared clock once and
     // push every key dirtied since the previous tick.
@@ -713,7 +704,7 @@ class quorum_service : public component {
         mark_changed(e.key);
       }
     }
-    reply(origin, make_message<set_ack_msg>(m.batch, clock_));
+    this->unicast(origin, make_message<set_ack_msg>(m.batch, clock_));
   }
 
   void on_set_ack(process_id from, const set_ack_msg& m) {

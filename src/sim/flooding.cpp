@@ -25,9 +25,9 @@ void flooding_node::on_message(process_id from, const message_ptr& m) {
     return;
   }
   if (m->type_tag == message_tag_of<direct_msg>()) {
-    // Targeted fast path: deliver in place. No dedup (a physical channel
-    // delivers at most once) and no forwarding (it was addressed to this
-    // process alone).
+    // Direct unicast or multicast: deliver in place. No dedup (a physical
+    // channel delivers at most once) and no forwarding (it was addressed
+    // to this process alone).
     const auto* d = static_cast<const direct_msg*>(m.get());
     on_deliver(d->origin, d->payload);
     return;
@@ -51,8 +51,7 @@ void flooding_node::flood_multicast(process_set dests, message_ptr payload) {
   if (!dests.is_subset_of(process_set::full(system_size())))
     throw std::out_of_range("flood_multicast: destination out of range");
   if (dests.contains(id())) {
-    // Local delivery first, mirroring originate()'s self path.
-    sim().post(id(), [this, payload] { on_deliver(id(), payload); });
+    originate(id(), payload);  // local delivery first
     dests.erase(id());
   }
   if (dests.empty()) return;
@@ -77,19 +76,33 @@ bool flooding_node::mark_seen(process_id origin, std::uint64_t seq) {
 }
 
 void flooding_node::originate(process_id dest, message_ptr payload) {
-  // Resolve the unreachable-destination drop BEFORE consuming a sequence
-  // number: a seq that is never flooded would leave a permanent gap in
-  // every peer's dedup filter, pinning their out-of-order buffers
-  // forever. Monotone failures make the drop final either way.
-  if (dest != to_all && dest != id() &&
-      !sim().epochs().reachable(sim().current_epoch(), id()).contains(dest))
+  // A self-send never leaves the process: no envelope, so no sequence
+  // number that peers could see only partially.
+  if (dest == id()) {
+    sim().post(id(), [this, payload] { on_deliver(id(), payload); });
     return;
+  }
+  // Resolve the unicast shortcuts BEFORE consuming a sequence number: a
+  // seq that is never flooded would leave a permanent gap in every peer's
+  // dedup filter, pinning their out-of-order buffers forever.
+  if (dest != to_all) {
+    const connectivity_epochs& ep = sim().epochs();
+    const std::size_t e = sim().current_epoch();
+    // Unreachable now means unreachable forever (monotone failures).
+    if (!ep.reachable(e, id()).contains(dest)) return;
+    // Reachable implies alive; over an up channel a lossless run delivers
+    // the one direct copy, which no relay could improve on.
+    if (sim().lossless() && ep.channel_up(e, id(), dest)) {
+      send(dest, make_message<direct_msg>(id(), std::move(payload)));
+      return;
+    }
+  }
   auto env = std::make_shared<envelope>(id(), next_seq_++, dest,
                                         std::move(payload));
   env->type_tag = message_tag_of<envelope>();
   mark_seen(env->origin, env->seq);
   // Local delivery first (a process trivially "reaches" itself).
-  if (dest == to_all || dest == id()) {
+  if (dest == to_all) {
     sim().post(id(), [this, env] { on_deliver(env->origin, env->payload); });
   }
   forward(env, id());
@@ -98,15 +111,14 @@ void flooding_node::originate(process_id dest, message_ptr payload) {
 void flooding_node::handle(process_id from,
                            const std::shared_ptr<const envelope>& env) {
   if (!mark_seen(env->origin, env->seq)) return;
-  // Forward once (not back to the immediate sender; duplicates are
-  // filtered by the receivers' dedup state anyway).
+  // Forward once, on the first copy only (see forward() for whom to).
   forward(env, from);
   if (env->dest == to_all || env->dest == id())
     on_deliver(env->origin, env->payload);
 }
 
 void flooding_node::forward(const std::shared_ptr<const envelope>& env,
-                            process_id skip) {
+                            process_id from) {
   const connectivity_epochs& ep = sim().epochs();
   const std::size_t e = sim().current_epoch();
   // Early drop: reachability only shrinks across epochs, so a destination
@@ -120,8 +132,14 @@ void flooding_node::forward(const std::shared_ptr<const envelope>& env,
   // at delivery, and a crashed process forwards nothing — skipping both
   // changes no delivery.
   process_set targets = ep.up_out_channels(e, id()) & ep.alive(e);
-  for (process_id q : targets)
-    if (q != skip) send(q, env);
+  targets.erase(from);  // it has the envelope (or is this process)
+  // Pruned relay: every channel out of `from` that is up now was up when
+  // `from` relayed (monotone failures), so its far end already has a copy
+  // in flight or covered (the covered-set argument in flooding.hpp). Only
+  // a lossless run may rely on that copy arriving.
+  if (from != id() && sim().lossless())
+    targets -= ep.up_out_channels(e, from);
+  for (process_id q : targets) send(q, env);
 }
 
 }  // namespace gqs

@@ -17,6 +17,29 @@
 //    residual reachability of the forwarder is dropped early — it can
 //    never be delivered in this epoch or any later one.
 //
+// Two more apply only when the run is lossless (simulation::lossless():
+// no finite link queues), because they rely on three engine facts —
+// failures are monotone, a message already in flight is delivered even if
+// its channel fails behind it, and a send accepted on an up channel is
+// never lost without finite queues:
+//  * pruned relays — process q, handling an envelope first received from
+//    neighbor s, forwards it only to live up-neighbors outside
+//    up_out_channels(s). Covered-set argument: when any process s handles
+//    an envelope at time t, every live r with (s, r) up at t has or will
+//    get a copy. By induction on handling time: the origin sends to all of
+//    its up-neighbors; a relay s that got its first copy from p sends to
+//    all of its up-neighbors except p (which has it) and those in
+//    up_out_channels(p) — and a channel (p, r) up at t was up at p's
+//    earlier handling time, so r is covered by p. On a healthy complete
+//    graph every relay set is empty and a broadcast costs n−1 messages
+//    instead of (n−1)²; every live process reachable from the origin in
+//    the final epoch's residual graph still receives it exactly once;
+//  * direct unicast — a unicast to a live destination over an up channel
+//    is one direct message (no envelope, no sequence number), the rule
+//    flood_multicast applies to each member.
+// With finite queues any copy can be dropped at its source, so flooding
+// keeps its full redundancy there.
+//
 // Protocols built on flooding_node use flood_send / flood_broadcast and
 // receive payloads through on_deliver(origin, payload); they never see the
 // envelopes.
@@ -89,8 +112,10 @@ class flooding_node : public node {
   void on_attach() override;
 
  protected:
-  /// Sends payload to a single destination, routed around channel failures
-  /// by flooding. Delivery to self is immediate (same instant, new event).
+  /// Sends payload to a single destination: one direct message when the
+  /// run is lossless and the channel is up, otherwise routed around channel
+  /// failures by flooding. Delivery to self is immediate (same instant, new
+  /// event) and sends nothing.
   void flood_send(process_id dest, message_ptr payload);
 
   /// Sends payload to every process, including the sender itself (the
@@ -106,7 +131,8 @@ class flooding_node : public node {
   /// entirely: a physical channel delivers at most once, and nobody
   /// forwards them, so they consume no flooding sequence numbers and leave
   /// no gaps in any peer's dedup filter. Cost over healthy channels is
-  /// |dests| messages instead of the flooding storm's Θ(n²).
+  /// |dests| messages. Unlike flood_send, the direct copies are sent even
+  /// when finite link queues may drop them (callers escalate on timeout).
   void flood_multicast(process_set dests, message_ptr payload);
 
   /// Protocol-level receipt: payload originated at `origin` (which may be
@@ -148,9 +174,9 @@ class flooding_node : public node {
 
   void originate(process_id dest, message_ptr payload);
   void handle(process_id from, const std::shared_ptr<const envelope>& env);
-  /// Forwards env to every neighbor worth reaching (see file comment),
-  /// except `skip` (the immediate sender, or this process on origination).
-  void forward(const std::shared_ptr<const envelope>& env, process_id skip);
+  /// Forwards env to every neighbor worth reaching (see file comment).
+  /// `from` is the immediate sender, or this process on origination.
+  void forward(const std::shared_ptr<const envelope>& env, process_id from);
   /// Marks (origin, seq) seen; true iff it is new.
   bool mark_seen(process_id origin, std::uint64_t seq);
 

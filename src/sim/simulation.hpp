@@ -101,6 +101,13 @@ class simulation {
   link_network& channels() noexcept { return channels_; }
   const link_network& channels() const noexcept { return channels_; }
 
+  /// True iff a send accepted on an up channel is always delivered (to a
+  /// receiver still alive then): no finite link queue can drop it. Derived
+  /// from this run's config; the flooding layer prunes relays on it.
+  bool lossless() const noexcept {
+    return !net_.channel.enabled() || net_.channel.queue_capacity == 0;
+  }
+
   /// Index of the epoch containing the current instant (cached; the clock
   /// is monotone, so this is O(1) amortized).
   std::size_t current_epoch() const {

@@ -677,8 +677,8 @@ void smr_service::on_p1a(process_id origin, const p1a_msg& m) {
   if (m.view < ss.promised) return;  // stale candidate; no reply
   ss.promised = m.view;
   if (m.view == ss.view) renew_lease(m.shard);  // the campaign is activity
-  reply(m.shard, origin,
-        make_message<p1b_msg>(m.shard, m.view, make_report(ss, m.floor)));
+  unicast(origin,
+          make_message<p1b_msg>(m.shard, m.view, make_report(ss, m.floor)));
 }
 
 void smr_service::on_p1b(process_id origin, const p1b_msg& m) {
@@ -697,7 +697,7 @@ void smr_service::on_p2a(process_id origin, const p2a_msg& m) {
   const auto acc = ss.accepted.find(m.slot);
   if (acc == ss.accepted.end() || acc->second.aview <= m.view)
     ss.accepted[m.slot] = accepted_rec<smr_entry_ptr>{m.view, m.entry};
-  reply(m.shard, origin, make_message<p2b_msg>(m.shard, m.view, m.slot));
+  unicast(origin, make_message<p2b_msg>(m.shard, m.view, m.slot));
 }
 
 void smr_service::on_p2b(process_id origin, const p2b_msg& m) {
@@ -769,16 +769,6 @@ void smr_service::escalate(const timer_ref& ref) {
                   now());
   }
   broadcast(it->second.wire);
-}
-
-/// Point-to-point response: one direct message in targeted mode, the
-/// seed's flooded unicast otherwise (mirrors the engine's reply()).
-void smr_service::reply(std::uint32_t shard, process_id origin,
-                        message_ptr m) {
-  if (selector_for(shard))
-    multicast(process_set::singleton(origin), std::move(m));
-  else
-    unicast(origin, std::move(m));
 }
 
 // ---------------------------------------------------------------------------

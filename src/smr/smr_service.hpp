@@ -402,7 +402,6 @@ class smr_service : public component {
   void arm_escalation(std::uint32_t shard, bool is_phase1,
                       std::uint64_t seq);
   void escalate(const timer_ref& ref);
-  void reply(std::uint32_t shard, process_id origin, message_ptr m);
   void retry_tick();
 
   /// Binds counters/gauges/probes onto the host's observability surface

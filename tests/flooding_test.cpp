@@ -287,6 +287,156 @@ TEST(Flooding, EarlyDropUnreachableDestination) {
   EXPECT_EQ(w.sim.metrics().messages_sent, 0u);
 }
 
+TEST(Flooding, HealthyCompleteGraphCostsOneMessagePerReceiver) {
+  // Pruned relays: on a healthy complete graph every receiver's relay set
+  // is empty, so a broadcast costs n−1 messages (not (n−1)²); a unicast
+  // is one direct message; a self-send sends nothing.
+  for (const process_id n : {2u, 3u, 5u, 8u, 33u}) {
+    flood_world w(n, fault_plan::none(n));
+    w.nodes[1]->broadcast_value(1);
+    w.sim.run_until(1_s);
+    EXPECT_EQ(w.sim.metrics().messages_sent, n - 1) << "n=" << n;
+    for (auto* nd : w.nodes) EXPECT_EQ(nd->delivered.size(), 1u);
+
+    w.nodes[0]->send_to(n - 1, 2);
+    w.sim.run_until(2_s);
+    EXPECT_EQ(w.sim.metrics().messages_sent, n) << "n=" << n;
+    EXPECT_EQ(w.nodes[n - 1]->delivered.size(), 2u);
+
+    w.nodes[0]->send_to(0, 3);
+    w.sim.run_until(3_s);
+    EXPECT_EQ(w.sim.metrics().messages_sent, n) << "n=" << n;
+    EXPECT_EQ(w.nodes[0]->delivered.size(), 2u);
+  }
+}
+
+TEST(Flooding, FiniteQueuesKeepFullRedundancy) {
+  // With finite link queues any copy may be dropped at its source, so the
+  // pruning shortcuts are off: every receiver relays to all n−2 peers
+  // other than its sender, and a unicast floods like a broadcast. The
+  // queues here are ample (nothing drops), so the counts are exact.
+  constexpr process_id n = 5;
+  network_options net;
+  net.channel.bytes_per_us = 100.0;
+  net.channel.queue_capacity = 1024;
+  flood_world w(n, fault_plan::none(n), 1, net);
+  ASSERT_FALSE(w.sim.lossless());
+  w.nodes[0]->broadcast_value(1);
+  w.sim.run_until(1_s);
+  EXPECT_EQ(w.sim.metrics().messages_sent, (n - 1) * (n - 1));
+  w.nodes[0]->send_to(3, 2);
+  w.sim.run_until(2_s);
+  EXPECT_EQ(w.sim.metrics().messages_sent, 2 * (n - 1) * (n - 1));
+  EXPECT_EQ(w.sim.metrics().dropped_queue_full, 0u);
+  for (auto* nd : w.nodes)
+    EXPECT_EQ(nd->delivered.size(), nd == w.nodes[3] ? 2u : 1u);
+
+  // Unbounded queues lose nothing, so pruning applies again.
+  net.channel.queue_capacity = 0;
+  flood_world lossless(n, fault_plan::none(n), 1, net);
+  ASSERT_TRUE(lossless.sim.lossless());
+  lossless.nodes[0]->broadcast_value(1);
+  lossless.sim.run_until(1_s);
+  EXPECT_EQ(lossless.sim.metrics().messages_sent, n - 1);
+}
+
+TEST(Flooding, RandomFaultPlansDeliverToFinalReachableSetExactlyOnce) {
+  // Property: under any fault plan, with crashes and disconnects striking
+  // mid-run, every process alive and reachable from the origin in the
+  // final epoch's residual graph receives each broadcast (and each unicast
+  // addressed to it) exactly once, and nobody receives anything twice.
+  // Covers the pruned path (legacy and unbounded-queue channel configs)
+  // and the full-redundancy path (finite but ample queues).
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<process_id>(3 + rng() % 6);
+    fault_plan faults = fault_plan::none(n);
+    for (process_id p = 0; p < n; ++p)
+      if (rng() % 6 == 0)
+        faults.crash(p, static_cast<sim_time>(rng() % 40'000));
+    for (process_id u = 0; u < n; ++u)
+      for (process_id v = 0; v < n; ++v)
+        if (u != v && rng() % 3 == 0)
+          faults.disconnect(u, v, static_cast<sim_time>(rng() % 40'000));
+    network_options net;
+    switch (trial % 3) {
+      case 1:
+        net.channel.bytes_per_us = 0.5;
+        break;
+      case 2:
+        net.channel.bytes_per_us = 0.5;
+        net.channel.queue_capacity = 4096;
+        break;
+      default:
+        break;
+    }
+    flood_world w(n, faults, 100 + trial, net);
+
+    struct sent {
+      process_id origin;
+      process_id dest;  // flooding_node::to_all for a broadcast
+    };
+    std::vector<sent> issued;  // indexed by payload value
+    for (int i = 0; i < 24; ++i) {
+      const auto origin = static_cast<process_id>(rng() % n);
+      const process_id dest = rng() % 2 ? flooding_node::to_all
+                                        : static_cast<process_id>(rng() % n);
+      const auto at = static_cast<sim_time>(rng() % 50'000);
+      // A post to a process crashed by `at` is dropped: only operations
+      // that actually ran are recorded.
+      w.sim.post_after(origin, at, [&w, &issued, origin, dest] {
+        const int value = static_cast<int>(issued.size());
+        issued.push_back({origin, dest});
+        if (dest == flooding_node::to_all)
+          w.nodes[origin]->broadcast_value(value);
+        else
+          w.nodes[origin]->send_to(dest, value);
+      });
+    }
+    w.sim.run_until(5_s);
+    ASSERT_EQ(w.sim.metrics().dropped_queue_full, 0u);
+
+    const connectivity_epochs& ep = w.sim.epochs();
+    const std::size_t last = ep.epoch_count() - 1;
+    for (process_id p = 0; p < n; ++p) {
+      std::vector<int> count(issued.size(), 0);
+      for (const auto& r : w.nodes[p]->delivered) {
+        ASSERT_LT(static_cast<std::size_t>(r.value), issued.size());
+        ++count[r.value];
+      }
+      for (std::size_t v = 0; v < issued.size(); ++v) {
+        const sent& s = issued[v];
+        const bool addressed = s.dest == flooding_node::to_all || s.dest == p;
+        const bool promised = addressed && ep.alive(last, p) &&
+                              ep.reachable(last, s.origin).contains(p);
+        ASSERT_LE(count[v], addressed ? 1 : 0)
+            << "trial " << trial << " process " << p << " payload " << v;
+        if (promised) {
+          ASSERT_EQ(count[v], 1)
+              << "trial " << trial << " process " << p << " payload " << v
+              << " from " << s.origin;
+        }
+      }
+    }
+  }
+}
+
+TEST(Flooding, Figure1SelfSendLeavesNoDedupGap) {
+  // Regression: under f1 a self-send used to consume a sequence number
+  // and flood a copy that a dropped as unreachable (c is reachable from
+  // nobody), so b's filter for c had a permanent gap and buffered every
+  // later c seq. A self-send now never leaves the process.
+  const auto fig = make_figure1();
+  flood_world w(4, fault_plan::from_pattern(fig.gqs.fps[0], 0));
+  constexpr process_id b = 1, c = 2;
+  w.nodes[c]->send_to(c, 1);
+  for (int i = 0; i < 20; ++i) w.nodes[c]->broadcast_value(2 + i);
+  w.sim.run_until(1_s);
+  EXPECT_EQ(w.nodes[c]->delivered.size(), 21u);
+  EXPECT_EQ(w.nodes[b]->delivered.size(), 20u);
+  EXPECT_EQ(w.nodes[b]->dedup_backlog(), 0u);
+}
+
 TEST(Flooding, EarlyDropConsumesNoSequenceNumber) {
   // Regression: an early-dropped origination must not burn a seq — a seq
   // that is never flooded would be a permanent gap in every peer's dedup

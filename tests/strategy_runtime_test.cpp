@@ -42,6 +42,11 @@ selector_ptr pure_selector(const generalized_quorum_system& gqs,
 
 struct service_run {
   std::uint64_t messages_sent = 0;
+  /// Physical messages of the quorum rounds (probes, SET batches and their
+  /// acks): everything but gossip and its NACK/repair traffic. On a healthy
+  /// complete graph a gossip broadcast costs exactly n−1 messages and a
+  /// NACK or repair exactly one (see flooding_test).
+  std::uint64_t round_messages = 0;
   std::uint64_t completed = 0;
   std::uint64_t escalations = 0;
   std::uint64_t targeted_groups = 0;
@@ -79,11 +84,14 @@ service_run run_service_workload(const generalized_quorum_system& gqs,
   service_run r;
   r.messages_sent = world.sim.metrics().messages_sent;
   r.completed = driver.completed();
+  r.round_messages = r.messages_sent;
   r.quorum_hits.assign(gqs.system_size(), 0);
   for (const keyed_register_node* node : world.nodes) {
-    r.escalations += node->counters().escalations;
-    r.targeted_groups += node->counters().targeted_probes +
-                         node->counters().targeted_set_batches;
+    const service_counters& c = node->counters();
+    r.round_messages -= c.gossip_batches_sent * (gqs.system_size() - 1) +
+                        c.nacks_sent + c.repairs_sent;
+    r.escalations += c.escalations;
+    r.targeted_groups += c.targeted_probes + c.targeted_set_batches;
     const auto& hits = node->per_process_quorum_hits();
     for (process_id p = 0; p < hits.size(); ++p) r.quorum_hits[p] += hits[p];
   }
@@ -122,9 +130,13 @@ TEST(TargetedService, MatchesBroadcastResultsWithFewerMessages) {
   EXPECT_TRUE(broadcast.all_linearizable) << broadcast.lin_reason;
   EXPECT_TRUE(targeted.all_linearizable) << targeted.lin_reason;
 
-  // The targeted engine must spend strictly fewer physical messages, with
-  // no escalations on a healthy network.
-  EXPECT_LT(targeted.messages_sent, broadcast.messages_sent);
+  // The targeted engine must spend strictly fewer physical messages on its
+  // quorum rounds, with no escalations on a healthy network. (Totals are
+  // not compared: gossip dominates both modes, and on Figure 1 a sampled
+  // write quorum is nearly all of n, so run-length noise in the gossip
+  // count can swamp the fan-out saving.)
+  EXPECT_GT(targeted.round_messages, 0u);
+  EXPECT_LT(targeted.round_messages, broadcast.round_messages);
   EXPECT_EQ(targeted.escalations, 0u);
   EXPECT_GT(targeted.targeted_groups, 0u);
   EXPECT_EQ(broadcast.targeted_groups, 0u);
@@ -301,12 +313,17 @@ std::uint64_t run_register_roundtrip(selector_ptr selector,
       });
     });
   });
+  constexpr sim_time kHorizon = 10'000'000;
   const bool finished =
-      world.sim.run_until_condition([&] { return done; }, 10'000'000);
+      world.sim.run_until_condition([&] { return done; }, kHorizon);
   EXPECT_EQ(finished, expect_done);
   if (expect_done) {
     EXPECT_EQ(read_back, 41);
   }
+  // Run on to a fixed horizon: gossip ticks at fixed instants, so every
+  // run then pays the same gossip cost and the message counts of two runs
+  // differ exactly by their quorum rounds.
+  world.sim.run_until(kHorizon);
   if (escalations) {
     *escalations = 0;
     for (const targeted_register* node : world.nodes)
