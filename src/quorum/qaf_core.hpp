@@ -35,6 +35,7 @@
 
 #include "quorum/quorum_access.hpp"
 #include "quorum/quorum_config.hpp"
+#include "quorum/targeted_round.hpp"
 #include "sim/time.hpp"
 #include "strategy/selector.hpp"
 
@@ -159,40 +160,20 @@ struct push_qaf_options {
   /// Null keeps the seed broadcast behavior bit-for-bit.
   selector_ptr selector;
   /// With a selector: how long an operation waits for its targeted quorum
-  /// before escalating to a full broadcast (restoring the seed path, so
-  /// liveness under F is unchanged). 0 disables escalation — ONLY for the
-  /// mutation tests; a disabled fallback can hang an operation whose
-  /// sampled quorum the failure pattern disconnects.
+  /// before escalating to a full broadcast (targeted_round.hpp). 0
+  /// disables escalation — ONLY for the mutation tests.
   sim_time escalation_timeout = 40000;  // 40 ms
 
   void validate() const {
     if (gossip_period <= 0)
       throw std::invalid_argument("push_qaf: bad gossip period");
-    if (escalation_timeout < 0)
-      throw std::invalid_argument("push_qaf: bad escalation timeout");
   }
 };
 
 /// Targeted-access accounting of one push_qaf instance.
 struct push_qaf_counters {
-  std::uint64_t targeted_gets = 0;
-  std::uint64_t targeted_sets = 0;
   std::uint64_t escalations = 0;
 };
-
-/// A sampled quorum only makes progress if acks from all its members
-/// cover some configured write quorum — a selector planned over a
-/// different system would silently ride the escalation timeout on every
-/// operation (or hang with escalation disabled). Reject the mismatch at
-/// construction instead.
-inline void check_selector_covers(const quorum_selector& selector,
-                                  const quorum_family& writes) {
-  for (const process_set& q : selector.strategy().writes.quorums)
-    if (!covered_quorum(writes, q))
-      throw std::invalid_argument(
-          "quorum selector: write-strategy quorum " + q.to_string() +
-          " covers no configured write quorum");
-}
 
 /// The complete Figure 3 protocol over a single opaque state S, built on
 /// the shared collectors above. generalized_qaf and ablated_qaf are
@@ -208,11 +189,13 @@ class push_qaf : public quorum_access<S> {
       : config_(std::move(config)),
         options_(options),
         state_(std::move(initial)),
-        clock_(options.initial_clock) {
+        clock_(options.initial_clock),
+        rounds_(*this, options_.escalation_timeout, counters_.escalations) {
     config_.validate();
     options_.validate();
     if (options_.selector)
-      check_selector_covers(*options_.selector, config_.writes);
+      check_selector_covers(options_.selector->strategy().writes,
+                            config_.writes, "write");
   }
 
   // Figure 3, lines 3-9.
@@ -221,14 +204,7 @@ class push_qaf : public quorum_access<S> {
     auto& pending = gets_[seq];
     pending.done = std::move(done);
     if (options_.use_get_cutoff) {
-      if (options_.selector) {
-        ++counters_.targeted_gets;
-        this->multicast(options_.selector->sample_write(this->id(), seq),
-                        make_message<clock_req>(seq));
-        arm_escalation(/*is_get=*/true, seq);
-      } else {
-        this->broadcast(make_message<clock_req>(seq));
-      }
+      pending.round = rounds_.open(draw(seq), make_message<clock_req>(seq));
     } else {
       pending.have_cutoff = true;  // c_get = 0: any gossip qualifies
       recheck_waits();
@@ -240,16 +216,8 @@ class push_qaf : public quorum_access<S> {
     const std::uint64_t seq = ++seq_;
     auto& pending = sets_[seq];
     pending.done = std::move(done);
-    message_ptr req = make_message<set_req>(seq, std::move(u));
-    if (options_.selector) {
-      ++counters_.targeted_sets;
-      pending.wire = req;  // kept for a possible escalation rebroadcast
-      this->multicast(options_.selector->sample_write(this->id(), seq),
-                      std::move(req));
-      arm_escalation(/*is_get=*/false, seq);
-    } else {
-      this->broadcast(std::move(req));
-    }
+    pending.round =
+        rounds_.open(draw(seq), make_message<set_req>(seq, std::move(u)));
   }
 
   const S& local_state() const override { return state_; }
@@ -261,7 +229,7 @@ class push_qaf : public quorum_access<S> {
 
   void on_timeout(int timer_id) override {
     if (timer_id != gossip_timer_) {
-      escalate(timer_id);
+      rounds_.on_timeout(timer_id);
       return;
     }
     // Figure 3, lines 12-14: advance the clock and push state unprompted.
@@ -341,17 +309,24 @@ class push_qaf : public quorum_access<S> {
     bool have_cutoff = false;
     std::uint64_t c_get = 0;
     quorum_response_collector<std::uint64_t> clock_resps;
+    targeted_round::handle round = targeted_round::none;
   };
   struct pending_set {
     set_callback done;
     bool have_cutoff = false;
     std::uint64_t c_set = 0;
     quorum_response_collector<std::uint64_t> set_resps;
-    message_ptr wire;  // targeted mode: kept for escalation rebroadcast
+    targeted_round::handle round = targeted_round::none;
   };
 
   void arm_gossip_timer() {
     gossip_timer_ = this->set_timer(options_.gossip_period);
+  }
+
+  /// The write quorum operation `seq` targets; none without a selector.
+  std::optional<process_set> draw(std::uint64_t seq) const {
+    if (!options_.selector) return std::nullopt;
+    return options_.selector->sample_write(this->id(), seq);
   }
 
   /// Applies at most once per (origin, seq); only targeted mode can see
@@ -378,33 +353,6 @@ class push_qaf : public quorum_access<S> {
 
   static constexpr std::uint64_t kAppliedWindow = 1 << 16;
 
-  void arm_escalation(bool is_get, std::uint64_t seq) {
-    if (options_.escalation_timeout <= 0) return;  // mutation switch
-    escalations_[this->set_timer(options_.escalation_timeout)] = {is_get,
-                                                                  seq};
-  }
-
-  /// A targeted operation ran out of patience: fall back to the seed's
-  /// full broadcast, which reaches every process the flooding layer can —
-  /// liveness under F is therefore exactly the broadcast protocol's.
-  void escalate(int timer_id) {
-    const auto it = escalations_.find(timer_id);
-    if (it == escalations_.end()) return;
-    const auto [is_get, seq] = it->second;
-    escalations_.erase(it);
-    if (is_get) {
-      const auto get = gets_.find(seq);
-      if (get == gets_.end() || get->second.have_cutoff) return;
-      ++counters_.escalations;
-      this->broadcast(make_message<clock_req>(seq));
-    } else {
-      const auto set = sets_.find(seq);
-      if (set == sets_.end() || set->second.have_cutoff) return;
-      ++counters_.escalations;
-      this->broadcast(set->second.wire);
-    }
-  }
-
   void on_clock_resp(process_id from, const clock_resp& m) {
     const auto it = gets_.find(m.seq);
     if (it == gets_.end() || it->second.have_cutoff) return;
@@ -413,6 +361,7 @@ class push_qaf : public quorum_access<S> {
     const auto w_get = it->second.clock_resps.add(from, m.clock,
                                                   config_.writes);
     if (!w_get) return;
+    rounds_.close(it->second.round);
     it->second.have_cutoff = true;
     it->second.c_get = max_clock_over(it->second.clock_resps, *w_get);
     recheck_waits();
@@ -426,6 +375,7 @@ class push_qaf : public quorum_access<S> {
     const auto w_set = it->second.set_resps.add(from, m.clock,
                                                 config_.writes);
     if (!w_set) return;
+    rounds_.close(it->second.round);
     if (!options_.use_set_confirmation) {
       auto done = std::move(it->second.done);
       sets_.erase(it);
@@ -479,7 +429,7 @@ class push_qaf : public quorum_access<S> {
   std::map<std::uint64_t, pending_set> sets_;
   // ---- targeted-access state (empty without a selector) ----
   push_qaf_counters counters_;
-  std::map<int, std::pair<bool, std::uint64_t>> escalations_;  // timer → op
+  targeted_round rounds_;
   std::map<process_id, std::set<std::uint64_t>> applied_sets_;
 };
 

@@ -47,8 +47,6 @@ struct generalized_qaf_options {
   void validate() const {
     if (gossip_period <= 0)
       throw std::invalid_argument("generalized_qaf: bad gossip period");
-    if (escalation_timeout < 0)
-      throw std::invalid_argument("generalized_qaf: bad escalation timeout");
   }
 };
 

@@ -9,8 +9,6 @@ void service_options::validate() const {
     throw std::invalid_argument("quorum_service: bad gossip period");
   if (nack_gap_ticks < 1)
     throw std::invalid_argument("quorum_service: bad nack gap");
-  if (escalation_timeout < 0)
-    throw std::invalid_argument("quorum_service: bad escalation timeout");
 }
 
 bool gossip_stream::observe(std::uint64_t seq, std::uint64_t clock) {

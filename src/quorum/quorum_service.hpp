@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "quorum/qaf_core.hpp"
+#include "quorum/targeted_round.hpp"
 #include "register/register_state.hpp"
 #include "sim/transport.hpp"
 #include "strategy/selector.hpp"
@@ -71,14 +72,13 @@ struct service_options {
   int nack_gap_ticks = 2;
   /// Strategy-driven targeted access (strategy/selector.hpp): when set,
   /// the CLOCK probe and SET batch of every flush group go only to the
-  /// members of a sampled write quorum (one direct message each), and
-  /// acks return point-to-point — instead of the seed's full broadcast +
-  /// flooded-unicast replies. Null keeps broadcast behavior unchanged.
+  /// members of a sampled write quorum (one unicast each), and acks return
+  /// point-to-point — instead of a full broadcast. Null keeps broadcast
+  /// behavior unchanged.
   selector_ptr selector;
   /// With a selector: delay before a flush group that still lacks write-
-  /// quorum coverage is rebroadcast to all (restoring the seed path, so
-  /// liveness under F is unchanged). 0 disables escalation — ONLY for the
-  /// mutation tests; see push_qaf_options::escalation_timeout.
+  /// quorum coverage is rebroadcast to all (targeted_round.hpp). 0
+  /// disables escalation — ONLY for the mutation tests.
   sim_time escalation_timeout = 40000;  // 40 ms
 
   void validate() const;
@@ -212,13 +212,16 @@ class quorum_service : public component {
         key_clock_(keys, 0),
         dirty_flag_(keys, 0),
         set_pool_(std::make_shared<batch_pool<set_entry>>()),
-        gossip_pool_(std::make_shared<batch_pool<gossip_entry>>()) {
+        gossip_pool_(std::make_shared<batch_pool<gossip_entry>>()),
+        rounds_(*this, options_.escalation_timeout, counters_.escalations,
+                "svc") {
     if (keys == 0)
       throw std::invalid_argument("quorum_service: no keys");
     config_.validate();
     options_.validate();
     if (options_.selector)
-      check_selector_covers(*options_.selector, config_.writes);
+      check_selector_covers(options_.selector->strategy().writes,
+                            config_.writes, "write");
   }
 
   /// Starts a Figure 3 quorum_get on `key`; coalesced with every other
@@ -259,10 +262,9 @@ class quorum_service : public component {
 
   /// How many targeted flush groups sampled each process into their write
   /// quorum — the *realized* per-process load of the strategy, to hold
-  /// against the planner's predicted load_σ(p). Sized n (all zeros) from
-  /// start() on; counts only accumulate in targeted mode.
+  /// against the planner's predicted load_σ(p). Empty in broadcast mode.
   const std::vector<std::uint64_t>& per_process_quorum_hits() const noexcept {
-    return quorum_hits_;
+    return rounds_.hits();
   }
 
   /// Sum of buffered out-of-order gossip clocks across all origins (flat
@@ -372,7 +374,7 @@ class quorum_service : public component {
       gossip_timer_ = this->set_timer(options_.gossip_period);
       return;
     }
-    escalate(timer_id);
+    rounds_.on_timeout(timer_id);
   }
 
   void deliver(process_id origin, const message_ptr& payload) override {
@@ -414,6 +416,7 @@ class quorum_service : public component {
     quorum_response_collector<std::uint64_t> clock_acks;
     bool have_cutoff = false;
     std::uint64_t cutoff = 0;
+    targeted_round::handle round = targeted_round::none;
     span_ref span;  // open from flush until the group completes
   };
   /// All quorum_sets flushed in one instant: one wire batch, one ack
@@ -424,8 +427,8 @@ class quorum_service : public component {
     quorum_response_collector<std::uint64_t> acks;
     bool have_cutoff = false;
     std::uint64_t cutoff = 0;
-    message_ptr wire;  // targeted mode: kept for escalation rebroadcast
-    span_ref span;     // open from flush until the group completes
+    targeted_round::handle round = targeted_round::none;
+    span_ref span;  // open from flush until the group completes
   };
 
   /// Binds this instance to the host's obs bundle (nullptr-safe; inert
@@ -485,7 +488,6 @@ class quorum_service : public component {
     const process_id n = this->system_size();
     streams_.resize(n);
     cache_.assign(n, std::vector<state_type>(keys_));
-    quorum_hits_.assign(n, 0);
   }
 
   void schedule_flush() {
@@ -502,16 +504,10 @@ class quorum_service : public component {
         g.members = std::move(staged_gets_);
         g.span = open_group_span("svc.get");
         ++counters_.probes_sent;
+        if (options_.selector) ++counters_.targeted_probes;
         message_ptr probe = make_message<probe_msg>(req);
         stamp_trace_span(probe, g.span);
-        if (options_.selector) {
-          ++counters_.targeted_probes;
-          this->multicast(sample_targets(/*is_get=*/true, req),
-                          std::move(probe));
-          arm_escalation(/*is_get=*/true, req);
-        } else {
-          this->broadcast(std::move(probe));
-        }
+        g.round = rounds_.open(draw(req * 2), std::move(probe), g.span);
       } else {
         // Ablated: c_get = 0, any cached state qualifies.
         get_group& g = get_groups_[++probe_seq_];
@@ -536,70 +532,21 @@ class quorum_service : public component {
         entries.push_back(set_entry{s.op_seq, s.key, std::move(s.state)});
       ++counters_.set_batches_sent;
       counters_.set_entries_sent += entries.size();
+      if (options_.selector) ++counters_.targeted_set_batches;
       message_ptr wire = make_message<set_batch_msg>(
           batch, pooled_batch<set_entry>(std::move(entries), set_pool_));
       stamp_trace_span(wire, g.span);
-      if (options_.selector) {
-        ++counters_.targeted_set_batches;
-        g.wire = wire;  // for a possible escalation rebroadcast
-        this->multicast(sample_targets(/*is_get=*/false, batch),
-                        std::move(wire));
-        arm_escalation(/*is_get=*/false, batch);
-      } else {
-        this->broadcast(std::move(wire));
-      }
+      g.round = rounds_.open(draw(batch * 2 + 1), std::move(wire), g.span);
     }
     recheck_waits();
   }
 
-  /// The write quorum a flush group targets. Gets and sets draw from
-  /// disjoint per-process sample streams (their group sequence numbers
-  /// advance independently), and every draw is a pure function of
-  /// (selector seed, process, stream index) — bit-identical across
-  /// experiment-runner thread counts.
-  process_set sample_targets(bool is_get, std::uint64_t group_seq) {
-    const process_set targets = options_.selector->sample_write(
-        this->id(), group_seq * 2 + (is_get ? 0 : 1));
-    for (process_id p : targets) ++quorum_hits_[p];
-    return targets;
-  }
-
-  void arm_escalation(bool is_get, std::uint64_t group_seq) {
-    if (options_.escalation_timeout <= 0) return;  // mutation switch
-    escalations_[this->set_timer(options_.escalation_timeout)] = {
-        is_get, group_seq};
-  }
-
-  /// A targeted flush group outlived its escalation timeout without
-  /// write-quorum coverage: fall back to the seed's full broadcast.
-  /// Receivers tolerate the duplicate delivery (the collector ignores
-  /// repeat acks; SET entries merge by version, so re-application is a
-  /// no-op) and the broadcast reaches everything flooding can — liveness
-  /// under F is exactly the broadcast engine's.
-  void escalate(int timer_id) {
-    const auto it = escalations_.find(timer_id);
-    if (it == escalations_.end()) return;
-    const auto [is_get, group_seq] = it->second;
-    escalations_.erase(it);
-    if (is_get) {
-      const auto g = get_groups_.find(group_seq);
-      if (g == get_groups_.end() || g->second.have_cutoff) return;
-      ++counters_.escalations;
-      if (tracer_)
-        tracer_->leaf("svc.escalate", "svc", this->id(), g->second.span,
-                      this->now());
-      message_ptr probe = make_message<probe_msg>(group_seq);
-      stamp_trace_span(probe, g->second.span);
-      this->broadcast(std::move(probe));
-    } else {
-      const auto g = set_groups_.find(group_seq);
-      if (g == set_groups_.end() || g->second.have_cutoff) return;
-      ++counters_.escalations;
-      if (tracer_)
-        tracer_->leaf("svc.escalate", "svc", this->id(), g->second.span,
-                      this->now());
-      this->broadcast(g->second.wire);
-    }
+  /// The write quorum a flush group targets; none without a selector. Gets
+  /// draw from the even stream indices and sets from the odd ones, since
+  /// their group sequence numbers advance independently.
+  std::optional<process_set> draw(std::uint64_t stream) const {
+    if (!options_.selector) return std::nullopt;
+    return options_.selector->sample_write(this->id(), stream);
   }
 
   void gossip_tick() {
@@ -688,6 +635,7 @@ class quorum_service : public component {
     // the cutoff is the max clock among that quorum.
     const auto w = it->second.clock_acks.add(from, m.clock, config_.writes);
     if (!w) return;
+    rounds_.close(it->second.round);
     it->second.have_cutoff = true;
     it->second.cutoff = max_clock_over(it->second.clock_acks, *w);
     recheck_waits();
@@ -712,6 +660,7 @@ class quorum_service : public component {
     if (it == set_groups_.end() || it->second.have_cutoff) return;
     const auto w = it->second.acks.add(from, m.clock, config_.writes);
     if (!w) return;
+    rounds_.close(it->second.round);
     if (!options_.use_set_confirmation) {
       // Ablated: complete as soon as a write quorum acknowledged.
       set_group g = std::move(it->second);
@@ -805,8 +754,6 @@ class quorum_service : public component {
 
   std::vector<gossip_stream> streams_;                // per origin
   std::vector<std::vector<state_type>> cache_;        // [origin][key]
-  std::vector<std::uint64_t> quorum_hits_;            // realized targeting
-  std::map<int, std::pair<bool, std::uint64_t>> escalations_;  // timer → grp
 
   std::vector<staged_get> staged_gets_;
   std::vector<staged_set> staged_sets_;
@@ -817,6 +764,7 @@ class quorum_service : public component {
   std::shared_ptr<batch_pool<gossip_entry>> gossip_pool_;
 
   service_counters counters_;
+  targeted_round rounds_;
   trace_recorder* tracer_ = nullptr;  // non-null iff spans are recording
 
   /// Repair side: answer a NACK with a cumulative batch of every key

@@ -17,24 +17,17 @@ void flooding_node::on_attach() {
 }
 
 void flooding_node::on_message(process_id from, const message_ptr& m) {
-  // Tag dispatch: every envelope is built in originate() and tagged there,
-  // so the hot path is one pointer compare (untagged messages, which only
-  // hand-crafted tests send, still take the dynamic_cast fallback).
+  // Tag dispatch: envelopes and direct messages are private types built
+  // and tagged only here, so one pointer compare each identifies them;
+  // anything else is not flooding traffic and is ignored.
   if (m->type_tag == message_tag_of<envelope>()) {
     handle(from, std::static_pointer_cast<const envelope>(m));
-    return;
-  }
-  if (m->type_tag == message_tag_of<direct_msg>()) {
-    // Direct unicast or multicast: deliver in place. No dedup (a physical
-    // channel delivers at most once) and no forwarding (it was addressed
-    // to this process alone).
+  } else if (m->type_tag == message_tag_of<direct_msg>()) {
+    // Deliver in place. No dedup (a physical channel delivers at most
+    // once) and no forwarding (it was addressed to this process alone).
     const auto* d = static_cast<const direct_msg*>(m.get());
     on_deliver(d->origin, d->payload);
-    return;
   }
-  const auto env = std::dynamic_pointer_cast<const envelope>(m);
-  if (!env) return;  // flooding nodes only exchange envelopes
-  handle(from, env);
 }
 
 void flooding_node::flood_send(process_id dest, message_ptr payload) {
@@ -45,29 +38,6 @@ void flooding_node::flood_send(process_id dest, message_ptr payload) {
 
 void flooding_node::flood_broadcast(message_ptr payload) {
   originate(to_all, std::move(payload));
-}
-
-void flooding_node::flood_multicast(process_set dests, message_ptr payload) {
-  if (!dests.is_subset_of(process_set::full(system_size())))
-    throw std::out_of_range("flood_multicast: destination out of range");
-  if (dests.contains(id())) {
-    originate(id(), payload);  // local delivery first
-    dests.erase(id());
-  }
-  if (dests.empty()) return;
-  const connectivity_epochs& ep = sim().epochs();
-  const std::size_t e = sim().current_epoch();
-  // One direct physical message per member whose channel is still up and
-  // who is still alive; the wrapper is shared across all of them.
-  const process_set direct = dests & ep.up_out_channels(e, id()) &
-                             ep.alive(e);
-  if (!direct.empty()) {
-    const message_ptr wrapped = make_message<direct_msg>(id(), payload);
-    for (process_id d : direct) send(d, wrapped);
-  }
-  // The rest route around failures like any unicast (or get dropped as
-  // unreachable, which a caller's escalation path must tolerate anyway).
-  for (process_id d : dests - direct) originate(d, payload);
 }
 
 bool flooding_node::mark_seen(process_id origin, std::uint64_t seq) {

@@ -35,10 +35,10 @@
 //    instead of (n−1)²; every live process reachable from the origin in
 //    the final epoch's residual graph still receives it exactly once;
 //  * direct unicast — a unicast to a live destination over an up channel
-//    is one direct message (no envelope, no sequence number), the rule
-//    flood_multicast applies to each member.
+//    is one direct message (no envelope, no sequence number), which is all
+//    a targeted quorum round (quorum/targeted_round.hpp) sends per member.
 // With finite queues any copy can be dropped at its source, so flooding
-// keeps its full redundancy there.
+// keeps its full redundancy there, targeted unicasts included.
 //
 // Protocols built on flooding_node use flood_send / flood_broadcast and
 // receive payloads through on_deliver(origin, payload); they never see the
@@ -122,26 +122,14 @@ class flooding_node : public node {
   /// paper's "send to all"; quorums may contain the sender).
   void flood_broadcast(message_ptr payload);
 
-  /// Sends payload to exactly the members of `dests` (which may include
-  /// the sender), preferring one *direct* physical message per member —
-  /// the targeted (non-broadcast) quorum-access fast path. A destination
-  /// whose direct channel is already down falls back to a flooded unicast
-  /// (routed around failures); an unreachable one is dropped, exactly as
-  /// flood_send would. Direct messages bypass the envelope/dedup machinery
-  /// entirely: a physical channel delivers at most once, and nobody
-  /// forwards them, so they consume no flooding sequence numbers and leave
-  /// no gaps in any peer's dedup filter. Cost over healthy channels is
-  /// |dests| messages. Unlike flood_send, the direct copies are sent even
-  /// when finite link queues may drop them (callers escalate on timeout).
-  void flood_multicast(process_set dests, message_ptr payload);
-
   /// Protocol-level receipt: payload originated at `origin` (which may be
   /// this process itself).
   virtual void on_deliver(process_id origin, const message_ptr& payload) = 0;
 
  private:
-  /// A targeted point-to-point message: delivered where it lands, never
-  /// forwarded, never deduplicated (see flood_multicast).
+  /// A unicast over an up channel in a lossless run: delivered where it
+  /// lands, never forwarded, never deduplicated, so it takes no sequence
+  /// number and leaves no gap in any peer's dedup filter.
   struct direct_msg : message {
     process_id origin;
     message_ptr payload;

@@ -21,20 +21,13 @@ namespace gqs {
 
 /// What a protocol component may do to the outside world. Unicast and
 /// broadcast are flooding-routed (transitive connectivity, per the paper's
-/// WLOG assumption); timers are one-shot.
+/// WLOG assumption); a unicast over a healthy channel is one direct
+/// message. Timers are one-shot.
 class transport {
  public:
   virtual ~transport() = default;
   virtual void unicast(process_id dest, message_ptr payload) = 0;
   virtual void broadcast(message_ptr payload) = 0;
-  /// Sends payload to exactly the members of `dests` — the targeted
-  /// quorum-access path. Flooding-backed transports send one direct
-  /// physical message per healthy member (flood_multicast); the default
-  /// degrades to per-member unicasts so bespoke test transports keep
-  /// working unchanged.
-  virtual void multicast(process_set dests, message_ptr payload) {
-    for (process_id d : dests) unicast(d, payload);
-  }
   virtual int set_timer(sim_time delay) = 0;
   virtual process_id self() const = 0;
   virtual process_id size() const = 0;
@@ -67,15 +60,14 @@ class component {
     tr().unicast(dest, std::move(m));
   }
   void broadcast(message_ptr m) { tr().broadcast(std::move(m)); }
-  void multicast(process_set dests, message_ptr m) {
-    tr().multicast(dests, std::move(m));
-  }
   int set_timer(sim_time delay) { return tr().set_timer(delay); }
 
   /// Null-safe observability accessor (nullptr before bind() too).
   obs_bundle* obs() const { return tr_ ? tr_->obs() : nullptr; }
 
  private:
+  friend class targeted_round;  // sends and arms timers for its owner
+
   transport& tr() const {
     if (!tr_) throw std::logic_error("component used before bind()");
     return *tr_;
@@ -92,8 +84,6 @@ class single_host : public flooding_node, private transport {
     if (!comp_) throw std::invalid_argument("single_host: null component");
     comp_->bind(*this);
   }
-
-  component& comp() { return *comp_; }
 
   /// Typed access to the hosted component.
   template <class C>
@@ -113,9 +103,6 @@ class single_host : public flooding_node, private transport {
     flood_send(dest, std::move(m));
   }
   void broadcast(message_ptr m) override { flood_broadcast(std::move(m)); }
-  void multicast(process_set dests, message_ptr m) override {
-    flood_multicast(dests, std::move(m));
-  }
   int set_timer(sim_time delay) override { return node::set_timer(delay); }
   process_id self() const override { return node::id(); }
   process_id size() const override { return node::system_size(); }
@@ -150,7 +137,6 @@ class mux_host : public flooding_node {
     return ref;
   }
 
-  component& component_at(int instance) { return *comps_.at(instance); }
   std::size_t component_count() const noexcept { return comps_.size(); }
 
  protected:
@@ -198,10 +184,6 @@ class mux_host : public flooding_node {
     }
     void broadcast(message_ptr m) override {
       host_->flood_broadcast(make_message<tagged>(instance_, std::move(m)));
-    }
-    void multicast(process_set dests, message_ptr m) override {
-      host_->flood_multicast(dests,
-                             make_message<tagged>(instance_, std::move(m)));
     }
     int set_timer(sim_time delay) override {
       const int id = host_->node::set_timer(delay);

@@ -21,8 +21,6 @@ void smr_options::validate() const {
     throw std::invalid_argument("smr_service: bad batch cap");
   if (resubmit_timeout <= 0)
     throw std::invalid_argument("smr_service: bad resubmit timeout");
-  if (escalation_timeout < 0)
-    throw std::invalid_argument("smr_service: bad escalation timeout");
   if (!shard_selectors.empty() && shard_selectors.size() != shards)
     throw std::invalid_argument(
         "smr_service: shard_selectors must match shard count");
@@ -30,34 +28,20 @@ void smr_options::validate() const {
     throw std::invalid_argument("smr_service: leaders must match shard count");
 }
 
-namespace {
-
-/// Phase 1 solicits promises from a *read* quorum, so a read-strategy
-/// draw only makes progress if its members cover some configured read
-/// quorum — the read-side analogue of check_selector_covers.
-void check_selector_read_covers(const quorum_selector& selector,
-                                const quorum_family& reads) {
-  for (const process_set& q : selector.strategy().reads.quorums)
-    if (!covered_quorum(reads, q))
-      throw std::invalid_argument(
-          "quorum selector: read-strategy quorum " + q.to_string() +
-          " covers no configured read quorum");
-}
-
-}  // namespace
-
 smr_service::smr_service(service_key keys, quorum_config config,
                          smr_options options)
-    : keys_(keys), config_(std::move(config)), options_(std::move(options)) {
+    : keys_(keys),
+      config_(std::move(config)),
+      options_(std::move(options)),
+      rounds_(*this, options_.escalation_timeout, counters_.escalations,
+              "smr", /*self_answers=*/true) {
   if (keys_ == 0) throw std::invalid_argument("smr_service: no keys");
   config_.validate();
   options_.validate();
-  for (std::size_t s = 0; s < options_.shards; ++s) {
-    if (const selector_ptr sel = selector_for(s)) {
-      check_selector_covers(*sel, config_.writes);
-      check_selector_read_covers(*sel, config_.reads);
-    }
-    if (options_.shard_selectors.empty()) break;  // one shared selector
+  for (const selector_ptr& sel : options_.shard_selectors) {
+    if (!sel) continue;
+    check_selector_covers(sel->strategy().writes, config_.writes, "write");
+    check_selector_covers(sel->strategy().reads, config_.reads, "read");
   }
   shards_.resize(options_.shards);
   states_.resize(keys_);
@@ -98,7 +82,6 @@ std::uint64_t smr_service::applied_prefix(std::size_t shard) const {
 void smr_service::start() {
   register_obs();
   const process_id n = system_size();
-  quorum_hits_.assign(n, 0);
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     shard_state& ss = shards_[s];
     ss.applied_seqs.resize(n);
@@ -184,8 +167,9 @@ void smr_service::on_timeout(int timer_id) {
         set_timer(std::max<sim_time>(options_.resubmit_timeout / 2, 1));
     return;
   }
+  rounds_.on_timeout(timer_id);
   const auto it = timers_.find(timer_id);
-  if (it == timers_.end()) return;  // stale
+  if (it == timers_.end()) return;  // an escalation, or stale
   const timer_ref ref = it->second;
   timers_.erase(it);
   switch (ref.kind) {
@@ -207,10 +191,6 @@ void smr_service::on_timeout(int timer_id) {
       arm_heartbeat(ref.shard);
       return;
     }
-    case timer_ref::kind_t::escalate1:
-    case timer_ref::kind_t::escalate2:
-      escalate(ref);
-      return;
   }
 }
 
@@ -219,13 +199,13 @@ void smr_service::arm_lease(std::uint32_t shard) {
   if (ss.lease_armed) return;
   const sim_time deadline = ss.leader_activity + lease_patience(ss);
   timers_[set_timer(std::max<sim_time>(deadline - now(), 1))] =
-      timer_ref{timer_ref::kind_t::lease, shard, 0};
+      timer_ref{timer_ref::kind_t::lease, shard};
   ss.lease_armed = true;
 }
 
 void smr_service::arm_heartbeat(std::uint32_t shard) {
   timers_[set_timer(options_.heartbeat_period)] =
-      timer_ref{timer_ref::kind_t::heartbeat, shard, 0};
+      timer_ref{timer_ref::kind_t::heartbeat, shard};
 }
 
 void smr_service::renew_lease(std::uint32_t shard) {
@@ -261,6 +241,8 @@ void smr_service::step_down(std::uint32_t shard) {
   ss.leading = false;
   ss.phase1_inflight = false;
   ss.p1bs = {};
+  rounds_.close(ss.phase1_round);
+  for (const auto& [slot, round] : ss.inflight) rounds_.close(round.round);
   ss.inflight.clear();
   if (tracer_) {
     // Abandoned rounds: close their spans here rather than letting
@@ -387,6 +369,17 @@ void smr_service::drain(std::uint32_t shard) {
 // ---------------------------------------------------------------------------
 // Phase 1 — one promise per lease, covering every slot above the floor
 
+/// Phase 1 draws a read quorum and Phase 2 a write quorum, both from one
+/// per-process stream shared by every shard.
+std::optional<process_set> smr_service::draw(std::uint32_t shard,
+                                             bool phase1) {
+  if (options_.shard_selectors.empty() || !options_.shard_selectors[shard])
+    return std::nullopt;
+  const quorum_selector& sel = *options_.shard_selectors[shard];
+  return phase1 ? sel.sample_read(id(), sample_seq_++)
+                : sel.sample_write(id(), sample_seq_++);
+}
+
 void smr_service::begin_phase1(std::uint32_t shard) {
   shard_state& ss = shards_[shard];
   if (ss.phase1_inflight || ss.leading) return;
@@ -406,15 +399,9 @@ void smr_service::begin_phase1(std::uint32_t shard) {
     ss.phase1_span = tracer_->begin_span("smr.phase1", "smr", id(), {}, now());
     stamp_trace_span(wire, ss.phase1_span);
   }
-  if (const selector_ptr sel = selector_for(shard)) {
-    ++counters_.targeted_phase1;
-    process_set targets = sample_targets(shard, /*is_phase1=*/true);
-    targets.erase(id());  // own report is added locally below
-    multicast(std::move(targets), std::move(wire));
-    arm_escalation(shard, /*is_phase1=*/true, ss.view);
-  } else {
-    broadcast(std::move(wire));  // own copy skipped in deliver()
-  }
+  const std::optional<process_set> targets = draw(shard, /*phase1=*/true);
+  if (targets) ++counters_.targeted_phase1;
+  ss.phase1_round = rounds_.open(targets, std::move(wire), ss.phase1_span);
   // The candidate is its own first responder.
   const auto quorum = ss.p1bs.add(id(), make_report(ss, floor), config_.reads);
   if (quorum) finish_phase1(shard, *quorum);
@@ -442,6 +429,7 @@ void smr_service::finish_phase1(std::uint32_t shard,
   ss.phase1_inflight = false;
   ss.leading = true;
   ss.commit_sent = ss.applied;
+  rounds_.close(ss.phase1_round);
   if (tracer_ && ss.phase1_span.valid()) {
     tracer_->end_span(ss.phase1_span, now());
     ss.phase1_span = {};
@@ -506,11 +494,12 @@ void smr_service::begin_phase2(std::uint32_t shard, std::uint64_t slot,
   ++counters_.entries_proposed;  // one Phase-2 round per entry
   ss.accepted[slot] = accepted_rec<smr_entry_ptr>{ss.view, entry};  // self
   auto wire = make_message<p2a_msg>(shard, ss.view, slot, entry);
+  span_ref root;
   if (tracer_) {
     // One root span per (shard, slot), open until the commit announcement.
     // The p2a wire rides the ROOT, not the phase-2 child: net sub-spans
     // must not widen phase2.end past the commit span's start.
-    span_ref root = ss.slot_spans[slot];
+    root = ss.slot_spans[slot];
     if (!root.valid()) {
       root = tracer_->begin_span("smr.slot", "smr", id(), {}, now());
       ss.slot_spans[slot] = root;
@@ -520,22 +509,14 @@ void smr_service::begin_phase2(std::uint32_t shard, std::uint64_t slot,
           tracer_->begin_span("smr.phase2", "smr", id(), root, now());
     stamp_trace_span(wire, root);
   }
-  inflight_round round;
-  round.entry = std::move(entry);
-  round.wire = wire;
-  auto [it, fresh] = ss.inflight.insert_or_assign(slot, std::move(round));
-  (void)fresh;
-  if (const selector_ptr sel = selector_for(shard)) {
-    ++counters_.targeted_phase2;
-    process_set targets = sample_targets(shard, /*is_phase1=*/false);
-    targets.erase(id());  // accepted locally above
-    multicast(std::move(targets), std::move(wire));
-    arm_escalation(shard, /*is_phase1=*/false, slot);
-  } else {
-    broadcast(std::move(wire));
-  }
-  const auto quorum = it->second.acks.add(id(), config_.writes);
-  if (quorum) phase2_won(shard, slot);
+  inflight_round fresh;
+  fresh.entry = std::move(entry);
+  inflight_round& round =
+      ss.inflight.insert_or_assign(slot, std::move(fresh)).first->second;
+  const std::optional<process_set> targets = draw(shard, /*phase1=*/false);
+  if (targets) ++counters_.targeted_phase2;
+  round.round = rounds_.open(targets, std::move(wire), root);
+  if (round.acks.add(id(), config_.writes)) phase2_won(shard, slot);
 }
 
 void smr_service::phase2_won(std::uint32_t shard, std::uint64_t slot) {
@@ -543,6 +524,7 @@ void smr_service::phase2_won(std::uint32_t shard, std::uint64_t slot) {
   const auto it = ss.inflight.find(slot);
   if (it == ss.inflight.end()) return;
   smr_entry_ptr entry = it->second.entry;
+  rounds_.close(it->second.round);
   ss.inflight.erase(it);
   if (tracer_) {
     const auto p2 = ss.phase2_spans.find(slot);
@@ -721,54 +703,6 @@ void smr_service::on_hb(const hb_msg& m) {
   shard_state& ss = shards_[m.shard];
   adopt_view(m.shard, m.view);
   if (m.view == ss.view) renew_lease(m.shard);
-}
-
-// ---------------------------------------------------------------------------
-// targeted access
-
-process_set smr_service::sample_targets(std::uint32_t shard, bool is_phase1) {
-  const selector_ptr sel = selector_for(shard);
-  const process_set targets =
-      is_phase1 ? sel->sample_read(id(), sample_seq_++)
-                : sel->sample_write(id(), sample_seq_++);
-  for (const process_id p : targets) ++quorum_hits_[p];
-  return targets;
-}
-
-void smr_service::arm_escalation(std::uint32_t shard, bool is_phase1,
-                                 std::uint64_t seq) {
-  if (options_.escalation_timeout <= 0) return;  // mutation switch
-  timers_[set_timer(options_.escalation_timeout)] =
-      timer_ref{is_phase1 ? timer_ref::kind_t::escalate1
-                          : timer_ref::kind_t::escalate2,
-                shard, seq};
-}
-
-/// A targeted phase round ran out of patience: fall back to the full
-/// broadcast, which reaches every process the flooding layer can —
-/// liveness under a failure pattern is therefore the broadcast engine's.
-void smr_service::escalate(const timer_ref& ref) {
-  shard_state& ss = shards_[ref.shard];
-  if (ref.kind == timer_ref::kind_t::escalate1) {
-    if (!ss.phase1_inflight || ss.view != ref.seq) return;  // completed
-    ++counters_.escalations;
-    if (tracer_)
-      tracer_->leaf("smr.escalate", "smr", id(), ss.phase1_span, now());
-    auto wire = make_message<p1a_msg>(ref.shard, ss.view, ss.applied);
-    stamp_trace_span(wire, ss.phase1_span);
-    broadcast(std::move(wire));
-    return;
-  }
-  const auto it = ss.inflight.find(ref.seq);
-  if (!ss.leading || it == ss.inflight.end()) return;  // decided already
-  ++counters_.escalations;
-  if (tracer_) {
-    const auto root = ss.slot_spans.find(ref.seq);
-    tracer_->leaf("smr.escalate", "smr", id(),
-                  root != ss.slot_spans.end() ? root->second : span_ref{},
-                  now());
-  }
-  broadcast(it->second.wire);
 }
 
 // ---------------------------------------------------------------------------

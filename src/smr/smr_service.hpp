@@ -27,8 +27,8 @@
 //   * pipelining — up to `pipeline_window` slots run Phase 2 concurrently;
 //     commits are announced and applied strictly in slot order;
 //   * targeted quorums — Phase-1/Phase-2 messages go only to a
-//     strategy-sampled quorum (strategy/selector.hpp + flood_multicast),
-//     with the PR-5 timeout-escalation-to-broadcast fallback, so liveness
+//     strategy-sampled quorum, one unicast per member, with timeout
+//     escalation to broadcast (quorum/targeted_round.hpp), so liveness
 //     under a failure pattern is exactly the broadcast engine's.
 //
 // Safety is per-slot Paxos over the GQS (Consistency of the quorum
@@ -54,6 +54,7 @@
 #include "lincheck/register_history.hpp"
 #include "quorum/qaf_core.hpp"
 #include "quorum/quorum_service.hpp"
+#include "quorum/targeted_round.hpp"
 #include "register/register_state.hpp"
 #include "sim/flooding.hpp"
 #include "sim/transport.hpp"
@@ -100,13 +101,12 @@ struct smr_options {
   /// failures. Dedup makes the retry safe.
   sim_time resubmit_timeout = 400000;  // 400 ms
   /// With a selector: delay before a phase round that still lacks quorum
-  /// coverage falls back to full broadcast (the PR-5 escalation). 0
+  /// coverage falls back to full broadcast (targeted_round.hpp). 0
   /// disables escalation — ONLY for mutation tests.
   sim_time escalation_timeout = 40000; // 40 ms
-  /// Strategy-targeted phase quorums; null keeps full broadcast.
-  selector_ptr selector;
-  /// Per-shard selectors (strategy/shard_plan.hpp); overrides `selector`
-  /// when non-empty (must then have one entry per shard).
+  /// Strategy-targeted phase quorums, one selector per shard
+  /// (strategy/shard_plan.hpp). Empty, or a null entry, keeps full
+  /// broadcast.
   std::vector<selector_ptr> shard_selectors;
   /// Initial (view-1) leader per shard; defaults to shard mod n.
   std::vector<process_id> leaders;
@@ -174,9 +174,9 @@ class smr_service : public component {
   const smr_counters& counters() const noexcept { return counters_; }
 
   /// How many targeted phase rounds sampled each process into their
-  /// quorum (realized strategy load; zeros in broadcast mode).
+  /// quorum (realized strategy load; empty in broadcast mode).
   const std::vector<std::uint64_t>& per_process_quorum_hits() const noexcept {
-    return quorum_hits_;
+    return rounds_.hits();
   }
 
   /// Set iff this replica ever observed two different decisions for one
@@ -296,7 +296,7 @@ class smr_service : public component {
   struct inflight_round {
     smr_entry_ptr entry;
     quorum_cover_tracker acks;
-    message_ptr wire;  // kept for escalation rebroadcast
+    targeted_round::handle round = targeted_round::none;
   };
 
   /// A command submitted here, until this replica applies it.
@@ -321,6 +321,7 @@ class smr_service : public component {
     // -- leader --
     bool leading = false;
     bool phase1_inflight = false;
+    targeted_round::handle phase1_round = targeted_round::none;
     quorum_response_collector<p1b_report> p1bs;
     std::uint64_t next_slot = 0;    ///< next slot to propose into
     std::uint64_t commit_sent = 0;  ///< commits announced while leading
@@ -341,9 +342,8 @@ class smr_service : public component {
   };
 
   struct timer_ref {
-    enum class kind_t { lease, heartbeat, escalate1, escalate2 } kind;
+    enum class kind_t { lease, heartbeat } kind;
     std::uint32_t shard;
-    std::uint64_t seq;  ///< view (escalate1) or slot (escalate2)
   };
 
   void check_key(service_key key) const {
@@ -351,12 +351,6 @@ class smr_service : public component {
       throw std::out_of_range("smr_service: key out of range");
   }
   const shard_state& shard_at(std::size_t shard) const;
-
-  selector_ptr selector_for(std::size_t shard) const {
-    if (!options_.shard_selectors.empty())
-      return options_.shard_selectors[shard];
-    return options_.selector;
-  }
 
   sim_time lease_patience(const shard_state& ss) const {
     return options_.lease_duration +
@@ -398,10 +392,8 @@ class smr_service : public component {
   void on_commit(const commit_msg& m);
   void on_hb(const hb_msg& m);
 
-  process_set sample_targets(std::uint32_t shard, bool is_phase1);
-  void arm_escalation(std::uint32_t shard, bool is_phase1,
-                      std::uint64_t seq);
-  void escalate(const timer_ref& ref);
+  /// The quorum a phase round of `shard` targets; none without a selector.
+  std::optional<process_set> draw(std::uint32_t shard, bool phase1);
   void retry_tick();
 
   /// Binds counters/gauges/probes onto the host's observability surface
@@ -420,9 +412,9 @@ class smr_service : public component {
   std::uint64_t sample_seq_ = 0;  ///< per-process selector stream cursor
   int flush_timer_ = -1;
   int retry_timer_ = -1;
-  std::map<int, timer_ref> timers_;
-  std::vector<std::uint64_t> quorum_hits_;
+  std::map<int, timer_ref> timers_;  ///< lease and heartbeat timers
   smr_counters counters_;
+  targeted_round rounds_;
   trace_recorder* tracer_ = nullptr;  ///< non-null iff recording spans
   std::optional<std::string> safety_violation_;
 };

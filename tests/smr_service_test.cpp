@@ -182,7 +182,7 @@ TEST(SmrService, TargetedPhasesMatchBroadcastWithFewerMessages) {
   const auto plan = plan_optimal(gqs);
   auto run = [&](selector_ptr selector) {
     smr_options opts;
-    opts.selector = std::move(selector);
+    opts.shard_selectors = {std::move(selector)};
     smr_world w(gqs, fault_plan::none(8), 11, /*keys=*/8, opts);
     submit_batch batch;
     batch.fire(w.sim, w.nodes[2], 2, 8, 40);
@@ -205,25 +205,43 @@ TEST(SmrService, TargetedPhasesMatchBroadcastWithFewerMessages) {
 
 TEST(SmrService, EscalationRestoresLivenessUnderCrash) {
   const auto gqs = threshold_quorum_system(4, 1);
-  const auto plan = plan_optimal(gqs);
-  smr_options opts;
-  opts.selector = std::make_shared<const quorum_selector>(plan.strategy, 7);
-  // Process 3 is crashed from the start; targeted rounds that sample it
-  // stall until the escalation broadcast brings in the live members.
-  auto faults = fault_plan::none(4);
-  faults.crash(3, 0);
-  smr_world w(gqs, std::move(faults), 12, /*keys=*/4, opts);
-  submit_batch batch;
-  batch.fire(w.sim, w.nodes[0], 0, 4, 20);
-  ASSERT_TRUE(w.sim.run_until_condition([&] { return batch.completed == 20; },
-                                        kLong));
-  std::uint64_t escalations = 0;
-  for (const smr_service* r : w.nodes)
-    escalations += r->counters().escalations;
+  // Process 3 is crashed from the start. Leader 0's Phase 1 targets the
+  // live read quorum {0, 1, 2}, but every Phase-2 round targets the write
+  // quorum {0, 3}: only the leader itself ever acks, so each round stalls
+  // until the escalation broadcast brings in 1 and 2. The leader stays
+  // alive and keeps renewing its lease, so no view change rescues a round.
+  read_write_strategy strategy;
+  strategy.reads = quorum_strategy::pure(process_set{0, 1, 2});
+  strategy.writes = quorum_strategy::pure(process_set{0, 3});
+  // Returns whether all 20 commands completed, and the escalation count.
+  auto run = [&](sim_time escalation_timeout) {
+    smr_options opts;
+    opts.shard_selectors = {
+        std::make_shared<const quorum_selector>(strategy, 7)};
+    opts.escalation_timeout = escalation_timeout;
+    auto faults = fault_plan::none(4);
+    faults.crash(3, 0);
+    smr_world w(gqs, std::move(faults), 12, /*keys=*/4, opts);
+    submit_batch batch;
+    batch.fire(w.sim, w.nodes[0], 0, 4, 20);
+    const bool done = w.sim.run_until_condition(
+        [&] { return batch.completed == 20; }, kLong);
+    std::uint64_t escalations = 0;
+    for (const smr_service* r : w.nodes)
+      escalations += r->counters().escalations;
+    const std::vector<const smr_service*> survivors = {
+        w.nodes[0], w.nodes[1], w.nodes[2]};
+    EXPECT_TRUE(check_smr_agreement(survivors).linearizable);
+    return std::pair(done, escalations);
+  };
+  const auto [done, escalations] = run(40000);
+  EXPECT_TRUE(done);
   EXPECT_GT(escalations, 0u);
-  std::vector<const smr_service*> survivors = {w.nodes[0], w.nodes[1],
-                                               w.nodes[2]};
-  EXPECT_TRUE(check_smr_agreement(survivors).linearizable);
+  // Mutation: no escalation — the first Phase-2 round never completes,
+  // and the in-order log stalls behind it.
+  const auto [mutant_done, mutant_escalations] = run(0);
+  EXPECT_FALSE(mutant_done) << "without escalation the log must stall";
+  EXPECT_EQ(mutant_escalations, 0u);
 }
 
 TEST(SmrService, PerShardPlansDecorrelateLeadersAndSelectors) {
@@ -269,7 +287,22 @@ TEST(SmrService, OptionValidationRejectsBadConfigs) {
   bad = {};
   bad.leaders = {0, 1};  // two leaders for one shard
   EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
+  bad = {};
+  bad.escalation_timeout = -1;
+  EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
   EXPECT_THROW(smr_service(0, config, {}), std::invalid_argument);
+  // A selector whose write strategy fits but whose read strategy draws a
+  // set covering no read quorum: Phase 1 could never gather promises.
+  read_write_strategy mismatched;
+  mismatched.writes = quorum_strategy::uniform(gqs.writes);
+  mismatched.reads = quorum_strategy::pure(process_set{0});
+  bad = {};
+  bad.shard_selectors = {
+      std::make_shared<const quorum_selector>(std::move(mismatched), 1)};
+  EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
+  bad.shard_selectors = {std::make_shared<const quorum_selector>(
+      plan_optimal(gqs).strategy, 1)};
+  EXPECT_NO_THROW(smr_service(4, config, bad));
 }
 
 TEST(SmrService, CommitsAndConvergesOnCongestedLinks) {
