@@ -2,9 +2,11 @@
 //
 // google-benchmark microbenchmarks of the combinatorial kernels everything
 // else is built on: SCC decomposition, reachability closures, the
-// Definition 2 check, U_f computation and the existence search.
+// Definition 2 check, U_f computation, the existence search and the
+// strategy planner.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <vector>
@@ -14,6 +16,8 @@
 #include "core/random_systems.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/message.hpp"
+#include "strategy/planner.hpp"
+#include "workload/topologies.hpp"
 
 namespace {
 
@@ -96,6 +100,53 @@ void bm_find_gqs_random(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_find_gqs_random)->Arg(5)->Arg(8)->Arg(12);
+
+// ---- strategy planner ----
+//
+// plan_optimal is the deploy-time cost after existence and verification:
+// the read-mostly plan behind the targeted service and sharded SMR
+// selectors, and one corpus witness shaped like the plan-corpus
+// benchmark's (n = 24, |F| = 16, scenario capacities).
+
+void bm_plan_optimal_threshold(benchmark::State& state) {
+  const auto qs = threshold_quorum_system(8, 2);
+  planner_options options;
+  options.read_ratio = 0.9;
+  for (auto _ : state) benchmark::DoNotOptimize(plan_optimal(qs, options));
+}
+BENCHMARK(bm_plan_optimal_threshold);
+
+void bm_plan_optimal_corpus(benchmark::State& state) {
+  const auto corpus = topology_corpus(24);
+  const auto family = std::find_if(
+      corpus.begin(), corpus.end(),
+      [](const scenario_family& f) { return f.name == "geometric24"; });
+  if (family == corpus.end()) {
+    state.SkipWithError("no geometric24 family");
+    return;
+  }
+  scenario_params params = family->params;
+  params.patterns = 16;
+  std::mt19937_64 rng(1);
+  const auto witness = find_gqs(scenario_system(params, rng));
+  if (!witness) {
+    state.SkipWithError("geometric24 draw admits no GQS");
+    return;
+  }
+  planner_options options;
+  options.capacities = process_capacities(params);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(plan_optimal(witness->system, options));
+}
+BENCHMARK(bm_plan_optimal_corpus);
+
+void bm_plan_for_pattern_figure1(benchmark::State& state) {
+  const auto fig = make_figure1();
+  for (auto _ : state)
+    for (std::size_t i = 0; i < fig.gqs.fps.size(); ++i)
+      benchmark::DoNotOptimize(plan_for_pattern(fig.gqs, i));
+}
+BENCHMARK(bm_plan_for_pattern_figure1);
 
 // ---- message dispatch: tag compare vs dynamic_cast ----
 //

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <span>
 #include <stdexcept>
 
 namespace gqs {
@@ -62,20 +63,51 @@ class hedge_adversary {
   std::vector<double> w_;
 };
 
-double set_score(process_set s, const std::vector<double>& weighted) {
+/// A quorum family compiled once per planner call: quorum i's members are
+/// mem[off[i]] .. mem[off[i + 1] - 1], in ascending id — the order
+/// process_set iteration yields — so a sum over a span adds the same terms
+/// in the same order as the set walk it replaces, bit for bit. Every
+/// planner loop runs over this layout instead of walking multi-word sets.
+class flat_family {
+ public:
+  flat_family() = default;
+  explicit flat_family(const quorum_family& family) {
+    for (const process_set& q : family) add(q);
+  }
+
+  void add(const process_set& q) {
+    for (process_id p : q) mem_.push_back(p);
+    off_.push_back(mem_.size());
+  }
+  std::size_t size() const { return off_.size() - 1; }
+  std::span<const process_id> operator[](std::size_t i) const {
+    return {mem_.data() + off_[i], mem_.data() + off_[i + 1]};
+  }
+  /// One past the largest member id (0 for no members).
+  process_id extent() const {
+    return mem_.empty() ? 0 : *std::max_element(mem_.begin(), mem_.end()) + 1;
+  }
+
+ private:
+  std::vector<std::size_t> off_{0};
+  std::vector<process_id> mem_;
+};
+
+double span_score(std::span<const process_id> q,
+                  const std::vector<double>& weighted) {
   double score = 0;
-  for (process_id p : s) score += weighted[p];
+  for (process_id p : q) score += weighted[p];
   return score;
 }
 
-/// argmin over a family of set_score; ties break to the lowest index so
+/// argmin over a family of span_score; ties break to the lowest index so
 /// the iteration is fully deterministic.
 std::pair<std::size_t, double> best_quorum(
-    const quorum_family& family, const std::vector<double>& weighted) {
+    const flat_family& family, const std::vector<double>& weighted) {
   std::size_t best = 0;
   double best_score = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < family.size(); ++i) {
-    const double score = set_score(family[i], weighted);
+    const double score = span_score(family[i], weighted);
     if (score < best_score) {
       best_score = score;
       best = i;
@@ -84,7 +116,10 @@ std::pair<std::size_t, double> best_quorum(
   return {best, best_score};
 }
 
-void check_family(const quorum_family& family, const char* which) {
+/// Rejects an empty family, an empty quorum or a member ≥ n, then
+/// compiles the family.
+flat_family compile_family(const quorum_family& family, process_id n,
+                           const char* caller, const char* which) {
   if (family.empty())
     throw std::invalid_argument(std::string("plan_optimal: empty ") + which +
                                 " family");
@@ -92,14 +127,19 @@ void check_family(const quorum_family& family, const char* which) {
     if (q.empty())
       throw std::invalid_argument(std::string("plan_optimal: empty ") +
                                   which + " quorum");
+  flat_family flat(family);
+  if (flat.extent() > n)
+    throw std::invalid_argument(std::string(caller) +
+                                ": quorum member >= n");
+  return flat;
 }
 
 /// One round's best response against the weighted adversary: the chosen
-/// read/write members and the response's score (the round's lower-bound
-/// certificate).
+/// read/write members (spans into a flat_family) and the response's score
+/// (the round's lower-bound certificate).
 struct saddle_response {
-  process_set read_members;
-  process_set write_members;
+  std::span<const process_id> read_members;
+  std::span<const process_id> write_members;
   double score = 0;
 };
 
@@ -124,6 +164,13 @@ saddle_outcome run_saddle_point(process_id n, double rho,
                                 const planner_options& options,
                                 Respond respond, Snapshot snapshot) {
   const double scale = *std::max_element(inv_cap.begin(), inv_cap.end());
+  // The adversary's payoff per read / write membership, evaluated once
+  // per call; the rewards below add exactly these values.
+  std::vector<double> read_payoff(n), write_payoff(n);
+  for (process_id p = 0; p < n; ++p) {
+    read_payoff[p] = rho * inv_cap[p] / scale;
+    write_payoff[p] = (1.0 - rho) * inv_cap[p] / scale;
+  }
   hedge_adversary adversary(n);
   std::vector<double> weighted(n, 0.0);
   std::vector<double> hits(n, 0.0);  // ρ-mixed membership counts
@@ -144,10 +191,13 @@ saddle_outcome run_saddle_point(process_id n, double rho,
     for (process_id p : resp.write_members) hits[p] += 1.0 - rho;
 
     // Weighted load of the averaged strategy so far — feasible, hence an
-    // upper bound; keep the best average seen.
-    double ub = 0;
+    // upper bound; keep the best average seen. Rounded division by t > 0
+    // is monotone, so dividing the largest product once yields the same
+    // bits as the largest of the per-process quotients.
+    double top = 0;
     for (process_id p = 0; p < n; ++p)
-      ub = std::max(ub, hits[p] * inv_cap[p] / static_cast<double>(t));
+      top = std::max(top, hits[p] * inv_cap[p]);
+    const double ub = top / static_cast<double>(t);
     if (ub < out.upper_bound) {
       out.upper_bound = ub;
       out.best_t = t;
@@ -156,9 +206,9 @@ saddle_outcome run_saddle_point(process_id n, double rho,
 
     // Reward the adversary where the chosen quorums put load.
     for (process_id p : resp.read_members)
-      adversary.reward(p, rho * inv_cap[p] / scale);
+      adversary.reward(p, read_payoff[p]);
     for (process_id p : resp.write_members)
-      adversary.reward(p, (1.0 - rho) * inv_cap[p] / scale);
+      adversary.reward(p, write_payoff[p]);
 
     if (out.upper_bound - out.lower_bound <= options.tolerance) {
       out.converged = true;
@@ -174,13 +224,10 @@ plan_result plan_optimal(process_id n, const quorum_family& reads,
                          const quorum_family& writes,
                          const planner_options& options) {
   options.validate(n);
-  check_family(reads, "read");
-  check_family(writes, "write");
-  for (const quorum_family* family : {&reads, &writes})
-    for (const process_set& q : *family)
-      for (process_id p : q)
-        if (p >= n)
-          throw std::invalid_argument("plan_optimal: quorum member >= n");
+  const flat_family flat_reads =
+      compile_family(reads, n, "plan_optimal", "read");
+  const flat_family flat_writes =
+      compile_family(writes, n, "plan_optimal", "write");
 
   const double rho = options.read_ratio;
   const std::vector<double> inv_cap = inverse_capacities(n,
@@ -194,11 +241,11 @@ plan_result plan_optimal(process_id n, const quorum_family& reads,
   const saddle_outcome out = run_saddle_point(
       n, rho, inv_cap, options,
       [&](const std::vector<double>& weighted) {
-        const auto [i_read, s_read] = best_quorum(reads, weighted);
-        const auto [i_write, s_write] = best_quorum(writes, weighted);
+        const auto [i_read, s_read] = best_quorum(flat_reads, weighted);
+        const auto [i_write, s_write] = best_quorum(flat_writes, weighted);
         read_count[i_read] += 1.0;
         write_count[i_write] += 1.0;
-        return saddle_response{reads[i_read], writes[i_write],
+        return saddle_response{flat_reads[i_read], flat_writes[i_write],
                                rho * s_read + (1.0 - rho) * s_write};
       },
       [&] {
@@ -268,6 +315,11 @@ pattern_plan plan_for_pattern(const generalized_quorum_system& gqs,
   const double rho = options.read_ratio;
   const std::vector<double> inv_cap = inverse_capacities(n,
                                                          options.capacities);
+  flat_family pair_reads, pair_writes;
+  for (const available_pair& a : plan.pairs) {
+    pair_reads.add(a.read_quorum);
+    pair_writes.add(a.write_quorum);
+  }
   std::vector<double> count(plan.pairs.size(), 0.0);
   std::vector<double> best_count;
   // Best response over the *pairs* — reads and writes are coupled here
@@ -279,16 +331,16 @@ pattern_plan plan_for_pattern(const generalized_quorum_system& gqs,
         double best_score = std::numeric_limits<double>::infinity();
         for (std::size_t i = 0; i < plan.pairs.size(); ++i) {
           const double score =
-              rho * set_score(plan.pairs[i].read_quorum, weighted) +
-              (1.0 - rho) * set_score(plan.pairs[i].write_quorum, weighted);
+              rho * span_score(pair_reads[i], weighted) +
+              (1.0 - rho) * span_score(pair_writes[i], weighted);
           if (score < best_score) {
             best_score = score;
             best = i;
           }
         }
         count[best] += 1.0;
-        return saddle_response{plan.pairs[best].read_quorum,
-                               plan.pairs[best].write_quorum, best_score};
+        return saddle_response{pair_reads[best], pair_writes[best],
+                               best_score};
       },
       [&] { best_count = count; });
   plan.converged = out.converged;
@@ -299,9 +351,8 @@ pattern_plan plan_for_pattern(const generalized_quorum_system& gqs,
 
   plan.load.assign(n, 0.0);
   for (std::size_t i = 0; i < plan.pairs.size(); ++i) {
-    for (process_id p : plan.pairs[i].read_quorum)
-      plan.load[p] += rho * plan.weights[i];
-    for (process_id p : plan.pairs[i].write_quorum)
+    for (process_id p : pair_reads[i]) plan.load[p] += rho * plan.weights[i];
+    for (process_id p : pair_writes[i])
       plan.load[p] += (1.0 - rho) * plan.weights[i];
   }
   plan.weighted_load = 0;
@@ -375,7 +426,8 @@ std::vector<double> response_waits(const std::vector<double>& load,
   return wait;
 }
 
-double max_wait(process_set q, const std::vector<double>& wait) {
+double max_wait(std::span<const process_id> q,
+                const std::vector<double>& wait) {
   double worst = 0;
   for (process_id p : q) worst = std::max(worst, wait[p]);
   return worst;
@@ -384,15 +436,17 @@ double max_wait(process_set q, const std::vector<double>& wait) {
 /// argmin over a family of max_wait; max-wait ties (e.g. several quorums
 /// pinned at the saturation cap) break to the lowest *total* wait so best
 /// responses still rank saturated options, then to the lowest index.
-std::size_t calmest_quorum(const quorum_family& family,
+std::size_t calmest_quorum(const flat_family& family,
                            const std::vector<double>& wait) {
   std::size_t best = 0;
   double best_max = std::numeric_limits<double>::infinity();
   double best_sum = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < family.size(); ++i) {
-    double sum = 0;
-    for (process_id p : family[i]) sum += wait[p];
-    const double w = max_wait(family[i], wait);
+    double sum = 0, w = 0;
+    for (process_id p : family[i]) {
+      sum += wait[p];
+      w = std::max(w, wait[p]);
+    }
     if (w < best_max || (w == best_max && sum < best_sum)) {
       best_max = w;
       best_sum = sum;
@@ -403,9 +457,9 @@ std::size_t calmest_quorum(const quorum_family& family,
 }
 
 /// T(σ) for explicit family weights under precomputed per-process waits.
-double mixed_latency(const quorum_family& reads,
+double mixed_latency(const flat_family& reads,
                      const std::vector<double>& read_weights,
-                     const quorum_family& writes,
+                     const flat_family& writes,
                      const std::vector<double>& write_weights, double rho,
                      const std::vector<double>& wait) {
   double t = 0;
@@ -429,9 +483,10 @@ double expected_response_time(const read_write_strategy& strategy,
     if (arrival_rate * load[p] >= mu[p])
       return std::numeric_limits<double>::infinity();
   const std::vector<double> wait = response_waits(load, arrival_rate, mu);
-  return mixed_latency(strategy.reads.quorums, strategy.reads.weights,
-                       strategy.writes.quorums, strategy.writes.weights,
-                       strategy.read_ratio, wait);
+  return mixed_latency(flat_family(strategy.reads.quorums),
+                       strategy.reads.weights,
+                       flat_family(strategy.writes.quorums),
+                       strategy.writes.weights, strategy.read_ratio, wait);
 }
 
 latency_plan_result plan_latency_optimal(process_id n,
@@ -440,14 +495,10 @@ latency_plan_result plan_latency_optimal(process_id n,
                                          const latency_planner_options&
                                              options) {
   options.validate(n);
-  check_family(reads, "read");
-  check_family(writes, "write");
-  for (const quorum_family* family : {&reads, &writes})
-    for (const process_set& q : *family)
-      for (process_id p : q)
-        if (p >= n)
-          throw std::invalid_argument(
-              "plan_latency_optimal: quorum member >= n");
+  const flat_family flat_reads =
+      compile_family(reads, n, "plan_latency_optimal", "read");
+  const flat_family flat_writes =
+      compile_family(writes, n, "plan_latency_optimal", "write");
 
   const double rho = options.read_ratio;
   const double lambda = options.arrival_rate;
@@ -486,9 +537,9 @@ latency_plan_result plan_latency_optimal(process_id n,
     fold(seed.strategy.reads, reads, read_w);
     fold(seed.strategy.writes, writes, write_w);
     for (std::size_t i = 0; i < reads.size(); ++i)
-      for (process_id p : reads[i]) load[p] += rho * read_w[i];
+      for (process_id p : flat_reads[i]) load[p] += rho * read_w[i];
     for (std::size_t i = 0; i < writes.size(); ++i)
-      for (process_id p : writes[i]) load[p] += (1.0 - rho) * write_w[i];
+      for (process_id p : flat_writes[i]) load[p] += (1.0 - rho) * write_w[i];
   }
 
   latency_plan_result result;
@@ -500,7 +551,7 @@ latency_plan_result plan_latency_optimal(process_id n,
     result.iterations = t;
     const std::vector<double> wait = response_waits(load, lambda, mu);
     const double obj =
-        mixed_latency(reads, read_w, writes, write_w, rho, wait);
+        mixed_latency(flat_reads, read_w, flat_writes, write_w, rho, wait);
     if (obj < best_obj) {
       const double gain = best_obj - obj;
       best_obj = obj;
@@ -516,16 +567,16 @@ latency_plan_result plan_latency_optimal(process_id n,
     // settled (the 1/(t+1) steps can no longer move it by tolerance).
     if (t > 32 && flat_rounds >= 64) break;
 
-    const std::size_t br = calmest_quorum(reads, wait);
-    const std::size_t bw = calmest_quorum(writes, wait);
+    const std::size_t br = calmest_quorum(flat_reads, wait);
+    const std::size_t bw = calmest_quorum(flat_writes, wait);
     const double alpha = 1.0 / static_cast<double>(t + 1);
     for (double& w : read_w) w *= 1.0 - alpha;
     for (double& w : write_w) w *= 1.0 - alpha;
     read_w[br] += alpha;
     write_w[bw] += alpha;
     for (double& l : load) l *= 1.0 - alpha;
-    for (process_id p : reads[br]) load[p] += alpha * rho;
-    for (process_id p : writes[bw]) load[p] += alpha * (1.0 - rho);
+    for (process_id p : flat_reads[br]) load[p] += alpha * rho;
+    for (process_id p : flat_writes[bw]) load[p] += alpha * (1.0 - rho);
   }
 
   result.strategy.read_ratio = rho;
@@ -548,8 +599,8 @@ latency_plan_result plan_latency_optimal(process_id n,
     if (result.utilization[p] >= 1.0) result.feasible = false;
   }
   const std::vector<double> wait = response_waits(result.load, lambda, mu);
-  result.expected_latency =
-      mixed_latency(reads, best_read_w, writes, best_write_w, rho, wait);
+  result.expected_latency = mixed_latency(flat_reads, best_read_w,
+                                          flat_writes, best_write_w, rho, wait);
   result.network_cost = expected_network_cost(result.strategy);
   return result;
 }
@@ -622,6 +673,10 @@ availability_estimate estimate_availability(
     const digraph* topology, const availability_options& options) {
   if (n == 0 || n > process_set::max_processes)
     throw std::invalid_argument("estimate_availability: bad n");
+  // Enumeration walks one 64-bit mask, so it covers n ≤ 63 (2^n must fit).
+  if (options.exact_max_n >= 64)
+    throw std::invalid_argument(
+        "estimate_availability: exact_max_n must be below 64");
   std::vector<double> fail(n, options.fail_probability);
   if (options.fail_probabilities.size() == 1)
     fail.assign(n, options.fail_probabilities.front());

@@ -159,7 +159,8 @@ double expected_response_time(const read_write_strategy& strategy,
 /// Minimizes T(σ) by the method of successive averages: repeated exact
 /// best responses against the current congestion state, averaged with a
 /// 1/(t+1) step, keeping the best iterate seen. Deterministic; seeded from
-/// the greedy response to the idle network.
+/// the capacity-aware plan_optimal strategy (capacities = service rates),
+/// which is feasible below the peak sustainable throughput.
 latency_plan_result plan_latency_optimal(
     process_id n, const quorum_family& reads, const quorum_family& writes,
     const latency_planner_options& options);
@@ -199,7 +200,7 @@ struct availability_options {
   std::vector<double> fail_probabilities;
   double fail_probability = 0.1;
   /// Up to this n the 2^n crash subsets are enumerated exactly; above it
-  /// the estimator switches to seeded Monte Carlo.
+  /// the estimator switches to seeded Monte Carlo. Must be below 64.
   process_id exact_max_n = 14;
   std::uint64_t samples = 20000;
   std::uint64_t seed = 1;

@@ -12,7 +12,9 @@ void quorum_strategy::validate() const {
     throw std::invalid_argument("quorum_strategy: weights/quorums mismatch");
   double total = 0;
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    if (!(weights[i] >= 0))  // catches NaN too
+    if (std::isnan(weights[i]))
+      throw std::invalid_argument("quorum_strategy: NaN weight");
+    if (weights[i] < 0)
       throw std::invalid_argument("quorum_strategy: negative weight");
     if (quorums[i].empty())
       throw std::invalid_argument("quorum_strategy: empty quorum");

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/existence.hpp"
@@ -42,6 +44,15 @@ TEST(Strategy, BasicsAndValidation) {
   bad = u;
   bad.weights.pop_back();
   EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad = u;
+  bad.weights[0] = std::numeric_limits<double>::quiet_NaN();
+  try {
+    bad.validate();
+    ADD_FAILURE() << "NaN weight accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("NaN"), std::string::npos)
+        << e.what();
+  }
 
   quorum_strategy dusty;
   dusty.quorums = two_subsets_of_three();
@@ -133,6 +144,15 @@ TEST(Planner, RejectsBadInputs) {
   options = {};
   options.capacities = {1.0, -2.0};
   EXPECT_THROW(plan_optimal(2, ok, ok, options), std::invalid_argument);
+
+  // Exact enumeration walks one 64-bit mask: 2^64 subsets cannot be named.
+  availability_options availability;
+  availability.exact_max_n = 64;
+  EXPECT_THROW(estimate_availability(1, ok, ok, nullptr, availability),
+               std::invalid_argument);
+  availability.exact_max_n = 63;
+  EXPECT_TRUE(
+      estimate_availability(1, ok, ok, nullptr, availability).exact);
 }
 
 // ---- the brute-force property over the topology corpus ----
@@ -473,6 +493,117 @@ TEST(LatencyPlanner, ParetoSweepIsMonotoneAndDominates) {
   // At high utilization the heterogeneity must actually bite.
   EXPECT_LT(sweep.back().expected_latency,
             sweep.back().load_only_latency);
+}
+
+// ---------- bit-for-bit pin of the planner outputs ----------
+
+/// FNV-1a over the bit patterns of planner outputs.
+struct output_digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void word(std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+  }
+  void real(double x) { word(std::bit_cast<std::uint64_t>(x)); }
+  void reals(const std::vector<double>& xs) {
+    word(xs.size());
+    for (double x : xs) real(x);
+  }
+  void plan(const plan_result& p) {
+    reals(p.strategy.reads.weights);
+    reals(p.strategy.writes.weights);
+    real(p.weighted_load);
+    real(p.lower_bound);
+    word(static_cast<std::uint64_t>(p.iterations));
+    word(p.converged);
+  }
+  void plan(const pattern_plan& p) {
+    word(p.pairs.size());
+    reals(p.weights);
+    real(p.weighted_load);
+    real(p.lower_bound);
+    word(p.converged);
+  }
+  void plan(const latency_plan_result& p) {
+    reals(p.strategy.reads.weights);
+    reals(p.strategy.writes.weights);
+    real(p.weighted_load);
+    real(p.expected_latency);
+    word(static_cast<std::uint64_t>(p.iterations));
+  }
+};
+
+TEST(Planner, OutputsPinnedBitForBit) {
+  // Every planner result below is a pure function of its inputs, so a
+  // rewrite of the planner's inner loops that keeps each floating-point
+  // operation and its order must reproduce these digests exactly. The
+  // constants pin x86-64 SSE2 arithmetic with glibc's libm; on another
+  // platform, recompute them from an unmodified planner first.
+  output_digest corpus, patterns;
+  // Corpus witnesses shaped like the plan-corpus benchmark's: n >= 12,
+  // |F| = 16, scenario capacities, a 10,000-iteration budget (one of them
+  // stops on it unconverged).
+  int planned = 0;
+  for (const scenario_family& family : topology_corpus(24)) {
+    if (family.params.topology.n < 12) continue;
+    scenario_params params = family.params;
+    params.patterns = 16;
+    std::mt19937_64 rng(1);
+    const auto witness = find_gqs(scenario_system(params, rng));
+    if (!witness) continue;
+    planner_options options;
+    options.capacities = process_capacities(params);
+    options.max_iterations = 10000;
+    corpus.plan(plan_optimal(witness->system, options));
+    patterns.plan(plan_for_pattern(witness->system, 0, options));
+    ++planned;
+  }
+  ASSERT_EQ(planned, 19);
+
+  const auto fig = make_figure1();
+  output_digest figure1;
+  figure1.plan(plan_optimal(fig.gqs));
+  for (const pattern_plan& p : plan_all_patterns(fig.gqs)) patterns.plan(p);
+
+  // The plan behind the svc-n8-targeted and smr-n8-congested selectors.
+  const auto threshold = threshold_quorum_system(8, 2);
+  planner_options read_mostly;
+  read_mostly.read_ratio = 0.9;
+  output_digest targeted;
+  targeted.plan(plan_optimal(threshold, read_mostly));
+
+  // bench_strategy's congested head-to-head: two starved ingress links.
+  latency_planner_options congested;
+  congested.read_ratio = 0.5;
+  congested.arrival_rate = 0.05;
+  congested.service_rates.assign(8, 4.0);
+  congested.service_rates[6] = congested.service_rates[7] = 0.02;
+  output_digest latency;
+  latency.plan(
+      plan_latency_optimal(8, threshold.reads, threshold.writes, congested));
+
+  // A duplicated quorum and singleton quorums in both families.
+  const quorum_family reads = {process_set{0, 1}, process_set{2},
+                               process_set{0, 1}, process_set{1, 3}};
+  const quorum_family writes = {process_set{0, 1, 2}, process_set{3},
+                                process_set{0, 1, 2}};
+  planner_options skewed;
+  skewed.read_ratio = 0.7;
+  skewed.capacities = {1.0, 2.0, 1.0, 0.5};
+  latency_planner_options edge_latency;
+  edge_latency.read_ratio = 0.7;
+  edge_latency.arrival_rate = 0.4;
+  edge_latency.service_rates = {1.0, 2.0, 1.0, 0.5};
+  output_digest edge;
+  edge.plan(plan_optimal(4, reads, writes, skewed));
+  edge.plan(plan_latency_optimal(4, reads, writes, edge_latency));
+
+  EXPECT_EQ(corpus.h, 0xabcc3b795e38f34cull) << std::hex << corpus.h;
+  EXPECT_EQ(figure1.h, 0x22c90be7cb449e74ull) << std::hex << figure1.h;
+  EXPECT_EQ(targeted.h, 0xfe8a083147b8e130ull) << std::hex << targeted.h;
+  EXPECT_EQ(patterns.h, 0xea6f28c6abb5b515ull) << std::hex << patterns.h;
+  EXPECT_EQ(latency.h, 0x96fc49987fad27cdull) << std::hex << latency.h;
+  EXPECT_EQ(edge.h, 0x0e7470deb42a1871ull) << std::hex << edge.h;
 }
 
 }  // namespace
