@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <random>
 #include <vector>
 
 #include "core/existence.hpp"
 #include "core/factories.hpp"
 #include "core/random_systems.hpp"
+#include "core/solver.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/message.hpp"
 #include "strategy/planner.hpp"
@@ -101,12 +103,62 @@ void bm_find_gqs_random(benchmark::State& state) {
 }
 BENCHMARK(bm_find_gqs_random)->Arg(5)->Arg(8)->Arg(12);
 
-// ---- strategy planner ----
+// ---- the deploy-time path on one corpus draw ----
 //
-// plan_optimal is the deploy-time cost after existence and verification:
-// the read-mostly plan behind the targeted service and sharded SMR
-// selectors, and one corpus witness shaped like the plan-corpus
-// benchmark's (n = 24, |F| = 16, scenario capacities).
+// Solve, verify and plan are the three steps of the plan-corpus benchmark.
+// These run each step alone on one draw shaped like its instances
+// (n = 24, |F| = 16, scenario capacities), plus the read-mostly plan
+// behind the targeted service and sharded SMR selectors.
+
+struct corpus_draw {
+  scenario_params params;
+  fail_prone_system fps;
+  gqs_witness witness;
+};
+
+/// The geometric24 family drawn with |F| = 16 from seed 1, with its solver
+/// witness; skips the benchmark if the family is missing or the draw
+/// admits no GQS.
+std::optional<corpus_draw> geometric24_draw(benchmark::State& state) {
+  const auto corpus = topology_corpus(24);
+  const auto family = std::find_if(
+      corpus.begin(), corpus.end(),
+      [](const scenario_family& f) { return f.name == "geometric24"; });
+  if (family == corpus.end()) {
+    state.SkipWithError("no geometric24 family");
+    return std::nullopt;
+  }
+  scenario_params params = family->params;
+  params.patterns = 16;
+  std::mt19937_64 rng(1);
+  fail_prone_system fps = scenario_system(params, rng);
+  auto witness = find_gqs(fps);
+  if (!witness) {
+    state.SkipWithError("geometric24 draw admits no GQS");
+    return std::nullopt;
+  }
+  return corpus_draw{params, std::move(fps), std::move(*witness)};
+}
+
+void bm_solve_corpus(benchmark::State& state) {
+  const auto draw = geometric24_draw(state);
+  if (!draw) return;
+  solver_options options;
+  options.threads = 1;
+  for (auto _ : state) {
+    existence_solver solver(draw->fps, options);
+    benchmark::DoNotOptimize(solver.solve());
+  }
+}
+BENCHMARK(bm_solve_corpus);
+
+void bm_check_generalized_corpus(benchmark::State& state) {
+  const auto draw = geometric24_draw(state);
+  if (!draw) return;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(check_generalized(draw->witness.system));
+}
+BENCHMARK(bm_check_generalized_corpus);
 
 void bm_plan_optimal_threshold(benchmark::State& state) {
   const auto qs = threshold_quorum_system(8, 2);
@@ -117,26 +169,12 @@ void bm_plan_optimal_threshold(benchmark::State& state) {
 BENCHMARK(bm_plan_optimal_threshold);
 
 void bm_plan_optimal_corpus(benchmark::State& state) {
-  const auto corpus = topology_corpus(24);
-  const auto family = std::find_if(
-      corpus.begin(), corpus.end(),
-      [](const scenario_family& f) { return f.name == "geometric24"; });
-  if (family == corpus.end()) {
-    state.SkipWithError("no geometric24 family");
-    return;
-  }
-  scenario_params params = family->params;
-  params.patterns = 16;
-  std::mt19937_64 rng(1);
-  const auto witness = find_gqs(scenario_system(params, rng));
-  if (!witness) {
-    state.SkipWithError("geometric24 draw admits no GQS");
-    return;
-  }
+  const auto draw = geometric24_draw(state);
+  if (!draw) return;
   planner_options options;
-  options.capacities = process_capacities(params);
+  options.capacities = process_capacities(draw->params);
   for (auto _ : state)
-    benchmark::DoNotOptimize(plan_optimal(witness->system, options));
+    benchmark::DoNotOptimize(plan_optimal(draw->witness.system, options));
 }
 BENCHMARK(bm_plan_optimal_corpus);
 

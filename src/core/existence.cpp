@@ -83,16 +83,15 @@ std::optional<generalized_quorum_system> canonical_construction(
     if (!t.is_subset_of(f.correct()))
       return fail("tau(f) contains a faulty process for pattern #" +
                   std::to_string(k));
-    const digraph residual = f.residual();
-    if (!residual.strongly_connects(t))
+    const pattern_table view = build_pattern_table(f);
+    if (!view.available(t))
       return fail(
           "tau(f) is not strongly connected in G \\ f for pattern #" +
           std::to_string(k) +
           " (Lemma 2: no obstruction-free implementation can exist)");
-    const process_set w = residual.scc_of(t.first());
-    const process_set r = residual.reach_to_all(w);
-    writes.push_back(w);
-    reads.push_back(r);
+    const std::size_t c = view.component_of[t.first()];
+    writes.push_back(view.components[c]);
+    reads.push_back(view.reach_to[c]);
   }
   return generalized_quorum_system(fps, std::move(reads), std::move(writes));
 }

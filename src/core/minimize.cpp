@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/solver.hpp"
+#include "core/pattern_table.hpp"
 
 namespace gqs {
 
@@ -15,11 +15,9 @@ int total_quorum_size(const generalized_quorum_system& gqs) {
 
 namespace {
 
-// Fast Definition 2 re-check for the greedy loop. check_generalized
-// rebuilds a residual digraph per availability test; during minimization
-// the fail-prone system never changes, so the per-pattern tables
-// (per-vertex reachability closures and SCC masks) are computed once and
-// every re-check is pure mask algebra. Truth value is identical to
+// Fast Definition 2 re-check for the greedy loop: during minimization the
+// fail-prone system never changes, so each pattern's residual is compiled
+// once and every re-check is pure mask algebra. Truth value is identical to
 // check_generalized(gqs).ok.
 class definition2_oracle {
  public:
@@ -39,42 +37,12 @@ class definition2_oracle {
     for (const process_set& r : gqs.reads)
       for (const process_set& w : gqs.writes)
         if (!r.intersects(w)) return false;
-    for (const pattern_table& t : tables_) {
-      bool found = false;
-      for (const process_set& w : gqs.writes) {
-        if (!available(w, t)) continue;
-        for (const process_set& r : gqs.reads) {
-          if (reachable_from(w, r, t)) {
-            found = true;
-            break;
-          }
-        }
-        if (found) break;
-      }
-      if (!found) return false;
-    }
+    for (const pattern_table& t : tables_)
+      if (!t.admits(gqs.reads, gqs.writes)) return false;
     return true;
   }
 
  private:
-  // is_f_available: nonempty, all correct, inside one SCC of G \ f.
-  static bool available(process_set w, const pattern_table& t) {
-    if (w.empty() || !w.is_subset_of(t.correct)) return false;
-    return w.is_subset_of(t.scc[w.first()]);
-  }
-
-  // is_f_reachable_from: both nonempty and correct, and every member of r
-  // reaches all of w.
-  static bool reachable_from(process_set w, process_set r,
-                             const pattern_table& t) {
-    if (w.empty() || r.empty()) return false;
-    if (!w.is_subset_of(t.correct) || !r.is_subset_of(t.correct))
-      return false;
-    for (process_id p : r)
-      if (!w.is_subset_of(t.reach_from[p])) return false;
-    return true;
-  }
-
   std::vector<pattern_table> tables_;
 };
 

@@ -62,12 +62,23 @@ class line_scanner {
   int line_;
 };
 
-process_set parse_process_set(line_scanner& s) {
+/// Parses "{p, q, ...}" over an n-process system. Ids are range-checked
+/// here, before they reach process_set (whose own capacity check would
+/// throw without a line number).
+process_set parse_process_set(line_scanner& s, process_id n) {
   s.expect("{");
   process_set out;
   if (s.try_consume("}")) return out;
   while (true) {
-    out.insert(s.parse_number());
+    const process_id p = s.parse_number();
+    if (p >= n) {
+      std::string why = "process id ";
+      why += std::to_string(p);
+      why += " outside system of size ";
+      why += std::to_string(n);
+      throw parse_error(s.line(), why);
+    }
+    out.insert(p);
     if (s.try_consume("}")) return out;
     s.expect(",");
   }
@@ -129,7 +140,7 @@ fail_prone_system parse_fail_prone_system(const std::string& text) {
       while (!s.at_end()) {
         if (s.try_consume("crash")) {
           s.expect("=");
-          crash = parse_process_set(s);
+          crash = parse_process_set(s, *n);
         } else if (s.try_consume("fail")) {
           s.expect("=");
           fail = parse_edge_set(s);

@@ -1,0 +1,105 @@
+// pattern_table.hpp — one failure pattern's residual graph G \ f, compiled
+// once, and every Definition 2 / Proposition 1 query answered from it.
+//
+// Definition 2 (f-availability, f-reachability) and Proposition 1 (U_f)
+// are questions about a single residual graph per pattern. A pattern_table
+// compiles that graph once — Tarjan over bitmask rows, then both
+// reachability closures on the condensation DAG — after which each query
+// is a handful of word operations:
+//
+//   f-available(q)     q ≠ ∅ ∧ q ⊆ correct ∧ q ⊆ scc[first(q)]
+//   f-reachable(w, r)  w, r ≠ ∅, both ⊆ correct, w ⊆ reach_from[p] ∀ p ∈ r
+//   U_f                scc[first(U)], U the union of validating writes
+//
+// The existence solver builds one table per pattern for its search and
+// reuses them for the witness; check_generalized, compute_u_f and the
+// other quorum_system.hpp entry points build one per pattern per call.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "core/failure_pattern.hpp"
+#include "core/quorum_system.hpp"
+#include "graph/digraph.hpp"
+#include "graph/process_set.hpp"
+
+namespace gqs {
+
+/// Everything the Definition 2 queries, the existence solver and the
+/// minimization pass need to know about one residual graph.
+struct pattern_table {
+  process_set correct;  ///< the residual's vertices (correct under f)
+
+  /// The SCCs of the residual, sorted by size descending (larger
+  /// components intersect more easily) with the set value as a
+  /// deterministic tie-break. They are the solver's candidate write
+  /// quorums.
+  std::vector<process_set> components;
+
+  /// reach_to(components[i]): every correct process that reaches all of
+  /// the component (the maximal matching read quorum).
+  std::vector<process_set> reach_to;
+
+  /// Per-vertex reachability closure: reach_from[v] is the set of vertices
+  /// reachable from v (empty for crashed v). Indexed by vertex, sized to
+  /// the system size.
+  std::vector<process_set> reach_from;
+
+  /// Per-vertex SCC membership: scc[v] is the component containing v
+  /// (empty for crashed v). Indexed by vertex.
+  std::vector<process_set> scc;
+
+  /// Per-vertex index into components / reach_to (0 for crashed v).
+  std::vector<std::uint16_t> component_of;
+
+  /// f-availability: q is nonempty, correct, and inside one SCC.
+  bool available(process_set q) const;
+
+  /// f-reachability: w and r are nonempty and correct, and every member of
+  /// r reaches every member of w.
+  bool reachable(process_set w, process_set r) const;
+
+  /// Some (W, R) ∈ writes × reads satisfies Definition 2's availability
+  /// clause for this pattern.
+  bool admits(const quorum_family& reads, const quorum_family& writes) const;
+
+  /// Every validating (W, R) pair, scanning writes × reads in order; with
+  /// `first_only` the scan stops at the first.
+  std::vector<available_pair> pairs(const quorum_family& reads,
+                                    const quorum_family& writes,
+                                    bool first_only = false) const;
+
+  /// The union of the validating write quorums (Proposition 1's U).
+  process_set validating_union(const quorum_family& reads,
+                               const quorum_family& writes) const;
+
+  /// U_f: the SCC containing the validating union, or ∅ if no write quorum
+  /// validates.
+  process_set u_f(const quorum_family& reads,
+                  const quorum_family& writes) const;
+
+ private:
+  /// Definition 2's clause for one write quorum: w is f-available and
+  /// f-reachable from some read quorum in `reads`.
+  bool validates(process_set w, const quorum_family& reads) const;
+
+  /// Every correct process that reaches all of the f-available w: w sits
+  /// inside one SCC, and reaching any member of a strongly connected set
+  /// reaches all of it. Precondition: available(w).
+  process_set readers(process_set w) const {
+    return reach_to[component_of[w.first()]];
+  }
+};
+
+/// Compiles G \ f. The residual adjacency comes straight from sets (the
+/// correct processes minus the pattern's faulty channels); no digraph is
+/// built. `t` is overwritten.
+void build_pattern_table_into(const failure_pattern& f, pattern_table& t);
+pattern_table build_pattern_table(const failure_pattern& f);
+
+/// Compiles `network` restricted to the vertices present in it and in
+/// `live` — a residual over a base topology that need not be complete.
+pattern_table build_pattern_table(const digraph& network, process_set live);
+
+}  // namespace gqs

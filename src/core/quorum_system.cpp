@@ -1,22 +1,16 @@
 #include "core/quorum_system.hpp"
 
+#include "core/pattern_table.hpp"
+
 namespace gqs {
 
 bool is_f_available(process_set q, const failure_pattern& f) {
-  if (q.empty()) return false;
-  if (!q.is_subset_of(f.correct())) return false;
-  return f.residual().strongly_connects(q);
+  return build_pattern_table(f).available(q);
 }
 
 bool is_f_reachable_from(process_set w, process_set r,
                          const failure_pattern& f) {
-  if (w.empty() || r.empty()) return false;
-  const process_set correct = f.correct();
-  if (!w.is_subset_of(correct) || !r.is_subset_of(correct)) return false;
-  const digraph residual = f.residual();
-  for (process_id p : r)
-    if (!residual.reaches_all(p, w)) return false;
-  return true;
+  return build_pattern_table(f).reachable(w, r);
 }
 
 check_result check_consistency(const quorum_family& reads,
@@ -36,20 +30,11 @@ check_result check_consistency(const quorum_family& reads,
 check_result check_generalized_availability(const fail_prone_system& fps,
                                             const quorum_family& reads,
                                             const quorum_family& writes) {
+  pattern_table view;  // rebuilt in place per pattern, reusing its storage
   for (std::size_t k = 0; k < fps.size(); ++k) {
     const failure_pattern& f = fps[k];
-    bool found = false;
-    for (const process_set& w : writes) {
-      if (!is_f_available(w, f)) continue;
-      for (const process_set& r : reads) {
-        if (is_f_reachable_from(w, r, f)) {
-          found = true;
-          break;
-        }
-      }
-      if (found) break;
-    }
-    if (!found)
+    build_pattern_table_into(f, view);
+    if (!view.admits(reads, writes))
       return check_result::bad(
           "Availability violated for failure pattern #" + std::to_string(k) +
           " " + f.to_string() +
@@ -103,56 +88,31 @@ std::vector<available_pair> available_pairs_in(const quorum_family& reads,
                                                process_set correct,
                                                const digraph& residual,
                                                bool first_only) {
-  std::vector<available_pair> pairs;
-  for (const process_set& w : writes) {
-    if (w.empty() || !w.is_subset_of(correct)) continue;
-    if (!residual.strongly_connects(w)) continue;
-    const process_set reach = residual.reach_to_all(w);
-    for (const process_set& r : reads) {
-      if (r.empty() || !r.is_subset_of(reach)) continue;
-      pairs.push_back(available_pair{w, r});
-      if (first_only) return pairs;
-    }
-  }
-  return pairs;
+  return build_pattern_table(residual, correct)
+      .pairs(reads, writes, first_only);
 }
 
 std::optional<available_pair> find_available_pair(
     const generalized_quorum_system& gqs, const failure_pattern& f) {
-  const auto pairs = available_pairs_in(gqs.reads, gqs.writes, f.correct(),
-                                        f.residual(), /*first_only=*/true);
+  const auto pairs =
+      build_pattern_table(f).pairs(gqs.reads, gqs.writes, /*first_only=*/true);
   if (pairs.empty()) return std::nullopt;
   return pairs.front();
 }
 
 std::vector<available_pair> all_available_pairs(
     const generalized_quorum_system& gqs, const failure_pattern& f) {
-  return available_pairs_in(gqs.reads, gqs.writes, f.correct(),
-                            f.residual());
+  return build_pattern_table(f).pairs(gqs.reads, gqs.writes);
 }
 
 process_set validating_write_union(const generalized_quorum_system& gqs,
                                    const failure_pattern& f) {
-  process_set u;
-  for (const process_set& w : gqs.writes) {
-    if (!is_f_available(w, f)) continue;
-    for (const process_set& r : gqs.reads) {
-      if (is_f_reachable_from(w, r, f)) {
-        u |= w;
-        break;
-      }
-    }
-  }
-  return u;
+  return build_pattern_table(f).validating_union(gqs.reads, gqs.writes);
 }
 
 process_set compute_u_f(const generalized_quorum_system& gqs,
                         const failure_pattern& f) {
-  const process_set u = validating_write_union(gqs, f);
-  if (u.empty()) return u;
-  // Proposition 1: u is strongly connected in G \ f, so it sits inside a
-  // single SCC; U_f is that whole component.
-  return f.residual().scc_of(u.first());
+  return build_pattern_table(f).u_f(gqs.reads, gqs.writes);
 }
 
 }  // namespace gqs

@@ -14,6 +14,10 @@ namespace gqs {
 /// A family of quorums (read or write).
 using quorum_family = std::vector<process_set>;
 
+// Every pattern query below compiles G \ f into a pattern_table
+// (core/pattern_table.hpp) once per call and answers from it; a caller
+// asking many questions of one pattern builds the table itself.
+
 /// f-availability (paper §3): Q contains only processes correct under f and
 /// is strongly connected in the residual graph G \ f (paths may relay
 /// through any correct process).
@@ -92,13 +96,12 @@ std::optional<available_pair> find_available_pair(
 std::vector<available_pair> all_available_pairs(
     const generalized_quorum_system& gqs, const failure_pattern& f);
 
-/// The Definition 2 scan over a precomputed residual — the single source
-/// of the "W ⊆ correct, strongly connected in the residual, reachable
-/// from all of R" predicate that find_available_pair,
-/// all_available_pairs and the strategy planner's availability estimator
-/// all apply. `residual` must be the residual graph whose present
-/// vertices are exactly `correct`. With `first_only` the scan stops at
-/// the first valid pair (the existence query).
+/// The Definition 2 scan over a residual given as a digraph: compiles it
+/// into a pattern_table (core/pattern_table.hpp) and runs the same
+/// "W f-available, f-reachable from R" predicate that every query in this
+/// header answers from that view. `residual` must be the residual graph
+/// whose present vertices are exactly `correct`. With `first_only` the
+/// scan stops at the first valid pair (the existence query).
 std::vector<available_pair> available_pairs_in(const quorum_family& reads,
                                                const quorum_family& writes,
                                                process_set correct,

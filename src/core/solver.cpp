@@ -13,163 +13,6 @@ namespace gqs {
 
 namespace {
 
-/// Allocation-light Tarjan over process_set adjacency rows; emits
-/// components into `out` in reverse topological order (sinks first), the
-/// same contract as digraph::sccs(). Scratch is sized to the pattern's
-/// system size once — table construction is the hot path of every
-/// existence decision and the general digraph implementation spends most
-/// of its time in small-vector churn at these sizes.
-struct scc_scratch {
-  std::vector<process_set> adj;
-  std::size_t nw;  // prefix word budget: all sets live in {0..n-1}
-  std::vector<int> index;
-  std::vector<int> lowlink;
-  std::vector<char> on_stack;
-  std::vector<process_id> stack;
-  struct frame {
-    process_id v;
-    process_set remaining;
-  };
-  std::vector<frame> dfs;
-  int sp = 0, fp = 0, next_index = 0;
-
-  explicit scc_scratch(process_id n)
-      : adj(n), nw(process_set::words_for(n)), index(n, -1), lowlink(n, 0),
-        on_stack(n, 0), stack(n), dfs(n) {}
-
-  void run(process_id root, const process_set& live,
-           std::vector<process_set>& out) {
-    auto open = [&](process_id v) {
-      index[v] = lowlink[v] = next_index++;
-      stack[static_cast<std::size_t>(sp++)] = v;
-      on_stack[v] = 1;
-      frame& f = dfs[static_cast<std::size_t>(fp++)];
-      f.v = v;
-      f.remaining = adj[v];
-      f.remaining.and_with(live, nw);
-    };
-    open(root);
-    while (fp > 0) {
-      frame& top = dfs[static_cast<std::size_t>(fp - 1)];
-      if (!top.remaining.empty(nw)) {
-        const process_id w = top.remaining.take_first(nw);
-        if (index[w] < 0) {
-          open(w);
-        } else if (on_stack[w]) {
-          lowlink[top.v] = std::min(lowlink[top.v], index[w]);
-        }
-      } else {
-        const process_id v = top.v;
-        --fp;
-        if (fp > 0) {
-          frame& parent = dfs[static_cast<std::size_t>(fp - 1)];
-          lowlink[parent.v] = std::min(lowlink[parent.v], lowlink[v]);
-        }
-        if (lowlink[v] == index[v]) {
-          process_set component;
-          process_id w;
-          do {
-            w = stack[static_cast<std::size_t>(--sp)];
-            on_stack[w] = 0;
-            component.insert(w);
-          } while (w != v);
-          out.push_back(component);
-        }
-      }
-    }
-  }
-};
-
-/// Fills `t` for one pattern without the by-value return (the solver
-/// constructs its tables in place; the per-vertex closure vectors make the
-/// move visible at corpus scale).
-void build_pattern_table_into(const failure_pattern& f, pattern_table& t) {
-  const process_id n = f.system_size();
-  t.correct = f.correct();
-  t.reach_from.assign(n, process_set{});
-  t.scc.assign(n, process_set{});
-
-  // Residual adjacency straight from sets: the complete graph restricted
-  // to correct processes, minus the pattern's faulty channels. No digraph
-  // object, no per-edge allocation; prefix-bounded word ops throughout
-  // (every set lives in {0..n-1}).
-  scc_scratch scratch(n);
-  const std::size_t nw = scratch.nw;
-  const digraph& faulty = f.faulty_channels();
-  for (process_id v : t.correct) {
-    process_set row = t.correct;
-    row.erase(v);
-    row.subtract(faulty.out_neighbors(v), nw);
-    scratch.adj[v] = row;
-  }
-
-  std::vector<process_set> components;
-  components.reserve(static_cast<std::size_t>(t.correct.size()));
-  for (process_id v : t.correct)
-    if (scratch.index[v] < 0) scratch.run(v, t.correct, components);
-
-  // Both reachability closures ride the condensation DAG: components
-  // arrive sinks first, so one forward sweep unions each component's
-  // successors' closures (reach_from), and one reverse sweep pushes each
-  // component's reaching set into its successors (reach_to — for a
-  // strongly connected S, "reaches all of S" ≡ "reaches any of S"). Both
-  // are O(edges) word operations, where the seed redid a BFS per
-  // (vertex, component) pair — cubic on chain-shaped residuals.
-  std::vector<std::uint16_t> comp_of(n, 0);
-  for (std::size_t idx = 0; idx < components.size(); ++idx)
-    for (process_id v : components[idx])
-      comp_of[v] = static_cast<std::uint16_t>(idx);
-  std::vector<process_set> comp_reach(components.size());
-  std::vector<process_set> comp_reaching(components.size());
-  for (std::size_t idx = 0; idx < components.size(); ++idx) {
-    const process_set comp = components[idx];
-    process_set r = comp;
-    for (process_id v : comp) {
-      process_set external = scratch.adj[v];
-      external.subtract(comp, nw);
-      for (process_id w : external) r.or_with(comp_reach[comp_of[w]], nw);
-    }
-    comp_reach[idx] = r;
-    comp_reaching[idx] = comp;
-    for (process_id v : comp) {
-      t.reach_from[v] = r;
-      t.scc[v] = comp;
-    }
-  }
-  for (std::size_t idx = components.size(); idx-- > 0;) {
-    const process_set comp = components[idx];
-    const process_set reaching = comp_reaching[idx];  // now complete
-    for (process_id v : comp) {
-      process_set external = scratch.adj[v];
-      external.subtract(comp, nw);
-      for (process_id w : external)
-        comp_reaching[comp_of[w]].or_with(reaching, nw);
-    }
-  }
-
-  // Sort candidates (size descending, set value as the deterministic
-  // tie-break) and carry each component's reach_to along. Sizes are
-  // precomputed once outside the comparator: an O(W) popcount per probe
-  // dominates the sort at W > 1.
-  std::vector<std::uint16_t> order(components.size());
-  std::vector<std::uint16_t> sizes(components.size());
-  for (std::size_t idx = 0; idx < components.size(); ++idx) {
-    order[idx] = static_cast<std::uint16_t>(idx);
-    sizes[idx] = static_cast<std::uint16_t>(components[idx].size(nw));
-  }
-  std::sort(order.begin(), order.end(),
-            [&](std::uint16_t a, std::uint16_t b) {
-              return sizes[a] != sizes[b] ? sizes[a] > sizes[b]
-                                          : components[a] < components[b];
-            });
-  t.components.reserve(components.size());
-  t.reach_to.reserve(components.size());
-  for (std::size_t k = 0; k < components.size(); ++k) {
-    t.components.push_back(components[order[k]]);
-    t.reach_to.push_back(comp_reaching[order[k]]);
-  }
-}
-
 constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 
 /// Candidate-index set type: bit i = candidate i of some pattern. A
@@ -363,12 +206,6 @@ void atomic_min(std::atomic<std::size_t>& target, std::size_t value) {
 }
 
 }  // namespace
-
-pattern_table build_pattern_table(const failure_pattern& f) {
-  pattern_table t;
-  build_pattern_table_into(f, t);
-  return t;
-}
 
 existence_solver::existence_solver(const fail_prone_system& fps,
                                    solver_options opts)
@@ -578,11 +415,9 @@ std::optional<gqs_witness> existence_solver::witness_from(
     chosen_w.push_back(w);
     chosen_r.push_back(r);
   }
-  generalized_quorum_system system(fps_, reads, writes);
-
   termination_mapping tau;
-  for (std::size_t k = 0; k < fps_.size(); ++k)
-    tau.push_back(compute_u_f(system, fps_[k]));
+  for (const pattern_table& t : tables_) tau.push_back(t.u_f(reads, writes));
+  generalized_quorum_system system(fps_, std::move(reads), std::move(writes));
 
   return gqs_witness{std::move(system), std::move(chosen_w),
                      std::move(chosen_r), std::move(tau)};

@@ -8,9 +8,10 @@
 // subsystem precomputes everything the search needs once and turns the hot
 // path into word-parallel bit operations:
 //
-//   * per-pattern candidate tables (pattern_table): all SCCs of G \ f,
-//     their reach-to closures, and per-vertex reachability/SCC sets,
-//     computed once per pattern;
+//   * per-pattern candidate tables (pattern_table, core/pattern_table.hpp):
+//     all SCCs of G \ f, their reach-to closures, and per-vertex
+//     reachability/SCC sets, computed once per pattern — and reused to
+//     assemble the witness's termination mapping (U_f per pattern);
 //   * an |F| × |F| pairwise-compatibility bitmatrix: for pattern a,
 //     candidate i, pattern b, a candidate-index set of the candidates j of
 //     b that are mutually consistent with (a, i) — the search tests
@@ -54,38 +55,10 @@
 #include <vector>
 
 #include "core/existence.hpp"
+#include "core/pattern_table.hpp"
 #include "core/quorum_system.hpp"
 
 namespace gqs {
-
-/// Everything the solver (and the minimization pass) needs to know about a
-/// single failure pattern, computed once from the residual graph G \ f.
-struct pattern_table {
-  process_set correct;  ///< processes correct under f
-
-  /// Candidate write quorums: the SCCs of G \ f, sorted by size descending
-  /// (larger components intersect more easily) with the set value as a
-  /// deterministic tie-break.
-  std::vector<process_set> components;
-
-  /// reach_to(components[i]): every correct process that reaches all of
-  /// the component (the maximal matching read quorum).
-  std::vector<process_set> reach_to;
-
-  /// Per-vertex reachability closure in G \ f: reach_from[v] is the set of
-  /// vertices reachable from v (empty for crashed v). Indexed by vertex,
-  /// sized to the pattern's system size.
-  std::vector<process_set> reach_from;
-
-  /// Per-vertex SCC membership in G \ f: scc[v] is the component
-  /// containing v (empty for crashed v). Indexed by vertex.
-  std::vector<process_set> scc;
-};
-
-/// Builds the candidate table of one pattern. Cost: one residual graph,
-/// one Tarjan pass, and one BFS per correct vertex; reach_to sets then
-/// fall out of subset tests against the per-vertex closures.
-pattern_table build_pattern_table(const failure_pattern& f);
 
 /// Tuning knobs. The defaults are the fast path; the `false` settings
 /// exist for the scaling bench's ablation rows and approximate the seed

@@ -7,6 +7,8 @@
 #include <span>
 #include <stdexcept>
 
+#include "core/pattern_table.hpp"
+
 namespace gqs {
 
 void planner_options::validate(process_id n) const {
@@ -93,23 +95,54 @@ class flat_family {
   std::vector<process_id> mem_;
 };
 
-double span_score(std::span<const process_id> q,
-                  const std::vector<double>& weighted) {
-  double score = 0;
-  for (process_id p : q) score += weighted[p];
-  return score;
+/// sum + Σ weighted[p] over q, added in member order.
+double add_scores(double sum, std::span<const process_id> q,
+                  const double* weighted) {
+  for (process_id p : q) sum += weighted[p];
+  return sum;
 }
 
-/// argmin over a family of span_score; ties break to the lowest index so
-/// the iteration is fully deterministic.
-std::pair<std::size_t, double> best_quorum(
-    const flat_family& family, const std::vector<double>& weighted) {
+/// The score Σ weighted[p] of every quorum of `family`, into `out`. Quorums
+/// go four at a time: their common prefix is summed in lockstep — four
+/// independent add chains where a lone sum is one, so the adds overlap
+/// instead of waiting out each other's latency — then each tail is
+/// finished alone. Every sum still adds its own terms in its own order, so
+/// each score has exactly the bits of a quorum-at-a-time sum.
+void family_scores(const flat_family& family,
+                   const std::vector<double>& weighted,
+                   std::vector<double>& out) {
+  const double* w = weighted.data();
+  const std::size_t m = family.size();
+  out.resize(m);
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const std::span<const process_id> a = family[i], b = family[i + 1],
+                                      c = family[i + 2], d = family[i + 3];
+    const std::size_t common =
+        std::min({a.size(), b.size(), c.size(), d.size()});
+    double sa = 0, sb = 0, sc = 0, sd = 0;
+    for (std::size_t k = 0; k < common; ++k) {
+      sa += w[a[k]];
+      sb += w[b[k]];
+      sc += w[c[k]];
+      sd += w[d[k]];
+    }
+    out[i] = add_scores(sa, a.subspan(common), w);
+    out[i + 1] = add_scores(sb, b.subspan(common), w);
+    out[i + 2] = add_scores(sc, c.subspan(common), w);
+    out[i + 3] = add_scores(sd, d.subspan(common), w);
+  }
+  for (; i < m; ++i) out[i] = add_scores(0, family[i], w);
+}
+
+/// argmin over scores; ties break to the lowest index so the iteration is
+/// fully deterministic.
+std::pair<std::size_t, double> lowest(const std::vector<double>& scores) {
   std::size_t best = 0;
   double best_score = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < family.size(); ++i) {
-    const double score = span_score(family[i], weighted);
-    if (score < best_score) {
-      best_score = score;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (scores[i] < best_score) {
+      best_score = scores[i];
       best = i;
     }
   }
@@ -235,14 +268,17 @@ plan_result plan_optimal(process_id n, const quorum_family& reads,
   std::vector<double> read_count(reads.size(), 0.0);
   std::vector<double> write_count(writes.size(), 0.0);
   std::vector<double> best_read_count, best_write_count;
+  std::vector<double> read_scores, write_scores;
   // The read/write product decomposes: the joint best response is the
   // pair of independent per-family argmins, and the averaged product
   // strategy's load depends only on the two marginals.
   const saddle_outcome out = run_saddle_point(
       n, rho, inv_cap, options,
       [&](const std::vector<double>& weighted) {
-        const auto [i_read, s_read] = best_quorum(flat_reads, weighted);
-        const auto [i_write, s_write] = best_quorum(flat_writes, weighted);
+        family_scores(flat_reads, weighted, read_scores);
+        family_scores(flat_writes, weighted, write_scores);
+        const auto [i_read, s_read] = lowest(read_scores);
+        const auto [i_write, s_write] = lowest(write_scores);
         read_count[i_read] += 1.0;
         write_count[i_write] += 1.0;
         return saddle_response{flat_reads[i_read], flat_writes[i_write],
@@ -322,17 +358,19 @@ pattern_plan plan_for_pattern(const generalized_quorum_system& gqs,
   }
   std::vector<double> count(plan.pairs.size(), 0.0);
   std::vector<double> best_count;
+  std::vector<double> read_scores, write_scores;
   // Best response over the *pairs* — reads and writes are coupled here
   // because only validated combinations may carry mass.
   const saddle_outcome out = run_saddle_point(
       n, rho, inv_cap, options,
       [&](const std::vector<double>& weighted) {
+        family_scores(pair_reads, weighted, read_scores);
+        family_scores(pair_writes, weighted, write_scores);
         std::size_t best = 0;
         double best_score = std::numeric_limits<double>::infinity();
         for (std::size_t i = 0; i < plan.pairs.size(); ++i) {
           const double score =
-              rho * span_score(pair_reads[i], weighted) +
-              (1.0 - rho) * span_score(pair_writes[i], weighted);
+              rho * read_scores[i] + (1.0 - rho) * write_scores[i];
           if (score < best_score) {
             best_score = score;
             best = i;
@@ -655,15 +693,11 @@ namespace {
 
 /// Does the family have a valid (W, R) pair when only `alive` survives,
 /// over `base` restricted to the survivors? Exactly the Definition 2
-/// conditions for the crash-realized pattern, answered by the shared
-/// scan in core/quorum_system.
+/// conditions for the crash-realized pattern, answered by the same
+/// compiled view as every other Definition 2 query (core/pattern_table).
 bool family_survives(const quorum_family& reads, const quorum_family& writes,
                      const digraph& base, process_set alive) {
-  digraph residual = base;
-  residual.remove_vertices(alive.complement_in(base.vertex_count()));
-  return !available_pairs_in(reads, writes, alive, residual,
-                             /*first_only=*/true)
-              .empty();
+  return build_pattern_table(base, alive).admits(reads, writes);
 }
 
 }  // namespace

@@ -61,6 +61,9 @@ TEST(Parse, Errors) {
   EXPECT_THROW(parse_fail_prone_system("system 3\nbogus\n"), parse_error);
   EXPECT_THROW(parse_fail_prone_system("system 3\npattern crash={9}\n"),
                parse_error);
+  // Beyond process_set's capacity, not just beyond n.
+  EXPECT_THROW(parse_fail_prone_system("system 3\npattern crash={300}\n"),
+               parse_error);
   EXPECT_THROW(parse_fail_prone_system("system 3\npattern crash={1\n"),
                parse_error);
   EXPECT_THROW(parse_fail_prone_system("system 3\npattern fail={(0,1}\n"),
@@ -73,11 +76,19 @@ TEST(Parse, Errors) {
 }
 
 TEST(Parse, ErrorCarriesLineNumber) {
-  try {
-    parse_fail_prone_system("system 3\n\npattern crash={4}\n");
-    FAIL() << "expected parse_error";
-  } catch (const parse_error& e) {
-    EXPECT_EQ(e.line(), 3);
+  // Crash ids past n, and one past process_set's capacity.
+  for (const char* text : {"system 3\n\npattern crash={4}\n",
+                           "system 3\n\npattern crash={9}\n",
+                           "system 3\n\npattern crash={300}\n"}) {
+    try {
+      parse_fail_prone_system(text);
+      ADD_FAILURE() << "expected parse_error: " << text;
+    } catch (const parse_error& e) {
+      EXPECT_EQ(e.line(), 3) << text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "expected parse_error, got " << e.what() << ": "
+                    << text;
+    }
   }
 }
 

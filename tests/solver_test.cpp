@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 
 #include "core/factories.hpp"
@@ -206,6 +207,46 @@ TEST(Solver, StagedSearchAgreesWhenEscalationForced) {
     existence_solver escalated(fps, forced);
     EXPECT_EQ(staged.exists(), escalated.exists()) << family.name;
   }
+}
+
+// Bit-for-bit pin of the witnesses: a rewrite of the candidate tables or of
+// the Definition 2 / Proposition 1 queries behind witness assembly must
+// reproduce this digest exactly. The draw is shaped like the plan-corpus
+// benchmark's: topology_corpus(64) families with n >= 12, |F| = 16.
+TEST(Solver, WitnessPinnedBitForBit) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+  };
+  auto mix_sets = [&mix](const std::vector<process_set>& sets) {
+    mix(sets.size());
+    for (const process_set& s : sets)
+      s.for_each_word([&mix](std::size_t, std::uint64_t w) { mix(w); });
+  };
+  solver_options opts;
+  opts.threads = 1;
+  int solved = 0, sat = 0;
+  for (const scenario_family& family : topology_corpus(64)) {
+    if (family.params.topology.n < 12) continue;
+    scenario_params params = family.params;
+    params.patterns = 16;
+    std::mt19937_64 rng(1);
+    const auto fps = scenario_system(params, rng);
+    existence_solver solver(fps, opts);
+    const auto witness = solver.solve();
+    ++solved;
+    mix(witness.has_value());
+    if (!witness) continue;
+    ++sat;
+    mix_sets(witness->chosen_writes);
+    mix_sets(witness->chosen_reads);
+    mix_sets(witness->max_termination);
+    mix(check_generalized(witness->system).ok);
+  }
+  ASSERT_EQ(solved, 42);
+  EXPECT_EQ(sat, 40);  // both verdicts are pinned
+  EXPECT_EQ(h, 0x2d4aa19819cdc04aull) << std::hex << h;
 }
 
 TEST(Solver, WitnessIdenticalAcrossStages) {
