@@ -1,30 +1,32 @@
 // bench_sim_engine — throughput microbenchmark of the event engine.
 //
-// Drives the same synthetic workload through two engines:
-//
-//   legacy — a faithful replica of the seed engine's event loop: a
-//            std::priority_queue of std::function closures whose top() is
-//            copied out on every pop (one heap allocation to create each
-//            closure and another to copy it back out), exactly the shape
-//            of the pre-refactor simulation.cpp;
-//   slab   — the real gqs::simulation: typed event records in a slab,
-//            heap-ordered by {time, seq, slot}, no per-event allocation
-//            and no closure copies on the hot path.
-//
 // Workload: a ring of n processes circulating K shared immutable tokens
 // (the way flooding envelopes travel) with seeded uniform delays; each
-// process forwards until its quota drains. Reports events/sec for both
-// engines and the ratio (acceptance bar: >= 1.5x), plus the real engine's
-// rate on a flooding broadcast storm (the protocol-shaped workload every
-// figure bench leans on).
+// process forwards until its quota drains. The same ring runs through the
+// real gqs::simulation in four network configurations:
+//
+//   slab     — the default network: typed event records in a slab,
+//              heap-ordered by {time, seq, slot}, no per-event allocation
+//              and no closure copies on the hot path;
+//   channels — per-link channels enabled (finite bandwidth, so every send
+//              runs the serialization/FIFO arithmetic and the byte
+//              counters); bar: costs at most 1.2x the slab rate;
+//   wired    — registry armed (net.telemetry) but no spans and no sampler:
+//              the hot path still sees only the single tracer.active()
+//              guard plus a sampler next_due() compare, so this prices the
+//              *disabled-mode* footprint of the obs subsystem (bar: within
+//              5% of the slab rate, gated in baselines.json as
+//              `telemetry_overhead`);
+//   enabled  — spans + sampler recording too (info only: recording every
+//              network event as a leaf span is legitimately expensive).
+//
+// Plus the slab engine's rate on a flooding broadcast storm (the
+// protocol-shaped workload every figure bench leans on).
 #include "bench_main.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <functional>
 #include <iostream>
-#include <optional>
-#include <queue>
-#include <random>
 
 #include "sim/flooding.hpp"
 #include "sim/simulation.hpp"
@@ -49,144 +51,6 @@ struct token : message {
   std::string debug_name() const override { return "token"; }
 };
 
-// ---- legacy engine: the seed's closure queue, reproduced verbatim ----
-//
-// This mirrors the pre-refactor simulation.cpp line for line: send()
-// checks the sender against an optional crash table and the channel
-// against a vector-of-vector optional disconnect table, then captures
-// {engine, from, to, message} into a std::function; run() copies the
-// closure out of priority_queue::top() on every pop, re-checks receiver
-// liveness, bumps the same metrics, consults the (empty) trace sink, and
-// delivers through the node's virtual on_message, where the node
-// downcasts the polymorphic message exactly like message_cast does.
-
-class legacy_engine;
-
-class legacy_node {
- public:
-  virtual ~legacy_node() = default;
-  virtual void on_message(process_id from, const message_ptr& m) = 0;
-
-  legacy_engine* eng = nullptr;
-  process_id id = 0;
-};
-
-class legacy_engine {
- public:
-  explicit legacy_engine(std::uint64_t seed)
-      : rng_(seed),
-        crash_at_(kRing, std::nullopt),
-        disconnect_at_(kRing,
-                       std::vector<std::optional<sim_time>>(kRing,
-                                                            std::nullopt)),
-        nodes_(kRing) {}
-
-  void set_node(process_id p, std::unique_ptr<legacy_node> n) {
-    n->eng = this;
-    n->id = p;
-    nodes_[p] = std::move(n);
-  }
-
-  void send(process_id from, process_id to, message_ptr msg) {
-    if (!alive(from)) return;
-    ++metrics_.messages_sent;
-    if (trace_) trace_();
-    const auto d = disconnect_at_[from][to];
-    if (d && now_ >= *d) {
-      ++metrics_.dropped_disconnected;
-      return;
-    }
-    schedule(now_ + delay(), [this, from, to, m = std::move(msg)] {
-      if (!alive(to)) {
-        ++metrics_.dropped_receiver_crashed;
-        return;
-      }
-      ++metrics_.messages_delivered;
-      if (trace_) trace_();
-      nodes_[to]->on_message(from, m);
-    });
-  }
-
-  void schedule(sim_time at, std::function<void()> fn) {
-    queue_.push(event{at, seq_++, std::move(fn)});
-  }
-
-  sim_time delay() {
-    std::uniform_int_distribution<sim_time> d(1000, 10000);
-    return d(rng_);
-  }
-
-  bool alive(process_id p) const {
-    const auto c = crash_at_[p];
-    return !c || now_ < *c;
-  }
-
-  std::uint64_t run() {
-    while (!queue_.empty()) {
-      event e = queue_.top();  // the seed's per-event closure copy
-      queue_.pop();
-      now_ = e.at;
-      e.fn();
-      ++metrics_.events_processed;
-    }
-    return metrics_.events_processed;
-  }
-
-  const sim_metrics& metrics() const { return metrics_; }
-
-  sim_time now_ = 0;
-
- private:
-  struct event {
-    sim_time at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct event_later {
-    bool operator()(const event& a, const event& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
-
-  std::uint64_t seq_ = 0;
-  std::mt19937_64 rng_;
-  std::vector<std::optional<sim_time>> crash_at_;
-  std::vector<std::vector<std::optional<sim_time>>> disconnect_at_;
-  std::function<void()> trace_;  // unset, like a bench run's real sink
-  sim_metrics metrics_;
-  std::priority_queue<event, std::vector<event>, event_later> queue_;
-  std::vector<std::unique_ptr<legacy_node>> nodes_;
-};
-
-class legacy_ring_node : public legacy_node {
- public:
-  void on_message(process_id, const message_ptr& m) override {
-    const auto* tok = message_cast<token>(m);
-    if (tok && quota_ > 0) {
-      --quota_;
-      eng->send(id, (id + 1) % kRing, m);
-    }
-  }
-
- private:
-  int quota_ = kQuota;
-};
-
-double legacy_pass(std::uint64_t seed) {
-  legacy_engine eng(seed);
-  for (process_id p = 0; p < kRing; ++p)
-    eng.set_node(p, std::make_unique<legacy_ring_node>());
-  for (int t = 0; t < kTokens; ++t)
-    eng.send(0, 1, make_message<token>(t));
-  const auto begin = std::chrono::steady_clock::now();
-  const std::uint64_t processed = eng.run();
-  const auto end = std::chrono::steady_clock::now();
-  return static_cast<double>(processed) /
-         std::chrono::duration<double>(end - begin).count();
-}
-
-// ---- slab engine: the real simulation on the identical ring ----
-
 class ring_node : public node {
  public:
   explicit ring_node(int tokens) : tokens_(tokens) {}
@@ -209,27 +73,10 @@ class ring_node : public node {
   int quota_ = kQuota;
 };
 
-double slab_pass(std::uint64_t seed, std::uint64_t& delivered) {
-  simulation sim(kRing, network_options{}, fault_plan::none(kRing), seed);
-  for (process_id p = 0; p < kRing; ++p)
-    sim.set_node(p, std::make_unique<ring_node>(p == 0 ? kTokens : 0));
-  sim.start();
-  const auto begin = std::chrono::steady_clock::now();
-  sim.run_until(sim_time_never - 1);
-  const auto end = std::chrono::steady_clock::now();
-  delivered = sim.metrics().messages_delivered;
-  return static_cast<double>(sim.metrics().events_processed) /
-         std::chrono::duration<double>(end - begin).count();
-}
-
-// The identical ring with per-link channels enabled (finite bandwidth, so
-// every send runs the serialization/FIFO arithmetic and the byte
-// counters). The zero-capacity no-regression rides on the main speedup
-// gate — network_options{} leaves channels disabled, so slab_pass IS the
-// zero-capacity configuration; this pass prices the enabled path.
-double channel_pass(std::uint64_t seed) {
-  network_options net;
-  net.channel.bytes_per_us = 1.0;  // 64 µs per default-size message
+/// Runs the ring under `net` and returns events/sec of the event loop;
+/// `delivered` receives the delivery count for the workload check.
+double ring_pass(std::uint64_t seed, const network_options& net,
+                 std::uint64_t* delivered = nullptr) {
   simulation sim(kRing, net, fault_plan::none(kRing), seed);
   for (process_id p = 0; p < kRing; ++p)
     sim.set_node(p, std::make_unique<ring_node>(p == 0 ? kTokens : 0));
@@ -237,47 +84,7 @@ double channel_pass(std::uint64_t seed) {
   const auto begin = std::chrono::steady_clock::now();
   sim.run_until(sim_time_never - 1);
   const auto end = std::chrono::steady_clock::now();
-  return static_cast<double>(sim.metrics().events_processed) /
-         std::chrono::duration<double>(end - begin).count();
-}
-
-// ---- telemetry pricing on the identical ring ----
-//
-// wired   — registry armed (net.telemetry) but no spans and no sampler:
-//           the hot path still sees only the single tracer.active() guard
-//           plus a sampler next_due() compare, so this prices the
-//           *disabled-mode* footprint of the obs subsystem (bar: within
-//           5% of slab_pass, gated in baselines.json as
-//           `telemetry_overhead`);
-// enabled — spans + sampler recording too (info only: recording every
-//           network event as a leaf span is legitimately expensive).
-
-double wired_pass(std::uint64_t seed) {
-  network_options net;
-  net.telemetry = true;  // registry armed; spans and sampler off
-  simulation sim(kRing, net, fault_plan::none(kRing), seed);
-  for (process_id p = 0; p < kRing; ++p)
-    sim.set_node(p, std::make_unique<ring_node>(p == 0 ? kTokens : 0));
-  sim.start();
-  const auto begin = std::chrono::steady_clock::now();
-  sim.run_until(sim_time_never - 1);
-  const auto end = std::chrono::steady_clock::now();
-  return static_cast<double>(sim.metrics().events_processed) /
-         std::chrono::duration<double>(end - begin).count();
-}
-
-double enabled_pass(std::uint64_t seed) {
-  network_options net;
-  net.telemetry = true;
-  net.record_spans = true;
-  net.sample_period = 1000;
-  simulation sim(kRing, net, fault_plan::none(kRing), seed);
-  for (process_id p = 0; p < kRing; ++p)
-    sim.set_node(p, std::make_unique<ring_node>(p == 0 ? kTokens : 0));
-  sim.start();
-  const auto begin = std::chrono::steady_clock::now();
-  sim.run_until(sim_time_never - 1);
-  const auto end = std::chrono::steady_clock::now();
+  if (delivered) *delivered = sim.metrics().messages_delivered;
   return static_cast<double>(sim.metrics().events_processed) /
          std::chrono::duration<double>(end - begin).count();
 }
@@ -317,19 +124,26 @@ double storm_pass(std::uint64_t seed) {
 }  // namespace
 
 int bench_entry() {
-  std::cout << "bench_sim_engine — slab event engine vs the seed's "
-               "std::function queue\n";
+  std::cout << "bench_sim_engine — slab event engine throughput\n";
   print_heading("Ring workload: " + std::to_string(kTokens) +
                 " shared tokens, forward quota " + std::to_string(kQuota) +
                 " per process, ring of " + std::to_string(kRing) +
                 " (best of " + std::to_string(kPasses) + " passes)");
 
-  double legacy_rate = 0, slab_rate = 0;
+  network_options channels;
+  channels.channel.bytes_per_us = 1.0;  // 64 µs per default-size message
+  network_options wired;
+  wired.telemetry = true;  // registry armed; spans and sampler off
+  network_options enabled;
+  enabled.telemetry = true;
+  enabled.record_spans = true;
+  enabled.sample_period = 1000;
+
+  double slab_rate = 0;
   std::uint64_t delivered = 0;
-  for (int pass = 0; pass < kPasses; ++pass) {
-    legacy_rate = std::max(legacy_rate, legacy_pass(7 + pass));
-    slab_rate = std::max(slab_rate, slab_pass(7 + pass, delivered));
-  }
+  for (int pass = 0; pass < kPasses; ++pass)
+    slab_rate =
+        std::max(slab_rate, ring_pass(7 + pass, network_options{}, &delivered));
   // All quotas must drain (tokens die only at exhausted processes).
   if (delivered < std::uint64_t{kRing} * kQuota) {
     std::cerr << "workload mismatch: " << delivered << " deliveries\n";
@@ -342,15 +156,14 @@ int bench_entry() {
 
   double channel_rate = 0;
   for (int pass = 0; pass < kPasses; ++pass)
-    channel_rate = std::max(channel_rate, channel_pass(7 + pass));
+    channel_rate = std::max(channel_rate, ring_pass(7 + pass, channels));
 
   double wired_rate = 0, enabled_rate = 0;
   for (int pass = 0; pass < kPasses; ++pass) {
-    wired_rate = std::max(wired_rate, wired_pass(7 + pass));
-    enabled_rate = std::max(enabled_rate, enabled_pass(7 + pass));
+    wired_rate = std::max(wired_rate, ring_pass(7 + pass, wired));
+    enabled_rate = std::max(enabled_rate, ring_pass(7 + pass, enabled));
   }
 
-  const double speedup = legacy_rate > 0 ? slab_rate / legacy_rate : 0;
   const double channel_cost =
       channel_rate > 0 ? slab_rate / channel_rate : 0;
   const double telemetry_overhead =
@@ -359,8 +172,6 @@ int bench_entry() {
       enabled_rate > 0 ? slab_rate / enabled_rate : 0;
 
   text_table t({"engine", "workload", "events/sec"});
-  t.add_row({"legacy (std::function queue)", "ring",
-             fmt_count(static_cast<std::uint64_t>(legacy_rate))});
   t.add_row({"slab (typed records)", "ring",
              fmt_count(static_cast<std::uint64_t>(slab_rate))});
   t.add_row({"slab + link channels", "ring",
@@ -372,14 +183,11 @@ int bench_entry() {
   t.add_row({"slab (typed records)", "flood storm",
              fmt_count(static_cast<std::uint64_t>(storm_rate))});
   t.print();
-  std::cout << "\nspeedup (slab/legacy): " << fmt_double(speedup, 2)
-            << "x — acceptance bar 1.5x\n";
-  std::cout << "channel-layer cost (slab/channels): "
+  std::cout << "\nchannel-layer cost (slab/channels): "
             << fmt_double(channel_cost, 2) << "x — bar 1.2x\n";
   std::cout << "telemetry disabled-mode throughput (wired/slab): "
             << fmt_double(telemetry_overhead, 3) << " — bar 0.95\n";
 
-  gqs_bench::record("legacy_events_per_sec", legacy_rate);
   gqs_bench::record("slab_events_per_sec", slab_rate);
   gqs_bench::record("storm_events_per_sec", storm_rate);
   gqs_bench::record("channel_events_per_sec", channel_rate);
@@ -388,7 +196,6 @@ int bench_entry() {
   gqs_bench::record("enabled_events_per_sec", enabled_rate);
   gqs_bench::record("telemetry_overhead", telemetry_overhead);
   gqs_bench::record("telemetry_enabled_cost_ratio", telemetry_enabled_cost);
-  gqs_bench::record("speedup", speedup);
   if (channel_cost > 1.2) {
     std::cerr << "enabled channel layer costs " << fmt_double(channel_cost, 2)
               << "x in events/sec, above the 1.2x bar\n";

@@ -433,9 +433,8 @@ int bench_entry() {
                "runners\n";
 
   // ---- raised validation pass (streaming + batch over 10^6 ops) ----
-  std::uint64_t big_per_proc = 125000;
-  if (const char* env = std::getenv("GQS_BENCH_BIG_OPS"))
-    big_per_proc = std::strtoull(env, nullptr, 10);
+  const std::uint64_t big_per_proc =
+      env_count("GQS_BENCH_BIG_OPS").value_or(125000);
   std::uint64_t validated_ops = 0;
   std::size_t validated_peak = 0;
   std::string big_why;

@@ -7,11 +7,13 @@ come from a committed bench/baselines.json; pass --previous to use a
 downloaded previous bench-out artifact instead (record-vs-record), with
 the committed file as the fallback for keys the artifact lacks.
 
-By default only machine-relative ratio keys (e.g. `speedup`, measured
-engine-vs-engine on the same host) are gated — absolute throughput
-numbers vary with the runner hardware and are printed informationally.
-Set GQS_BENCH_GATE_ABSOLUTE=1 to gate those too (useful on pinned,
-self-hosted runners).
+By default only machine-relative ratio keys (e.g. `telemetry_overhead`,
+two configurations of the same engine measured on the same host) are
+gated — absolute throughput numbers vary with the runner hardware. Set
+GQS_BENCH_GATE_ABSOLUTE=1 to gate those too (useful on pinned,
+self-hosted runners). Every key the baseline names — gate, absolute or
+info — must be present in the record; a missing one fails the gate, so
+the baseline cannot keep naming records a bench no longer writes.
 
 Override knobs (documented in README.md):
   GQS_BENCH_GATE_SKIP=1        skip the gate entirely (exit 0)
@@ -72,12 +74,19 @@ def main() -> int:
             if prev_path.exists():
                 previous = json.loads(prev_path.read_text())
 
+        # Every key the baseline names must exist in the record, so the
+        # baseline cannot keep naming records a bench no longer writes.
+        named = [*spec.get("gate", {}), *spec.get("absolute", {}),
+                 *spec.get("info", [])]
+        missing = {key for key in named if key not in record}
+        failures += [f"{bench}.{key}: missing from record"
+                     for key in named if key in missing]
+
         gates = dict(spec.get("gate", {}))
         if gate_absolute:
             gates.update(spec.get("absolute", {}))
         for key, committed_value in gates.items():
-            if key not in record:
-                failures.append(f"{bench}.{key}: missing from record")
+            if key in missing:
                 continue
             current = float(record[key])
             base = committed_value
@@ -96,7 +105,7 @@ def main() -> int:
                     f"(baseline {base:.4g}, tolerance {tolerance:.0%})")
 
         for key in spec.get("info", []):
-            if key in record:
+            if key not in missing:
                 print(f"{bench}.{key}: {float(record[key]):.4g} (info only)")
 
     if failures:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -213,10 +212,10 @@ existence_solver::existence_solver(const fail_prone_system& fps,
   if (fps_.empty())
     throw std::invalid_argument("existence_solver: empty fail-prone system");
   threads_ = opts_.threads;
-  if (threads_ == 0) {
-    if (const char* env = std::getenv("GQS_SOLVER_THREADS"))
-      threads_ = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-  }
+  if (threads_ == 0)
+    threads_ = static_cast<unsigned>(
+        env_count("GQS_SOLVER_THREADS", std::numeric_limits<unsigned>::max())
+            .value_or(0));
   if (threads_ == 0) threads_ = std::thread::hardware_concurrency();
   if (threads_ == 0) threads_ = 1;
 

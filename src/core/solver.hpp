@@ -61,19 +61,20 @@
 namespace gqs {
 
 /// Tuning knobs. The defaults are the fast path; the `false` settings
-/// exist for the scaling bench's ablation rows and approximate the seed
-/// backtracker when every pruning feature is disabled.
+/// exist for the ablation tests (Solver.AblationConfigsAgreeOnCorpus) and
+/// approximate a plain backtracker when every pruning feature is disabled.
 struct solver_options {
   /// Worker threads for the stage-2 branch fan-out. 0 (the default)
-  /// resolves to $GQS_SOLVER_THREADS if set, otherwise hardware
-  /// concurrency. Stage 1 is sequential either way, so the many tiny
+  /// resolves to $GQS_SOLVER_THREADS if set and nonzero (parsed by
+  /// env_count in sim/runner.hpp, so a malformed value throws), otherwise
+  /// hardware concurrency. Stage 1 is sequential either way, so the many tiny
   /// instances the tests and protocol layers feed through find_gqs never
   /// touch the pool — only escalated searches fan out.
   unsigned threads = 0;
 
   /// Enables the stage-2 escalation (full bitmatrix + arc consistency +
   /// fan-out). When false the stage-1 search runs with an unlimited node
-  /// budget instead — the configuration the bench's ablation rows use.
+  /// budget instead — the configuration the ablation tests use.
   bool arc_consistency = true;
 
   bool forward_checking = true;  ///< domain propagation per assignment

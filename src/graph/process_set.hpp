@@ -52,16 +52,6 @@ class basic_process_set {
 
   constexpr basic_process_set() noexcept = default;
 
-  /// Constructs the set {p : bit p of mask is set}. Single-word literals
-  /// only make sense when the whole set is one word, so this constructor
-  /// is pinned to W == 1 (the multi-word equivalent is from_words).
-  constexpr explicit basic_process_set(word_type mask) noexcept {
-    static_assert(W == 1,
-                  "raw single-word mask constructor is W==1-only; "
-                  "use from_words()");
-    bits_[0] = mask;
-  }
-
   /// Constructs a set from an explicit list of members.
   constexpr basic_process_set(std::initializer_list<process_id> members) {
     for (process_id p : members) insert(p);
@@ -121,13 +111,6 @@ class basic_process_set {
   template <typename F>
   constexpr void for_each_word(F&& f) const {
     for (std::size_t i = 0; i < W; ++i) f(i, bits_[i]);
-  }
-
-  /// The single backing word. Only meaningful at W == 1 — multi-word
-  /// callers use words() / word(i) / for_each_word.
-  constexpr word_type mask() const noexcept {
-    static_assert(W == 1, "mask() is W==1-only; use words()");
-    return bits_[0];
   }
 
   constexpr bool empty() const noexcept {

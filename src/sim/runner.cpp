@@ -1,9 +1,12 @@
 #include "sim/runner.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
 
 namespace gqs {
@@ -77,11 +80,30 @@ std::uint64_t grid_seed(std::uint64_t base, std::size_t config,
   return splitmix64(splitmix64(splitmix64(base ^ config) ^ plan) ^ rep);
 }
 
-experiment_runner::experiment_runner(unsigned threads) : threads_(threads) {
-  if (threads_ == 0) {
-    if (const char* env = std::getenv("GQS_RUNNER_THREADS"))
-      threads_ = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+std::optional<std::uint64_t> env_count(const char* name, std::uint64_t max) {
+  const char* env = std::getenv(name);
+  if (!env || *env == '\0') return std::nullopt;
+  const std::string_view text(env);
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() || value > max) {
+    std::string what(name);
+    what += "=\"";
+    what += text;
+    what += "\" is not a count in [0, ";
+    what += std::to_string(max);
+    what += "]";
+    throw std::invalid_argument(what);
   }
+  return value;
+}
+
+experiment_runner::experiment_runner(unsigned threads) : threads_(threads) {
+  if (threads_ == 0)
+    threads_ = static_cast<unsigned>(
+        env_count("GQS_RUNNER_THREADS", std::numeric_limits<unsigned>::max())
+            .value_or(0));
   if (threads_ == 0) threads_ = std::thread::hardware_concurrency();
   if (threads_ == 0) threads_ = 1;
 }

@@ -14,7 +14,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,11 +89,21 @@ std::string to_json(const run_aggregate& a);
 std::uint64_t grid_seed(std::uint64_t base, std::size_t config,
                         std::size_t plan, std::size_t rep);
 
+/// Reads environment variable `name` as a decimal count. Unset or empty
+/// yields std::nullopt (CI forwards an unset knob as an empty string).
+/// Anything else must be plain decimal digits with a value ≤ max: a sign,
+/// a suffix, letters or an overflow throw std::invalid_argument naming
+/// the variable.
+std::optional<std::uint64_t> env_count(
+    const char* name,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
 /// The thread pool. Each run_all call spins up at most `threads` workers
 /// that pull cells off a shared atomic counter.
 class experiment_runner {
  public:
-  /// threads == 0 resolves to $GQS_RUNNER_THREADS if set, otherwise
+  /// threads == 0 resolves to $GQS_RUNNER_THREADS if set and nonzero
+  /// (parsed by env_count, so a malformed value throws), otherwise
   /// std::thread::hardware_concurrency().
   explicit experiment_runner(unsigned threads = 0);
 

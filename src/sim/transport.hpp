@@ -5,9 +5,9 @@
 // `transport`. A `single_host` is a simulation node hosting one component
 // over the flooding layer. A `mux_host` hosts many components at the same
 // process, multiplexing their traffic over one flooding endpoint with
-// instance tags — this is how a snapshot object runs one register instance
-// per segment at every process (paper §4: snapshots are built from
-// registers [2], lattice agreement from snapshots [11]).
+// instance tags — replicated_log runs one Figure 6 consensus instance per
+// slot this way, and composition_test runs a Figure 4 register next to a
+// Figure 6 consensus instance at every process.
 #pragma once
 
 #include <memory>

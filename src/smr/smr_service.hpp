@@ -29,7 +29,15 @@
 //   * targeted quorums — Phase-1/Phase-2 messages go only to a
 //     strategy-sampled quorum, one unicast per member, with timeout
 //     escalation to broadcast (quorum/targeted_round.hpp), so liveness
-//     under a failure pattern is exactly the broadcast engine's.
+//     under a failure pattern is exactly this engine's broadcast mode's.
+//
+// That broadcast mode is NOT live under the paper's generalized patterns
+// the way Figure 6 is: Phase 1 is request/response (the leader's p1a is
+// answered by p1b) and followers change views only on lease expiry,
+// whereas Figure 6 has every process push its 1B on entering a view. On
+// Figure 1 under f1..f4, U_f members' commands never commit
+// (docs/ARCHITECTURE.md, "Sharded SMR"); smr/replicated_log.hpp is the
+// SMR that stays live there.
 //
 // Safety is per-slot Paxos over the GQS (Consistency of the quorum
 // system); the acceptor side is the shared acceptor_core under one

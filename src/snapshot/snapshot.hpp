@@ -23,9 +23,7 @@
 // (keyed_register over quorum_service): all n segments share a single
 // engine per process — one gossip stream carrying a dirty-key batch
 // instead of the seed's n per-segment broadcast streams, and collects
-// coalesce into single batched wire messages. (The seed realized segments
-// as n mux-hosted register components; that path survives as the
-// seed-replica baseline of bench_service_throughput.)
+// coalesce into single batched wire messages.
 #pragma once
 
 #include <cstdint>

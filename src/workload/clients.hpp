@@ -1,5 +1,5 @@
 // clients.hpp — keyed workload drivers for the multi-object quorum
-// service and its baselines.
+// service and the engines built like it.
 //
 // A workload is a pre-generated, per-process operation schedule (key
 // choice uniform or zipfian, read/write mix, deterministic values) driven
@@ -7,8 +7,8 @@
 // optionally with think time between completion and next issue) or
 // open-loop (fixed arrival spacing, regardless of completions). The
 // schedule is a pure function of the options — *no timing feedback* — so
-// the same workload replayed against two engines (the quorum service and
-// the seed per-object path) issues the identical operation sequence per
+// the same workload replayed against two engines (say, broadcast and
+// targeted quorum access) issues the identical operation sequence per
 // process, making final per-key states directly comparable.
 //
 // The driver is engine-agnostic: it issues through an adapter exposing

@@ -151,11 +151,8 @@ TEST(ProcessSet, ForEachWordVisitsAllWords) {
     EXPECT_EQ(seen[i], s.word(i));
 }
 
-TEST(ProcessSet, SingleWordMaskIsPinnedToW1) {
-  // The raw-mask surface survives only at W == 1, for code that really
-  // works in single machine words.
-  basic_process_set<1> s(0b1011u);
-  EXPECT_EQ(s.mask(), 0b1011u);
+TEST(ProcessSet, SingleWordCapacityIs64) {
+  const auto s = basic_process_set<1>::from_words({0b1011u});
   EXPECT_EQ(s.size(), 3);
   EXPECT_EQ(basic_process_set<1>::max_processes, 64u);
   EXPECT_THROW(basic_process_set<1>{}.insert(64), std::out_of_range);

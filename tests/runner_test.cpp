@@ -1,14 +1,20 @@
 // Tests for the parallel experiment runner (sim/runner.hpp): results must
 // be bit-identical for any thread count, land in spec order, capture cell
-// exceptions, and aggregate correctly.
+// exceptions, and aggregate correctly; the count env knobs parse strictly.
 #include "sim/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
 #include <locale>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/factories.hpp"
+#include "core/solver.hpp"
 #include "lincheck/wing_gong.hpp"
 #include "sim/time.hpp"
 #include "workload/worlds.hpp"
@@ -233,6 +239,92 @@ TEST(Runner, GridSeedStableAndDecorrelated) {
 TEST(Runner, ThreadCountResolution) {
   EXPECT_EQ(experiment_runner(7).threads(), 7u);
   EXPECT_GE(experiment_runner(0).threads(), 1u);
+}
+
+/// Sets (or, with a null value, unsets) an environment variable for one
+/// scope and restores its previous state afterwards.
+class scoped_env {
+ public:
+  scoped_env(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~scoped_env() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  scoped_env(const scoped_env&) = delete;
+  scoped_env& operator=(const scoped_env&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+// The thread-count knobs parse strictly: a sign, letters or a suffix is an
+// error naming the variable (never UINT_MAX threads or a silent default),
+// an empty value means unset, and a plain count is taken as is.
+TEST(Runner, CountKnobsParseStrictly) {
+  const auto fig = make_figure1();
+  const std::pair<const char*, std::function<unsigned()>> knobs[] = {
+      {"GQS_RUNNER_THREADS", [] { return experiment_runner().threads(); }},
+      {"GQS_SOLVER_THREADS",
+       [&fig] { return existence_solver(fig.gqs.fps).threads(); }}};
+  for (const auto& [name, resolve] : knobs) {
+    for (const char* bad : {"-1", "abc", "8x"}) {
+      const scoped_env env(name, bad);
+      try {
+        const unsigned threads = resolve();
+        ADD_FAILURE() << name << "=" << bad << " resolved to " << threads
+                      << " threads";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+    unsigned unset = 0;
+    {
+      const scoped_env env(name, nullptr);
+      unset = resolve();
+    }
+    {
+      const scoped_env env(name, "");
+      EXPECT_EQ(resolve(), unset) << name;
+    }
+    const scoped_env env(name, "3");
+    EXPECT_EQ(resolve(), 3u) << name;
+  }
+}
+
+TEST(Runner, EnvCountBoundsAndDefaults) {
+  constexpr const char* kName = "GQS_TEST_ENV_COUNT";
+  {
+    const scoped_env env(kName, nullptr);
+    EXPECT_EQ(env_count(kName), std::nullopt);
+  }
+  {
+    const scoped_env env(kName, "18446744073709551615");
+    EXPECT_EQ(env_count(kName), std::uint64_t{18446744073709551615ull});
+  }
+  {
+    const scoped_env env(kName, "18446744073709551616");  // overflows
+    EXPECT_THROW(env_count(kName), std::invalid_argument);
+  }
+  {
+    const scoped_env env(kName, "5000000000");
+    EXPECT_THROW(env_count(kName, 4294967295u), std::invalid_argument);
+  }
+  for (const char* bad : {" 3", "3 ", "+3", "0x10", "1e3"}) {
+    const scoped_env env(kName, bad);
+    EXPECT_THROW(env_count(kName), std::invalid_argument) << bad;
+  }
+  const scoped_env env(kName, "0");
+  EXPECT_EQ(env_count(kName), std::uint64_t{0});
 }
 
 }  // namespace
