@@ -11,12 +11,13 @@
 //   channels — per-link channels enabled (finite bandwidth, so every send
 //              runs the serialization/FIFO arithmetic and the byte
 //              counters); bar: costs at most 1.2x the slab rate;
-//   wired    — registry armed (net.telemetry) but no spans and no sampler:
-//              the hot path still sees only the single tracer.active()
-//              guard plus a sampler next_due() compare, so this prices the
-//              *disabled-mode* footprint of the obs subsystem (bar: within
-//              5% of the slab rate, gated in baselines.json as
-//              `telemetry_overhead`);
+//   wired    — counter registry armed (net.telemetry) but no spans and no
+//              sampler: the registry only holds snapshot-time observers of
+//              sim_metrics, so the hot path still sees only the single
+//              tracer.active() guard plus a sampler next_due() compare;
+//              this prices the *disabled-mode* footprint of the obs
+//              subsystem (bar: within 5% of the slab rate, gated in
+//              baselines.json as `telemetry_overhead`);
 //   enabled  — spans + sampler recording too (info only: recording every
 //              network event as a leaf span is legitimately expensive).
 //
@@ -133,7 +134,7 @@ int bench_entry() {
   network_options channels;
   channels.channel.bytes_per_us = 1.0;  // 64 µs per default-size message
   network_options wired;
-  wired.telemetry = true;  // registry armed; spans and sampler off
+  wired.telemetry = true;  // counter registry armed; spans and sampler off
   network_options enabled;
   enabled.telemetry = true;
   enabled.record_spans = true;

@@ -1,303 +1,74 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <sstream>
+#include <map>
 
 namespace gqs {
 
-// ---- log_histogram ----
-
-int log_histogram::bucket_index(std::uint64_t v) noexcept {
-  if (v < 4) return static_cast<int>(v);
-  const int octave = std::bit_width(v) - 1;      // >= 2
-  const int sub = static_cast<int>((v >> (octave - 2)) & 3);
-  return (octave - 1) * 4 + sub;                 // 4..255
-}
-
-std::uint64_t log_histogram::bucket_upper(int idx) noexcept {
-  if (idx < 4) return static_cast<std::uint64_t>(idx);
-  const int octave = (idx >> 2) + 1;
-  const int sub = idx & 3;
-  const std::uint64_t lo = (std::uint64_t{4} + sub) << (octave - 2);
-  return lo + ((std::uint64_t{1} << (octave - 2)) - 1);
-}
-
-void log_histogram::merge(const log_histogram& other) noexcept {
-  for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.count_ && other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
-std::uint64_t log_histogram::percentile(double q) const noexcept {
-  if (count_ == 0) return 0;
-  const double clamped = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-  std::uint64_t target =
-      static_cast<std::uint64_t>(std::ceil(clamped * count_));
-  if (target == 0) target = 1;
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= target) {
-      const std::uint64_t rep = bucket_upper(i);
-      return std::min(std::max(rep, min()), max_);
-    }
-  }
-  return max_;
-}
-
 // ---- metrics_registry ----
 
-metrics_registry::counter_handle metrics_registry::get_counter(
-    const std::string& name, const std::string& label) {
-  counter_handle h;
-  if (!enabled_) return h;
-  const key k{metric_kind::counter, name, label};
-  auto [it, inserted] = index_.try_emplace(k, counter_cells_.size());
-  if (inserted) counter_cells_.push_back(0);
-  h.cell_ = &counter_cells_[it->second];
-  return h;
-}
-
-metrics_registry::gauge_handle metrics_registry::get_gauge(
-    const std::string& name, const std::string& label) {
-  gauge_handle h;
-  if (!enabled_) return h;
-  const key k{metric_kind::gauge, name, label};
-  auto [it, inserted] = index_.try_emplace(k, gauge_cells_.size());
-  if (inserted) gauge_cells_.push_back(0);
-  h.cell_ = &gauge_cells_[it->second];
-  return h;
-}
-
-metrics_registry::histogram_handle metrics_registry::get_histogram(
-    const std::string& name, const std::string& label) {
-  histogram_handle h;
-  if (!enabled_) return h;
-  const key k{metric_kind::histogram, name, label};
-  auto [it, inserted] = index_.try_emplace(k, histogram_cells_.size());
-  if (inserted) histogram_cells_.emplace_back();
-  h.cell_ = &histogram_cells_[it->second];
-  return h;
-}
-
-void metrics_registry::observe_counter(const std::string& name,
-                                       const std::string& label,
-                                       std::function<std::uint64_t()> fn) {
-  if (!enabled_ || !fn) return;
-  observer ob;
-  ob.k = key{metric_kind::counter, name, label};
-  ob.counter_fn = std::move(fn);
-  observers_.push_back(std::move(ob));
-}
-
-void metrics_registry::observe_gauge(const std::string& name,
-                                     const std::string& label,
-                                     std::function<std::int64_t()> fn) {
-  if (!enabled_ || !fn) return;
-  observer ob;
-  ob.k = key{metric_kind::gauge, name, label};
-  ob.gauge_fn = std::move(fn);
-  observers_.push_back(std::move(ob));
-}
-
 metrics_snapshot metrics_registry::snapshot() const {
-  // Ordered accumulation keyed like index_: registered cells first, then
-  // observers summed into matching keys. std::map iteration is already
-  // (kind, name, label)-sorted, so rows come out in canonical order.
-  std::map<key, metric_row> acc;
-  for (const auto& [k, idx] : index_) {
-    metric_row row;
-    row.kind = k.kind;
-    row.name = k.name;
-    row.label = k.label;
-    switch (k.kind) {
-      case metric_kind::counter:
-        row.value = counter_cells_[idx];
-        break;
-      case metric_kind::gauge:
-        row.level = gauge_cells_[idx];
-        break;
-      case metric_kind::histogram:
-        row.hist = histogram_cells_[idx];
-        break;
-    }
-    acc.emplace(k, std::move(row));
-  }
-  for (const observer& ob : observers_) {
-    auto [it, inserted] = acc.try_emplace(ob.k);
-    metric_row& row = it->second;
-    if (inserted) {
-      row.kind = ob.k.kind;
-      row.name = ob.k.name;
-      row.label = ob.k.label;
-    }
-    if (ob.counter_fn) row.value += ob.counter_fn();
-    if (ob.gauge_fn) row.level += ob.gauge_fn();
-  }
+  // std::map iteration is name-sorted, so rows come out in canonical order.
+  std::map<std::string, std::uint64_t> acc;
+  for (const auto& [name, cell] : cells_) acc[name] += *cell;
   metrics_snapshot snap;
   snap.rows.reserve(acc.size());
-  for (auto& [k, row] : acc) snap.rows.push_back(std::move(row));
+  for (const auto& [name, value] : acc) snap.rows.push_back({name, value});
   return snap;
 }
 
 // ---- metrics_snapshot ----
-
-namespace {
-
-struct row_key_less {
-  static std::tuple<int, const std::string&, const std::string&> key_of(
-      const metric_row& r) {
-    return {static_cast<int>(r.kind), r.name, r.label};
-  }
-  bool operator()(const metric_row& a, const metric_row& b) const {
-    return key_of(a) < key_of(b);
-  }
-};
-
-}  // namespace
 
 void metrics_snapshot::merge(const metrics_snapshot& other) {
   std::vector<metric_row> out;
   out.reserve(rows.size() + other.rows.size());
   auto a = rows.begin();
   auto b = other.rows.begin();
-  const row_key_less less;
   while (a != rows.end() || b != other.rows.end()) {
-    if (b == other.rows.end() || (a != rows.end() && less(*a, *b))) {
+    if (b == other.rows.end() || (a != rows.end() && a->name < b->name)) {
       out.push_back(std::move(*a++));
-    } else if (a == rows.end() || less(*b, *a)) {
+    } else if (a == rows.end() || b->name < a->name) {
       out.push_back(*b++);
     } else {
       metric_row merged = std::move(*a++);
-      merged.value += b->value;
-      merged.level += b->level;
-      merged.hist.merge(b->hist);
+      merged.value += b++->value;
       out.push_back(std::move(merged));
-      ++b;
     }
   }
   rows = std::move(out);
 }
 
-namespace {
-
-const metric_row* find_row(const std::vector<metric_row>& rows,
-                           metric_kind kind, const std::string& name,
-                           const std::string& label) {
+std::uint64_t metrics_snapshot::counter_value(const std::string& name) const {
   for (const metric_row& r : rows)
-    if (r.kind == kind && r.name == name && r.label == label) return &r;
-  return nullptr;
-}
-
-}  // namespace
-
-std::uint64_t metrics_snapshot::counter_value(const std::string& name,
-                                              const std::string& label) const {
-  const metric_row* r = find_row(rows, metric_kind::counter, name, label);
-  return r ? r->value : 0;
-}
-
-std::int64_t metrics_snapshot::gauge_level(const std::string& name,
-                                           const std::string& label) const {
-  const metric_row* r = find_row(rows, metric_kind::gauge, name, label);
-  return r ? r->level : 0;
-}
-
-const log_histogram* metrics_snapshot::histogram(
-    const std::string& name, const std::string& label) const {
-  const metric_row* r = find_row(rows, metric_kind::histogram, name, label);
-  return r ? &r->hist : nullptr;
+    if (r.name == name) return r.value;
+  return 0;
 }
 
 std::uint64_t metrics_snapshot::digest() const {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_str = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= 0xff;  // terminator so "ab","c" != "a","bc"
+  const auto mix_byte = [&h](unsigned char c) {
+    h ^= c;
     h *= 1099511628211ull;
   };
   for (const metric_row& r : rows) {
-    mix(static_cast<std::uint64_t>(r.kind));
-    mix_str(r.name);
-    mix_str(r.label);
-    mix(r.value);
-    mix(static_cast<std::uint64_t>(r.level));
-    if (r.kind == metric_kind::histogram) {
-      mix(r.hist.count());
-      mix(r.hist.sum());
-      mix(r.hist.min());
-      mix(r.hist.max());
-      for (int i = 0; i < log_histogram::kBuckets; ++i) mix(r.hist.bucket(i));
-    }
+    for (const char c : r.name) mix_byte(static_cast<unsigned char>(c));
+    mix_byte(0xff);  // terminator so "ab","c" != "a","bc"
+    for (int i = 0; i < 8; ++i) mix_byte((r.value >> (i * 8)) & 0xff);
   }
   return h;
 }
 
-namespace {
-
-void append_key(std::ostringstream& out, const metric_row& r) {
-  out << '"' << r.name;
-  if (!r.label.empty()) out << '{' << r.label << '}';
-  out << '"';
-}
-
-}  // namespace
-
 std::string metrics_snapshot::to_json() const {
-  std::ostringstream out;
-  out << '{';
-  const auto emit_kind = [&](metric_kind kind, const char* section,
-                             bool& any_section) {
-    bool first = true;
-    for (const metric_row& r : rows) {
-      if (r.kind != kind) continue;
-      if (first) {
-        if (any_section) out << ',';
-        any_section = true;
-        out << '"' << section << "\":{";
-      } else {
-        out << ',';
-      }
-      first = false;
-      append_key(out, r);
-      out << ':';
-      switch (kind) {
-        case metric_kind::counter:
-          out << r.value;
-          break;
-        case metric_kind::gauge:
-          out << r.level;
-          break;
-        case metric_kind::histogram:
-          out << "{\"count\":" << r.hist.count() << ",\"sum\":"
-              << r.hist.sum() << ",\"min\":" << r.hist.min() << ",\"max\":"
-              << r.hist.max() << ",\"p50\":" << r.hist.percentile(0.50)
-              << ",\"p95\":" << r.hist.percentile(0.95) << ",\"p99\":"
-              << r.hist.percentile(0.99) << '}';
-          break;
-      }
-    }
-    if (!first) out << '}';
-  };
-  bool any = false;
-  emit_kind(metric_kind::counter, "counters", any);
-  emit_kind(metric_kind::gauge, "gauges", any);
-  emit_kind(metric_kind::histogram, "histograms", any);
-  out << '}';
-  return out.str();
+  if (rows.empty()) return "{}";
+  std::string out = "{\"counters\":{";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i) out += ',';
+    out += '"';
+    out += rows[i].name;
+    out += "\":";
+    out += std::to_string(rows[i].value);
+  }
+  out += "}}";
+  return out;
 }
 
 }  // namespace gqs

@@ -1,127 +1,56 @@
-// metrics.hpp — labeled metrics registry for the simulator.
+// metrics.hpp — the counter snapshot fed by the typed counter structs.
 //
-// Three instrument kinds:
+// The counter structs (sim_metrics, service_counters, smr_counters,
+// push_qaf_counters) are the one counter surface: protocol code bumps
+// their fields, tests and the repo benchmark read them by field. Each
+// struct lists its fields once, in a static for_each_counter(f) visitor
+// next to it, calling f(name, &Struct::field) per summable count.
 //
-//   counter   — monotone uint64;
-//   gauge     — signed level (int64);
-//   histogram — log-bucketed uint64 distribution (log_histogram below),
-//               mergeable exactly: bucket counts add, so merging the
-//               histograms of N partial runs equals the histogram of the
-//               whole — the property experiment_runner leans on.
+// A registry armed by network_options::telemetry observes those fields:
+// observe_counters(prefix, c) records a pointer to each field, read only
+// inside snapshot(), so the hot path pays nothing. Fields registered under
+// one name sum in the snapshot, which is how per-node structs become one
+// system-wide row.
 //
-// Hot-path cost model: get_*() hands back a handle holding a raw pointer
-// into deque-backed storage (stable addresses); inc/set/observe on the
-// handle is a single pointer-indirect add with no branch other than the
-// null check. A *disabled* registry (the default) returns null handles, so
-// every instrument call collapses to a compare-and-skip; compiling with
-// -DGQS_OBS_OFF keeps registries permanently disabled for a hard zero.
-//
-// Cheap sources that already maintain their own counters (sim_metrics,
-// service counter structs) bridge in via observe_counter/observe_gauge:
-// a callback read only at snapshot() time — zero hot-path cost. Multiple
-// registrations under one (name, label) key SUM in the snapshot, which is
-// how per-node instruments (e.g. each flooding node's dedup backlog)
-// aggregate without coordination.
-//
-// Determinism: snapshot() rows are sorted by (kind, name, label) and hold
-// only integers; metrics_snapshot::merge is key-ordered integer addition.
-// experiment_runner folds per-run snapshots in spec order, so aggregate
-// metrics are bit-identical at any worker thread count.
+// Determinism: snapshot() rows are sorted by name and hold only integers;
+// metrics_snapshot::merge is name-ordered integer addition. The experiment
+// runner folds per-run snapshots in spec order, so aggregate rows are
+// bit-identical at any worker thread count.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gqs {
 
-/// Log-bucketed histogram of uint64 samples. 256 fixed buckets: values
-/// 0..3 exact, then 4 geometric sub-buckets per power of two (relative
-/// bucket width <= 25%). Merging adds bucket counts — exact, so any
-/// partition of a sample stream merges back to the same histogram.
-class log_histogram {
- public:
-  static constexpr int kBuckets = 256;
-
-  void observe(std::uint64_t v) noexcept {
-    ++buckets_[bucket_index(v)];
-    ++count_;
-    sum_ += v;
-    if (v < min_) min_ = v;
-    if (v > max_) max_ = v;
-  }
-
-  void merge(const log_histogram& other) noexcept;
-
-  std::uint64_t count() const noexcept { return count_; }
-  std::uint64_t sum() const noexcept { return sum_; }
-  std::uint64_t min() const noexcept { return count_ ? min_ : 0; }
-  std::uint64_t max() const noexcept { return max_; }
-
-  /// Value at quantile q in [0, 1]: the upper bound of the bucket holding
-  /// the ceil(q * count)-th sample, clamped to [min, max]. Exact for
-  /// values < 4, within one sub-bucket (<= 25%) above. 0 when empty.
-  std::uint64_t percentile(double q) const noexcept;
-
-  std::uint64_t bucket(int idx) const noexcept { return buckets_[idx]; }
-
-  bool operator==(const log_histogram&) const = default;
-
-  static int bucket_index(std::uint64_t v) noexcept;
-  /// Largest value mapping to bucket `idx`.
-  static std::uint64_t bucket_upper(int idx) noexcept;
-
- private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t min_ = UINT64_MAX;
-  std::uint64_t max_ = 0;
-};
-
-enum class metric_kind : std::uint8_t { counter, gauge, histogram };
-
-/// One row of a snapshot. Which payload field is live depends on `kind`.
+/// One counter of a snapshot.
 struct metric_row {
-  metric_kind kind = metric_kind::counter;
   std::string name;
-  std::string label;
-  std::uint64_t value = 0;  ///< counter
-  std::int64_t level = 0;   ///< gauge
-  log_histogram hist;       ///< histogram
+  std::uint64_t value = 0;
 
   bool operator==(const metric_row&) const = default;
 };
 
-/// Point-in-time copy of a registry: sorted rows of plain integers.
+/// Point-in-time copy of a registry: name-sorted rows of plain integers.
 struct metrics_snapshot {
-  std::vector<metric_row> rows;  // sorted by (kind, name, label)
+  std::vector<metric_row> rows;  // sorted by name, names unique
 
   bool empty() const noexcept { return rows.empty(); }
 
-  /// Folds `other` in: counters and gauges add, histograms merge, keys
-  /// union. Key-ordered integer arithmetic — associative and exact, so
-  /// fold order (spec order in experiment_runner) fully determines the
-  /// result bit for bit.
+  /// Folds `other` in: values under one name add, names union. Exact
+  /// integer arithmetic, so the fold order fully determines the result.
   void merge(const metrics_snapshot& other);
 
-  std::uint64_t counter_value(const std::string& name,
-                              const std::string& label = "") const;
-  std::int64_t gauge_level(const std::string& name,
-                           const std::string& label = "") const;
-  const log_histogram* histogram(const std::string& name,
-                                 const std::string& label = "") const;
+  /// The row's value; 0 when absent.
+  std::uint64_t counter_value(const std::string& name) const;
 
-  /// FNV-1a over every row (kind, key, and full payload incl. buckets).
+  /// FNV-1a over every row's name and value.
   std::uint64_t digest() const;
 
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...}} with
-  /// integer values only (locale-proof). Histograms render count/sum/
-  /// min/max/p50/p95/p99.
+  /// {"counters": {"name": value, ...}}, or {} when empty. Integer values
+  /// only, so the rendering is locale-proof.
   std::string to_json() const;
 
   bool operator==(const metrics_snapshot&) const = default;
@@ -130,92 +59,24 @@ struct metrics_snapshot {
 /// The registry. One per simulation; disabled by default.
 class metrics_registry {
  public:
-  class counter_handle {
-   public:
-    void inc(std::uint64_t n = 1) const noexcept {
-      if (cell_) *cell_ += n;
-    }
-    explicit operator bool() const noexcept { return cell_ != nullptr; }
+  void enable() noexcept { enabled_ = true; }
 
-   private:
-    friend class metrics_registry;
-    std::uint64_t* cell_ = nullptr;
-  };
-
-  class gauge_handle {
-   public:
-    void set(std::int64_t v) const noexcept {
-      if (cell_) *cell_ = v;
-    }
-    void add(std::int64_t d) const noexcept {
-      if (cell_) *cell_ += d;
-    }
-    explicit operator bool() const noexcept { return cell_ != nullptr; }
-
-   private:
-    friend class metrics_registry;
-    std::int64_t* cell_ = nullptr;
-  };
-
-  class histogram_handle {
-   public:
-    void observe(std::uint64_t v) const noexcept {
-      if (cell_) cell_->observe(v);
-    }
-    explicit operator bool() const noexcept { return cell_ != nullptr; }
-
-   private:
-    friend class metrics_registry;
-    log_histogram* cell_ = nullptr;
-  };
-
-  /// Run-time arm switch. GQS_OBS_OFF compiles it away entirely.
-  void enable() noexcept {
-#ifndef GQS_OBS_OFF
-    enabled_ = true;
-#endif
+  /// Registers every field `C::for_each_counter` lists as `prefix + name`,
+  /// read live from `c` at snapshot time. Dropped when disabled. `c` must
+  /// outlive the registry's snapshots.
+  template <class C>
+  void observe_counters(const std::string& prefix, const C& c) {
+    if (!enabled_) return;
+    C::for_each_counter([&](const char* name, auto field) {
+      cells_.emplace_back(prefix + name, &(c.*field));
+    });
   }
-  bool enabled() const noexcept { return enabled_; }
-
-  /// Registration (not hot): same (name, label) returns the same cell.
-  /// Disabled registries hand back null handles — every use is a no-op.
-  counter_handle get_counter(const std::string& name,
-                             const std::string& label = "");
-  gauge_handle get_gauge(const std::string& name,
-                         const std::string& label = "");
-  histogram_handle get_histogram(const std::string& name,
-                                 const std::string& label = "");
-
-  /// Snapshot-time bridges for externally-maintained values: `fn` is
-  /// invoked only inside snapshot(). Several registrations under one key
-  /// sum. Dropped silently when disabled.
-  void observe_counter(const std::string& name, const std::string& label,
-                       std::function<std::uint64_t()> fn);
-  void observe_gauge(const std::string& name, const std::string& label,
-                     std::function<std::int64_t()> fn);
 
   metrics_snapshot snapshot() const;
 
  private:
-  struct key {
-    metric_kind kind;
-    std::string name;
-    std::string label;
-    auto operator<=>(const key&) const = default;
-  };
-  struct observer {
-    key k;
-    std::function<std::uint64_t()> counter_fn;
-    std::function<std::int64_t()> gauge_fn;
-  };
-
   bool enabled_ = false;
-  // Deques: pointer stability while cells are appended.
-  std::deque<std::uint64_t> counter_cells_;
-  std::deque<std::int64_t> gauge_cells_;
-  std::deque<log_histogram> histogram_cells_;
-  std::map<key, std::size_t> index_;  // key -> index in its kind's deque
-  std::vector<observer> observers_;
+  std::vector<std::pair<std::string, const std::uint64_t*>> cells_;
 };
 
 }  // namespace gqs

@@ -3,8 +3,8 @@
 // One bundle per simulation, owned by it and switched on via
 // network_options (telemetry / record_spans / sample_period). Components
 // reach it through transport::obs() (see sim/transport.hpp) or
-// node::sim().obs() and self-register instruments, probes, and spans;
-// everything stays a no-op when the corresponding switch is off.
+// node::sim().obs() and self-register their counter structs, sampler
+// probes and spans; each stays a no-op when its switch is off.
 #pragma once
 
 #include "obs/metrics.hpp"

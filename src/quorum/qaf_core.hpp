@@ -173,6 +173,12 @@ struct push_qaf_options {
 /// Targeted-access accounting of one push_qaf instance.
 struct push_qaf_counters {
   std::uint64_t escalations = 0;
+
+  /// Every field, once (metrics_registry::observe_counters reads it).
+  template <class F>
+  static void for_each_counter(F&& f) {
+    f("escalations", &push_qaf_counters::escalations);
+  }
 };
 
 /// The complete Figure 3 protocol over a single opaque state S, built on
@@ -225,7 +231,11 @@ class push_qaf : public quorum_access<S> {
   const push_qaf_counters& counters() const noexcept { return counters_; }
 
  protected:
-  void start() override { arm_gossip_timer(); }
+  void start() override {
+    if (obs_bundle* o = this->obs())
+      o->metrics.observe_counters("qaf.", counters_);
+    arm_gossip_timer();
+  }
 
   void on_timeout(int timer_id) override {
     if (timer_id != gossip_timer_) {

@@ -100,6 +100,24 @@ struct service_counters {
   std::uint64_t targeted_probes = 0;       ///< get groups sent targeted
   std::uint64_t targeted_set_batches = 0;  ///< set groups sent targeted
   std::uint64_t escalations = 0;           ///< groups rebroadcast on timeout
+
+  /// Every field, once (metrics_registry::observe_counters reads it).
+  template <class F>
+  static void for_each_counter(F&& f) {
+    f("ops_started", &service_counters::ops_started);
+    f("ops_completed", &service_counters::ops_completed);
+    f("flushes", &service_counters::flushes);
+    f("probes_sent", &service_counters::probes_sent);
+    f("set_batches_sent", &service_counters::set_batches_sent);
+    f("set_entries_sent", &service_counters::set_entries_sent);
+    f("gossip_batches_sent", &service_counters::gossip_batches_sent);
+    f("gossip_entries_sent", &service_counters::gossip_entries_sent);
+    f("nacks_sent", &service_counters::nacks_sent);
+    f("repairs_sent", &service_counters::repairs_sent);
+    f("targeted_probes", &service_counters::targeted_probes);
+    f("targeted_set_batches", &service_counters::targeted_set_batches);
+    f("escalations", &service_counters::escalations);
+  }
 };
 
 /// Tracks one origin's gossip stream at a receiver: the freshness clock
@@ -432,32 +450,13 @@ class quorum_service : public component {
   };
 
   /// Binds this instance to the host's obs bundle (nullptr-safe; inert
-  /// when telemetry is off). Counters bridge as snapshot-time observers —
-  /// the service_counters struct stays the façade existing callers read.
+  /// when telemetry is off): counters as snapshot-time observers, backlog
+  /// probes on the sampler, spans on the tracer.
   void register_obs() {
     obs_bundle* o = this->obs();
     if (!o) return;
     tracer_ = o->tracer.recording() ? &o->tracer : nullptr;
-    if (o->metrics.enabled()) {
-      const service_counters* c = &counters_;
-      const auto bridge = [&](const char* name, const std::uint64_t* cell) {
-        o->metrics.observe_counter(name, "", [cell] { return *cell; });
-      };
-      bridge("svc.ops_started", &c->ops_started);
-      bridge("svc.ops_completed", &c->ops_completed);
-      bridge("svc.flushes", &c->flushes);
-      bridge("svc.probes_sent", &c->probes_sent);
-      bridge("svc.set_batches_sent", &c->set_batches_sent);
-      bridge("svc.gossip_batches_sent", &c->gossip_batches_sent);
-      bridge("svc.nacks_sent", &c->nacks_sent);
-      bridge("svc.repairs_sent", &c->repairs_sent);
-      bridge("svc.targeted_probes", &c->targeted_probes);
-      bridge("svc.targeted_set_batches", &c->targeted_set_batches);
-      bridge("svc.escalations", &c->escalations);
-      o->metrics.observe_gauge("svc.gossip_backlog", "", [this] {
-        return static_cast<std::int64_t>(gossip_backlog());
-      });
-    }
+    o->metrics.observe_counters("svc.", counters_);
     if (o->sampler.enabled()) {
       o->sampler.add_probe("svc.gossip_backlog", [this] {
         return static_cast<std::int64_t>(gossip_backlog());

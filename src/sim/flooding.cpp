@@ -4,11 +4,6 @@ namespace gqs {
 
 void flooding_node::on_attach() {
   obs_bundle& o = sim().obs();
-  if (o.metrics.enabled()) {
-    o.metrics.observe_gauge("flood.dedup_backlog", "", [this] {
-      return static_cast<std::int64_t>(dedup_backlog());
-    });
-  }
   if (o.sampler.enabled()) {
     o.sampler.add_probe("flood.dedup_backlog", [this] {
       return static_cast<std::int64_t>(dedup_backlog());

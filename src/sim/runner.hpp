@@ -61,8 +61,8 @@ struct run_aggregate {
   sim_metrics totals;
   sample_summary latency_us;
   sample_summary link_bytes;  ///< per-link byte distribution (channel runs)
-  /// Telemetry registries merged in spec order — counters sum, gauges sum,
-  /// histograms merge bucket-wise; bit-identical at any thread count.
+  /// Telemetry snapshots merged in spec order (counters sum, so the
+  /// sim.* rows equal `totals`); bit-identical at any thread count.
   metrics_snapshot obs;
   double wall_ms = 0;         ///< summed across cells (CPU-seconds-ish)
   double events_per_sec = 0;  ///< totals.events_processed per wall second

@@ -26,26 +26,7 @@ simulation::simulation(process_id n, network_options net, fault_plan faults,
 }
 
 void simulation::register_obs_bridges() {
-  if (obs_.metrics.enabled()) {
-    // sim_metrics stays the façade every existing call site reads; the
-    // registry sees the same cells through snapshot-time observers.
-    const sim_metrics* m = &metrics_;
-    const auto bridge = [&](const char* name, const std::uint64_t* cell) {
-      obs_.metrics.observe_counter(name, "", [cell] { return *cell; });
-    };
-    bridge("sim.messages_sent", &m->messages_sent);
-    bridge("sim.messages_delivered", &m->messages_delivered);
-    bridge("sim.dropped_disconnected", &m->dropped_disconnected);
-    bridge("sim.dropped_receiver_crashed", &m->dropped_receiver_crashed);
-    bridge("sim.timers_fired", &m->timers_fired);
-    bridge("sim.events_processed", &m->events_processed);
-    bridge("sim.bytes_sent", &m->bytes_sent);
-    bridge("sim.bytes_delivered", &m->bytes_delivered);
-    bridge("sim.dropped_queue_full", &m->dropped_queue_full);
-    obs_.metrics.observe_gauge("sim.max_link_queue_depth", "", [m] {
-      return static_cast<std::int64_t>(m->max_link_queue_depth);
-    });
-  }
+  obs_.metrics.observe_counters("sim.", metrics_);
   if (obs_.sampler.enabled() && channels_.enabled()) {
     obs_.sampler.add_probe(
         "net.max_link_queue_depth",

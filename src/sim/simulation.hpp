@@ -15,6 +15,7 @@
 // are answered from precomputed per-epoch tables (sim/epochs.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,23 +47,31 @@ struct sim_metrics {
   std::uint64_t dropped_queue_full = 0;  ///< sends into a full link queue
   std::uint64_t max_link_queue_depth = 0;  ///< peak occupancy of any link
 
+  /// Every summable field, once. max_link_queue_depth is a peak, not a
+  /// count: it folds by max and stays out of the summed snapshot.
+  template <class F>
+  static void for_each_counter(F&& f) {
+    f("messages_sent", &sim_metrics::messages_sent);
+    f("messages_delivered", &sim_metrics::messages_delivered);
+    f("dropped_disconnected", &sim_metrics::dropped_disconnected);
+    f("dropped_receiver_crashed", &sim_metrics::dropped_receiver_crashed);
+    f("timers_fired", &sim_metrics::timers_fired);
+    f("events_processed", &sim_metrics::events_processed);
+    f("bytes_sent", &sim_metrics::bytes_sent);
+    f("bytes_delivered", &sim_metrics::bytes_delivered);
+    f("dropped_queue_full", &sim_metrics::dropped_queue_full);
+  }
+
   bool operator==(const sim_metrics&) const = default;
 };
 
-/// Component-wise accumulation (used by the experiment runner).
+/// Component-wise accumulation (used by the experiment runner): counters
+/// add, the peak takes the max.
 inline sim_metrics& operator+=(sim_metrics& a, const sim_metrics& b) {
-  a.messages_sent += b.messages_sent;
-  a.messages_delivered += b.messages_delivered;
-  a.dropped_disconnected += b.dropped_disconnected;
-  a.dropped_receiver_crashed += b.dropped_receiver_crashed;
-  a.timers_fired += b.timers_fired;
-  a.events_processed += b.events_processed;
-  a.bytes_sent += b.bytes_sent;
-  a.bytes_delivered += b.bytes_delivered;
-  a.dropped_queue_full += b.dropped_queue_full;
-  a.max_link_queue_depth = a.max_link_queue_depth > b.max_link_queue_depth
-                               ? a.max_link_queue_depth
-                               : b.max_link_queue_depth;
+  sim_metrics::for_each_counter(
+      [&](const char*, auto field) { a.*field += b.*field; });
+  a.max_link_queue_depth =
+      std::max(a.max_link_queue_depth, b.max_link_queue_depth);
   return a;
 }
 

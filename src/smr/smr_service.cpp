@@ -98,31 +98,7 @@ void smr_service::register_obs() {
   obs_bundle* o = obs();
   if (!o) return;
   tracer_ = o->tracer.recording() ? &o->tracer : nullptr;
-  if (o->metrics.enabled()) {
-    const smr_counters* c = &counters_;
-    const auto bridge = [&](const char* name, const std::uint64_t* cell) {
-      o->metrics.observe_counter(name, "", [cell] { return *cell; });
-    };
-    bridge("smr.commands_submitted", &c->commands_submitted);
-    bridge("smr.commands_forwarded", &c->commands_forwarded);
-    bridge("smr.commands_applied", &c->commands_applied);
-    bridge("smr.commands_deduped", &c->commands_deduped);
-    bridge("smr.entries_proposed", &c->entries_proposed);
-    bridge("smr.entries_committed", &c->entries_committed);
-    bridge("smr.phase1_rounds", &c->phase1_rounds);
-    bridge("smr.targeted_phase1", &c->targeted_phase1);
-    bridge("smr.targeted_phase2", &c->targeted_phase2);
-    bridge("smr.escalations", &c->escalations);
-    bridge("smr.view_changes", &c->view_changes);
-    bridge("smr.heartbeats", &c->heartbeats);
-    bridge("smr.retries", &c->retries);
-    o->metrics.observe_gauge("smr.inflight", "", [this] {
-      std::int64_t total = 0;
-      for (const shard_state& ss : shards_)
-        total += static_cast<std::int64_t>(ss.inflight.size());
-      return total;
-    });
-  }
+  o->metrics.observe_counters("smr.", counters_);
   if (o->sampler.enabled()) {
     o->sampler.add_probe("smr.inflight", [this] {
       std::int64_t total = 0;

@@ -137,6 +137,24 @@ struct smr_counters {
   std::uint64_t view_changes = 0;        ///< lease expiries observed here
   std::uint64_t heartbeats = 0;
   std::uint64_t retries = 0;             ///< commands re-forwarded
+
+  /// Every field, once (metrics_registry::observe_counters reads it).
+  template <class F>
+  static void for_each_counter(F&& f) {
+    f("commands_submitted", &smr_counters::commands_submitted);
+    f("commands_forwarded", &smr_counters::commands_forwarded);
+    f("commands_applied", &smr_counters::commands_applied);
+    f("commands_deduped", &smr_counters::commands_deduped);
+    f("entries_proposed", &smr_counters::entries_proposed);
+    f("entries_committed", &smr_counters::entries_committed);
+    f("phase1_rounds", &smr_counters::phase1_rounds);
+    f("targeted_phase1", &smr_counters::targeted_phase1);
+    f("targeted_phase2", &smr_counters::targeted_phase2);
+    f("escalations", &smr_counters::escalations);
+    f("view_changes", &smr_counters::view_changes);
+    f("heartbeats", &smr_counters::heartbeats);
+    f("retries", &smr_counters::retries);
+  }
 };
 
 /// The sharded SMR engine at one process (host under single_host).
@@ -404,7 +422,7 @@ class smr_service : public component {
   std::optional<process_set> draw(std::uint32_t shard, bool phase1);
   void retry_tick();
 
-  /// Binds counters/gauges/probes onto the host's observability surface
+  /// Binds counters and probes onto the host's observability surface
   /// (no-op without one) and latches tracer_ when spans are recorded.
   void register_obs();
 

@@ -1,205 +1,114 @@
-// Tests for the observability subsystem (src/obs): log-bucketed histogram
-// merge/percentile properties, the metrics registry and its deterministic
-// snapshot/merge pipeline through the experiment runner, the time-series
-// sampler, the span recorder's well-formedness contract, and an
-// end-to-end SMR trace whose commit spans causally follow phase 2.
+// Tests for the observability subsystem (src/obs): the counter registry
+// and its deterministic snapshot/merge pipeline through the experiment
+// runner, the snapshot rows of real worlds against their counter structs,
+// the time-series sampler, the span recorder's well-formedness contract,
+// and an end-to-end SMR trace whose commit spans causally follow phase 2.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/factories.hpp"
 #include "obs/obs.hpp"
+#include "register/atomic_register.hpp"
+#include "register/keyed_register.hpp"
 #include "sim/runner.hpp"
+#include "strategy/selector.hpp"
 #include "workload/smr_workload.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
 
-// Deterministic value stream (no std::random: bit-identical everywhere).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 // ---------------------------------------------------------------------
-// log_histogram
+// metrics_registry / metrics_snapshot
 
-TEST(LogHistogram, BucketBoundsAndWidth) {
-  const std::uint64_t samples[] = {0,    1,    2,         3,
-                                   4,    5,    7,         8,
-                                   100,  1000, 123456789, (1ull << 40) + 17,
-                                   ~0ull};
-  for (std::uint64_t v : samples) {
-    const int idx = log_histogram::bucket_index(v);
-    ASSERT_GE(idx, 0);
-    ASSERT_LT(idx, log_histogram::kBuckets);
-    const std::uint64_t upper = log_histogram::bucket_upper(idx);
-    EXPECT_GE(upper, v) << v;
-    if (v < 4)
-      EXPECT_EQ(upper, v);  // exact buckets
-    else
-      EXPECT_LE(upper - v, v / 4) << v;  // <= 25% relative width
-  }
-  // Monotone: growing values never map to an earlier bucket.
-  int prev = -1;
-  for (std::uint64_t v = 0; v < 5000; ++v) {
-    const int idx = log_histogram::bucket_index(v);
-    EXPECT_GE(idx, prev) << v;
-    prev = idx;
-  }
-}
+/// A two-field counter struct listed the way the real ones are.
+struct demo_counters {
+  std::uint64_t ops = 0;
+  std::uint64_t bytes = 0;
 
-TEST(LogHistogram, MergeOfPartsEqualsWhole) {
-  log_histogram whole;
-  log_histogram parts[4];
-  std::uint64_t x = 42;
-  for (int i = 0; i < 10000; ++i) {
-    x = mix64(x);
-    const std::uint64_t v = x >> (x % 50);  // wide dynamic range
-    whole.observe(v);
-    parts[i % 4].observe(v);
+  template <class F>
+  static void for_each_counter(F&& f) {
+    f("ops", &demo_counters::ops);
+    f("bytes", &demo_counters::bytes);
   }
-  log_histogram merged;
-  for (const log_histogram& p : parts) merged.merge(p);
-  EXPECT_EQ(merged, whole);
-  EXPECT_EQ(merged.count(), 10000u);
-  EXPECT_EQ(merged.sum(), whole.sum());
-}
-
-TEST(LogHistogram, PercentileBoundsAndMonotonicity) {
-  log_histogram h;
-  std::uint64_t x = 7;
-  for (int i = 0; i < 1000; ++i) {
-    x = mix64(x);
-    h.observe(x % 100000);
-  }
-  std::uint64_t prev = 0;
-  for (double q = 0.0; q <= 1.0; q += 0.05) {
-    const std::uint64_t p = h.percentile(q);
-    EXPECT_GE(p, h.min());
-    EXPECT_LE(p, h.max());
-    EXPECT_GE(p, prev) << q;  // monotone in q
-    prev = p;
-  }
-  // Exact on the small-value range.
-  log_histogram small;
-  for (int i = 0; i < 4; ++i) small.observe(i);  // 0 1 2 3
-  EXPECT_EQ(small.percentile(0.25), 0u);
-  EXPECT_EQ(small.percentile(1.0), 3u);
-}
-
-TEST(LogHistogram, EmptyIsInert) {
-  log_histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-  EXPECT_EQ(h.percentile(0.5), 0u);
-  log_histogram other;
-  other.observe(9);
-  other.merge(h);  // merging empty changes nothing
-  EXPECT_EQ(other.count(), 1u);
-  EXPECT_EQ(other.min(), 9u);
-}
-
-// ---------------------------------------------------------------------
-// metrics_registry
+};
 
 TEST(MetricsRegistry, DisabledHandlesAreNoOps) {
-  metrics_registry reg;  // never enabled
-  auto c = reg.get_counter("ops");
-  auto g = reg.get_gauge("depth");
-  auto h = reg.get_histogram("lat");
-  EXPECT_FALSE(static_cast<bool>(c));
-  EXPECT_FALSE(static_cast<bool>(g));
-  EXPECT_FALSE(static_cast<bool>(h));
-  c.inc();
-  g.set(5);
-  h.observe(10);
-  reg.observe_counter("bridged", "", [] { return 99u; });
-  EXPECT_TRUE(reg.snapshot().empty());
-}
-
-TEST(MetricsRegistry, CountersGaugesHistogramsAndLabels) {
+  // A registry that was never enabled drops every registration.
   metrics_registry reg;
-  reg.enable();
-  auto a = reg.get_counter("ops", "read");
-  auto b = reg.get_counter("ops", "write");
-  auto a2 = reg.get_counter("ops", "read");  // same cell
-  a.inc();
-  a.inc(4);
-  a2.inc();
-  b.inc(2);
-  reg.get_gauge("depth").set(7);
-  auto h = reg.get_histogram("lat");
-  h.observe(3);
-  h.observe(300);
-
-  const metrics_snapshot s = reg.snapshot();
-  EXPECT_EQ(s.counter_value("ops", "read"), 6u);
-  EXPECT_EQ(s.counter_value("ops", "write"), 2u);
-  EXPECT_EQ(s.gauge_level("depth"), 7);
-  ASSERT_NE(s.histogram("lat"), nullptr);
-  EXPECT_EQ(s.histogram("lat")->count(), 2u);
-  // Rows are sorted by (kind, name, label) — the determinism invariant.
-  for (std::size_t i = 1; i < s.rows.size(); ++i) {
-    const auto& p = s.rows[i - 1];
-    const auto& q = s.rows[i];
-    EXPECT_TRUE(std::tie(p.kind, p.name, p.label) <
-                std::tie(q.kind, q.name, q.label));
-  }
+  demo_counters c{1, 2};
+  reg.observe_counters("demo.", c);
+  EXPECT_TRUE(reg.snapshot().empty());
+  EXPECT_EQ(reg.snapshot().to_json(), "{}");
 }
 
 TEST(MetricsRegistry, ObserversSumUnderOneKey) {
   metrics_registry reg;
   reg.enable();
-  std::uint64_t n1 = 10, n2 = 32;
-  reg.observe_counter("bridged", "", [&n1] { return n1; });
-  reg.observe_counter("bridged", "", [&n2] { return n2; });
-  reg.get_counter("bridged").inc(100);  // direct cell sums in too
-  std::int64_t backlog = -3;
-  reg.observe_gauge("backlog", "", [&backlog] { return backlog; });
-  EXPECT_EQ(reg.snapshot().counter_value("bridged"), 142u);
-  EXPECT_EQ(reg.snapshot().gauge_level("backlog"), -3);
-  n1 = 11;  // live read at snapshot time
-  EXPECT_EQ(reg.snapshot().counter_value("bridged"), 143u);
+  // Per-node structs under one prefix sum field by field.
+  demo_counters a{1, 100}, b{2, 200};
+  reg.observe_counters("demo.", a);
+  reg.observe_counters("demo.", b);
+  reg.observe_counters("x.", a);
+
+  metrics_snapshot s = reg.snapshot();
+  EXPECT_EQ(s.counter_value("demo.ops"), 3u);
+  EXPECT_EQ(s.counter_value("demo.bytes"), 300u);
+  EXPECT_EQ(s.counter_value("x.ops"), 1u);
+  EXPECT_EQ(s.counter_value("absent"), 0u);
+  // One row per name, sorted by name: the determinism invariant.
+  ASSERT_EQ(s.rows.size(), 4u);
+  for (std::size_t i = 1; i < s.rows.size(); ++i)
+    EXPECT_LT(s.rows[i - 1].name, s.rows[i].name);
+
+  a.ops = 5;  // live reads at snapshot time
+  s = reg.snapshot();
+  EXPECT_EQ(s.counter_value("demo.ops"), 7u);
+  EXPECT_EQ(s.counter_value("x.ops"), 5u);
 }
 
 TEST(MetricsSnapshot, MergeAddsAndUnions) {
+  demo_counters ca{2, 4}, cb{3, 1};
   metrics_registry ra, rb;
   ra.enable();
   rb.enable();
-  ra.get_counter("x").inc(2);
-  ra.get_gauge("g").set(5);
-  ra.get_histogram("h").observe(10);
-  rb.get_counter("x").inc(3);
-  rb.get_counter("only_b").inc(1);
-  rb.get_histogram("h").observe(20);
+  ra.observe_counters("", ca);
+  rb.observe_counters("", cb);
+  rb.observe_counters("b.", cb);
 
   metrics_snapshot m = ra.snapshot();
   m.merge(rb.snapshot());
-  EXPECT_EQ(m.counter_value("x"), 5u);
-  EXPECT_EQ(m.counter_value("only_b"), 1u);
-  EXPECT_EQ(m.gauge_level("g"), 5);
-  EXPECT_EQ(m.histogram("h")->count(), 2u);
-  EXPECT_EQ(m.histogram("h")->sum(), 30u);
+  EXPECT_EQ(m.counter_value("ops"), 5u);
+  EXPECT_EQ(m.counter_value("bytes"), 5u);
+  EXPECT_EQ(m.counter_value("b.ops"), 3u);  // only in rb: unioned
+  ASSERT_EQ(m.rows.size(), 4u);
+  EXPECT_EQ(m.rows[0].name, "b.bytes");
+  EXPECT_EQ(m.rows[3].name, "ops");
 
-  // Digest separates distinct snapshots and is stable for equal ones.
-  EXPECT_EQ(m.digest(), [&] {
-    metrics_snapshot again = ra.snapshot();
-    again.merge(rb.snapshot());
-    return again.digest();
-  }());
+  // Merging into an empty snapshot copies; merging an empty one is inert.
+  metrics_snapshot copy;
+  copy.merge(m);
+  EXPECT_EQ(copy, m);
+  copy.merge(metrics_snapshot{});
+  EXPECT_EQ(copy, m);
+
+  // Digest and JSON are pure functions of the rows: equal snapshots agree,
+  // distinct ones differ, and the rendering is pinned.
+  metrics_snapshot again = ra.snapshot();
+  again.merge(rb.snapshot());
+  EXPECT_EQ(again.digest(), m.digest());
   EXPECT_NE(m.digest(), ra.snapshot().digest());
-
-  const std::string json = m.to_json();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"x\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE((metrics_snapshot{{{"ab", 1}, {"c", 1}}}).digest(),
+            (metrics_snapshot{{{"a", 1}, {"bc", 1}}}).digest());
+  EXPECT_EQ(m.to_json(),
+            "{\"counters\":{\"b.bytes\":1,\"b.ops\":3,\"bytes\":5,"
+            "\"ops\":5}}");
+  EXPECT_EQ(again.to_json(), m.to_json());
 }
 
 // ---------------------------------------------------------------------
@@ -444,6 +353,124 @@ TEST(ObsEndToEnd, RunnerAggregatesBitIdenticalAcrossThreadCounts) {
             to_json(a8).substr(0, to_json(a8).rfind("\"wall_ms\"")));
   EXPECT_FALSE(a1.obs.empty());
   EXPECT_NE(to_json(a1).find("\"obs\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// counter surface: every struct field, summed over nodes, is its row
+
+bool has_row(const metrics_snapshot& snap, const std::string& name) {
+  return std::any_of(snap.rows.begin(), snap.rows.end(),
+                     [&](const metric_row& r) { return r.name == name; });
+}
+
+/// Every field C lists has a row `prefix + field` equal to the field
+/// summed over `structs` (one per node).
+template <class C>
+void expect_rows_equal_fields(const metrics_snapshot& snap,
+                              const std::string& prefix,
+                              const std::vector<const C*>& structs) {
+  C::for_each_counter([&](const char* name, auto field) {
+    std::uint64_t sum = 0;
+    for (const C* c : structs) sum += c->*field;
+    EXPECT_TRUE(has_row(snap, prefix + name)) << prefix << name;
+    EXPECT_EQ(snap.counter_value(prefix + name), sum) << prefix << name;
+  });
+}
+
+template <class C, class Node>
+std::vector<const C*> counters_of(const std::vector<Node*>& nodes) {
+  std::vector<const C*> out;
+  for (const Node* n : nodes) out.push_back(&n->counters());
+  return out;
+}
+
+/// C's visitor lists each of its fields once: distinct names, distinct
+/// cells, and every uint64 field of the struct except `unlisted` ones.
+template <class C>
+void expect_visitor_lists_every_field(std::size_t unlisted = 0) {
+  const C c{};
+  std::set<std::string> names;
+  std::set<const std::uint64_t*> cells;
+  C::for_each_counter([&](const char* name, auto field) {
+    names.insert(name);
+    cells.insert(&(c.*field));
+  });
+  EXPECT_EQ(names.size(), cells.size());
+  EXPECT_EQ((cells.size() + unlisted) * sizeof(std::uint64_t), sizeof(C));
+}
+
+TEST(CounterSurface, VisitorsListEveryField) {
+  expect_visitor_lists_every_field<sim_metrics>(/*max_link_queue_depth*/ 1);
+  expect_visitor_lists_every_field<service_counters>();
+  expect_visitor_lists_every_field<smr_counters>();
+  expect_visitor_lists_every_field<push_qaf_counters>();
+}
+
+network_options telemetry_on() {
+  network_options net;
+  net.telemetry = true;
+  return net;
+}
+
+/// Every write targets W3 = {c, d}. Under Figure 1's f1 (d crashed, c
+/// unreachable from a) a's targeted rounds are lost and finish only
+/// through escalation, so the escalation counters move.
+selector_ptr unreachable_write_quorum(const generalized_quorum_system& gqs) {
+  read_write_strategy s;
+  s.reads = quorum_strategy::uniform(gqs.reads);
+  s.writes = quorum_strategy::pure(process_set{2, 3});  // {c, d}
+  return std::make_shared<const quorum_selector>(std::move(s), 1);
+}
+
+TEST(CounterSurface, QuorumServiceRowsEqualSummedFields) {
+  const auto fig = make_figure1();
+  service_options options;
+  options.selector = unreachable_write_quorum(fig.gqs);
+  component_world<keyed_register_node> w(
+      4, fault_plan::from_pattern(fig.gqs.fps[0], 0), 7, telemetry_on(),
+      service_key{4}, quorum_config::of(fig.gqs), options);
+
+  int done = 0;
+  w.sim.post(0, [&] {
+    for (service_key k = 0; k < 4; ++k)
+      w.nodes[0]->write(k, 10 + k, [&, k](reg_version) {
+        w.nodes[0]->read(k, [&](reg_value, reg_version) { ++done; });
+      });
+  });
+  ASSERT_TRUE(w.sim.run_until_condition([&] { return done == 4; }, kLong));
+  w.sim.run_until(w.sim.now() + 100000);  // gossip keeps counting
+
+  const metrics_snapshot snap = w.sim.obs().metrics.snapshot();
+  expect_rows_equal_fields(snap, "svc.",
+                           counters_of<service_counters>(w.nodes));
+  expect_rows_equal_fields<sim_metrics>(snap, "sim.", {&w.sim.metrics()});
+  EXPECT_GT(snap.counter_value("svc.set_entries_sent"), 0u);
+  EXPECT_GT(snap.counter_value("svc.gossip_entries_sent"), 0u);
+  EXPECT_GT(snap.counter_value("svc.escalations"), 0u);
+}
+
+TEST(CounterSurface, PushQafRowsEqualSummedFields) {
+  using targeted_register = atomic_register<generalized_qaf<reg_state>>;
+  const auto fig = make_figure1();
+  generalized_qaf_options options;
+  options.selector = unreachable_write_quorum(fig.gqs);
+  component_world<targeted_register> w(
+      4, fault_plan::from_pattern(fig.gqs.fps[0], 0), 21, telemetry_on(),
+      quorum_config::of(fig.gqs), reg_state{}, options);
+
+  bool done = false;
+  w.sim.post(0, [&] {
+    w.nodes[0]->write(41, [&](reg_version) {
+      w.nodes[0]->read([&](reg_value, reg_version) { done = true; });
+    });
+  });
+  ASSERT_TRUE(w.sim.run_until_condition([&] { return done; }, kLong));
+
+  const metrics_snapshot snap = w.sim.obs().metrics.snapshot();
+  expect_rows_equal_fields(snap, "qaf.",
+                           counters_of<push_qaf_counters>(w.nodes));
+  expect_rows_equal_fields<sim_metrics>(snap, "sim.", {&w.sim.metrics()});
+  EXPECT_GT(snap.counter_value("qaf.escalations"), 0u);
 }
 
 }  // namespace

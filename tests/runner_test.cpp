@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <functional>
 #include <locale>
+#include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -191,6 +193,61 @@ TEST(Runner, AggregateFoldsChannelMetricsAndLinkBytes) {
   EXPECT_NE(json.find("\"dropped_queue_full\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"max_link_queue_depth\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"link_bytes\": {\"count\": 3"), std::string::npos);
+}
+
+/// A silent node whose sends the test drives: the channel layer's queue
+/// depth then peaks at the size of a burst.
+class burst_node : public node {
+ public:
+  void on_message(process_id, const message_ptr&) override {}
+  using node::send;
+};
+
+/// One telemetry-on run: `burst` 64-byte messages onto one slow link at
+/// once, so that link's queue peaks at `burst`.
+run_result burst_cell(int burst) {
+  network_options net;
+  net.channel.bytes_per_us = 0.001;  // 64 ms per message: nothing drains
+  net.telemetry = true;
+  simulation sim(2, net, fault_plan::none(2), 1);
+  auto sender = std::make_unique<burst_node>();
+  burst_node* from = sender.get();
+  sim.set_node(0, std::move(sender));
+  sim.set_node(1, std::make_unique<burst_node>());
+  sim.start();
+  sim.run_until(0);
+  for (int i = 0; i < burst; ++i) from->send(1, make_message<message>());
+  sim.run_until(1_s);
+  run_result r;
+  r.metrics = sim.metrics();
+  r.obs = sim.obs().metrics.snapshot();
+  return r;
+}
+
+// The summed snapshot and the typed totals are one surface: every sim.*
+// row is exactly its totals field, and the per-run peak, which the totals
+// fold by max, has no summed row.
+TEST(Runner, ObsAggregateAgreesWithTotals) {
+  const std::vector<run_result> results = {burst_cell(3), burst_cell(5)};
+  ASSERT_EQ(results[0].metrics.max_link_queue_depth, 3u);
+  ASSERT_EQ(results[1].metrics.max_link_queue_depth, 5u);
+  const run_aggregate a = aggregate(results);
+  EXPECT_EQ(a.totals.max_link_queue_depth, 5u);
+  EXPECT_EQ(a.totals.messages_delivered, 8u);
+
+  std::map<std::string, std::uint64_t> fields;
+  sim_metrics::for_each_counter([&](const char* name, auto field) {
+    fields[std::string("sim.") + name] = a.totals.*field;
+  });
+  std::size_t sim_rows = 0;
+  for (const metric_row& row : a.obs.rows) {
+    if (row.name.rfind("sim.", 0) != 0) continue;
+    ++sim_rows;
+    const auto it = fields.find(row.name);
+    ASSERT_NE(it, fields.end()) << row.name << " has no totals field";
+    EXPECT_EQ(row.value, it->second) << row.name;
+  }
+  EXPECT_EQ(sim_rows, fields.size());
 }
 
 namespace {
