@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <random>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "core/factories.hpp"
 #include "core/random_systems.hpp"
 #include "core/solver.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/message.hpp"
 #include "strategy/planner.hpp"
 #include "workload/topologies.hpp"
@@ -253,50 +251,6 @@ void bm_dispatch_dynamic_cast(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_dispatch_dynamic_cast);
-
-// ---- timer ownership: flat_timer_map vs std::map ----
-//
-// mux_host routes every expired timer through its id→instance table: one
-// insert when a proxy arms, one find+erase (take) when the timer fires.
-// The live window is small (per-instance heartbeats and escalation
-// timers) while ids grow without bound, exactly the churn pattern below.
-// flat_timer_map replaced the seed's std::map<int, int> on this path.
-
-constexpr int kTimerWindow = 64;     // live timers per host, steady state
-constexpr int kTimerRounds = 4096;   // arm/fire pairs per iteration
-
-void bm_timer_owner_flat(benchmark::State& state) {
-  for (auto _ : state) {
-    flat_timer_map owners;
-    int next_id = 0, oldest = 0, sum = 0;
-    for (int r = 0; r < kTimerRounds; ++r) {
-      owners.insert(next_id++, r & 7);
-      if (next_id - oldest > kTimerWindow)
-        if (const auto inst = owners.take(oldest++)) sum += *inst;
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(bm_timer_owner_flat);
-
-void bm_timer_owner_std_map(benchmark::State& state) {
-  for (auto _ : state) {
-    std::map<int, int> owners;
-    int next_id = 0, oldest = 0, sum = 0;
-    for (int r = 0; r < kTimerRounds; ++r) {
-      owners.emplace(next_id++, r & 7);
-      if (next_id - oldest > kTimerWindow) {
-        const auto it = owners.find(oldest++);
-        if (it != owners.end()) {
-          sum += it->second;
-          owners.erase(it);
-        }
-      }
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(bm_timer_owner_std_map);
 
 }  // namespace
 

@@ -14,7 +14,7 @@
 //   wired    — counter registry armed (net.telemetry) but no spans and no
 //              sampler: the registry only holds snapshot-time observers of
 //              sim_metrics, so the hot path still sees only the single
-//              tracer.active() guard plus a sampler next_due() compare;
+//              tracer.recording() guard plus a sampler next_due() compare;
 //              this prices the *disabled-mode* footprint of the obs
 //              subsystem (bar: within 5% of the slab rate, gated in
 //              baselines.json as `telemetry_overhead`);
@@ -49,7 +49,6 @@ constexpr int kPasses = 5;     // best-of to shrug off scheduler noise
 struct token : message {
   int remaining;
   explicit token(int r) : remaining(r) {}
-  std::string debug_name() const override { return "token"; }
 };
 
 class ring_node : public node {

@@ -25,23 +25,22 @@
 #include "bench_main.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "core/factories.hpp"
-#include "lincheck/history_checker.hpp"
-#include "sim/runner.hpp"
+#include "keyed_pass.hpp"
 #include "strategy/shard_plan.hpp"
-#include "workload/clients.hpp"
 #include "workload/smr_workload.hpp"
 #include "workload/table.hpp"
 
 namespace {
 
 using namespace gqs;
+using gqs_bench::keyed_checks;
+using gqs_bench::keyed_pass;
 
 constexpr process_id kN = 8;
 constexpr service_key kKeys = 64;
@@ -85,21 +84,15 @@ smr_options engine_options(const shard_plan& plan) {
 // driver.
 
 struct smr_result {
-  bool ok = false;
-  std::string why;
-  double wall_s = 0;
-  double cmds_per_sec = 0;
-  std::uint64_t completed = 0;
+  keyed_pass run;
   std::uint64_t messages = 0;
   std::uint64_t escalations = 0;
   std::uint64_t view_changes = 0;
   double cmds_per_entry = 0;  ///< realized batching at the leaders
   metrics_snapshot obs;       ///< registry snapshot (telemetry runs only)
-  std::vector<double> latencies_us;
   std::vector<std::uint64_t> prefixes;  ///< converged per-shard prefixes
   /// Freshest applied (value, version) per key after convergence.
-  std::vector<std::pair<reg_value, reg_version>> finals;
-  bool per_key_linearizable = true;
+  std::vector<reg_state> finals;
 };
 
 bool converged(const smr_world& w, std::uint64_t commands) {
@@ -114,72 +107,36 @@ bool converged(const smr_world& w, std::uint64_t commands) {
 }
 
 smr_result run_smr_pass(std::uint64_t seed, const shard_plan& plan,
-                        std::uint64_t ops_per_process, bool check_histories,
-                        streaming_checker* live, std::string* live_why,
-                        bool telemetry = false) {
+                        std::uint64_t ops_per_process,
+                        keyed_checks checks = {}, bool telemetry = false) {
   const auto system = threshold_quorum_system(kN, 2);
   network_options net = consensus_world::partial_sync();
   net.telemetry = telemetry;
   smr_world w(system, fault_plan::none(kN), seed, kKeys,
               engine_options(plan), net);
-  workload_driver<smr_adapter> driver(w.sim, w.adapter(),
-                                      workload(ops_per_process));
-  if (live) {
-    driver.on_issue = [live](const keyed_register_op& rec, std::size_t) {
-      live->on_invoke(rec);
-    };
-    driver.on_complete_op = [live](const keyed_register_op& rec,
-                                   std::size_t idx) {
-      live->on_complete(rec, idx);
-    };
-  }
-
-  smr_result r;
-  driver.launch();
   const sim_time horizon =
       kHorizon *
       static_cast<sim_time>(1 + ops_per_process / kCmdsPerProcess);
-  const auto begin = std::chrono::steady_clock::now();
-  const bool done = w.sim.run_until_condition([&] { return driver.done(); },
-                                              w.sim.now() + horizon);
-  const auto end = std::chrono::steady_clock::now();
-  if (!done) {
-    r.why = "sharded pass did not complete";
-    return r;
-  }
+  smr_result r;
+  r.run = gqs_bench::run_keyed_pass(w.sim, w.adapter(),
+                                    workload(ops_per_process), horizon,
+                                    checks);
+  if (!r.run.ok) return r;
   // Commit broadcasts drain: every replica applies the full log.
   if (!w.sim.run_until_condition(
-          [&] { return converged(w, driver.completed()); },
+          [&] { return converged(w, r.run.completed); },
           w.sim.now() + kQuiesce + horizon)) {
-    r.why = "sharded replicas did not converge";
+    r.run.fail("sharded replicas did not converge");
     return r;
   }
   const auto agreement = check_smr_agreement(w.replicas());
   if (!agreement.linearizable) {
-    r.why = "sharded agreement violated: " + agreement.reason;
+    r.run.fail("sharded agreement violated: " + agreement.reason);
     return r;
   }
-  if (live) {
-    const auto& streamed = live->finish();
-    if (!streamed.linearizable) {
-      *live_why = "streaming checker flagged the run: " + streamed.reason;
-      return r;
-    }
-    if (live->retired_ops() != driver.completed() ||
-        live->active_ops() != 0) {
-      *live_why = "streaming checker failed to retire the drained run";
-      return r;
-    }
-  }
 
-  r.ok = true;
-  r.wall_s = std::chrono::duration<double>(end - begin).count();
-  r.completed = driver.completed();
-  r.cmds_per_sec =
-      r.wall_s > 0 ? static_cast<double>(r.completed) / r.wall_s : 0;
   r.messages = w.sim.metrics().messages_sent;
   if (telemetry) r.obs = w.sim.obs().metrics.snapshot();
-  r.latencies_us = driver.latencies_us();
   std::uint64_t entries = 0, applied_at_leaders = 0;
   for (const auto* node : w.nodes) {
     r.escalations += node->counters().escalations;
@@ -193,30 +150,10 @@ smr_result run_smr_pass(std::uint64_t seed, const shard_plan& plan,
   r.prefixes.reserve(kShards);
   for (std::size_t shard = 0; shard < kShards; ++shard)
     r.prefixes.push_back(w.nodes[0]->applied_prefix(shard));
-  r.finals.reserve(kKeys);
-  for (service_key k = 0; k < kKeys; ++k) {
-    basic_reg_state<reg_value> freshest;
-    for (const auto* node : w.nodes) {
-      const auto& s = node->state_of(k);
-      if (s.version >= freshest.version) freshest = s;
-    }
-    r.finals.emplace_back(freshest.value, freshest.version);
-  }
-  if (check_histories) {
-    keyed_check_options serial, pooled;
-    serial.threads = 1;
-    pooled.threads = 2;
-    const auto l1 = check_keyed_history(driver.history(), kKeys, serial);
-    const auto l2 = check_keyed_history(driver.history(), kKeys, pooled);
-    if (!l1.linearizable) {
-      r.per_key_linearizable = false;
-      r.why = l1.reason;
-    } else if (l1.linearizable != l2.linearizable ||
-               l1.reason != l2.reason || l1.per_key_ops != l2.per_key_ops) {
-      r.per_key_linearizable = false;
-      r.why = "keyed checker fan-out differs across thread counts";
-    }
-  }
+  r.finals = gqs_bench::freshest_finals(
+      w.nodes, kKeys, [](const smr_service& n, service_key k) -> const reg_state& {
+        return n.state_of(k);
+      });
   return r;
 }
 
@@ -251,13 +188,11 @@ traced_result run_traced_pass(std::uint64_t seed, const shard_plan& plan) {
   net.sample_period = 5000;  // one gauge sample every 5 simulated ms
   smr_world w(system, fault_plan::none(kN), seed, kKeys,
               engine_options(plan), net);
-  workload_driver<smr_adapter> driver(w.sim, w.adapter(),
-                                      workload(kCmdsPerProcess));
   traced_result r;
-  driver.launch();
-  if (!w.sim.run_until_condition([&] { return driver.done(); },
-                                 w.sim.now() + 4 * kHorizon)) {
-    r.why = "traced pass did not complete";
+  const keyed_pass run = gqs_bench::run_keyed_pass(
+      w.sim, w.adapter(), workload(kCmdsPerProcess), 4 * kHorizon);
+  if (!run.ok) {
+    r.why = "traced pass: " + run.why;
     return r;
   }
   w.sim.run_until(w.sim.now() + kQuiesce);  // commit broadcasts drain
@@ -312,26 +247,11 @@ traced_result run_traced_pass(std::uint64_t seed, const shard_plan& plan) {
   for (const auto& series : o.sampler.all())
     r.sample_points += series.points.size();
   r.ok = true;
-  r.completed = driver.completed();
+  r.completed = run.completed;
   r.spans = spans.size();
   r.obs = o.metrics.snapshot();
   r.timeseries_json = o.sampler.to_json();
   return r;
-}
-
-std::uint64_t client_state_digest(const smr_result& r) {
-  std::uint64_t d = 0xcbf29ce484222325ull;
-  auto mix = [&](std::uint64_t x) {
-    d ^= x;
-    d *= 0x100000001b3ull;
-  };
-  for (const std::uint64_t prefix : r.prefixes) mix(prefix);
-  for (const auto& [value, version] : r.finals) {
-    mix(static_cast<std::uint64_t>(value));
-    mix(version.number);
-    mix(version.writer);
-  }
-  return d;
 }
 
 }  // namespace
@@ -357,67 +277,40 @@ int bench_entry() {
 
   // ---- correctness check (one seed, full history verification) ----
   const smr_result smr_check =
-      run_smr_pass(1, plan, kCmdsPerProcess, true, nullptr, nullptr);
-  if (!smr_check.ok || !smr_check.per_key_linearizable) {
-    std::cerr << "sharded check failed: " << smr_check.why << "\n";
+      run_smr_pass(1, plan, kCmdsPerProcess, {.batch = true});
+  if (!smr_check.run.ok) {
+    std::cerr << "sharded check failed: " << smr_check.run.why << "\n";
     return 1;
   }
   std::uint64_t prefix_total = 0;
   for (const std::uint64_t p : smr_check.prefixes) prefix_total += p;
   std::cout << "check: sharded logs ("
-            << smr_check.completed << " commands, " << prefix_total
+            << smr_check.run.completed << " commands, " << prefix_total
             << " entries) converged, agreement clean, per-key histories "
                "linearizable (1- and 2-thread verdicts identical)\n";
 
   // ---- runner-thread determinism of the sharded mode (telemetry on, so
-  // the registry aggregate is held to the same bit-identity bar) ----
-  auto sharded_cell = [&plan](std::uint64_t seed) {
-    return [&plan, seed] {
-      const smr_result p = run_smr_pass(seed, plan, kCmdsPerProcess, false,
-                                        nullptr, nullptr, /*telemetry=*/true);
-      run_result r;
-      r.ok = p.ok;
-      r.latencies_us = p.latencies_us;
-      r.obs = p.obs;
-      r.stats["completed"] = static_cast<double>(p.completed);
-      r.stats["messages"] = static_cast<double>(p.messages);
-      const std::uint64_t digest = client_state_digest(p);
-      r.stats["digest_hi"] = static_cast<double>(digest >> 32);
-      r.stats["digest_lo"] = static_cast<double>(digest & 0xffffffffull);
-      return r;
-    };
-  };
+  // the registry snapshots are held to the same bit-identity bar) ----
   std::vector<run_spec> det_specs;
   for (std::uint64_t s = 2; s < 5; ++s)
-    det_specs.push_back({"sharded-" + std::to_string(s), sharded_cell(s)});
-  const auto det1 = experiment_runner(1).run_all(det_specs);
-  const auto det2 = experiment_runner(2).run_all(det_specs);
-  const auto det8 = experiment_runner(8).run_all(det_specs);
-  for (const auto* other : {&det2, &det8}) {
-    for (std::size_t i = 0; i < det_specs.size(); ++i) {
-      const run_result& a = det1[i];
-      const run_result& b = (*other)[i];
-      const bool same =
-          a.ok == b.ok && a.latencies_us == b.latencies_us &&
-          a.obs == b.obs && a.obs.digest() == b.obs.digest() &&
-          stat_or(a, "completed") == stat_or(b, "completed") &&
-          stat_or(a, "messages") == stat_or(b, "messages") &&
-          stat_or(a, "digest_hi") == stat_or(b, "digest_hi") &&
-          stat_or(a, "digest_lo") == stat_or(b, "digest_lo");
-      if (!same) {
-        std::cerr << "client-visible results differ across runner thread "
-                     "counts (cell "
-                  << det_specs[i].label << ")\n";
-        return 1;
-      }
-    }
-  }
-  const run_aggregate det_agg = aggregate(det1);
-  if (!(det_agg.obs == aggregate(det2).obs &&
-        det_agg.obs == aggregate(det8).obs)) {
-    std::cerr << "registry aggregates differ across runner thread counts\n";
+    det_specs.push_back({"sharded-" + std::to_string(s), [&plan, s] {
+                           const smr_result p = run_smr_pass(
+                               s, plan, kCmdsPerProcess, {},
+                               /*telemetry=*/true);
+                           run_result r = gqs_bench::grid_cell(
+                               p.run,
+                               gqs_bench::finals_digest(p.finals, p.prefixes));
+                           r.obs = p.obs;
+                           r.stats["messages"] =
+                               static_cast<double>(p.messages);
+                           return r;
+                         }});
+  const determinism_report det = check_determinism(det_specs, {1, 2, 8});
+  if (!det.ok()) {
+    std::cerr << "determinism check failed: " << det.error << "\n";
     return 1;
   }
+  const run_aggregate det_agg = aggregate(det.results);
   std::cout << "determinism: " << det_specs.size()
             << " sharded cells (registry snapshots included) bit-identical "
                "across 1-, 2- and 8-thread runners\n";
@@ -439,15 +332,13 @@ int bench_entry() {
   // ---- raised validation pass (streaming + batch over 200k commands) ----
   const std::uint64_t big_per_proc =
       env_count("GQS_BENCH_BIG_OPS").value_or(25000);
-  streaming_checker live(kKeys);
-  std::string live_why;
   const smr_result big =
-      run_smr_pass(99, plan, big_per_proc, true, &live, &live_why);
-  if (!big.ok || !big.per_key_linearizable) {
-    std::cerr << "raised validation failed: " << big.why << live_why << "\n";
+      run_smr_pass(99, plan, big_per_proc, {.stream = true, .batch = true});
+  if (!big.run.ok) {
+    std::cerr << "raised validation failed: " << big.run.why << "\n";
     return 1;
   }
-  std::cout << "validation at scale: " << fmt_count(big.completed)
+  std::cout << "validation at scale: " << fmt_count(big.run.completed)
             << " commands checked live (streaming) and in batch; realized "
                "batching "
             << fmt_double(big.cmds_per_entry, 1) << " commands/entry\n";
@@ -456,39 +347,39 @@ int bench_entry() {
   smr_result best_smr;
   for (int rep = 0; rep < kReps; ++rep) {
     smr_result s = run_smr_pass(7 + static_cast<std::uint64_t>(rep), plan,
-                                kCmdsPerProcess, false, nullptr, nullptr);
-    if (!s.ok) {
-      std::cerr << "measurement pass failed: " << s.why << "\n";
+                                kCmdsPerProcess);
+    if (!s.run.ok) {
+      std::cerr << "measurement pass failed: " << s.run.why << "\n";
       return 1;
     }
-    if (!best_smr.ok || s.cmds_per_sec > best_smr.cmds_per_sec)
+    if (!best_smr.run.ok || s.run.ops_per_sec > best_smr.run.ops_per_sec)
       best_smr = std::move(s);
   }
 
   const double smr_msgs =
       static_cast<double>(best_smr.messages) /
-      static_cast<double>(best_smr.completed);
-  const sample_summary smr_lat = summarize(best_smr.latencies_us);
+      static_cast<double>(best_smr.run.completed);
+  const sample_summary smr_lat = summarize(best_smr.run.latencies_us);
 
   text_table t({"engine", "cmds/sec", "msgs/cmd", "commit p50/p99 ms",
                 "escalations"});
   t.add_row({"sharded + pipelined",
-             fmt_count(static_cast<std::uint64_t>(best_smr.cmds_per_sec)),
+             fmt_count(static_cast<std::uint64_t>(best_smr.run.ops_per_sec)),
              fmt_double(smr_msgs, 1),
              fmt_double(smr_lat.p50 / 1000, 1) + " / " +
                  fmt_double(smr_lat.p99 / 1000, 1),
              fmt_count(best_smr.escalations)});
   t.print();
 
-  gqs_bench::record("smr_commands_per_sec", best_smr.cmds_per_sec);
+  gqs_bench::record("smr_commands_per_sec", best_smr.run.ops_per_sec);
   gqs_bench::record("smr_msgs_per_command", smr_msgs);
   gqs_bench::record("commit_p50_us", smr_lat.p50);
   gqs_bench::record("commit_p99_us", smr_lat.p99);
   gqs_bench::record("commands_per_entry", best_smr.cmds_per_entry);
   gqs_bench::record("escalations", best_smr.escalations);
   gqs_bench::record("view_changes", best_smr.view_changes);
-  gqs_bench::record("workload_commands", best_smr.completed);
-  gqs_bench::record("validated_commands", big.completed);
+  gqs_bench::record("workload_commands", best_smr.run.completed);
+  gqs_bench::record("validated_commands", big.run.completed);
   gqs_bench::record("trace_spans", static_cast<std::uint64_t>(traced.spans));
   gqs_bench::record("trace_slots_decomposed",
                     static_cast<std::uint64_t>(traced.slots_decomposed));

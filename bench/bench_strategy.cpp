@@ -36,24 +36,22 @@
 #include "bench_main.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/factories.hpp"
-#include "lincheck/history_checker.hpp"
+#include "keyed_pass.hpp"
 #include "register/keyed_register.hpp"
-#include "sim/runner.hpp"
-#include "sim/transport.hpp"
 #include "strategy/planner.hpp"
 #include "strategy/selector.hpp"
-#include "workload/clients.hpp"
 #include "workload/table.hpp"
+#include "workload/worlds.hpp"
 
 namespace {
 
 using namespace gqs;
+using gqs_bench::keyed_checks;
+using gqs_bench::keyed_pass;
 
 constexpr process_id kN = 8;
 constexpr service_key kKeys = 256;
@@ -63,12 +61,12 @@ constexpr sim_time kHorizon = 600L * 1000 * 1000;
 constexpr sim_time kQuiesce = 200000;
 constexpr std::uint64_t kSelectorSeed = 0x5742;
 
-client_workload_options workload() {
+client_workload_options workload(std::uint64_t ops_per_process) {
   client_workload_options opts;
   opts.keys = kKeys;
   opts.zipf_theta = 0.99;
   opts.read_ratio = 0.5;
-  opts.ops_per_process = kOpsPerProcess;
+  opts.ops_per_process = ops_per_process;
   opts.inflight_window = 8;  // deep pipeline: gossip amortizes over more
                              // ops, so the op-path difference dominates
   opts.partition_writes = true;
@@ -82,166 +80,53 @@ plan_result make_plan() {
   return plan_optimal(threshold_quorum_system(kN, 2), options);
 }
 
-struct pass_result {
-  bool ok = false;
-  std::string why;
-  double wall_s = 0;
-  double ops_per_sec = 0;
-  std::uint64_t completed = 0;
+struct strategy_pass {
+  keyed_pass run;
   std::uint64_t messages = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t max_queue_depth = 0;
   std::uint64_t escalations = 0;
-  std::vector<double> latencies_us;
   std::vector<std::uint64_t> quorum_hits;  // realized targeting, summed
   /// Freshest (value, version) per key across all replicas after quiesce
   /// (targeted SETs install only at sampled members by design).
-  std::vector<std::pair<reg_value, reg_version>> finals;
-  bool per_key_linearizable = true;
+  std::vector<reg_state> finals;
 };
 
-pass_result run_pass(std::uint64_t seed, selector_ptr selector,
-                     bool check_histories) {
+/// One pass of the keyed workload through the quorum service, broadcast
+/// (null selector) or targeted, then a gossip quiesce.
+strategy_pass run_strategy(std::uint64_t seed, selector_ptr selector,
+                           keyed_checks checks = {},
+                           const network_options& net = {},
+                           std::uint64_t ops_per_process = kOpsPerProcess,
+                           sim_time horizon = kHorizon) {
   const auto system = threshold_quorum_system(kN, 2);
   service_options options;
   options.selector = std::move(selector);
-  simulation sim(kN, network_options{}, fault_plan::none(kN), seed);
-  std::vector<keyed_register_node*> nodes;
-  for (process_id p = 0; p < kN; ++p) {
-    auto comp = std::make_unique<keyed_register_node>(
-        kKeys, quorum_config::of(system), options);
-    nodes.push_back(comp.get());
-    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-  }
-  sim.start();
-  sim.run_until(0);
-  keyed_node_adapter<keyed_register_node> adapter{nodes};
-  workload_driver<keyed_node_adapter<keyed_register_node>> driver(
-      sim, std::move(adapter), workload());
-
-  pass_result r;
-  driver.launch();
-  const auto begin = std::chrono::steady_clock::now();
-  const bool done = sim.run_until_condition([&] { return driver.done(); },
-                                            sim.now() + kHorizon);
-  const auto end = std::chrono::steady_clock::now();
-  if (!done) {
-    r.why = "workload did not complete";
-    return r;
-  }
-  sim.run_until(sim.now() + kQuiesce);
-  r.ok = true;
-  r.wall_s = std::chrono::duration<double>(end - begin).count();
-  r.completed = driver.completed();
-  r.ops_per_sec =
-      r.wall_s > 0 ? static_cast<double>(r.completed) / r.wall_s : 0;
-  r.messages = sim.metrics().messages_sent;
-  r.latencies_us = driver.latencies_us();
+  component_world<keyed_register_node> w(kN, fault_plan::none(kN), seed, net,
+                                         kKeys, quorum_config::of(system),
+                                         options);
+  strategy_pass r;
+  r.run = gqs_bench::run_keyed_pass(
+      w.sim, keyed_node_adapter<keyed_register_node>{w.nodes},
+      workload(ops_per_process), horizon, checks);
+  if (!r.run.ok) return r;
+  w.sim.run_until(w.sim.now() + kQuiesce);
+  const sim_metrics& m = w.sim.metrics();
+  r.messages = m.messages_sent;
+  r.bytes_sent = m.bytes_sent;
+  r.max_queue_depth = m.max_link_queue_depth;
   r.quorum_hits.assign(kN, 0);
-  for (const keyed_register_node* n : nodes) {
+  for (const keyed_register_node* n : w.nodes) {
     r.escalations += n->counters().escalations;
     const auto& hits = n->per_process_quorum_hits();
     for (process_id p = 0; p < hits.size(); ++p) r.quorum_hits[p] += hits[p];
   }
-  r.finals.reserve(kKeys);
-  for (service_key k = 0; k < kKeys; ++k) {
-    basic_reg_state<reg_value> freshest;
-    for (process_id p = 0; p < kN; ++p) {
-      const auto& s = nodes[p]->local_state(k);
-      if (s.version >= freshest.version) freshest = s;
-    }
-    r.finals.emplace_back(freshest.value, freshest.version);
-  }
-  if (check_histories) {
-    // Full keyed history through the scalable checker, serial and
-    // experiment_runner fan-out — the two must agree bit-for-bit.
-    keyed_check_options serial, pooled;
-    serial.threads = 1;
-    pooled.threads = 2;
-    const auto l1 = check_keyed_history(driver.history(), kKeys, serial);
-    const auto l2 = check_keyed_history(driver.history(), kKeys, pooled);
-    if (!l1.linearizable) {
-      r.per_key_linearizable = false;
-      r.why = l1.reason;
-    } else if (l1.linearizable != l2.linearizable ||
-               l1.reason != l2.reason || l1.per_key_ops != l2.per_key_ops) {
-      r.per_key_linearizable = false;
-      r.why = "keyed checker fan-out differs across thread counts";
-    }
-  }
+  r.finals = gqs_bench::freshest_finals(
+      w.nodes, kKeys,
+      [](const keyed_register_node& n, service_key k) -> const reg_state& {
+        return n.local_state(k);
+      });
   return r;
-}
-
-/// The raised validation pass: the targeted mode at GQS_BENCH_BIG_OPS
-/// ops per process (default 125k x 8 = 10^6 total), with the streaming
-/// checker live off the driver hooks during the run and the batch keyed
-/// fan-out over the full history afterwards.
-bool big_targeted_validation(const plan_result& plan,
-                             std::uint64_t ops_per_process,
-                             std::uint64_t& checked_ops,
-                             std::size_t& peak_window, std::string& why) {
-  const auto system = threshold_quorum_system(kN, 2);
-  service_options options;
-  options.selector =
-      std::make_shared<const quorum_selector>(plan.strategy, kSelectorSeed);
-  simulation sim(kN, network_options{}, fault_plan::none(kN), 99);
-  std::vector<keyed_register_node*> nodes;
-  for (process_id p = 0; p < kN; ++p) {
-    auto comp = std::make_unique<keyed_register_node>(
-        kKeys, quorum_config::of(system), options);
-    nodes.push_back(comp.get());
-    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-  }
-  sim.start();
-  sim.run_until(0);
-  keyed_node_adapter<keyed_register_node> adapter{nodes};
-  client_workload_options opts = workload();
-  opts.ops_per_process = ops_per_process;
-  workload_driver<keyed_node_adapter<keyed_register_node>> driver(
-      sim, std::move(adapter), opts);
-
-  streaming_checker live(kKeys);
-  driver.on_issue = [&](const keyed_register_op& rec, std::size_t) {
-    live.on_invoke(rec);
-  };
-  driver.on_complete_op = [&](const keyed_register_op& rec,
-                              std::size_t idx) {
-    live.on_complete(rec, idx);
-    peak_window = std::max(peak_window, live.active_ops());
-  };
-
-  driver.launch();
-  const sim_time horizon =
-      kHorizon *
-      static_cast<sim_time>(1 + ops_per_process / kOpsPerProcess);
-  if (!sim.run_until_condition([&] { return driver.done(); },
-                               sim.now() + horizon)) {
-    why = "raised validation run did not complete";
-    return false;
-  }
-  const auto& streamed = live.finish();
-  if (!streamed.linearizable) {
-    why = "streaming checker flagged the targeted run: " + streamed.reason;
-    return false;
-  }
-  if (live.retired_ops() != driver.completed() || live.active_ops() != 0) {
-    why = "streaming checker failed to retire the drained run";
-    return false;
-  }
-  keyed_check_options serial, pooled;
-  serial.threads = 1;
-  pooled.threads = 2;
-  const auto l1 = check_keyed_history(driver.history(), kKeys, serial);
-  const auto l2 = check_keyed_history(driver.history(), kKeys, pooled);
-  if (!l1.linearizable) {
-    why = "batch check flagged the targeted run: " + l1.reason;
-    return false;
-  }
-  if (l1.linearizable != l2.linearizable || l1.reason != l2.reason ||
-      l1.per_key_ops != l2.per_key_ops) {
-    why = "keyed checker fan-out differs across thread counts";
-    return false;
-  }
-  checked_ops = driver.completed();
-  return true;
 }
 
 selector_ptr bench_selector(const plan_result& plan) {
@@ -288,66 +173,6 @@ std::vector<double> congested_service_rates() {
   return mu;
 }
 
-struct congested_pass_result {
-  bool ok = false;
-  std::string why;
-  std::uint64_t completed = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t max_queue_depth = 0;
-  std::vector<double> latencies_us;
-};
-
-congested_pass_result congested_pass(std::uint64_t seed,
-                                     selector_ptr selector) {
-  const auto system = threshold_quorum_system(kN, 2);
-  service_options options;
-  options.selector = std::move(selector);
-  simulation sim(kN, congested_network(), fault_plan::none(kN), seed);
-  std::vector<keyed_register_node*> nodes;
-  for (process_id p = 0; p < kN; ++p) {
-    auto comp = std::make_unique<keyed_register_node>(
-        kKeys, quorum_config::of(system), options);
-    nodes.push_back(comp.get());
-    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-  }
-  sim.start();
-  sim.run_until(0);
-  keyed_node_adapter<keyed_register_node> adapter{nodes};
-  workload_driver<keyed_node_adapter<keyed_register_node>> driver(
-      sim, std::move(adapter), workload());
-
-  congested_pass_result r;
-  driver.launch();
-  if (!sim.run_until_condition([&] { return driver.done(); },
-                               sim.now() + kHorizon)) {
-    r.why = "congested workload did not complete";
-    return r;
-  }
-  sim.run_until(sim.now() + kQuiesce);
-  r.ok = true;
-  r.completed = driver.completed();
-  r.messages = sim.metrics().messages_sent;
-  r.bytes_sent = sim.metrics().bytes_sent;
-  r.max_queue_depth = sim.metrics().max_link_queue_depth;
-  r.latencies_us = driver.latencies_us();
-  return r;
-}
-
-std::uint64_t finals_digest(const pass_result& r) {
-  std::uint64_t d = 0xcbf29ce484222325ull;
-  auto mix = [&](std::uint64_t x) {
-    d ^= x;
-    d *= 0x100000001b3ull;
-  };
-  for (const auto& [value, version] : r.finals) {
-    mix(static_cast<std::uint64_t>(value));
-    mix(version.number);
-    mix(version.writer);
-  }
-  return d;
-}
-
 }  // namespace
 
 int bench_entry() {
@@ -368,18 +193,15 @@ int bench_entry() {
             << fmt_double(broadcast_network_cost(kN), 0) << "\n";
 
   // ---- correctness cross-check (one seed, full history verification) ----
-  const pass_result bc = run_pass(1, nullptr, true);
-  const pass_result tg = run_pass(1, bench_selector(plan), true);
-  if (!bc.ok || !tg.ok) {
-    std::cerr << "cross-check run failed: " << bc.why << tg.why << "\n";
-    return 1;
-  }
-  if (!bc.per_key_linearizable || !tg.per_key_linearizable) {
-    std::cerr << "per-key linearizability violated: " << bc.why << tg.why
+  const strategy_pass bc = run_strategy(1, nullptr, {.batch = true});
+  const strategy_pass tg =
+      run_strategy(1, bench_selector(plan), {.batch = true});
+  if (!bc.run.ok || !tg.run.ok) {
+    std::cerr << "cross-check run failed: " << bc.run.why << tg.run.why
               << "\n";
     return 1;
   }
-  if (bc.completed != tg.completed) {
+  if (bc.run.completed != tg.run.completed) {
     std::cerr << "op counts diverge between modes\n";
     return 1;
   }
@@ -389,44 +211,26 @@ int bench_entry() {
                 << " diverges between modes\n";
       return 1;
     }
-  std::cout << "cross-check: " << bc.completed
+  std::cout << "cross-check: " << bc.run.completed
             << " ops per mode, identical final states on all " << kKeys
             << " keys, all per-key histories linearizable\n";
 
   // ---- runner-thread determinism of the targeted mode ----
-  auto targeted_cell = [&plan](std::uint64_t seed) {
-    return [&plan, seed] {
-      const pass_result p = run_pass(seed, bench_selector(plan), false);
-      run_result r;
-      r.ok = p.ok;
-      r.latencies_us = p.latencies_us;
-      r.stats["completed"] = static_cast<double>(p.completed);
-      r.stats["messages"] = static_cast<double>(p.messages);
-      const std::uint64_t digest = finals_digest(p);
-      r.stats["digest_hi"] = static_cast<double>(digest >> 32);
-      r.stats["digest_lo"] = static_cast<double>(digest & 0xffffffffull);
-      return r;
-    };
-  };
   std::vector<run_spec> det_specs;
   for (std::uint64_t s = 2; s < 5; ++s)
-    det_specs.push_back({"targeted-" + std::to_string(s), targeted_cell(s)});
-  const auto det1 = experiment_runner(1).run_all(det_specs);
-  const auto det2 = experiment_runner(2).run_all(det_specs);
-  for (std::size_t i = 0; i < det_specs.size(); ++i) {
-    const bool same =
-        det1[i].ok == det2[i].ok &&
-        det1[i].latencies_us == det2[i].latencies_us &&
-        stat_or(det1[i], "completed") == stat_or(det2[i], "completed") &&
-        stat_or(det1[i], "messages") == stat_or(det2[i], "messages") &&
-        stat_or(det1[i], "digest_hi") == stat_or(det2[i], "digest_hi") &&
-        stat_or(det1[i], "digest_lo") == stat_or(det2[i], "digest_lo");
-    if (!same) {
-      std::cerr << "client-visible results differ across runner thread "
-                   "counts (cell "
-                << det_specs[i].label << ")\n";
-      return 1;
-    }
+    det_specs.push_back({"targeted-" + std::to_string(s), [&plan, s] {
+                           const strategy_pass p =
+                               run_strategy(s, bench_selector(plan));
+                           run_result r = gqs_bench::grid_cell(
+                               p.run, gqs_bench::finals_digest(p.finals));
+                           r.stats["messages"] =
+                               static_cast<double>(p.messages);
+                           return r;
+                         }});
+  const determinism_report det = check_determinism(det_specs, {1, 2});
+  if (!det.ok()) {
+    std::cerr << "determinism check failed: " << det.error << "\n";
+    return 1;
   }
   std::cout << "determinism: " << det_specs.size()
             << " targeted cells bit-identical across 1- and 2-thread "
@@ -435,38 +239,41 @@ int bench_entry() {
   // ---- raised validation pass (streaming + batch over 10^6 ops) ----
   const std::uint64_t big_per_proc =
       env_count("GQS_BENCH_BIG_OPS").value_or(125000);
-  std::uint64_t validated_ops = 0;
-  std::size_t validated_peak = 0;
-  std::string big_why;
-  if (!big_targeted_validation(plan, big_per_proc, validated_ops,
-                               validated_peak, big_why)) {
-    std::cerr << "raised validation failed: " << big_why << "\n";
+  const keyed_pass big =
+      run_strategy(99, bench_selector(plan), {.stream = true, .batch = true},
+                   {}, big_per_proc,
+                   kHorizon * static_cast<sim_time>(
+                                  1 + big_per_proc / kOpsPerProcess))
+          .run;
+  if (!big.ok) {
+    std::cerr << "raised validation failed: " << big.why << "\n";
     return 1;
   }
-  std::cout << "validation at scale: " << fmt_count(validated_ops)
+  std::cout << "validation at scale: " << fmt_count(big.completed)
             << " targeted ops checked live (peak window "
-            << fmt_count(validated_peak) << " ops) and in batch\n";
+            << fmt_count(big.peak_window) << " ops) and in batch\n";
 
   // ---- messages/op and throughput (best-of passes, interleaved) ----
   // Throughput is best-of; messages/op sums every pass, so it is a pure
   // function of the seeds rather than of which pass ran fastest.
-  pass_result best_bc, best_tg;
+  strategy_pass best_bc, best_tg;
   double bc_msgs = 0, bc_ops = 0, tg_msgs = 0, tg_ops = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     const std::uint64_t seed = 7 + static_cast<std::uint64_t>(rep);
-    pass_result b = run_pass(seed, nullptr, false);
-    pass_result t = run_pass(seed, bench_selector(plan), false);
-    if (!b.ok || !t.ok) {
-      std::cerr << "measurement pass failed\n";
+    strategy_pass b = run_strategy(seed, nullptr);
+    strategy_pass t = run_strategy(seed, bench_selector(plan));
+    if (!b.run.ok || !t.run.ok) {
+      std::cerr << "measurement pass failed: " << b.run.why << t.run.why
+                << "\n";
       return 1;
     }
     bc_msgs += static_cast<double>(b.messages);
-    bc_ops += static_cast<double>(b.completed);
+    bc_ops += static_cast<double>(b.run.completed);
     tg_msgs += static_cast<double>(t.messages);
-    tg_ops += static_cast<double>(t.completed);
-    if (!best_bc.ok || b.ops_per_sec > best_bc.ops_per_sec)
+    tg_ops += static_cast<double>(t.run.completed);
+    if (!best_bc.run.ok || b.run.ops_per_sec > best_bc.run.ops_per_sec)
       best_bc = std::move(b);
-    if (!best_tg.ok || t.ops_per_sec > best_tg.ops_per_sec)
+    if (!best_tg.run.ok || t.run.ops_per_sec > best_tg.run.ops_per_sec)
       best_tg = std::move(t);
   }
 
@@ -500,18 +307,18 @@ int bench_entry() {
                           plan.strategy.writes.member_probability(p)));
   }
 
-  const sample_summary bc_lat = summarize(best_bc.latencies_us);
-  const sample_summary tg_lat = summarize(best_tg.latencies_us);
+  const sample_summary bc_lat = summarize(best_bc.run.latencies_us);
+  const sample_summary tg_lat = summarize(best_tg.run.latencies_us);
 
   text_table t({"mode", "msgs/op", "ops/sec", "latency p50/p95 ms",
                 "escalations"});
   t.add_row({"broadcast", fmt_double(bc_msgs_per_op, 1),
-             fmt_count(static_cast<std::uint64_t>(best_bc.ops_per_sec)),
+             fmt_count(static_cast<std::uint64_t>(best_bc.run.ops_per_sec)),
              fmt_double(bc_lat.p50 / 1000, 1) + " / " +
                  fmt_double(bc_lat.p95 / 1000, 1),
              fmt_count(best_bc.escalations)});
   t.add_row({"targeted (optimal strategy)", fmt_double(tg_msgs_per_op, 1),
-             fmt_count(static_cast<std::uint64_t>(best_tg.ops_per_sec)),
+             fmt_count(static_cast<std::uint64_t>(best_tg.run.ops_per_sec)),
              fmt_double(tg_lat.p50 / 1000, 1) + " / " +
                  fmt_double(tg_lat.p95 / 1000, 1),
              fmt_count(best_tg.escalations)});
@@ -668,15 +475,17 @@ int bench_entry() {
   std::uint64_t blind_msgs = 0, aware_msgs = 0, blind_ops = 0, aware_ops = 0;
   std::uint64_t peak_queue = 0;
   for (std::uint64_t seed = 31; seed < 33; ++seed) {
-    congested_pass_result blind = congested_pass(seed, bench_selector(plan));
-    congested_pass_result aware =
-        congested_pass(seed, strategy_selector(aware_plan.strategy));
-    if (!blind.ok || !aware.ok) {
-      std::cerr << "congested pass failed: " << blind.why << aware.why
-                << "\n";
+    const strategy_pass blind =
+        run_strategy(seed, bench_selector(plan), {}, congested_network());
+    const strategy_pass aware =
+        run_strategy(seed, strategy_selector(aware_plan.strategy), {},
+                     congested_network());
+    if (!blind.run.ok || !aware.run.ok) {
+      std::cerr << "congested pass failed: " << blind.run.why
+                << aware.run.why << "\n";
       return 1;
     }
-    if (blind.completed != aware.completed) {
+    if (blind.run.completed != aware.run.completed) {
       std::cerr << "congested op counts diverge between plans\n";
       return 1;
     }
@@ -684,14 +493,14 @@ int bench_entry() {
       std::cerr << "channel layer saw no traffic — congestion not active\n";
       return 1;
     }
-    blind_lats.insert(blind_lats.end(), blind.latencies_us.begin(),
-                      blind.latencies_us.end());
-    aware_lats.insert(aware_lats.end(), aware.latencies_us.begin(),
-                      aware.latencies_us.end());
+    blind_lats.insert(blind_lats.end(), blind.run.latencies_us.begin(),
+                      blind.run.latencies_us.end());
+    aware_lats.insert(aware_lats.end(), aware.run.latencies_us.begin(),
+                      aware.run.latencies_us.end());
     blind_msgs += blind.messages;
     aware_msgs += aware.messages;
-    blind_ops += blind.completed;
-    aware_ops += aware.completed;
+    blind_ops += blind.run.completed;
+    aware_ops += aware.run.completed;
     peak_queue = std::max({peak_queue, blind.max_queue_depth,
                            aware.max_queue_depth});
   }
@@ -732,8 +541,8 @@ int bench_entry() {
   gqs_bench::record("message_reduction", reduction);
   gqs_bench::record("broadcast_msgs_per_op", bc_msgs_per_op);
   gqs_bench::record("targeted_msgs_per_op", tg_msgs_per_op);
-  gqs_bench::record("broadcast_ops_per_sec", best_bc.ops_per_sec);
-  gqs_bench::record("targeted_ops_per_sec", best_tg.ops_per_sec);
+  gqs_bench::record("broadcast_ops_per_sec", best_bc.run.ops_per_sec);
+  gqs_bench::record("targeted_ops_per_sec", best_tg.run.ops_per_sec);
   gqs_bench::record("targeted_escalations", best_tg.escalations);
   gqs_bench::record("load_imbalance_max_over_mean", imbalance);
   gqs_bench::record("planner_weighted_load", plan.weighted_load);
@@ -745,10 +554,10 @@ int bench_entry() {
   gqs_bench::record("latency_p99_us", tg_lat.p99);
   gqs_bench::record("latency_max_us", tg_lat.max);
   gqs_bench::record("workload_keys", static_cast<std::uint64_t>(kKeys));
-  gqs_bench::record("workload_ops", best_tg.completed);
-  gqs_bench::record("validated_ops", validated_ops);
+  gqs_bench::record("workload_ops", best_tg.run.completed);
+  gqs_bench::record("validated_ops", big.completed);
   gqs_bench::record("validated_peak_window",
-                    static_cast<std::uint64_t>(validated_peak));
+                    static_cast<std::uint64_t>(big.peak_window));
 
   if (reduction <= 1.0) {
     std::cerr << "message reduction " << fmt_double(reduction, 2)

@@ -99,7 +99,6 @@ class consensus_node : public component {
     std::optional<value_type> val;  // nullopt = ⊥
     msg_1b(std::uint64_t v, std::uint64_t av, std::optional<value_type> x)
         : view(v), aview(av), val(x) {}
-    std::string debug_name() const override { return "1B"; }
     std::size_t wire_size() const override {
       return 16 + (val ? sizeof(value_type) : 0);
     }
@@ -108,7 +107,6 @@ class consensus_node : public component {
     std::uint64_t view;
     value_type x;
     msg_2a(std::uint64_t v, value_type value) : view(v), x(value) {}
-    std::string debug_name() const override { return "2A"; }
     std::size_t wire_size() const override {
       return 8 + sizeof(value_type);
     }
@@ -117,7 +115,6 @@ class consensus_node : public component {
     std::uint64_t view;
     value_type x;
     msg_2b(std::uint64_t v, value_type value) : view(v), x(value) {}
-    std::string debug_name() const override { return "2B"; }
     std::size_t wire_size() const override {
       return 8 + sizeof(value_type);
     }

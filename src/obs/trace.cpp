@@ -6,24 +6,6 @@
 
 namespace gqs {
 
-const char* trace_recorder::kind_name(trace_event::kind k) {
-  switch (k) {
-    case trace_event::kind::send:
-      return "net.send";
-    case trace_event::kind::deliver:
-      return "net.deliver";
-    case trace_event::kind::drop_channel:
-      return "net.drop_channel";
-    case trace_event::kind::drop_crashed:
-      return "net.drop_crashed";
-    case trace_event::kind::drop_queue:
-      return "net.drop_queue";
-    case trace_event::kind::timer:
-      return "net.timer";
-  }
-  return "net.unknown";
-}
-
 span_ref trace_recorder::begin_span(std::string name, std::string category,
                                     process_id process, span_ref parent,
                                     sim_time at) {
@@ -61,14 +43,6 @@ span_ref trace_recorder::span(std::string name, std::string category,
       begin_span(std::move(name), std::move(category), process, parent, start);
   end_span(s, end);
   return s;
-}
-
-void trace_recorder::network_event(const trace_event& ev, span_ref parent) {
-  if (sink_) sink_(ev);
-  if (!recording_) return;
-  const process_id at_process =
-      ev.what == trace_event::kind::deliver ? ev.to : ev.from;
-  leaf(kind_name(ev.what), "net", at_process, parent, ev.at);
 }
 
 void trace_recorder::finalize(sim_time at) {

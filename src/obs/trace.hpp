@@ -1,22 +1,16 @@
 // trace.hpp — causal operation tracing for the simulator.
 //
-// Two layers share this file:
-//
-//   * the legacy network event stream (`trace_event` / `trace_sink`),
-//     which used to live in sim/simulation.hpp: one flat record per
-//     send/deliver/drop/timer, pushed synchronously into a caller sink;
-//   * causal spans: named intervals of simulated time with a parent link
-//     (`span_ref` = trace id + span id), opened and closed by the
-//     protocol layers (quorum_service flush groups, smr_service
-//     phase/commit rounds, the channel layer's queueing/serialization)
-//     and carried across processes ON the messages themselves
-//     (message::trace_span, copied into flooding envelopes and mux
-//     wrappers), so a receiver attaches its work to the sender's span.
-//
-// Both feed one `trace_recorder`: network events are forwarded to the
-// legacy sink (if any) AND recorded as leaf events of the span layer when
-// recording — one pipeline, two consumers. The recorder's output is
-// Chrome trace-event JSON ("X" complete events, microsecond timestamps),
+// Causal spans: named intervals of simulated time with a parent link
+// (`span_ref` = trace id + span id), opened and closed by the protocol
+// layers (quorum_service flush groups, smr_service phase/commit rounds,
+// the channel layer's queueing/serialization) and carried across
+// processes ON the messages themselves (message::trace_span, copied into
+// flooding envelopes and mux wrappers), so a receiver attaches its work
+// to the sender's span. The simulator adds one "net"-category leaf per
+// network event (net.send / net.deliver / net.drop_channel /
+// net.drop_crashed / net.drop_queue / net.timer), attached to the
+// message's span when it was stamped. The recorder's output is Chrome
+// trace-event JSON ("X" complete events, microsecond timestamps),
 // loadable directly in Perfetto.
 //
 // Span ids are plain counters, so a recorded trace is a pure function of
@@ -29,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,29 +31,6 @@
 namespace gqs {
 
 using process_id = std::uint32_t;  // matches graph/process_set.hpp
-
-/// One network-level event for tracing/debugging.
-struct trace_event {
-  enum class kind {
-    send,            ///< message put on a channel
-    deliver,         ///< message handed to a live receiver
-    drop_channel,    ///< send on a disconnected channel
-    drop_crashed,    ///< delivery to a crashed receiver
-    drop_queue,      ///< send into a full link queue (bandwidth model)
-    timer,           ///< timer fired at a live process
-  };
-  kind what = kind::send;
-  sim_time at = 0;
-  process_id from = 0;
-  process_id to = 0;
-  std::string label;  ///< message::debug_name(), empty for timers
-
-  bool operator==(const trace_event&) const = default;
-};
-
-/// Receives every trace_event as it happens. Keep it cheap: it runs inside
-/// the event loop.
-using trace_sink = std::function<void(const trace_event&)>;
 
 /// Reference to a span: carried on messages so receivers can attach their
 /// work to the sender's causal context. id 0 = "no span".
@@ -87,20 +57,12 @@ struct span_rec {
   bool operator==(const span_rec&) const = default;
 };
 
-/// Span recorder + legacy-sink dispatcher of one simulation.
+/// Span recorder of one simulation.
 class trace_recorder {
  public:
-  /// True iff anyone consumes network events (sink installed or spans
-  /// recording) — the simulator's single hot-path guard.
-  bool active() const noexcept {
-    return recording_ || static_cast<bool>(sink_);
-  }
-
+  /// The simulator's single hot-path guard for network-event leaves.
   bool recording() const noexcept { return recording_; }
   void start_recording() noexcept { recording_ = true; }
-
-  /// Installs (or clears, with nullptr) the legacy network-event sink.
-  void set_event_sink(trace_sink sink) { sink_ = std::move(sink); }
 
   std::uint32_t trace_id() const noexcept { return trace_id_; }
 
@@ -119,11 +81,6 @@ class trace_recorder {
   span_ref span(std::string name, std::string category, process_id process,
                 span_ref parent, sim_time start, sim_time end);
 
-  /// One network event: forwarded to the legacy sink, and — when
-  /// recording — appended as a leaf of the span layer, attached to the
-  /// message's span (`parent`) when the message was stamped.
-  void network_event(const trace_event& ev, span_ref parent);
-
   /// Closes every still-open span (at `at`, or at its latest child) and
   /// widens parents to cover their children. Call once, after the run.
   void finalize(sim_time at);
@@ -138,10 +95,7 @@ class trace_recorder {
   bool write_chrome_json(const std::string& path) const;
 
  private:
-  static const char* kind_name(trace_event::kind k);
-
   bool recording_ = false;
-  trace_sink sink_;
   std::uint32_t trace_id_ = 1;
   std::vector<span_rec> spans_;  // spans_[id - 1]
 };

@@ -71,14 +71,12 @@ class classical_qaf : public quorum_access<S> {
   struct get_req : message {
     std::uint64_t seq;
     explicit get_req(std::uint64_t k) : seq(k) {}
-    std::string debug_name() const override { return "GET_REQ"; }
     std::size_t wire_size() const override { return 16; }
   };
   struct get_resp : message {
     std::uint64_t seq;
     S state;
     get_resp(std::uint64_t k, S s) : seq(k), state(std::move(s)) {}
-    std::string debug_name() const override { return "GET_RESP"; }
     std::size_t wire_size() const override { return 8 + sizeof(S); }
   };
   struct set_req : message {
@@ -86,12 +84,10 @@ class classical_qaf : public quorum_access<S> {
     typename quorum_access<S>::update_fn update;
     set_req(std::uint64_t k, typename quorum_access<S>::update_fn u)
         : seq(k), update(std::move(u)) {}
-    std::string debug_name() const override { return "SET_REQ"; }
   };
   struct set_resp : message {
     std::uint64_t seq;
     explicit set_resp(std::uint64_t k) : seq(k) {}
-    std::string debug_name() const override { return "SET_RESP"; }
   };
 
   struct pending_get {

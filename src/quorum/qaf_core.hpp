@@ -286,31 +286,26 @@ class push_qaf : public quorum_access<S> {
     S state;
     std::uint64_t clock;
     gossip(S s, std::uint64_t c) : state(std::move(s)), clock(c) {}
-    std::string debug_name() const override { return "GET_RESP"; }
   };
   struct clock_req : message {
     std::uint64_t seq;
     explicit clock_req(std::uint64_t k) : seq(k) {}
-    std::string debug_name() const override { return "CLOCK_REQ"; }
   };
   struct clock_resp : message {
     std::uint64_t seq;
     std::uint64_t clock;
     clock_resp(std::uint64_t k, std::uint64_t c) : seq(k), clock(c) {}
-    std::string debug_name() const override { return "CLOCK_RESP"; }
   };
   struct set_req : message {
     std::uint64_t seq;
     typename quorum_access<S>::update_fn update;
     set_req(std::uint64_t k, typename quorum_access<S>::update_fn u)
         : seq(k), update(std::move(u)) {}
-    std::string debug_name() const override { return "SET_REQ"; }
   };
   struct set_resp : message {
     std::uint64_t seq;
     std::uint64_t clock;
     set_resp(std::uint64_t k, std::uint64_t c) : seq(k), clock(c) {}
-    std::string debug_name() const override { return "SET_RESP"; }
   };
 
   // ---- pending operations ----

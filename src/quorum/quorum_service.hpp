@@ -310,14 +310,12 @@ class quorum_service : public component {
   struct probe_msg : message {
     std::uint64_t req;
     explicit probe_msg(std::uint64_t r) : req(r) {}
-    std::string debug_name() const override { return "SVC_CLOCK_REQ"; }
     std::size_t wire_size() const override { return 16; }
   };
   struct probe_ack_msg : message {
     std::uint64_t req;
     std::uint64_t clock;
     probe_ack_msg(std::uint64_t r, std::uint64_t c) : req(r), clock(c) {}
-    std::string debug_name() const override { return "SVC_CLOCK_RESP"; }
     std::size_t wire_size() const override { return 24; }
   };
   /// SET_REQ batch: one wire message for every set staged in one instant.
@@ -328,7 +326,6 @@ class quorum_service : public component {
     pooled_batch<set_entry> entries;
     set_batch_msg(std::uint64_t b, pooled_batch<set_entry> e)
         : batch(b), entries(std::move(e)) {}
-    std::string debug_name() const override { return "SVC_SET_REQ"; }
     std::size_t wire_size() const override {
       return 16 + sizeof(set_entry) * entries.size();
     }
@@ -337,7 +334,6 @@ class quorum_service : public component {
     std::uint64_t batch;
     std::uint64_t clock;  // engine clock after applying the whole batch
     set_ack_msg(std::uint64_t b, std::uint64_t c) : batch(b), clock(c) {}
-    std::string debug_name() const override { return "SVC_SET_RESP"; }
     std::size_t wire_size() const override { return 24; }
   };
   /// The paper's unsolicited GET_RESP, batched: dirty keys since the
@@ -349,7 +345,6 @@ class quorum_service : public component {
     gossip_msg(std::uint64_t s, std::uint64_t c,
                pooled_batch<gossip_entry> e)
         : gseq(s), clock(c), entries(std::move(e)) {}
-    std::string debug_name() const override { return "SVC_GOSSIP"; }
     std::size_t wire_size() const override {
       return 24 + sizeof(gossip_entry) * entries.size();
     }
@@ -357,7 +352,6 @@ class quorum_service : public component {
   struct nack_msg : message {
     std::uint64_t from_seq;  // first missing gossip sequence
     explicit nack_msg(std::uint64_t s) : from_seq(s) {}
-    std::string debug_name() const override { return "SVC_GOSSIP_NACK"; }
     std::size_t wire_size() const override { return 16; }
   };
   /// Cumulative stand-in for every gossip ≤ upto_seq: current states of
@@ -369,7 +363,6 @@ class quorum_service : public component {
     repair_msg(std::uint64_t u, std::uint64_t c,
                std::vector<gossip_entry> e)
         : upto_seq(u), clock(c), entries(std::move(e)) {}
-    std::string debug_name() const override { return "SVC_GOSSIP_REPAIR"; }
     std::size_t wire_size() const override {
       return 24 + sizeof(gossip_entry) * entries.size();
     }

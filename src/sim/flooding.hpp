@@ -138,7 +138,6 @@ class flooding_node : public node {
         : origin(o), payload(std::move(p)) {
       if (payload) trace_span = payload->trace_span;  // ride the span
     }
-    std::string debug_name() const override { return "direct"; }
     std::size_t wire_size() const override {
       return 16 + payload->wire_size();  // origin + framing
     }
@@ -154,7 +153,6 @@ class flooding_node : public node {
         : origin(o), seq(s), dest(d), payload(std::move(p)) {
       if (payload) trace_span = payload->trace_span;  // ride the span
     }
-    std::string debug_name() const override { return "envelope"; }
     std::size_t wire_size() const override {
       return 24 + payload->wire_size();  // origin + seq + dest + framing
     }

@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 
 #include "obs/trace.hpp"
 
@@ -35,9 +34,6 @@ message_type_tag message_tag_of() noexcept {
 /// Base class of all protocol messages.
 struct message {
   virtual ~message() = default;
-
-  /// Short human-readable tag for tracing.
-  virtual std::string debug_name() const { return "message"; }
 
   /// Serialized size hint in bytes, consumed by the per-link channel
   /// layer (sim/network.hpp) to compute serialization delay. The default

@@ -66,6 +66,21 @@ std::string to_json(const run_aggregate& a) {
 
 namespace {
 
+/// The first field (wall_ms aside) in which two results differ, or
+/// nullptr when they agree.
+const char* first_difference(const run_result& a, const run_result& b) {
+  if (a.ok != b.ok) return "ok";
+  if (a.error != b.error) return "error";
+  if (a.metrics != b.metrics) return "metrics";
+  if (a.sim_end != b.sim_end) return "sim_end";
+  if (a.latencies_us != b.latencies_us) return "latencies_us";
+  if (a.link_bytes != b.link_bytes) return "link_bytes";
+  if (a.stats != b.stats) return "stats";
+  if (a.obs != b.obs) return "obs";
+  if (a.series != b.series) return "series";
+  return nullptr;
+}
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -74,6 +89,34 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 }  // namespace
+
+determinism_report check_determinism(
+    const std::vector<run_spec>& specs,
+    const std::vector<unsigned>& thread_counts) {
+  determinism_report report;
+  for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+    const unsigned threads = thread_counts[t];
+    std::vector<run_result> results =
+        experiment_runner(threads).run_all(specs);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      std::ostringstream why;
+      const char* field = nullptr;
+      if (!results[i].ok)
+        why << " failed at " << threads
+            << " runner threads: " << results[i].error;
+      else if (t > 0 &&
+               (field = first_difference(report.results[i], results[i])))
+        why << " differs between " << thread_counts[0] << " and " << threads
+            << " runner threads (" << field << ")";
+      else
+        continue;
+      report.error = "cell " + specs[i].label + why.str();
+      return report;
+    }
+    if (t == 0) report.results = std::move(results);
+  }
+  return report;
+}
 
 std::uint64_t grid_seed(std::uint64_t base, std::size_t config,
                         std::size_t plan, std::size_t rep) {

@@ -68,6 +68,15 @@ struct run_aggregate {
   double events_per_sec = 0;  ///< totals.events_processed per wall second
 };
 
+/// The outcome of check_determinism: the grid's results at the first
+/// thread count, and the first violation of the determinism contract.
+struct determinism_report {
+  std::vector<run_result> results;
+  std::string error;  ///< empty when every cell passed
+
+  bool ok() const noexcept { return error.empty(); }
+};
+
 /// Stat lookup that tolerates failed cells: a cell whose closure threw
 /// comes back with ok == false and an empty stats map, and report code
 /// must not crash on it.
@@ -82,6 +91,14 @@ run_aggregate aggregate(const std::vector<run_result>& results);
 
 /// Renders an aggregate as a JSON object (for bench records).
 std::string to_json(const run_aggregate& a);
+
+/// Runs `specs` once at each of `thread_counts` and holds every cell to
+/// the determinism contract: it must come back ok, and equal in every
+/// field except wall_ms to its result at the first thread count. The
+/// error names the first cell that failed (label and error text) or that
+/// differs (label, both thread counts and the first differing field).
+determinism_report check_determinism(const std::vector<run_spec>& specs,
+                                     const std::vector<unsigned>& thread_counts);
 
 /// Deterministically derives the seed of grid cell (config, plan, rep)
 /// from a base seed (splitmix64 over the coordinates), decorrelating

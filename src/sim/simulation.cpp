@@ -181,15 +181,9 @@ sim_time simulation::draw_delay() {
   return d(rng_);
 }
 
-void simulation::emit_trace(trace_event::kind what, process_id from,
-                            process_id to, const message* m) {
-  trace_event ev;
-  ev.what = what;
-  ev.at = now_;
-  ev.from = from;
-  ev.to = to;
-  if (m) ev.label = m->debug_name();
-  obs_.tracer.network_event(ev, m ? m->trace_span : span_ref{});
+void simulation::trace_net(const char* name, process_id at,
+                           const message* m) {
+  obs_.tracer.leaf(name, "net", at, m ? m->trace_span : span_ref{}, now_);
 }
 
 void simulation::send(process_id from, process_id to, message_ptr m) {
@@ -201,11 +195,11 @@ void simulation::send(process_id from, process_id to, message_ptr m) {
   const std::size_t epoch = current_epoch();
   if (!epochs_.alive(epoch, from)) return;  // crashed sender takes no steps
   ++metrics_.messages_sent;
-  const bool traced = obs_.tracer.active();
-  if (traced) emit_trace(trace_event::kind::send, from, to, m.get());
+  const bool traced = obs_.tracer.recording();
+  if (traced) trace_net("net.send", from, m.get());
   if (!epochs_.channel_up(epoch, from, to)) {
     ++metrics_.dropped_disconnected;
-    if (traced) emit_trace(trace_event::kind::drop_channel, from, to, m.get());
+    if (traced) trace_net("net.drop_channel", from, m.get());
     return;
   }
   // The propagation delay is drawn before the channel layer is consulted
@@ -219,7 +213,7 @@ void simulation::send(process_id from, process_id to, message_ptr m) {
         channels_.transmit(from, to, bytes, now_, arrival - now_);
     if (!admitted.accepted) {
       ++metrics_.dropped_queue_full;
-      if (traced) emit_trace(trace_event::kind::drop_queue, from, to, m.get());
+      if (traced) trace_net("net.drop_queue", from, m.get());
       return;
     }
     metrics_.bytes_sent += bytes;
@@ -302,13 +296,13 @@ bool simulation::pop_and_dispatch(sim_time horizon) {
       free_slots_.push_back(top.slot);
       if (!epochs_.alive(epoch, b)) {
         ++metrics_.dropped_receiver_crashed;
-        if (obs_.tracer.active())
-          emit_trace(trace_event::kind::drop_crashed, a, b, msg.get());
+        if (obs_.tracer.recording())
+          trace_net("net.drop_crashed", a, msg.get());
       } else {
         ++metrics_.messages_delivered;
         if (channels_.enabled()) metrics_.bytes_delivered += msg->wire_size();
-        if (obs_.tracer.active())
-          emit_trace(trace_event::kind::deliver, a, b, msg.get());
+        if (obs_.tracer.recording())
+          trace_net("net.deliver", b, msg.get());
         nodes_[b]->on_message(a, msg);
       }
       break;
@@ -316,8 +310,7 @@ bool simulation::pop_and_dispatch(sim_time horizon) {
       free_slots_.push_back(top.slot);
       if (epochs_.alive(epoch, a)) {
         ++metrics_.timers_fired;
-        if (obs_.tracer.active())
-          emit_trace(trace_event::kind::timer, a, a, nullptr);
+        if (obs_.tracer.recording()) trace_net("net.timer", a, nullptr);
         nodes_[a]->on_timer(timer_id);
       }
       break;

@@ -75,10 +75,6 @@ inline sim_metrics& operator+=(sim_metrics& a, const sim_metrics& b) {
   return a;
 }
 
-// trace_event / trace_sink moved to obs/trace.hpp (re-exported via the
-// obs/obs.hpp include above) so the legacy network event stream and the
-// span layer share one recorder.
-
 /// The simulation world.
 class simulation {
  public:
@@ -168,13 +164,6 @@ class simulation {
   /// Arms a one-shot timer for process p; on expiry, node::on_timer(id) is
   /// invoked (unless p crashed). Returns the timer id.
   int set_timer(process_id p, sim_time delay);
-
-  /// Installs (or clears, with nullptr) a network-event trace sink.
-  /// Forwarded through the trace recorder so sink consumers and span
-  /// recording share one dispatch pipeline (see obs/trace.hpp).
-  void set_trace(trace_sink sink) {
-    obs_.tracer.set_event_sink(std::move(sink));
-  }
 
   /// This run's observability surface (metrics registry, span recorder,
   /// gauge sampler). Armed from network_options at construction; inert —
@@ -266,8 +255,10 @@ class simulation {
   /// `horizon`; returns false when none is.
   bool pop_and_dispatch(sim_time horizon);
   sim_time draw_delay();
-  void emit_trace(trace_event::kind what, process_id from, process_id to,
-                  const message* m);
+  /// Records one "net" leaf span (net.send, net.deliver, ...) at process
+  /// `at`, under the message's span when it was stamped. Callers guard on
+  /// obs_.tracer.recording().
+  void trace_net(const char* name, process_id at, const message* m);
   void register_obs_bridges();
 
   process_id n_;

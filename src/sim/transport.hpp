@@ -12,9 +12,9 @@
 
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
-#include "sim/flat_map.hpp"
 #include "sim/flooding.hpp"
 
 namespace gqs {
@@ -145,9 +145,11 @@ class mux_host : public flooding_node {
   }
 
   void on_timer(int timer_id) override {
-    const std::optional<int> instance = timer_owner_.take(timer_id);
-    if (!instance) return;
-    comps_[*instance]->on_timeout(timer_id);
+    const auto it = timer_owner_.find(timer_id);
+    if (it == timer_owner_.end()) return;
+    const int instance = it->second;
+    timer_owner_.erase(it);
+    comps_[instance]->on_timeout(timer_id);
   }
 
   void on_deliver(process_id origin, const message_ptr& payload) override {
@@ -169,7 +171,6 @@ class mux_host : public flooding_node {
     tagged(int i, message_ptr m) : instance(i), inner(std::move(m)) {
       if (inner) trace_span = inner->trace_span;  // wrapper rides the span
     }
-    std::string debug_name() const override { return "mux"; }
     std::size_t wire_size() const override {
       return 8 + inner->wire_size();  // instance tag + payload
     }
@@ -187,7 +188,7 @@ class mux_host : public flooding_node {
     }
     int set_timer(sim_time delay) override {
       const int id = host_->node::set_timer(delay);
-      host_->timer_owner_.insert(id, instance_);
+      host_->timer_owner_[id] = instance_;
       return id;
     }
     process_id self() const override { return host_->node::id(); }
@@ -202,7 +203,7 @@ class mux_host : public flooding_node {
 
   std::vector<std::unique_ptr<component>> comps_;
   std::vector<std::unique_ptr<proxy>> proxies_;
-  flat_timer_map timer_owner_;
+  std::unordered_map<int, int> timer_owner_;  // timer id -> instance
 };
 
 }  // namespace gqs

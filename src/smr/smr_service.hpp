@@ -229,7 +229,6 @@ class smr_service : public component {
     std::vector<smr_command> cmds;
     fwd_msg(std::uint32_t s, std::vector<smr_command> c)
         : shard(s), cmds(std::move(c)) {}
-    std::string debug_name() const override { return "SMR_FWD"; }
     std::size_t wire_size() const override {
       return 8 + sizeof(smr_command) * cmds.size();
     }
@@ -242,7 +241,6 @@ class smr_service : public component {
     std::uint64_t floor;
     p1a_msg(std::uint32_t s, std::uint64_t v, std::uint64_t f)
         : shard(s), view(v), floor(f) {}
-    std::string debug_name() const override { return "SMR_1A"; }
     std::size_t wire_size() const override { return 24; }
   };
   /// One slot of a 1B report: either already chosen (decided value) or
@@ -262,7 +260,6 @@ class smr_service : public component {
     p1b_report report;
     p1b_msg(std::uint32_t s, std::uint64_t v, p1b_report r)
         : shard(s), view(v), report(std::move(r)) {}
-    std::string debug_name() const override { return "SMR_1B"; }
     std::size_t wire_size() const override {
       std::size_t bytes = 24;
       for (const p1b_slot& s : report.slots)
@@ -278,7 +275,6 @@ class smr_service : public component {
     p2a_msg(std::uint32_t s, std::uint64_t v, std::uint64_t sl,
             smr_entry_ptr e)
         : shard(s), view(v), slot(sl), entry(std::move(e)) {}
-    std::string debug_name() const override { return "SMR_2A"; }
     std::size_t wire_size() const override {
       return 24 + entry_wire_size(entry);
     }
@@ -289,7 +285,6 @@ class smr_service : public component {
     std::uint64_t slot;
     p2b_msg(std::uint32_t s, std::uint64_t v, std::uint64_t sl)
         : shard(s), view(v), slot(sl) {}
-    std::string debug_name() const override { return "SMR_2B"; }
     std::size_t wire_size() const override { return 24; }
   };
   /// In-order commit announcement (doubles as lease renewal).
@@ -301,7 +296,6 @@ class smr_service : public component {
     commit_msg(std::uint32_t s, std::uint64_t v, std::uint64_t sl,
                smr_entry_ptr e)
         : shard(s), view(v), slot(sl), entry(std::move(e)) {}
-    std::string debug_name() const override { return "SMR_COMMIT"; }
     std::size_t wire_size() const override {
       return 24 + entry_wire_size(entry);
     }
@@ -313,7 +307,6 @@ class smr_service : public component {
     std::uint64_t floor;
     hb_msg(std::uint32_t s, std::uint64_t v, std::uint64_t f)
         : shard(s), view(v), floor(f) {}
-    std::string debug_name() const override { return "SMR_HB"; }
     std::size_t wire_size() const override { return 24; }
   };
 

@@ -22,40 +22,48 @@ struct probe_msg : message {
   std::size_t bytes = 64;
   probe_msg() = default;
   probe_msg(int i, std::size_t b) : id(i), bytes(b) {}
-  std::string debug_name() const override {
-    return "probe" + std::to_string(id);
-  }
   std::size_t wire_size() const override { return bytes; }
 };
 
+/// One delivered probe as its receiver saw it.
+struct delivery {
+  sim_time at = 0;
+  process_id from = 0;
+  process_id to = 0;
+  int probe = 0;
+
+  bool operator==(const delivery&) const = default;
+};
+
+/// Records every delivery (now, sender, self, probe id) into a log shared
+/// by the whole world, in the simulator's dispatch order.
 class silent_node : public node {
  public:
-  void on_message(process_id, const message_ptr&) override {}
+  explicit silent_node(std::vector<delivery>& log) : log_(&log) {}
+  void on_message(process_id from, const message_ptr& m) override {
+    const auto* probe = message_cast<probe_msg>(m);
+    log_->push_back({now(), from, id(), probe ? probe->id : -1});
+  }
   using node::send;
+
+ private:
+  std::vector<delivery>* log_;
 };
 
 struct channel_world {
   simulation sim;
   std::vector<silent_node*> nodes;
-  std::vector<trace_event> events;
+  std::vector<delivery> delivers;
 
   channel_world(process_id n, network_options net, std::uint64_t seed = 1)
       : sim(n, net, fault_plan::none(n), seed) {
     for (process_id p = 0; p < n; ++p) {
-      auto nd = std::make_unique<silent_node>();
+      auto nd = std::make_unique<silent_node>(delivers);
       nodes.push_back(nd.get());
       sim.set_node(p, std::move(nd));
     }
-    sim.set_trace([this](const trace_event& ev) { events.push_back(ev); });
     sim.start();
     sim.run_until(0);
-  }
-
-  std::vector<trace_event> delivers() const {
-    std::vector<trace_event> out;
-    for (const trace_event& ev : events)
-      if (ev.what == trace_event::kind::deliver) out.push_back(ev);
-    return out;
   }
 };
 
@@ -79,7 +87,7 @@ TEST(Network, SerializationDelayExact) {
   w.nodes[0]->send(1, make_message<probe_msg>(0, std::size_t{64}));
   w.nodes[0]->send(1, make_message<probe_msg>(1, std::size_t{36}));
   w.sim.run_until(1_s);
-  const auto d = w.delivers();
+  const auto& d = w.delivers;
   ASSERT_EQ(d.size(), 2u);
   EXPECT_EQ(d[0].at, 64 + 1000);       // 64 µs on the wire + propagation
   EXPECT_EQ(d[1].at, 64 + 36 + 1000);  // queued behind the first
@@ -94,7 +102,7 @@ TEST(Network, LinksSerializeIndependently) {
   w.nodes[0]->send(1, make_message<probe_msg>(0, std::size_t{64}));
   w.nodes[0]->send(2, make_message<probe_msg>(1, std::size_t{64}));
   w.sim.run_until(1_s);
-  const auto d = w.delivers();
+  const auto& d = w.delivers;
   ASSERT_EQ(d.size(), 2u);
   EXPECT_EQ(d[0].at, 64 + 1000);
   EXPECT_EQ(d[1].at, 64 + 1000);  // not queued behind the 0→1 message
@@ -110,7 +118,7 @@ TEST(Network, IngressRateOverridePerDestination) {
   w.nodes[0]->send(1, make_message<probe_msg>(0, std::size_t{64}));
   w.nodes[0]->send(2, make_message<probe_msg>(1, std::size_t{64}));
   w.sim.run_until(1_s);
-  const auto d = w.delivers();
+  const auto& d = w.delivers;
   ASSERT_EQ(d.size(), 2u);
   EXPECT_EQ(d[0].at, 64 + 1000);
   EXPECT_EQ(d[1].at, 128 + 1000);  // 64 bytes at 0.5 byte/µs
@@ -128,10 +136,10 @@ TEST(Network, PerLinkFifoUnderRandomPropagation) {
   for (int i = 0; i < kMessages; ++i)
     w.nodes[0]->send(1, make_message<probe_msg>(i, std::size_t{64}));
   w.sim.run_until(1_s);
-  const auto d = w.delivers();
+  const auto& d = w.delivers;
   ASSERT_EQ(d.size(), static_cast<std::size_t>(kMessages));
   for (int i = 0; i < kMessages; ++i)
-    EXPECT_EQ(d[i].label, "probe" + std::to_string(i)) << "position " << i;
+    EXPECT_EQ(d[i].probe, i) << "position " << i;
   for (std::size_t i = 1; i < d.size(); ++i)
     EXPECT_LE(d[i - 1].at, d[i].at);
 }
@@ -142,6 +150,7 @@ TEST(Network, QueueFullDropsAreCountedEverywhere) {
   network_options net = pinned_delay(1000);
   net.channel.bytes_per_us = 0.001;  // 64 kµs per probe: nothing drains
   net.channel.queue_capacity = 2;
+  net.record_spans = true;
   channel_world w(2, net);
   for (int i = 0; i < 10; ++i)
     w.nodes[0]->send(1, make_message<probe_msg>(i, std::size_t{64}));
@@ -156,13 +165,13 @@ TEST(Network, QueueFullDropsAreCountedEverywhere) {
   EXPECT_EQ(link.max_queue_depth, 2u);
   EXPECT_EQ(w.sim.channels().credits(0, 1, w.sim.now()), 0u);
 
-  std::size_t drop_traces = 0;
-  for (const trace_event& ev : w.events)
-    drop_traces += ev.what == trace_event::kind::drop_queue;
-  EXPECT_EQ(drop_traces, 8u);
+  std::size_t drop_leaves = 0;
+  for (const span_rec& s : w.sim.obs().tracer.spans())
+    drop_leaves += s.name == "net.drop_queue";
+  EXPECT_EQ(drop_leaves, 8u);
 
   w.sim.run_until(1_s);
-  EXPECT_EQ(w.delivers().size(), 2u);  // the accepted pair still arrives
+  EXPECT_EQ(w.delivers.size(), 2u);  // the accepted pair still arrives
 }
 
 TEST(Network, CreditsRecoverAsTheQueueDrains) {
@@ -180,7 +189,7 @@ TEST(Network, CreditsRecoverAsTheQueueDrains) {
   EXPECT_EQ(w.sim.channels().credits(0, 1, 4 * 64), 4u);
   EXPECT_EQ(w.sim.channels().queue_depth(0, 1, 4 * 64), 0u);
   w.sim.run_until(1_s);
-  EXPECT_EQ(w.delivers().size(), 4u);
+  EXPECT_EQ(w.delivers.size(), 4u);
   EXPECT_EQ(w.sim.metrics().dropped_queue_full, 0u);
 }
 
@@ -201,8 +210,8 @@ TEST(Network, ByteCountersTrackWireSizes) {
 
 // ---------- zero-capacity ≡ legacy model ----------
 
-std::vector<trace_event> scripted_run(const network_options& net,
-                                      std::uint64_t seed) {
+std::vector<delivery> scripted_run(const network_options& net,
+                                   std::uint64_t seed) {
   channel_world w(3, net, seed);
   for (int i = 0; i < 25; ++i) {
     w.nodes[0]->send(1, make_message<probe_msg>(i, std::size_t{64}));
@@ -211,12 +220,12 @@ std::vector<trace_event> scripted_run(const network_options& net,
     w.sim.run_until(w.sim.now() + 2_ms);
   }
   w.sim.run_until(1_s);
-  return w.events;
+  return w.delivers;
 }
 
 // A zero-capacity channel config must reproduce the legacy
-// independent-delay model bit for bit: identical trace event sequences,
-// wire sizes notwithstanding.
+// independent-delay model bit for bit: identical delivery sequences
+// (instant, sender, receiver, probe), wire sizes notwithstanding.
 TEST(Network, ZeroCapacityBitIdenticalToLegacyModel) {
   const network_options legacy;  // channel layer absent by default
   network_options zero;
@@ -225,7 +234,7 @@ TEST(Network, ZeroCapacityBitIdenticalToLegacyModel) {
   const auto b = scripted_run(zero, 42);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(a[i], b[i]) << "event " << i;
+    EXPECT_EQ(a[i], b[i]) << "delivery " << i;
 }
 
 // Pins the legacy RNG stream itself: delays come from one
@@ -251,7 +260,7 @@ TEST(Network, LegacyDelayStreamPinned) {
   std::sort(predicted.begin(), predicted.end());
 
   std::vector<sim_time> observed;
-  for (const trace_event& ev : w.delivers()) observed.push_back(ev.at);
+  for (const delivery& d : w.delivers) observed.push_back(d.at);
   std::sort(observed.begin(), observed.end());
   ASSERT_EQ(observed.size(), predicted.size());
   EXPECT_EQ(observed, predicted);
@@ -280,9 +289,8 @@ run_result congested_cell(std::uint64_t seed) {
   r.sim_end = w.sim.now();
   r.link_bytes = w.sim.channels().per_link_bytes();
   double deliver_digest = 0;
-  for (const trace_event& ev : w.events)
-    if (ev.what == trace_event::kind::deliver)
-      deliver_digest += static_cast<double>(ev.at);
+  for (const delivery& d : w.delivers)
+    deliver_digest += static_cast<double>(d.at);
   r.stats["deliver_digest"] = deliver_digest;
   return r;
 }

@@ -162,10 +162,10 @@ TEST(TimeseriesSampler, DisabledSamplerDropsProbes) {
 
 TEST(TraceRecorder, SpansOnlyWhenRecording) {
   trace_recorder rec;
-  EXPECT_FALSE(rec.active());
+  EXPECT_FALSE(rec.recording());
   EXPECT_FALSE(rec.begin_span("op", "t", 0, {}, 5).valid());
   rec.start_recording();
-  EXPECT_TRUE(rec.active());
+  EXPECT_TRUE(rec.recording());
   const span_ref s = rec.begin_span("op", "t", 0, {}, 5);
   ASSERT_TRUE(s.valid());
   rec.end_span(s, 9);
@@ -197,24 +197,6 @@ TEST(TraceRecorder, FinalizeClosesAndWidensParents) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"root\""), std::string::npos);
-}
-
-TEST(TraceRecorder, NetworkEventsFeedSinkAndSpanLayer) {
-  trace_recorder rec;
-  std::vector<trace_event> sunk;
-  rec.set_event_sink([&sunk](const trace_event& ev) { sunk.push_back(ev); });
-  rec.start_recording();
-  trace_event ev;
-  ev.what = trace_event::kind::send;
-  ev.at = 4;
-  ev.from = 1;
-  ev.to = 2;
-  rec.network_event(ev, {});
-  ASSERT_EQ(sunk.size(), 1u);
-  ASSERT_EQ(rec.spans().size(), 1u);
-  EXPECT_EQ(rec.spans()[0].name, "net.send");
-  EXPECT_EQ(rec.spans()[0].process, 1u);  // send attributed to the sender
-  EXPECT_EQ(rec.spans()[0].start, 4);
 }
 
 // ---------------------------------------------------------------------

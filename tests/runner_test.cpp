@@ -121,6 +121,48 @@ TEST(Runner, ExceptionsCapturedPerCell) {
   EXPECT_EQ(results[1].error, "boom");
 }
 
+// The benches' determinism gate: a clean grid passes with the first
+// thread count's results; a cell that fails at every thread count (so it
+// "agrees" with itself) and a cell whose output changes between runs are
+// each rejected by label.
+TEST(Runner, DeterminismCheckRejectsFailedAndDivergentCells) {
+  const std::vector<run_spec> clean = register_grid();
+  const determinism_report pass = check_determinism(clean, {1, 2});
+  EXPECT_TRUE(pass.ok()) << pass.error;
+  const auto serial = experiment_runner(1).run_all(clean);
+  ASSERT_EQ(pass.results.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    expect_same_result(pass.results[i], serial[i]);
+
+  std::vector<run_spec> failing = clean;
+  failing.insert(failing.begin() + 1, {"timed-out", [] {
+                                         run_result r;
+                                         r.ok = false;
+                                         r.error = "horizon passed";
+                                         return r;
+                                       }});
+  const determinism_report failed = check_determinism(failing, {1, 2});
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE(failed.error.find("timed-out"), std::string::npos)
+      << failed.error;
+  EXPECT_NE(failed.error.find("horizon passed"), std::string::npos)
+      << failed.error;
+
+  auto calls = std::make_shared<int>(0);
+  std::vector<run_spec> divergent = clean;
+  divergent.push_back({"counter", [calls] {
+                         run_result r;
+                         r.stats["call"] = ++*calls;
+                         return r;
+                       }});
+  const determinism_report differs = check_determinism(divergent, {1, 2});
+  EXPECT_FALSE(differs.ok());
+  EXPECT_NE(differs.error.find("counter"), std::string::npos)
+      << differs.error;
+  EXPECT_NE(differs.error.find("stats"), std::string::npos) << differs.error;
+  EXPECT_EQ(*calls, 2);
+}
+
 TEST(Runner, EmptyGrid) {
   EXPECT_TRUE(experiment_runner(4).run_all({}).empty());
 }

@@ -16,7 +16,6 @@ using namespace sim_literals;
 struct ping : message {
   int payload;
   explicit ping(int p) : payload(p) {}
-  std::string debug_name() const override { return "ping"; }
 };
 
 /// Records everything it receives; can be scripted to send.

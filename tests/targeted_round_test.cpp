@@ -14,9 +14,7 @@
 namespace gqs {
 namespace {
 
-struct note : message {
-  std::string debug_name() const override { return "NOTE"; }
-};
+struct note : message {};
 
 /// Records every send and timer. Process 2 of a 5-process system.
 class recording_transport final : public transport {

@@ -4,9 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <optional>
-
 #include "sim/time.hpp"
 
 namespace gqs {
@@ -198,50 +195,6 @@ TEST(MuxHost, ExtraInstanceAtPeerIgnored) {
 TEST(MuxHost, NullComponentRejected) {
   mux_host host;
   EXPECT_THROW(host.add_component(nullptr), std::invalid_argument);
-}
-
-// ---------- flat_timer_map (the timer_owner_ container) ----------
-
-TEST(FlatTimerMap, InsertFindTakeErase) {
-  flat_timer_map m;
-  EXPECT_TRUE(m.empty());
-  EXPECT_FALSE(m.find(3).has_value());
-  EXPECT_FALSE(m.take(3).has_value());
-
-  m.insert(3, 30);
-  m.insert(7, 70);
-  m.insert(3, 31);  // overwrite
-  EXPECT_EQ(m.size(), 2u);
-  EXPECT_EQ(m.find(3), std::optional<int>(31));
-  EXPECT_EQ(m.take(3), std::optional<int>(31));
-  EXPECT_EQ(m.size(), 1u);
-  EXPECT_FALSE(m.find(3).has_value());
-  EXPECT_TRUE(m.erase(7));
-  EXPECT_FALSE(m.erase(7));
-  EXPECT_TRUE(m.empty());
-  EXPECT_THROW(m.insert(-1, 0), std::invalid_argument);
-}
-
-TEST(FlatTimerMap, SurvivesChurnAndGrowth) {
-  // The mux timer pattern at scale: interleaved arm/fire with a moving
-  // live window, across several growth steps, checked against a model.
-  flat_timer_map m;
-  std::map<int, int> model;
-  int next_id = 0;
-  for (int round = 0; round < 2000; ++round) {
-    const int id = next_id++;
-    m.insert(id, id % 17);
-    model[id] = id % 17;
-    if (round % 3 != 0 && !model.empty()) {
-      // Fire the oldest live timer (erase via take, like on_timer).
-      const auto oldest = model.begin();
-      EXPECT_EQ(m.take(oldest->first), std::optional<int>(oldest->second));
-      model.erase(oldest);
-    }
-  }
-  EXPECT_EQ(m.size(), model.size());
-  for (const auto& [id, owner] : model)
-    EXPECT_EQ(m.find(id), std::optional<int>(owner)) << "id " << id;
 }
 
 }  // namespace
