@@ -253,9 +253,13 @@ class push_qaf : public quorum_access<S> {
       // Targeted mode: Lamport-merge the clock. Only sampled members tick
       // per SET_REQ, so clock rates diverge and a cold process would trail
       // hot cutoffs by many gossip periods, stalling freshness waits.
-      // Sound because a member's SET ack clock still strictly exceeds
-      // every clock it gossiped before applying (see quorum_service.hpp's
-      // sync_clock for the full argument); broadcast mode is untouched.
+      // Sound: a merge only moves the clock forward, so clocks stay
+      // monotone and a CLOCK reply still covers every gossip clock already
+      // sent; and a member's SET ack clock still strictly exceeds every
+      // clock it gossiped before applying (the apply bumps the clock
+      // before the ack). So a gossip whose clock reaches a cutoff built
+      // from those acks and replies was sent after the write was applied
+      // — the Figure 3 freshness invariant. Broadcast mode is untouched.
       if (options_.selector && clock_ < m->clock) clock_ = m->clock;
       cache_.observe(origin, m->state, m->clock);
       recheck_waits();

@@ -12,9 +12,9 @@
 //     engine clock and broadcasts a versioned batch of the keys dirtied
 //     since the previous period (an empty batch still carries the clock),
 //     instead of K per-object broadcasts;
-//   * per-key logical clocks: every key records the engine-clock instant
-//     of its last local change (`key_clock`); the dirty batch carries the
-//     changed keys' states tagged with those clocks;
+//   * per-key logical clocks: every key records the clock of the first
+//     gossip to carry its last local change (`key_clock`), which bounds
+//     the NACK repair below; the dirty batch carries only key and state;
 //   * per-destination coalescing: quorum_get/quorum_set invocations stage
 //     into recycled batch buffers and flush once per simulation instant —
 //     any number of operations started in the same event share one CLOCK
@@ -25,21 +25,26 @@
 //     flight; completions resolve in operation order.
 //
 // Correctness is the Figure 3 argument applied per key. The shared engine
-// clock ticks once per gossip period and once per applied SET entry; it is
-// a valid Figure 3 clock for every key (the protocol is invariant under
-// per-process clock offsets and extra advancement — see qaf_ablation.hpp).
+// clock ticks only on gossip, and a SET is acked with the clock of the
+// next gossip — the first to carry the update. That keeps everything the
+// safety proof asks of a clock: it is monotone, a CLOCK reply is ≥ every
+// gossip clock already sent, and a SET ack clock is above every gossip
+// clock sent before the apply and at most that of the first gossip
+// carrying the update. Counting ticks only keeps every process's clock at
+// the same rate, so a cutoff is reached about one gossip period after it
+// is drawn, however much history came before (per-process offsets stay
+// harmless; see qaf_ablation.hpp).
 // Freshness transfers from gossip to cached per-key states through
 // *contiguous* gossip stream processing: states merge eagerly (they are
 // version-monotone), but a process's freshness clock for an origin only
 // advances to the clock of the latest gossip received with no earlier
 // gossip missing (gossip_stream). A gossip permanently lost to a channel
 // failure would otherwise pin freshness forever, so persistent gaps are
-// NACKed and repaired with a cumulative batch of every key changed since
-// the gap (bounded by the dirty-history ring).
+// NACKed and repaired with a cumulative batch of exactly the keys changed
+// since the gap began.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -269,8 +274,8 @@ class quorum_service : public component {
   service_key key_count() const noexcept { return keys_; }
   std::uint64_t engine_clock() const noexcept { return clock_; }
 
-  /// Per-key logical clock: the engine-clock instant of the key's last
-  /// local change (0 = never changed here).
+  /// Per-key logical clock: the clock of the first gossip to carry the
+  /// key's last local change (0 = never changed here).
   std::uint64_t key_clock(service_key key) const {
     check_key(key);
     return key_clock_[key];
@@ -303,7 +308,6 @@ class quorum_service : public component {
   struct gossip_entry {
     service_key key;
     state_type state;
-    std::uint64_t key_clock;
   };
 
   /// CLOCK_REQ for a whole flush group of quorum_gets.
@@ -332,7 +336,7 @@ class quorum_service : public component {
   };
   struct set_ack_msg : message {
     std::uint64_t batch;
-    std::uint64_t clock;  // engine clock after applying the whole batch
+    std::uint64_t clock;  // clock of the first gossip carrying the batch
     set_ack_msg(std::uint64_t b, std::uint64_t c) : batch(b), clock(c) {}
     std::size_t wire_size() const override { return 24; }
   };
@@ -431,8 +435,8 @@ class quorum_service : public component {
     span_ref span;  // open from flush until the group completes
   };
   /// All quorum_sets flushed in one instant: one wire batch, one ack
-  /// stream; the shared cutoff (max clock after the whole batch) is ≥
-  /// every member's own incorporation clock, so waiting on it is safe.
+  /// stream; every entry of a batch is acked with one clock, so the
+  /// shared cutoff is each member's own Figure 3 cutoff.
   struct set_group {
     std::vector<staged_set> members;
     quorum_response_collector<std::uint64_t> acks;
@@ -543,19 +547,17 @@ class quorum_service : public component {
 
   void gossip_tick() {
     // Figure 3 lines 12-14, batched: advance the shared clock once and
-    // push every key dirtied since the previous tick.
+    // push every key dirtied since the previous tick. The only place the
+    // clock moves, so clock_ == initial_clock + gossip_seq_ always.
     ++clock_;
     std::vector<gossip_entry> entries = gossip_pool_->acquire();
     entries.reserve(dirty_keys_.size());
     for (service_key k : dirty_keys_) {
       dirty_flag_[k] = 0;
-      entries.push_back(gossip_entry{k, states_[k], key_clock_[k]});
+      entries.push_back(gossip_entry{k, states_[k]});
     }
     dirty_keys_.clear();
     const std::uint64_t gseq = ++gossip_seq_;
-    last_gossip_clock_ = clock_;
-    recent_gossip_.emplace_back(gseq, clock_);
-    if (recent_gossip_.size() > kRepairRing) recent_gossip_.pop_front();
     ++counters_.gossip_batches_sent;
     counters_.gossip_entries_sent += entries.size();
     this->broadcast(make_message<gossip_msg>(
@@ -580,7 +582,7 @@ class quorum_service : public component {
   }
 
   void mark_changed(service_key key) {
-    key_clock_[key] = clock_;
+    key_clock_[key] = clock_ + 1;  // the next gossip carries the change
     if (!dirty_flag_[key]) {
       dirty_flag_[key] = 1;
       dirty_keys_.push_back(key);
@@ -595,29 +597,13 @@ class quorum_service : public component {
   }
 
   void on_gossip(process_id origin, const gossip_msg& m) {
-    sync_clock(m.clock);
     for (const gossip_entry& e : m.entries.items()) apply_entry(origin, e);
     if (streams_[origin].observe(m.gseq, m.clock)) recheck_waits();
   }
 
   void on_repair(process_id origin, const repair_msg& m) {
-    sync_clock(m.clock);
     for (const gossip_entry& e : m.entries) apply_entry(origin, e);
     if (streams_[origin].repair(m.upto_seq, m.clock)) recheck_waits();
-  }
-
-  /// Targeted mode: Lamport-merge the engine clock with gossiped clocks.
-  /// Under targeting only sampled members tick per SET entry, so clock
-  /// *rates* diverge — an untargeted process advancing one clock per
-  /// gossip period would trail a hot member's cutoff by many periods and
-  /// stall every freshness wait behind it. Merging bounds the divergence
-  /// to about one period. Sound: a member's SET ack clock still strictly
-  /// exceeds every clock it gossiped before applying (the apply bumps the
-  /// clock before the ack), so "gossip clock ≥ cutoff ⇒ sent after the
-  /// write was applied" — the Figure 3 freshness invariant — survives.
-  /// Broadcast mode keeps the seed's untouched clocks bit-for-bit.
-  void sync_clock(std::uint64_t seen) {
-    if (options_.selector && clock_ < seen) clock_ = seen;
   }
 
   void on_probe_ack(process_id from, const probe_ack_msg& m) {
@@ -634,17 +620,17 @@ class quorum_service : public component {
   }
 
   void on_set_batch(process_id origin, const set_batch_msg& m) {
-    // Lines 21-24 per entry: apply iff newer, advance the shared clock per
-    // entry (mirroring the per-object protocol's one tick per SET_REQ).
+    // Lines 21-24 per entry: apply iff newer. The ack carries the clock of
+    // the next gossip, the first to carry the batch: above every gossip
+    // clock sent before the apply, and reached by that very gossip.
     for (const set_entry& e : m.entries.items()) {
-      ++clock_;
       if (e.key >= keys_) continue;
       if (e.state.version > states_[e.key].version) {
         states_[e.key] = e.state;
         mark_changed(e.key);
       }
     }
-    this->unicast(origin, make_message<set_ack_msg>(m.batch, clock_));
+    this->unicast(origin, make_message<set_ack_msg>(m.batch, clock_ + 1));
   }
 
   void on_set_ack(process_id from, const set_ack_msg& m) {
@@ -723,8 +709,6 @@ class quorum_service : public component {
     }
   }
 
-  static constexpr std::size_t kRepairRing = 64;
-
   service_key keys_;
   quorum_config config_;
   service_options options_;
@@ -734,7 +718,6 @@ class quorum_service : public component {
   std::uint64_t probe_seq_ = 0;    // get flush groups
   std::uint64_t batch_seq_ = 0;    // set flush groups
   std::uint64_t gossip_seq_ = 0;   // own gossip stream
-  std::uint64_t last_gossip_clock_ = 0;
   int gossip_timer_ = -1;
   int flush_timer_ = -1;
 
@@ -742,7 +725,6 @@ class quorum_service : public component {
   std::vector<std::uint64_t> key_clock_;    // per-key last-change clocks
   std::vector<std::uint8_t> dirty_flag_;
   std::vector<service_key> dirty_keys_;     // since the last gossip tick
-  std::deque<std::pair<std::uint64_t, std::uint64_t>> recent_gossip_;
 
   std::vector<gossip_stream> streams_;                // per origin
   std::vector<std::vector<state_type>> cache_;        // [origin][key]
@@ -759,26 +741,22 @@ class quorum_service : public component {
   targeted_round rounds_;
   trace_recorder* tracer_ = nullptr;  // non-null iff spans are recording
 
-  /// Repair side: answer a NACK with a cumulative batch of every key
-  /// changed since the requested gap began (over-approximated through the
-  /// recent-gossip clock ring; floor 0 = all ever-changed keys).
+  /// Repair side: answer a NACK with a cumulative batch of exactly the
+  /// keys changed since the requested gap began. Gossip from_seq - 1, the
+  /// last one the receiver holds, had clock initial_clock + from_seq - 1;
+  /// a key it did not carry has a larger key_clock.
   void on_nack(process_id origin, const nack_msg& m) {
     if (gossip_seq_ == 0) return;  // nothing ever gossiped: spurious
-    std::uint64_t floor = 0;
-    if (m.from_seq > 1) {
-      for (const auto& [seq, clk] : recent_gossip_)
-        if (seq == m.from_seq - 1) floor = clk;
-    }
+    const std::uint64_t floor = options_.initial_clock + m.from_seq - 1;
     std::vector<gossip_entry> entries;
     for (service_key k = 0; k < keys_; ++k)
       if (key_clock_[k] > floor)
-        entries.push_back(gossip_entry{k, states_[k], key_clock_[k]});
+        entries.push_back(gossip_entry{k, states_[k]});
     ++counters_.repairs_sent;
     if (tracer_)
       tracer_->leaf("svc.repair", "svc", this->id(), {}, this->now());
-    this->unicast(origin, make_message<repair_msg>(
-                              gossip_seq_, last_gossip_clock_,
-                              std::move(entries)));
+    this->unicast(origin, make_message<repair_msg>(gossip_seq_, clock_,
+                                                   std::move(entries)));
   }
 };
 

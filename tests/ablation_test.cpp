@@ -5,14 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "lincheck/wing_gong.hpp"
+#include "qaf_worlds.hpp"
 #include "quorum/qaf_ablation.hpp"
 #include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
 
-/// Scenario C of the bench: disjoint write quorums, reader's cutoff
-/// resolves through the write quorum the writer did not use.
+/// Scenario C of the bench (testing::disjoint_scenario_config).
 struct disjoint_world {
   simulation sim;
   std::vector<ablated_register_node*> nodes;
@@ -20,9 +20,9 @@ struct disjoint_world {
 
   disjoint_world(std::uint64_t seed, bool use_get_cutoff,
                  bool use_set_confirmation)
-      : sim(4, network_options{}, make_faults(), seed), client(sim, {}) {
-    const quorum_config qc{{process_set{1, 2}},
-                           {process_set{0, 1}, process_set{2, 3}}};
+      : sim(4, network_options{}, testing::disjoint_scenario_faults(), seed),
+        client(sim, {}) {
+    const quorum_config qc = testing::disjoint_scenario_config();
     std::vector<ablated_register_node*> ptrs;
     for (process_id p = 0; p < 4; ++p) {
       ablated_qaf_options opts;
@@ -38,20 +38,6 @@ struct disjoint_world {
     client = register_client<ablated_register_node>(sim, std::move(ptrs));
     sim.start();
     sim.run_until(0);
-  }
-
-  static fault_plan make_faults() {
-    fault_plan faults = fault_plan::none(4);
-    const std::pair<process_id, process_id> alive[] = {
-        {0, 1}, {1, 0}, {1, 3}, {3, 2}, {2, 3}, {2, 1}};
-    for (process_id u = 0; u < 4; ++u)
-      for (process_id v = 0; v < 4; ++v) {
-        if (u == v) continue;
-        bool keep = false;
-        for (const auto& [a, b] : alive) keep |= (a == u && b == v);
-        if (!keep) faults.disconnect(u, v, 0);
-      }
-    return faults;
   }
 
   /// Runs `rounds` of write-at-0-then-read-at-3; returns false on stall.

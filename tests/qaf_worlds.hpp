@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "quorum/qaf_classical.hpp"
@@ -51,5 +52,29 @@ struct qaf_world {
 
 using classical_world = qaf_world<classical_qaf<int_set>>;
 using generalized_world = qaf_world<generalized_qaf<int_set>>;
+
+/// Scenario C of bench_ablation_clocks, the one the set-confirmation wait
+/// closes: disjoint write quorums {0,1} and {2,3} under read quorum {1,2}.
+/// A reader's cutoff resolves through the write quorum the writer did not
+/// use.
+inline quorum_config disjoint_scenario_config() {
+  return quorum_config{{process_set{1, 2}},
+                       {process_set{0, 1}, process_set{2, 3}}};
+}
+
+/// The scenario's channels: only 0→1, 1→0, 1→3, 3→2, 2→3 and 2→1 stay up.
+inline fault_plan disjoint_scenario_faults() {
+  fault_plan faults = fault_plan::none(4);
+  const std::pair<process_id, process_id> alive[] = {
+      {0, 1}, {1, 0}, {1, 3}, {3, 2}, {2, 3}, {2, 1}};
+  for (process_id u = 0; u < 4; ++u)
+    for (process_id v = 0; v < 4; ++v) {
+      if (u == v) continue;
+      bool keep = false;
+      for (const auto& [a, b] : alive) keep |= (a == u && b == v);
+      if (!keep) faults.disconnect(u, v, 0);
+    }
+  return faults;
+}
 
 }  // namespace gqs::testing

@@ -1,8 +1,8 @@
 // Tests for the multi-object quorum service: engine mechanics (batching,
-// shared gossip, stream freshness, NACK repair), the keyed register built
-// on it, per-key linearizability of multi-key traces under failures, and
-// the mutation check that a deliberately stale read (ablated get cutoff)
-// is caught by the Wing–Gong checker.
+// shared gossip, stream freshness, NACK repair, tick-only clocks), the
+// keyed register built on it, per-key linearizability of multi-key traces
+// under failures, and the mutation checks that dropping either Figure 3
+// clock wait produces a history the Wing–Gong checker catches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +11,12 @@
 #include "core/factories.hpp"
 #include "lincheck/dependency_graph.hpp"
 #include "lincheck/wing_gong.hpp"
+#include "qaf_worlds.hpp"
 #include "quorum/quorum_service.hpp"
 #include "register/keyed_register.hpp"
 #include "register/keyed_register_client.hpp"
 #include "sim/simulation.hpp"
+#include "strategy/planner.hpp"
 
 namespace gqs {
 namespace {
@@ -222,6 +224,179 @@ TEST(QuorumService, PersistentGossipGapTriggersNack) {
       [&] { return nodes[0]->gossip_backlog() == 0; }, 400000));
 }
 
+/// Records the keys, sequence and clock of every repair it receives, then
+/// handles the repair as usual.
+struct repair_spy : open_register {
+  using open_register::open_register;
+  using repair_msg = quorum_service<reg_value>::repair_msg;
+  struct seen {
+    std::uint64_t upto_seq;
+    std::uint64_t clock;
+    std::vector<service_key> keys;
+  };
+  std::vector<seen> repairs;
+
+  void deliver(process_id origin, const message_ptr& payload) override {
+    if (const auto* m = message_cast<repair_msg>(payload)) {
+      seen r{m->upto_seq, m->clock, {}};
+      for (const auto& e : m->entries) r.keys.push_back(e.key);
+      repairs.push_back(std::move(r));
+    }
+    open_register::deliver(origin, payload);
+  }
+};
+
+TEST(QuorumService, RepairAfterLongGapShipsOnlyKeysChangedSinceGap) {
+  // A NACK for a gap that began 100 gossip ticks ago must still ship only
+  // the keys changed since then, however long ago that was: key 5, not
+  // the keys 0 and 1 written (and gossiped) before the gap. Every clock
+  // starts at 50, so the repair floor must count from initial_clock.
+  const auto fig = make_figure1();
+  service_options opts;
+  opts.initial_clock = 50;
+  simulation sim(4, network_options{}, fault_plan::none(4), 7);
+  std::vector<open_register*> nodes;
+  repair_spy* spy = nullptr;
+  for (process_id p = 0; p < 4; ++p) {
+    std::unique_ptr<open_register> comp;
+    if (p == 0) {
+      auto s = std::make_unique<repair_spy>(8, quorum_config::of(fig.gqs),
+                                            opts);
+      spy = s.get();
+      comp = std::move(s);
+    } else {
+      comp = std::make_unique<open_register>(8, quorum_config::of(fig.gqs),
+                                             opts);
+    }
+    nodes.push_back(comp.get());
+    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
+  }
+  keyed_register_client<open_register> client(sim, nodes);
+  sim.start();
+  sim.run_until(0);
+  const auto settle = [&] {
+    return sim.run_until_condition([&] { return client.all_complete(); },
+                                   sim.now() + kLong);
+  };
+  client.invoke_write(2, 0, 10);
+  client.invoke_write(3, 1, 11);
+  ASSERT_TRUE(settle());
+  sim.run_until(sim.now() + 3 * opts.gossip_period);  // keys 0, 1 gossiped
+  const std::uint64_t gap_from = nodes[1]->counters().gossip_batches_sent + 1;
+  client.invoke_write(2, 5, 12);
+  ASSERT_TRUE(settle());
+  sim.run_until(sim.now() + 100 * opts.gossip_period);
+  using nack_msg = quorum_service<reg_value>::nack_msg;
+  sim.post(1, [&] {
+    nodes[1]->deliver(0, make_message<nack_msg>(gap_from));
+  });
+  ASSERT_TRUE(sim.run_until_condition([&] { return !spy->repairs.empty(); },
+                                      sim.now() + kLong));
+  const repair_spy::seen& r = spy->repairs.front();
+  EXPECT_EQ(r.keys, std::vector<service_key>{5});
+  EXPECT_GT(r.upto_seq, gap_from + 64);
+  EXPECT_EQ(r.clock, opts.initial_clock + r.upto_seq);
+}
+
+// ---------- tick-only clocks: freshness waits stay flat ----------
+
+/// Runs `ops` keyed operations at each process of `clients`, `window` in
+/// flight per client: slot s of client p owns key p * window + s and
+/// alternates writing and reading it. Returns every latency in completion
+/// order, or nothing if the run did not finish within kLong.
+std::vector<sim_time> run_windowed(service_world& w,
+                                   const process_set& clients, int ops,
+                                   int window) {
+  std::vector<sim_time> latencies;
+  std::function<void(process_id, service_key, int)> issue =
+      [&](process_id p, service_key key, int i) {
+        const sim_time t0 = w.sim.now();
+        const auto next = [&, p, key, i, t0] {
+          latencies.push_back(w.sim.now() - t0);
+          if (i + window < ops) issue(p, key, i + window);
+        };
+        if ((i / window) % 2 == 0)
+          w.nodes[p]->write(key, i, [next](reg_version) { next(); });
+        else
+          w.nodes[p]->read(key, [next](reg_value, reg_version) { next(); });
+      };
+  for (process_id p : clients)
+    for (int s = 0; s < window; ++s)
+      w.sim.post(p, [&, p, s] {
+        issue(p, static_cast<service_key>(p * window + s), s);
+      });
+  const std::size_t total = clients.size() * static_cast<std::size_t>(ops);
+  if (!w.sim.run_until_condition([&] { return latencies.size() == total; },
+                                 w.sim.now() + kLong))
+    return {};
+  return latencies;
+}
+
+/// Every live process's clock moved exactly once per gossip it sent.
+void expect_tick_only_clocks(const service_world& w, const process_set& live,
+                             std::uint64_t initial_clock) {
+  for (process_id p : live)
+    EXPECT_EQ(w.nodes[p]->engine_clock(),
+              initial_clock + w.nodes[p]->counters().gossip_batches_sent)
+        << "process " << p;
+}
+
+TEST(QuorumService, FreshnessWaitDoesNotGrowWithHistory) {
+  // Under f1 only R1 = {a, c} is a usable read quorum and c never receives
+  // a SET, so its clock moves on gossip ticks alone. Every cutoff must
+  // therefore be reachable by gossip ticks alone: a clock that also
+  // counted applied SET entries would put each cutoff one tick further
+  // ahead of c per entry so far, and the waits would grow with history.
+  const auto fig = make_figure1();
+  const failure_pattern& f1 = fig.gqs.fps[0];
+  const process_set clients = compute_u_f(fig.gqs, f1);
+  service_options opts;
+  opts.initial_clock = 100;
+  service_world w(8, fig.gqs, fault_plan::from_pattern(f1, 0), 11, opts);
+  const std::vector<sim_time> latencies = run_windowed(w, clients, 500, 4);
+  ASSERT_EQ(latencies.size(), 1000u);
+  const sim_time slowest_tail =
+      *std::max_element(latencies.end() - 100, latencies.end());
+  EXPECT_LE(slowest_tail, 100000) << "the last 100 ops waited too long";
+  expect_tick_only_clocks(w, f1.correct(), opts.initial_clock);
+
+  // The strategy-driven fast path: targeting changes which processes
+  // apply a SET, never how fast any clock moves.
+  opts.selector = std::make_shared<const quorum_selector>(
+      plan_optimal(fig.gqs).strategy, 3);
+  service_world t(8, fig.gqs, fault_plan::from_pattern(f1, 0), 12, opts);
+  ASSERT_EQ(run_windowed(t, clients, 500, 4).size(), 1000u);
+  EXPECT_GT(t.nodes[0]->counters().targeted_set_batches, 0u);
+  expect_tick_only_clocks(t, f1.correct(), opts.initial_clock);
+}
+
+TEST(QuorumService, SetAckWaitsForTheGossipThatCarriesIt) {
+  // A 200 ms gossip period dwarfs the 1-10 ms network delays, so a write
+  // and the read after it usually fit between two ticks. The SET ack must
+  // carry the next gossip's clock: an ack at the current clock would let
+  // the write's confirmation, and then the read's cutoff, be met by the
+  // gossip sent *before* the apply, and the read would return the old
+  // value. Under the real protocol each write waits for the tick that
+  // carries it.
+  const auto fig = make_figure1();
+  service_options opts;
+  opts.gossip_period = 200000;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    service_world w(1, fig.gqs, fault_plan::none(4), seed, opts);
+    for (int round = 0; round < 4; ++round) {
+      const process_id writer = static_cast<process_id>(round % 4);
+      w.client.invoke_write(writer, 0, 10 * round + 1);
+      ASSERT_TRUE(w.settle());
+      const auto ri = w.client.invoke_read((writer + 1) % 4, 0);
+      ASSERT_TRUE(w.settle());
+      EXPECT_EQ(w.client.history().at(ri).op.value, 10 * round + 1)
+          << "seed " << seed << " round " << round;
+    }
+    const auto r = check_linearizable(w.client.history_of(0));
+    EXPECT_TRUE(r.linearizable) << "seed " << seed << ": " << r.reason;
+  }
+}
+
 // ---------- multi-key traces: per-key linearizability ----------
 
 /// A mixed multi-key run under a Figure 1 failure pattern; every per-key
@@ -323,6 +498,74 @@ TEST(QuorumService, FullProtocolSafeWhereAblationViolates) {
     }
     ASSERT_TRUE(ok) << "seed " << seed;
     const auto r = check_linearizable(w.client.history_of(1));
+    EXPECT_TRUE(r.linearizable) << "seed " << seed << ": " << r.reason;
+  }
+}
+
+// ---------- mutation: the set-confirmation wait is load-bearing ----------
+
+/// The ablation study's disjoint scenario (testing::disjoint_scenario_config)
+/// on the keyed register, with p1's clock 1000 ticks ahead: one key,
+/// written at 0 and read at 3.
+struct disjoint_service_world {
+  simulation sim;
+  std::vector<keyed_register_node*> nodes;
+  keyed_register_client<keyed_register_node> client;
+
+  disjoint_service_world(std::uint64_t seed, bool use_set_confirmation)
+      : sim(4, network_options{}, testing::disjoint_scenario_faults(), seed),
+        client(sim, {}) {
+    for (process_id p = 0; p < 4; ++p) {
+      service_options opts;
+      opts.use_set_confirmation = use_set_confirmation;
+      if (p == 1) opts.initial_clock = 1000;
+      auto comp = std::make_unique<keyed_register_node>(
+          1, testing::disjoint_scenario_config(), opts);
+      nodes.push_back(comp.get());
+      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
+    }
+    client = keyed_register_client<keyed_register_node>(sim, nodes);
+    sim.start();
+    sim.run_until(0);
+  }
+
+  /// Runs `rounds` of write-at-0-then-read-at-3; returns false on stall.
+  bool run_rounds(int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      const auto wi = client.invoke_write(0, 0, 1000 + round);
+      if (!sim.run_until_condition([&] { return client.complete(wi); },
+                                   sim.now() + kLong))
+        return false;
+      const auto ri = client.invoke_read(3, 0);
+      if (!sim.run_until_condition([&] { return client.complete(ri); },
+                                   sim.now() + kLong))
+        return false;
+    }
+    return true;
+  }
+};
+
+TEST(QuorumService, DroppingSetConfirmationViolatesSomewhere) {
+  // Without the set's read-quorum confirmation, a write completes while
+  // only {0, 1} hold it; the reader's cutoff then resolves through {2, 3}
+  // and the read quorum {1, 2} can answer from pre-write gossip. Some
+  // delay schedule in seeds 0..255 must produce a non-linearizable
+  // history (about one in six does).
+  bool caught = false;
+  for (std::uint64_t seed = 0; seed < 256 && !caught; ++seed) {
+    disjoint_service_world w(seed, false);
+    if (!w.run_rounds(4)) continue;
+    caught = !check_linearizable(w.client.history_of(0)).linearizable;
+  }
+  EXPECT_TRUE(caught);
+}
+
+TEST(QuorumService, FullProtocolSafeInDisjointScenario) {
+  // Control: the published protocol is safe there for every seed.
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    disjoint_service_world w(seed, true);
+    ASSERT_TRUE(w.run_rounds(4)) << "seed " << seed;
+    const auto r = check_linearizable(w.client.history_of(0));
     EXPECT_TRUE(r.linearizable) << "seed " << seed << ": " << r.reason;
   }
 }
