@@ -158,6 +158,26 @@ void bm_check_generalized_corpus(benchmark::State& state) {
 }
 BENCHMARK(bm_check_generalized_corpus);
 
+/// Generating one |F| = 16 system of a corpus family: the topology plus
+/// 16 failure patterns, each built as rows of faulty channels.
+void bm_scenario_system(benchmark::State& state, const char* name) {
+  const auto corpus = topology_corpus(256);
+  const auto family = std::find_if(
+      corpus.begin(), corpus.end(),
+      [&](const scenario_family& f) { return f.name == name; });
+  if (family == corpus.end()) {
+    state.SkipWithError("family missing from topology_corpus(256)");
+    return;
+  }
+  scenario_params params = family->params;
+  params.patterns = 16;
+  std::mt19937_64 rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(scenario_system(params, rng));
+}
+BENCHMARK_CAPTURE(bm_scenario_system, ring64uni, "ring64uni");
+BENCHMARK_CAPTURE(bm_scenario_system, clique64, "clique64");
+BENCHMARK_CAPTURE(bm_scenario_system, geometric256, "geometric256");
+
 void bm_plan_optimal_threshold(benchmark::State& state) {
   const auto qs = threshold_quorum_system(8, 2);
   planner_options options;

@@ -9,25 +9,54 @@ failure_pattern::failure_pattern(process_id n)
   if (n == 0) throw std::invalid_argument("failure_pattern: empty system");
 }
 
-failure_pattern::failure_pattern(process_id n, process_set crashable,
-                                 const std::vector<edge>& faulty_channels)
-    : n_(n), crashable_(crashable), faulty_channels_(n) {
-  if (n == 0) throw std::invalid_argument("failure_pattern: empty system");
-  if (!crashable.is_subset_of(process_set::full(n)))
-    throw std::invalid_argument(
-        "failure_pattern: crashable processes outside system");
-  for (const edge& e : faulty_channels) {
+namespace {
+
+// The rows of C for an edge list; ids that no row can hold are rejected
+// here, everything else in failure_pattern::from_rows.
+std::vector<process_set> rows_of(process_id n,
+                                 const std::vector<edge>& channels) {
+  std::vector<process_set> rows(n);
+  for (const edge& e : channels) {
     if (e.from >= n || e.to >= n)
       throw std::invalid_argument("failure_pattern: channel outside system");
-    if (e.from == e.to)
+    rows[e.from].insert(e.to);
+  }
+  return rows;
+}
+
+}  // namespace
+
+failure_pattern::failure_pattern(process_id n, process_set crashable,
+                                 const std::vector<edge>& faulty_channels)
+    : failure_pattern(from_rows(n, crashable, rows_of(n, faulty_channels))) {}
+
+failure_pattern failure_pattern::from_rows(
+    process_id n, process_set crashable,
+    std::vector<process_set> faulty_rows) {
+  failure_pattern f(n);  // rejects n == 0
+  const process_set all = process_set::full(n);
+  if (!crashable.is_subset_of(all))
+    throw std::invalid_argument(
+        "failure_pattern: crashable processes outside system");
+  if (faulty_rows.size() != n)
+    throw std::invalid_argument("failure_pattern: channel rows size mismatch");
+  const process_set correct = crashable.complement_in(n);
+  for (process_id u = 0; u < n; ++u) {
+    const process_set& row = faulty_rows[u];
+    if (row.empty()) continue;
+    if (!row.is_subset_of(all))
+      throw std::invalid_argument("failure_pattern: channel outside system");
+    if (row.test(u))
       throw std::invalid_argument("failure_pattern: self-loop channel");
-    if (crashable.contains(e.from) || crashable.contains(e.to))
+    if (!correct.test(u) || !row.is_subset_of(correct))
       throw std::invalid_argument(
           "failure_pattern: C may only contain channels between correct "
           "processes (channels incident to faulty processes are implicitly "
           "faulty)");
-    faulty_channels_.add_edge(e);
   }
+  f.crashable_ = crashable;
+  f.faulty_channels_ = digraph::from_rows(std::move(faulty_rows));
+  return f;
 }
 
 digraph failure_pattern::residual() const {

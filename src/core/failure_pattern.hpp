@@ -23,9 +23,16 @@ class failure_pattern {
 
   /// General pattern. Throws std::invalid_argument if a channel in
   /// `faulty_channels` is incident to a process in `crashable`, if it is a
-  /// self-loop, or if sizes disagree.
+  /// self-loop, or if sizes disagree. Builds the rows of C and validates
+  /// them through from_rows.
   failure_pattern(process_id n, process_set crashable,
                   const std::vector<edge>& faulty_channels);
+
+  /// General pattern with C given as rows: (u, v) is in C iff v is in
+  /// faulty_rows[u]. Needs n rows; rejects what the edge-list constructor
+  /// rejects, with the same messages, using word operations per row.
+  static failure_pattern from_rows(process_id n, process_set crashable,
+                                   std::vector<process_set> faulty_rows);
 
   process_id system_size() const noexcept { return n_; }
 

@@ -20,11 +20,11 @@ failure_pattern random_failure_pattern(const random_system_params& params,
   }
 
   const process_set correct = crashed.complement_in(params.n);
-  std::vector<edge> faulty;
+  std::vector<process_set> faulty(params.n);
   for (process_id u : correct)
     for (process_id v : correct)
-      if (u != v && chan(rng)) faulty.push_back({u, v});
-  return failure_pattern(params.n, crashed, faulty);
+      if (u != v && chan(rng)) faulty[u].insert(v);
+  return failure_pattern::from_rows(params.n, crashed, std::move(faulty));
 }
 
 fail_prone_system random_fail_prone_system(const random_system_params& params,

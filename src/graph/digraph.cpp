@@ -1,9 +1,29 @@
 #include "graph/digraph.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <stdexcept>
 
 namespace gqs {
+
+namespace {
+
+// In-place transpose of a 64×64 bit matrix, row r in a[r], column c at bit
+// c: afterwards bit c of a[r] is the old bit r of a[c]. Swaps the
+// off-diagonal j×j blocks for j = 32, 16, ..., 1 (Hacker's Delight §7-3,
+// written for least-significant-bit-first columns).
+void transpose64(std::array<std::uint64_t, 64>& a) {
+  std::uint64_t m = 0x00000000FFFFFFFFULL;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j)
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+}
+
+}  // namespace
 
 digraph::digraph(process_id n)
     : n_(n), present_(process_set::full(n)), out_(n), in_(n) {}
@@ -18,10 +38,44 @@ digraph digraph::complete(process_id n) {
   return g;
 }
 
+digraph digraph::from_rows(std::vector<process_set> out_rows) {
+  if (out_rows.size() > process_set::max_processes)
+    throw std::out_of_range("digraph: vertex out of range");
+  digraph g;
+  g.n_ = static_cast<process_id>(out_rows.size());
+  g.present_ = process_set::full(g.n_);
+  for (process_id v = 0; v < g.n_; ++v) {
+    if (!out_rows[v].is_subset_of(g.present_))
+      throw std::out_of_range("digraph: vertex out of range");
+    if (out_rows[v].test(v)) throw std::invalid_argument("digraph: self-loop");
+  }
+  g.out_ = std::move(out_rows);
+  g.rebuild_in();
+  return g;
+}
+
 void digraph::rebuild_in() {
-  in_.assign(n_, process_set{});
-  for (process_id u = 0; u < n_; ++u)
-    for (process_id v : out_[u]) in_[v].insert(u);
+  // Block (bi, bj) of the adjacency matrix holds the edges from vertices
+  // 64·bi.. to vertices 64·bj..; its transpose is block (bj, bi) of the
+  // reverse matrix. Words past ⌈n/64⌉ are zero on both sides.
+  using word = process_set::word_type;
+  const std::size_t nw = process_set::words_for(n_);
+  in_.resize(n_);
+  std::array<std::array<word, 64>, process_set::word_count> column;
+  for (std::size_t bj = 0; bj < nw; ++bj) {
+    for (std::size_t bi = 0; bi < nw; ++bi) {
+      for (std::size_t r = 0; r < 64; ++r) {
+        const std::size_t u = bi * 64 + r;
+        column[bi][r] = u < n_ ? out_[u].word(bj) : 0;
+      }
+      transpose64(column[bi]);
+    }
+    for (std::size_t c = 0; c < 64 && bj * 64 + c < n_; ++c) {
+      std::array<word, process_set::word_count> in_row{};
+      for (std::size_t bi = 0; bi < nw; ++bi) in_row[bi] = column[bi][c];
+      in_[bj * 64 + c] = process_set::from_words(in_row);
+    }
+  }
 }
 
 void digraph::check_vertex(process_id v) const {
@@ -242,17 +296,10 @@ digraph digraph::transitive_closure() const {
   digraph closure(n_);
   closure.present_ = present_;
   for (process_id v : present_) {
+    // v may reach itself around a cycle, but self-loops are disallowed in
+    // the channel model, so (v, v) is never recorded.
     process_set reach = reachable_from(v);
     reach.erase(v);
-    // Re-add v if it lies on a cycle (some successor reaches back).
-    for (process_id w : out_neighbors(v)) {
-      if (w == v) continue;
-      if (reachable_from(w).contains(v)) {
-        // v reaches itself via a non-empty path; but self-loops are
-        // disallowed in our channel model, so we do not record (v, v).
-        break;
-      }
-    }
     closure.out_[v] = reach;
   }
   closure.rebuild_in();

@@ -43,6 +43,14 @@ class digraph {
   /// distinct vertices is an edge) — the paper's network graph G.
   static digraph complete(process_id n);
 
+  /// The graph on n = out_rows.size() vertices, all present, whose
+  /// successor set of v is out_rows[v]: the bulk form of add_edge for every
+  /// (v, w) with w in out_rows[v]. Each row is validated with word
+  /// operations and the reverse adjacency is derived by a 64×64 block bit
+  /// transpose. Throws what add_edge throws: std::out_of_range for a member
+  /// (or an n) beyond the graph, std::invalid_argument for a self-loop.
+  static digraph from_rows(std::vector<process_set> out_rows);
+
   process_id vertex_count() const noexcept { return n_; }
   process_set present() const noexcept { return present_; }
   bool is_present(process_id v) const { return present_.contains(v); }
@@ -115,7 +123,7 @@ class digraph {
 
  private:
   void check_vertex(process_id v) const;
-  void rebuild_in();  // recompute in_ from out_ (bulk edge rewrites)
+  void rebuild_in();  // in_ = transpose of out_ (bulk edge rewrites)
 
   process_id n_ = 0;
   process_set present_;

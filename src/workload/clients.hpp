@@ -104,6 +104,11 @@ class workload_driver {
     clients_.resize(sim_->size());
     for (process_id p = 0; p < sim_->size(); ++p)
       clients_[p].key_busy.assign(options_.keys, 0);
+    // One record per scheduled op: reserving them all up front keeps the
+    // last doubling's two buffers from meeting at the RSS peak.
+    std::size_t scheduled = 0;
+    for (const std::vector<client_op>& s : schedules_) scheduled += s.size();
+    history_.reserve(scheduled);
   }
 
   /// Posts the initial issues/arrivals; drive the simulation afterwards

@@ -173,19 +173,18 @@ failure_pattern scenario_failure_pattern(const digraph& network,
   }
 
   const process_set correct = crashed.complement_in(n);
-  std::vector<edge> faulty;
-  for (process_id u : correct)
-    for (process_id v : correct) {
-      if (u == v) continue;
-      // Channels outside the topology are down by definition; topology
-      // edges break with the configured probability (those are the only
-      // channel draws that consume the rng).
-      if (!network.has_edge(u, v))
-        faulty.push_back({u, v});
-      else if (chan(rng))
-        faulty.push_back({u, v});
-    }
-  return failure_pattern(n, crashed, faulty);
+  std::vector<process_set> faulty(n);
+  for (process_id u : correct) {
+    // Channels outside the topology are down by definition; topology
+    // edges break with the configured probability, drawn in ascending
+    // (u, v) order (those are the only channel draws that consume the rng).
+    const process_set links = network.out_neighbors(u) & correct;
+    process_set row = correct - links - process_set::singleton(u);
+    for (process_id v : links)
+      if (chan(rng)) row.insert(v);
+    faulty[u] = row;
+  }
+  return failure_pattern::from_rows(n, crashed, std::move(faulty));
 }
 
 fail_prone_system scenario_system(const scenario_params& params,

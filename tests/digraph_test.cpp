@@ -281,6 +281,57 @@ TEST(Digraph, DotOutputContainsEdges) {
   EXPECT_NE(dot.find("a -> b"), std::string::npos);
 }
 
+std::vector<process_set> random_rows(process_id n, double density,
+                                     std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::bernoulli_distribution edge_flip(density);
+  std::vector<process_set> rows(n);
+  for (process_id u = 0; u < n; ++u)
+    for (process_id v = 0; v < n; ++v)
+      if (u != v && edge_flip(rng)) rows[u].insert(v);
+  return rows;
+}
+
+TEST(Digraph, FromRowsMatchesAddEdge) {
+  for (process_id n : {1u, 63u, 64u, 65u, 128u, 255u, 256u}) {
+    const std::vector<process_set> rows = random_rows(n, 0.3, n);
+    digraph expected(n);
+    for (process_id u = 0; u < n; ++u)
+      for (process_id v : rows[u]) expected.add_edge(u, v);
+    // operator== compares the transposed in-rows too.
+    EXPECT_EQ(digraph::from_rows(rows), expected) << "n " << n;
+  }
+}
+
+TEST(Digraph, FromRowsRejectsWhatAddEdgeRejects) {
+  std::vector<process_set> loop(3);
+  loop[1].insert(1);
+  EXPECT_THROW(digraph::from_rows(loop), std::invalid_argument);
+  EXPECT_THROW(digraph(3).add_edge(1, 1), std::invalid_argument);
+
+  std::vector<process_set> outside(3);
+  outside[0].insert(3);
+  EXPECT_THROW(digraph::from_rows(outside), std::out_of_range);
+  EXPECT_THROW(digraph(3).add_edge(0, 3), std::out_of_range);
+
+  EXPECT_THROW(digraph::from_rows(std::vector<process_set>(
+                   process_set::max_processes + 1)),
+               std::out_of_range);
+}
+
+TEST(Digraph, TransitiveClosureOfRandom200VertexGraph) {
+  // Sparse enough that reachability stays partial; some vertices absent.
+  const process_id n = 200;
+  digraph g = digraph::from_rows(random_rows(n, 0.006, 200));
+  g.remove_vertices(process_set{3, 64, 130, 199});
+  digraph expected(n);
+  expected.remove_vertices(process_set{3, 64, 130, 199});
+  for (process_id v : g.present())
+    for (process_id w : g.reachable_from(v))
+      if (w != v) expected.add_edge(v, w);
+  EXPECT_EQ(g.transitive_closure(), expected);
+}
+
 // Property sweep: SCCs of random graphs partition the present vertices and
 // each component is indeed strongly connected; scc_of agrees with sccs().
 class DigraphRandomSweep : public ::testing::TestWithParam<unsigned> {};

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/factories.hpp"
 
 namespace gqs {
@@ -59,6 +63,66 @@ TEST(FailurePattern, ChannelOutsideSystemRejected) {
 
 TEST(FailurePattern, CrashablesOutsideSystemRejected) {
   EXPECT_THROW(failure_pattern(3, process_set{5}, {}), std::invalid_argument);
+}
+
+// The invalid_argument message a construction throws ("accepted" if none).
+template <typename Make>
+std::string rejection(Make&& make) {
+  try {
+    make();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+std::vector<process_set> rows_with(process_id n, edge e) {
+  std::vector<process_set> rows(n);
+  rows[e.from].insert(e.to);
+  return rows;
+}
+
+TEST(FailurePattern, FromRowsRejectsWithEdgeListMessages) {
+  struct bad_channel {
+    process_set crashed;
+    edge channel;
+  };
+  for (const bad_channel& bad : {bad_channel{process_set{0}, {0, 1}},
+                                 bad_channel{process_set{1}, {0, 1}},
+                                 bad_channel{{}, {1, 1}},
+                                 bad_channel{{}, {0, 3}}}) {
+    const std::string from_edges = rejection(
+        [&] { failure_pattern(3, bad.crashed, {bad.channel}); });
+    EXPECT_NE(from_edges, "accepted");
+    EXPECT_EQ(rejection([&] {
+                failure_pattern::from_rows(3, bad.crashed,
+                                           rows_with(3, bad.channel));
+              }),
+              from_edges);
+  }
+  EXPECT_NE(rejection([] {
+              failure_pattern::from_rows(3, {}, std::vector<process_set>(2));
+            }),
+            "accepted");
+}
+
+TEST(FailurePattern, RowAndEdgeListConstructorsAgree) {
+  std::mt19937_64 rng(17);
+  std::bernoulli_distribution flip(0.3);
+  const process_id n = 70;
+  const process_set crashed{2, 63, 64};
+  std::vector<edge> channels;
+  std::vector<process_set> rows(n);
+  for (process_id u : crashed.complement_in(n))
+    for (process_id v : crashed.complement_in(n))
+      if (u != v && flip(rng)) {
+        channels.push_back({u, v});
+        rows[u].insert(v);
+      }
+  EXPECT_EQ(failure_pattern::from_rows(n, crashed, rows),
+            failure_pattern(n, crashed, channels));
+  EXPECT_EQ(failure_pattern::from_rows(n, crashed, std::vector<process_set>(n)),
+            failure_pattern(n, crashed, {}));
 }
 
 TEST(FailurePattern, ChannelReliabilityRequiresCorrectEndpoints) {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <set>
 
+#include "core/random_systems.hpp"
+
 namespace gqs {
 namespace {
 
@@ -167,6 +169,86 @@ TEST(Scenarios, SystemHasRequestedShape) {
   const fail_prone_system fps = scenario_system(sp, rng);
   EXPECT_EQ(fps.system_size(), 9u);
   EXPECT_EQ(fps.size(), 5u);
+}
+
+// The generators as edge lists, one edge per faulty ordered pair: the
+// oracle the row-built patterns must match pattern for pattern and draw
+// for draw.
+fail_prone_system reference_scenario_system(const scenario_params& params,
+                                            std::mt19937_64& rng) {
+  const digraph network = make_topology(params.topology);
+  const process_id n = network.vertex_count();
+  fail_prone_system fps(n);
+  for (int i = 0; i < params.patterns; ++i) {
+    std::bernoulli_distribution crash(params.crash_probability);
+    std::bernoulli_distribution chan(params.channel_fail_probability);
+    process_set crashed;
+    for (process_id p = 0; p < n; ++p)
+      if (crash(rng)) crashed.insert(p);
+    if (params.keep_one_correct && crashed == process_set::full(n)) {
+      std::uniform_int_distribution<process_id> pick(0, n - 1);
+      crashed.erase(pick(rng));
+    }
+    const process_set correct = crashed.complement_in(n);
+    std::vector<edge> faulty;
+    for (process_id u : correct)
+      for (process_id v : correct) {
+        if (u == v) continue;
+        if (!network.has_edge(u, v))
+          faulty.push_back({u, v});
+        else if (chan(rng))
+          faulty.push_back({u, v});
+      }
+    fps.add(failure_pattern(n, crashed, faulty));
+  }
+  return fps;
+}
+
+fail_prone_system reference_random_system(const random_system_params& params,
+                                          std::mt19937_64& rng) {
+  fail_prone_system fps(params.n);
+  for (int i = 0; i < params.patterns; ++i) {
+    std::bernoulli_distribution crash(params.crash_probability);
+    std::bernoulli_distribution chan(params.channel_fail_probability);
+    process_set crashed;
+    for (process_id p = 0; p < params.n; ++p)
+      if (crash(rng)) crashed.insert(p);
+    if (params.keep_one_correct && crashed == process_set::full(params.n)) {
+      std::uniform_int_distribution<process_id> pick(0, params.n - 1);
+      crashed.erase(pick(rng));
+    }
+    const process_set correct = crashed.complement_in(params.n);
+    std::vector<edge> faulty;
+    for (process_id u : correct)
+      for (process_id v : correct)
+        if (u != v && chan(rng)) faulty.push_back({u, v});
+    fps.add(failure_pattern(params.n, crashed, faulty));
+  }
+  return fps;
+}
+
+TEST(Scenarios, RowsMatchEdgeListReference) {
+  // operator== compares every pattern's rows of C in both directions; the
+  // next draw of the two rngs agreeing shows the draw count is unchanged.
+  for (const scenario_family& family : topology_corpus(256))
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      std::mt19937_64 rows_rng(seed), ref_rng(seed);
+      EXPECT_EQ(scenario_system(family.params, rows_rng),
+                reference_scenario_system(family.params, ref_rng))
+          << family.name << " seed " << seed;
+      EXPECT_EQ(rows_rng(), ref_rng()) << family.name << " seed " << seed;
+    }
+  for (process_id n : {1u, 2u, 63u, 64u, 65u, 200u, 256u})
+    for (double chan_p : {0.0, 0.3, 1.0}) {
+      random_system_params params;
+      params.n = n;
+      params.channel_fail_probability = chan_p;
+      std::mt19937_64 rows_rng(n), ref_rng(n);
+      EXPECT_EQ(random_fail_prone_system(params, rows_rng),
+                reference_random_system(params, ref_rng))
+          << "n " << n << " p " << chan_p;
+      EXPECT_EQ(rows_rng(), ref_rng()) << "n " << n << " p " << chan_p;
+    }
 }
 
 TEST(Corpus, NamesUniqueSizesBoundedAllKindsPresent) {

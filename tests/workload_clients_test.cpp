@@ -179,6 +179,21 @@ TEST(WorkloadDriver, ClosedLoopCompletesAndLinearizesPerKey) {
   }
 }
 
+TEST(WorkloadDriver, HistoryReservedForEveryScheduledOp) {
+  const auto opts = small_workload();
+  driver_world w(opts, 5);
+  std::size_t scheduled = 0;
+  for (const auto& s : make_schedules(4, opts)) scheduled += s.size();
+  EXPECT_EQ(w.driver.history().capacity(), scheduled);
+  w.driver.launch();
+  const auto* buffer = w.driver.history().data();
+  ASSERT_TRUE(w.sim.run_until_condition([&] { return w.driver.done(); },
+                                        w.sim.now() + kLong));
+  EXPECT_EQ(w.driver.history().size(), scheduled);
+  EXPECT_EQ(w.driver.history().data(), buffer);
+  EXPECT_EQ(w.driver.history().capacity(), scheduled);
+}
+
 TEST(WorkloadDriver, FinalStatesMatchScheduleDerivation) {
   const auto opts = small_workload();
   driver_world w(opts, 6);
