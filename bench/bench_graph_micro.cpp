@@ -196,6 +196,28 @@ void bm_plan_optimal_corpus(benchmark::State& state) {
 }
 BENCHMARK(bm_plan_optimal_corpus);
 
+/// The large-LP end: 81 quorums per family over 144 processes, whose
+/// optimum spreads mass over every quorum, so column generation prices
+/// the whole family into the master.
+void bm_plan_optimal_tree144(benchmark::State& state) {
+  const auto qs = tree_quorum_system(144);
+  for (auto _ : state) benchmark::DoNotOptimize(plan_optimal(qs));
+}
+BENCHMARK(bm_plan_optimal_tree144);
+
+/// The f-aware planner over every pattern of the plan-corpus-shaped draw.
+void bm_plan_for_pattern_corpus(benchmark::State& state) {
+  const auto draw = geometric24_draw(state);
+  if (!draw) return;
+  const generalized_quorum_system& gqs = draw->witness.system;
+  planner_options options;
+  options.capacities = process_capacities(draw->params);
+  for (auto _ : state)
+    for (std::size_t i = 0; i < gqs.fps.size(); ++i)
+      benchmark::DoNotOptimize(plan_for_pattern(gqs, i, options));
+}
+BENCHMARK(bm_plan_for_pattern_corpus);
+
 void bm_plan_for_pattern_figure1(benchmark::State& state) {
   const auto fig = make_figure1();
   for (auto _ : state)

@@ -36,35 +36,6 @@ std::vector<double> inverse_capacities(process_id n,
   return inv;
 }
 
-/// The Hedge adversary over processes: maintains cumulative payoffs and
-/// produces the exponential-weights distribution with a horizon-free step
-/// size. The certificates computed by the callers are exact for *any*
-/// weight sequence, so the schedule only affects convergence speed.
-class hedge_adversary {
- public:
-  explicit hedge_adversary(process_id n) : cum_(n, 0.0), w_(n, 0.0) {}
-
-  const std::vector<double>& weights(int t) {
-    const double n = static_cast<double>(cum_.size());
-    const double eta =
-        std::sqrt(8.0 * std::log(std::max(2.0, n)) / static_cast<double>(t));
-    const double top = *std::max_element(cum_.begin(), cum_.end());
-    double total = 0;
-    for (std::size_t p = 0; p < cum_.size(); ++p) {
-      w_[p] = std::exp(eta * (cum_[p] - top));
-      total += w_[p];
-    }
-    for (double& w : w_) w /= total;
-    return w_;
-  }
-
-  void reward(process_id p, double payoff) { cum_[p] += payoff; }
-
- private:
-  std::vector<double> cum_;
-  std::vector<double> w_;
-};
-
 /// A quorum family compiled once per planner call: quorum i's members are
 /// mem[off[i]] .. mem[off[i + 1] - 1], in ascending id — the order
 /// process_set iteration yields — so a sum over a span adds the same terms
@@ -167,88 +138,281 @@ flat_family compile_family(const quorum_family& family, process_id n,
   return flat;
 }
 
-/// One round's best response against the weighted adversary: the chosen
-/// read/write members (spans into a flat_family) and the response's score
-/// (the round's lower-bound certificate).
-struct saddle_response {
-  std::span<const process_id> read_members;
-  std::span<const process_id> write_members;
+/// A column of the load LP: one quorum, or one (W, R) pair, of a column
+/// group, putting coef_a on each member of a and coef_b on each member of b.
+struct lp_column {
+  std::span<const process_id> a;
+  double coef_a = 0;
+  std::span<const process_id> b = {};
+  double coef_b = 0;
+};
+
+/// The restricted master of the load LP, in scaled units. Rows 0..n−1 are
+/// the load rows Σ_j a_pj·z_j − L ≤ 0, where a_pj is s_p times column j's
+/// coefficient on p and s_p = (1/cap_p) / max_q (1/cap_q) lies in (0, 1];
+/// row n + g is the convexity row Σ_{j ∈ g} z_j = 1 of column group g. The
+/// objective is min L.
+///
+/// A dense primal simplex on a tableau stored by column. Columns 0..m−1 are
+/// the identity block — each load row's slack, and per convexity row an
+/// artificial that never enters — so they always hold B⁻¹, and their
+/// objective entries are the duals. Column m is L; the master's columns
+/// follow in the order they were added. Entry m of every column, and of
+/// the right-hand side, is the objective row.
+class load_master {
+ public:
+  load_master(std::vector<double> scale, std::size_t groups)
+      : n_(scale.size()),
+        m_(n_ + groups),
+        stride_(m_ + 1),
+        scale_(std::move(scale)),
+        t_((m_ + 1) * stride_, 0.0),
+        rhs_(stride_, 0.0),
+        basic_(m_),
+        row_of_(m_ + 1, npos) {
+    for (std::size_t i = 0; i < m_; ++i) {
+      t_[i * stride_ + i] = 1.0;
+      basic_[i] = i;
+      row_of_[i] = i;
+    }
+    double* l = column(m_);
+    for (std::size_t p = 0; p < n_; ++p) l[p] = -1.0;
+    l[m_] = 1.0;  // L's cost
+    for (std::size_t g = 0; g < groups; ++g) rhs_[n_ + g] = 1.0;
+  }
+
+  /// Appends column c of group g after the columns added before it. Its
+  /// tableau entries are B⁻¹ times the original column: the identity
+  /// block's columns combined with the original entries.
+  void add(std::size_t group, const lp_column& c) {
+    const std::size_t j = t_.size() / stride_;
+    t_.resize(t_.size() + stride_, 0.0);
+    row_of_.push_back(npos);
+    const auto combine = [&](std::size_t k, double v) {
+      if (v == 0) return;
+      const double* src = column(k);
+      double* dst = column(j);
+      for (std::size_t i = 0; i < stride_; ++i) dst[i] += v * src[i];
+    };
+    for (process_id p : c.a) combine(p, c.coef_a * scale_[p]);
+    for (process_id p : c.b) combine(p, c.coef_b * scale_[p]);
+    combine(n_ + group, 1.0);
+  }
+
+  /// The first feasible basis, once each group has one column (added in
+  /// group order): group g's column takes its convexity row, and L the most
+  /// loaded row (the lowest index on ties), which leaves every other
+  /// slack at L minus its row's load ≥ 0.
+  void start() {
+    for (std::size_t g = 0; g + n_ < m_; ++g) pivot(n_ + g, m_ + 1 + g);
+    std::size_t top = 0;
+    for (std::size_t p = 1; p < n_; ++p)
+      if (rhs_[p] < rhs_[top]) top = p;
+    pivot(top, m_);
+  }
+
+  /// Primal simplex from the current feasible basis to an optimum over the
+  /// columns added so far. Dantzig's rule picks the entering column, ties
+  /// to the lowest index. The ratio test breaks ties — degenerate rows tie
+  /// at 0 all the time — to the largest pivot element, then the lowest
+  /// row: small pivots are what make a tableau drift. After m degenerate
+  /// pivots in a row it switches to Bland's rule (the lowest improving
+  /// column, the lowest basic index on ties) until the objective moves, so
+  /// it cannot cycle; a pivot budget bounds it even under round-off.
+  void solve() {
+    std::size_t stalled = 0;
+    const std::size_t budget = 64 * (m_ + columns());
+    for (std::size_t k = 0; k < budget; ++k) {
+      const bool bland = stalled > m_;
+      std::size_t enter = npos;
+      double best = -kCostEps;
+      for (std::size_t j = 0; j < columns(); ++j) {
+        if (row_of_[j] != npos || (j >= n_ && j < m_)) continue;
+        const double d = column(j)[m_];
+        if (d < best) {
+          best = d;
+          enter = j;
+          if (bland) break;
+        }
+      }
+      if (enter == npos) return;
+      const double* e = column(enter);
+      std::size_t leave = npos;
+      double ratio = 0;
+      for (std::size_t i = 0; i < m_; ++i) {
+        if (!(e[i] > kPivotEps)) continue;
+        const double r = std::max(rhs_[i], 0.0) / e[i];
+        const bool wins =
+            leave == npos || r < ratio ||
+            (r == ratio && (bland ? basic_[i] < basic_[leave]
+                                  : e[i] > e[leave]));
+        if (wins) {
+          leave = i;
+          ratio = r;
+        }
+      }
+      if (leave == npos) return;  // no blocking row: only round-off does this
+      stalled = ratio == 0 ? stalled + 1 : 0;
+      pivot(leave, enter);
+    }
+  }
+
+  /// The value of the k-th column added, in the current basic solution.
+  double value(std::size_t k) const {
+    const std::size_t r = row_of_[m_ + 1 + k];
+    return r == npos ? 0.0 : std::max(rhs_[r], 0.0);
+  }
+  /// The dual price w_p ≥ 0 of load row p: the reduced cost of its slack.
+  double dual(process_id p) const { return std::max(column(p)[m_], 0.0); }
+  /// The dual α_g of group g's convexity row, in scaled units.
+  double convexity_dual(std::size_t g) const {
+    return -column(n_ + g)[m_];
+  }
+
+ private:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  static constexpr double kCostEps = 1e-11;
+  static constexpr double kPivotEps = 1e-9;
+
+  std::size_t columns() const { return t_.size() / stride_; }
+  double* column(std::size_t j) { return t_.data() + j * stride_; }
+  const double* column(std::size_t j) const {
+    return t_.data() + j * stride_;
+  }
+
+  /// Gauss–Jordan step: column e becomes basic in row r.
+  void pivot(std::size_t r, std::size_t e) {
+    double* pe = column(e);
+    const double piv = pe[r];
+    const auto eliminate = [&](double* c) {
+      const double f = c[r];
+      if (f == 0) return;
+      const double g = f / piv;
+      for (std::size_t i = 0; i < stride_; ++i) c[i] -= g * pe[i];
+      c[r] = g;
+    };
+    for (std::size_t j = 0; j < columns(); ++j)
+      if (j != e) eliminate(column(j));
+    eliminate(rhs_.data());
+    std::fill(pe, pe + stride_, 0.0);
+    pe[r] = 1.0;
+    row_of_[basic_[r]] = npos;
+    basic_[r] = e;
+    row_of_[e] = r;
+  }
+
+  std::size_t n_, m_, stride_;
+  std::vector<double> scale_;
+  std::vector<double> t_;
+  std::vector<double> rhs_;
+  std::vector<std::size_t> basic_;   ///< the basic column of each row
+  std::vector<std::size_t> row_of_;  ///< each column's row, npos if nonbasic
+};
+
+/// A group's best column against the current duals: its index in the group
+/// and its score Σ_p coef·w_p/cap_p, the group's term of the lower bound.
+struct priced_column {
+  std::size_t index = 0;
   double score = 0;
 };
 
-struct saddle_outcome {
-  double lower_bound = 0;  ///< best certified LB over all rounds
-  double upper_bound = 0;  ///< weighted load of the best averaged strategy
-  int best_t = 0;          ///< round whose average achieved upper_bound
-  int iterations = 0;
-  bool converged = false;
+struct lp_solution {
+  std::vector<std::vector<double>> weights;  ///< per group, per column
+  double lower_bound = 0;  ///< best certified lower bound seen
+  int rounds = 0;          ///< master solves
 };
 
-/// The Hedge-vs-best-response loop with exact certificates, shared by the
-/// plain and the f-aware optimizers (their certification bookkeeping must
-/// never diverge). `respond(weighted)` picks the quorum player's action
-/// against the capacity-weighted adversary distribution — recording any
-/// per-action counts of its own — and `snapshot()` fires whenever the
-/// running average becomes the new best, so the caller can copy those
-/// counts at exactly the certified iterate.
-template <class Respond, class Snapshot>
-saddle_outcome run_saddle_point(process_id n, double rho,
-                                const std::vector<double>& inv_cap,
-                                const planner_options& options,
-                                Respond respond, Snapshot snapshot) {
-  const double scale = *std::max_element(inv_cap.begin(), inv_cap.end());
-  // The adversary's payoff per read / write membership, evaluated once
-  // per call; the rewards below add exactly these values.
-  std::vector<double> read_payoff(n), write_payoff(n);
-  for (process_id p = 0; p < n; ++p) {
-    read_payoff[p] = rho * inv_cap[p] / scale;
-    write_payoff[p] = (1.0 - rho) * inv_cap[p] / scale;
-  }
-  hedge_adversary adversary(n);
-  std::vector<double> weighted(n, 0.0);
-  std::vector<double> hits(n, 0.0);  // ρ-mixed membership counts
-  saddle_outcome out;
-  out.upper_bound = std::numeric_limits<double>::infinity();
-  for (int t = 1; t <= options.max_iterations; ++t) {
-    out.iterations = t;
-    const std::vector<double>& w = adversary.weights(t);
+/// Column generation over the load LP, shared by the plain and the f-aware
+/// planners so their certificate bookkeeping never diverges. Group g has
+/// sizes[g] columns, `column(g, i)` returns one, and `price(weighted,
+/// best)` fills best[g] with group g's lowest-scoring column under
+/// weighted[p] = w_p/cap_p — the exact best response to the adversary w.
+///
+/// Each round prices every column with the master's normalized duals w,
+/// whose best responses certify LB = Σ_g best[g].score (a max is at least
+/// any average, so this holds for every distribution w). It adds each
+/// group's best column that prices below zero and re-solves the master.
+/// It stops once the master's strategy, whose weighted load (UB) is
+/// recomputed from the original columns, is within `tolerance` of the
+/// best LB, when no column prices out, or after max_iterations rounds.
+template <class Column, class Price>
+lp_solution solve_load_lp(process_id n, const std::vector<double>& inv_cap,
+                          const std::vector<std::size_t>& sizes,
+                          const planner_options& options, Column column,
+                          Price price) {
+  constexpr double kPriceEps = 1e-10;
+  const std::size_t groups = sizes.size();
+  const double top = *std::max_element(inv_cap.begin(), inv_cap.end());
+  std::vector<double> scale(n);
+  for (process_id p = 0; p < n; ++p) scale[p] = inv_cap[p] / top;
+  load_master master(std::move(scale), groups);
+
+  std::vector<std::vector<bool>> added(groups);
+  for (std::size_t g = 0; g < groups; ++g) added[g].assign(sizes[g], false);
+  std::vector<std::pair<std::size_t, std::size_t>> in_master;  // (g, i)
+  std::vector<double> w(n, 1.0 / static_cast<double>(n)), weighted(n),
+      load(n), total(groups);
+  std::vector<priced_column> best(groups);
+  lp_solution sol;
+  double upper = std::numeric_limits<double>::infinity();
+  for (;;) {
     for (process_id p = 0; p < n; ++p) weighted[p] = w[p] * inv_cap[p];
-
-    // Exact best response; its score certifies the lower bound
-    // min_σ Σ_p w_p·load_σ(p)/cap_p ≤ optimum (a max dominates any
-    // average).
-    const saddle_response resp = respond(weighted);
-    out.lower_bound = std::max(out.lower_bound, resp.score);
-
-    for (process_id p : resp.read_members) hits[p] += rho;
-    for (process_id p : resp.write_members) hits[p] += 1.0 - rho;
-
-    // Weighted load of the averaged strategy so far — feasible, hence an
-    // upper bound; keep the best average seen. Rounded division by t > 0
-    // is monotone, so dividing the largest product once yields the same
-    // bits as the largest of the per-process quotients.
-    double top = 0;
-    for (process_id p = 0; p < n; ++p)
-      top = std::max(top, hits[p] * inv_cap[p]);
-    const double ub = top / static_cast<double>(t);
-    if (ub < out.upper_bound) {
-      out.upper_bound = ub;
-      out.best_t = t;
-      snapshot();
-    }
-
-    // Reward the adversary where the chosen quorums put load.
-    for (process_id p : resp.read_members)
-      adversary.reward(p, read_payoff[p]);
-    for (process_id p : resp.write_members)
-      adversary.reward(p, write_payoff[p]);
-
-    if (out.upper_bound - out.lower_bound <= options.tolerance) {
-      out.converged = true;
+    price(weighted, best);
+    double lb = 0;
+    for (const priced_column& b : best) lb += b.score;
+    sol.lower_bound = std::max(sol.lower_bound, lb);
+    if (upper - sol.lower_bound <= options.tolerance ||
+        sol.rounds == options.max_iterations)
       break;
+
+    // Reduced cost in original units: score − max_q(1/cap_q)·α_g. The
+    // first round seeds the master with every group's best response to
+    // the uniform adversary.
+    bool grew = false;
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t i = best[g].index;
+      if (added[g][i]) continue;
+      if (sol.rounds > 0 &&
+          !(best[g].score - top * master.convexity_dual(g) < -kPriceEps * top))
+        continue;
+      master.add(g, column(g, i));
+      added[g][i] = true;
+      in_master.emplace_back(g, i);
+      grew = true;
     }
+    if (!grew) break;
+    if (sol.rounds == 0) master.start();
+    master.solve();
+    ++sol.rounds;
+
+    std::fill(total.begin(), total.end(), 0.0);
+    for (std::size_t k = 0; k < in_master.size(); ++k)
+      total[in_master[k].first] += master.value(k);
+    std::fill(load.begin(), load.end(), 0.0);
+    for (std::size_t k = 0; k < in_master.size(); ++k) {
+      const auto [g, i] = in_master[k];
+      const double x = master.value(k) / total[g];
+      const lp_column c = column(g, i);
+      for (process_id p : c.a) load[p] += c.coef_a * x;
+      for (process_id p : c.b) load[p] += c.coef_b * x;
+    }
+    upper = 0;
+    for (process_id p = 0; p < n; ++p)
+      upper = std::max(upper, load[p] * inv_cap[p]);
+
+    double mass = 0;
+    for (process_id p = 0; p < n; ++p) mass += master.dual(p);
+    if (mass > 0)
+      for (process_id p = 0; p < n; ++p) w[p] = master.dual(p) / mass;
   }
-  return out;
+
+  sol.weights.resize(groups);
+  for (std::size_t g = 0; g < groups; ++g) sol.weights[g].assign(sizes[g], 0);
+  for (std::size_t k = 0; k < in_master.size(); ++k) {
+    const auto [g, i] = in_master[k];
+    sol.weights[g][i] = master.value(k) / total[g];
+  }
+  return sol;
 }
 
 }  // namespace
@@ -265,44 +429,45 @@ plan_result plan_optimal(process_id n, const quorum_family& reads,
   const double rho = options.read_ratio;
   const std::vector<double> inv_cap = inverse_capacities(n,
                                                          options.capacities);
-  std::vector<double> read_count(reads.size(), 0.0);
-  std::vector<double> write_count(writes.size(), 0.0);
-  std::vector<double> best_read_count, best_write_count;
   std::vector<double> read_scores, write_scores;
-  // The read/write product decomposes: the joint best response is the
-  // pair of independent per-family argmins, and the averaged product
-  // strategy's load depends only on the two marginals.
-  const saddle_outcome out = run_saddle_point(
-      n, rho, inv_cap, options,
-      [&](const std::vector<double>& weighted) {
-        family_scores(flat_reads, weighted, read_scores);
-        family_scores(flat_writes, weighted, write_scores);
-        const auto [i_read, s_read] = lowest(read_scores);
-        const auto [i_write, s_write] = lowest(write_scores);
-        read_count[i_read] += 1.0;
-        write_count[i_write] += 1.0;
-        return saddle_response{flat_reads[i_read], flat_writes[i_write],
-                               rho * s_read + (1.0 - rho) * s_write};
+  // The read/write product decomposes: group 0 holds the read quorums,
+  // group 1 the write quorums, and the joint best response is the pair of
+  // independent per-family argmins. When the two families coincide, a read
+  // and a write are interchangeable — the ρ-mixture of any two marginals
+  // loads every process exactly as the pair does — so one group plans a
+  // single distribution that both sides then use.
+  const bool shared = reads == writes;
+  const lp_solution sol = solve_load_lp(
+      n, inv_cap,
+      shared ? std::vector<std::size_t>{reads.size()}
+             : std::vector<std::size_t>{reads.size(), writes.size()},
+      options,
+      [&](std::size_t g, std::size_t i) {
+        if (shared) return lp_column{flat_reads[i], 1.0};
+        return g == 0 ? lp_column{flat_reads[i], rho}
+                      : lp_column{flat_writes[i], 1.0 - rho};
       },
-      [&] {
-        best_read_count = read_count;
-        best_write_count = write_count;
+      [&](const std::vector<double>& weighted,
+          std::vector<priced_column>& best) {
+        family_scores(flat_reads, weighted, read_scores);
+        const auto [i_read, s_read] = lowest(read_scores);
+        if (shared) {
+          best[0] = {i_read, s_read};
+          return;
+        }
+        family_scores(flat_writes, weighted, write_scores);
+        const auto [i_write, s_write] = lowest(write_scores);
+        best[0] = {i_read, rho * s_read};
+        best[1] = {i_write, (1.0 - rho) * s_write};
       });
 
   plan_result result;
-  result.iterations = out.iterations;
-  result.converged = out.converged;
+  result.iterations = sol.rounds;
   result.strategy.read_ratio = rho;
   result.strategy.reads.quorums = reads;
   result.strategy.writes.quorums = writes;
-  result.strategy.reads.weights.resize(reads.size());
-  result.strategy.writes.weights.resize(writes.size());
-  for (std::size_t i = 0; i < reads.size(); ++i)
-    result.strategy.reads.weights[i] =
-        best_read_count[i] / static_cast<double>(out.best_t);
-  for (std::size_t i = 0; i < writes.size(); ++i)
-    result.strategy.writes.weights[i] =
-        best_write_count[i] / static_cast<double>(out.best_t);
+  result.strategy.reads.weights = sol.weights[0];
+  result.strategy.writes.weights = sol.weights[shared ? 0 : 1];
   result.strategy.reads.prune();
   result.strategy.writes.prune();
   result.strategy.validate();
@@ -315,8 +480,9 @@ plan_result plan_optimal(process_id n, const quorum_family& reads,
     result.weighted_load =
         std::max(result.weighted_load, result.load[p] * inv_cap[p]);
   }
-  result.lower_bound = std::min(out.lower_bound, result.weighted_load);
+  result.lower_bound = std::min(sol.lower_bound, result.weighted_load);
   result.gap = result.weighted_load - result.lower_bound;
+  result.converged = result.gap <= options.tolerance;
   result.capacity = result.weighted_load > 0
                         ? 1.0 / result.weighted_load
                         : std::numeric_limits<double>::infinity();
@@ -356,36 +522,26 @@ pattern_plan plan_for_pattern(const generalized_quorum_system& gqs,
     pair_reads.add(a.read_quorum);
     pair_writes.add(a.write_quorum);
   }
-  std::vector<double> count(plan.pairs.size(), 0.0);
-  std::vector<double> best_count;
   std::vector<double> read_scores, write_scores;
-  // Best response over the *pairs* — reads and writes are coupled here
-  // because only validated combinations may carry mass.
-  const saddle_outcome out = run_saddle_point(
-      n, rho, inv_cap, options,
-      [&](const std::vector<double>& weighted) {
+  // One group whose columns are the pairs: reads and writes are coupled
+  // here because only validated combinations may carry mass.
+  const lp_solution sol = solve_load_lp(
+      n, inv_cap, {plan.pairs.size()}, options,
+      [&](std::size_t, std::size_t i) {
+        return lp_column{pair_reads[i], rho, pair_writes[i], 1.0 - rho};
+      },
+      [&](const std::vector<double>& weighted,
+          std::vector<priced_column>& best) {
         family_scores(pair_reads, weighted, read_scores);
         family_scores(pair_writes, weighted, write_scores);
-        std::size_t best = 0;
-        double best_score = std::numeric_limits<double>::infinity();
+        best[0] = {0, std::numeric_limits<double>::infinity()};
         for (std::size_t i = 0; i < plan.pairs.size(); ++i) {
           const double score =
               rho * read_scores[i] + (1.0 - rho) * write_scores[i];
-          if (score < best_score) {
-            best_score = score;
-            best = i;
-          }
+          if (score < best[0].score) best[0] = {i, score};
         }
-        count[best] += 1.0;
-        return saddle_response{pair_reads[best], pair_writes[best],
-                               best_score};
-      },
-      [&] { best_count = count; });
-  plan.converged = out.converged;
-
-  plan.weights.resize(plan.pairs.size());
-  for (std::size_t i = 0; i < plan.pairs.size(); ++i)
-    plan.weights[i] = best_count[i] / static_cast<double>(out.best_t);
+      });
+  plan.weights = sol.weights[0];
 
   plan.load.assign(n, 0.0);
   for (std::size_t i = 0; i < plan.pairs.size(); ++i) {
@@ -397,8 +553,9 @@ pattern_plan plan_for_pattern(const generalized_quorum_system& gqs,
   for (process_id p = 0; p < n; ++p)
     plan.weighted_load = std::max(plan.weighted_load,
                                   plan.load[p] * inv_cap[p]);
-  plan.lower_bound = std::min(out.lower_bound, plan.weighted_load);
+  plan.lower_bound = std::min(sol.lower_bound, plan.weighted_load);
   plan.gap = plan.weighted_load - plan.lower_bound;
+  plan.converged = plan.gap <= options.tolerance;
   return plan;
 }
 

@@ -5,21 +5,30 @@
 //
 //   minimize over σ = (σ_R, σ_W)   max_p  load_σ(p) / cap_p
 //
-// a linear program over the product of two probability simplices. The
-// solver is a self-contained deterministic saddle-point iteration
-// (multiplicative weights / Hedge over the process "adversary", exact
-// best responses over the quorum player) that terminates with a
-// *certified* optimality gap:
+// the load LP of Malkhi, Reiter & Wool: minimize L subject to
+//   ρ·Σ_{R∋p} σ_R(R) + (1−ρ)·Σ_{W∋p} σ_W(W) ≤ L·cap_p   for every p,
+// with σ_R and σ_W probability distributions. Its dual is a distribution
+// w over processes (the "adversary"). The planner solves it exactly, as
+// Whittaker et al. do, with a small deterministic dense simplex (doubles,
+// fixed pivot rules with lowest-index tie-breaks, no threads) driven by
+// column generation: a restricted master starts from one read and one
+// write quorum, every quorum is priced against the master's duals, the
+// most negative reduced-cost quorum of each family joins the master, and
+// the loop stops when none prices below zero or the certified gap is
+// within tolerance. Both certificates come from the original data, never
+// from tableau values:
 //
-//   * upper bound — the weighted load of the averaged strategy, which is
-//     feasible by construction;
-//   * lower bound — for any distribution w over processes,
+//   * upper bound — max_p load(p)/cap_p of the returned strategy;
+//   * lower bound — for the master's normalized dual w,
 //       min_σ Σ_p w_p · load_σ(p)/cap_p
 //         = ρ · min_R Σ_{p∈R} w_p/cap_p + (1−ρ) · min_W Σ_{p∈W} w_p/cap_p
 //     bounds the optimum from below (a max is at least any average).
 //
-// Both bounds are exact regardless of step-size schedule, so the reported
-// gap is trustworthy even if the iteration is stopped early.
+// `converged` means the certified gap is within `tolerance`. The result
+// is a basic optimum of the LP — a vertex — so its support can be small:
+// a few quorums may carry all the mass where many would do as well. When
+// the read and write families are the same family, reads and writes are
+// interchangeable and one distribution serves both.
 //
 // The GQS lift (the part that is new relative to the classical planners):
 // availability in a generalized quorum system is *directional and
@@ -27,7 +36,8 @@
 // from its read quorum, per pattern f. The f-aware planner therefore
 // optimizes, for each f ∈ F, a distribution over the *valid (W, R) pairs*
 // of that pattern, never assigning mass to a pair that Definition 2 would
-// reject under f. The failure-probability estimator evaluates a family
+// reject under f; the same column generation solves it, with the valid
+// pairs as the columns of one distribution. The failure-probability estimator evaluates a family
 // under independent process failures over an arbitrary base topology
 // (exact enumeration for small n, seeded Monte Carlo above).
 #pragma once
@@ -49,8 +59,9 @@ struct planner_options {
   std::vector<double> capacities;
   /// Target certified gap, in weighted-load units.
   double tolerance = 1e-3;
-  /// Iteration budget; the result reports `converged = false` when the
-  /// tolerance was not reached within it.
+  /// Budget of column-generation rounds (master solves); the result
+  /// reports `converged = false` when the tolerance was not reached
+  /// within it.
   int max_iterations = 50000;
 
   void validate(process_id n) const;
@@ -66,7 +77,7 @@ struct plan_result {
   double gap = 0;             ///< weighted_load − lower_bound
   double capacity = 0;        ///< 1 / weighted_load: sustainable throughput
   double network_cost = 0;    ///< expected request messages per access
-  int iterations = 0;
+  int iterations = 0;         ///< column-generation rounds run
   bool converged = false;
 };
 
