@@ -68,30 +68,6 @@ run_result drive_rounds(World& w, process_id writer, process_id reader,
   return out;
 }
 
-/// A register_world-compatible shim for the hand-built skewed/disjoint
-/// scenarios (they configure nodes individually, so they cannot use
-/// register_world's uniform constructor).
-struct ablated_world {
-  simulation sim;
-  std::vector<ablated_register_node*> nodes;
-  register_client<ablated_register_node> client;
-
-  ablated_world(process_id n, fault_plan faults, std::uint64_t seed,
-                const quorum_config& qc,
-                const std::function<ablated_qaf_options(process_id)>& opts_of)
-      : sim(n, network_options{}, std::move(faults), seed), client(sim, {}) {
-    for (process_id p = 0; p < n; ++p) {
-      auto comp = std::make_unique<ablated_register_node>(qc, reg_state{},
-                                                          opts_of(p));
-      nodes.push_back(comp.get());
-      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-    }
-    client = register_client<ablated_register_node>(sim, nodes);
-    sim.start();
-    sim.run_until(0);
-  }
-};
-
 /// Scenario A: Figure 1's f1, writer a, reader b.
 template <class RegNode, class... Args>
 run_result scenario_a_cell(std::uint64_t seed, Args... node_args) {
@@ -112,14 +88,15 @@ run_result scenario_b_cell(std::uint64_t seed, bool use_get_cutoff,
                            bool use_set_confirmation) {
   const auto qs = threshold_quorum_system(3, 1);
   const std::uint64_t offsets[] = {0, 100, 0};
-  ablated_world w(3, fault_plan::none(3), seed, quorum_config::of(qs),
-                  [&](process_id p) {
-                    ablated_qaf_options opts;
-                    opts.initial_clock = offsets[p];
-                    opts.use_get_cutoff = use_get_cutoff;
-                    opts.use_set_confirmation = use_set_confirmation;
-                    return opts;
-                  });
+  register_world<ablated_register_node> w(
+      3, fault_plan::none(3), seed, network_options{}, [&](process_id p) {
+        ablated_qaf_options opts;
+        opts.initial_clock = offsets[p];
+        opts.use_get_cutoff = use_get_cutoff;
+        opts.use_set_confirmation = use_set_confirmation;
+        return std::make_unique<ablated_register_node>(
+            quorum_config::of(qs), reg_state{}, opts);
+      });
   return drive_rounds(w, 0, 2, 8);
 }
 
@@ -130,6 +107,7 @@ run_result scenario_b_cell(std::uint64_t seed, bool use_get_cutoff,
 ///   Writes = {W1 = {0,1}, W2 = {2,3}},  Reads = {R = {1,2}}
 ///   alive channels: 0→1, 1→0, 1→3, 3→2, 2→3, 2→1 (rest disconnected)
 ///
+/// (disjoint_scenario_config / disjoint_scenario_faults, qaf_ablation.hpp).
 /// p0's sets commit through W1 (2 hops round trip) while p3's clock
 /// cutoffs resolve through W2 (direct), so c_get never sees a W1 clock.
 /// p1 carries the update into R but runs its clock +1000 ahead: its
@@ -139,28 +117,19 @@ run_result scenario_b_cell(std::uint64_t seed, bool use_get_cutoff,
 /// the read then returns {stale p1, pre-apply p2}.
 run_result scenario_c_cell(std::uint64_t seed, bool use_get_cutoff,
                            bool use_set_confirmation) {
-  quorum_config qc{{process_set{1, 2}},
-                   {process_set{0, 1}, process_set{2, 3}}};
-  fault_plan faults = fault_plan::none(4);
-  const std::pair<process_id, process_id> alive[] = {
-      {0, 1}, {1, 0}, {1, 3}, {3, 2}, {2, 3}, {2, 1}};
-  for (process_id u = 0; u < 4; ++u)
-    for (process_id v = 0; v < 4; ++v) {
-      if (u == v) continue;
-      bool keep = false;
-      for (const auto& [a, b] : alive) keep |= (a == u && b == v);
-      if (!keep) faults.disconnect(u, v, 0);
-    }
-  ablated_world w(4, std::move(faults), seed, qc, [&](process_id p) {
-    ablated_qaf_options opts;
-    opts.use_get_cutoff = use_get_cutoff;
-    opts.use_set_confirmation = use_set_confirmation;
-    // p1's clock runs +1000 ahead: its *cached* gossip then passes any
-    // W2-derived cutoff even when it predates the latest update. Equal
-    // gossip rates keep the lag constant (liveness intact).
-    if (p == 1) opts.initial_clock = 1000;
-    return opts;
-  });
+  register_world<ablated_register_node> w(
+      4, disjoint_scenario_faults(), seed, network_options{},
+      [&](process_id p) {
+        ablated_qaf_options opts;
+        opts.use_get_cutoff = use_get_cutoff;
+        opts.use_set_confirmation = use_set_confirmation;
+        // p1's clock runs +1000 ahead: its *cached* gossip then passes any
+        // W2-derived cutoff even when it predates the latest update. Equal
+        // gossip rates keep the lag constant (liveness intact).
+        if (p == 1) opts.initial_clock = 1000;
+        return std::make_unique<ablated_register_node>(
+            disjoint_scenario_config(), reg_state{}, opts);
+      });
   return drive_rounds(w, 0, 3, 6);
 }
 

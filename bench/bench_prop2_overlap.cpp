@@ -35,37 +35,33 @@ int bench_entry() {
   const process_set correct = fig.gqs.fps[0].correct();
   const sim_time skew[] = {0, 70000, 150000, 0};
 
-  simulation sim(4, consensus_world::partial_sync(),
-                 fault_plan::from_pattern(fig.gqs.fps[0], 0), 3);
-  std::vector<consensus_node*> nodes;
-  for (process_id p = 0; p < 4; ++p) {
-    consensus_options opts;
-    opts.view_duration_unit = view_unit;
-    opts.startup_delay = skew[p];
-    auto comp =
-        std::make_unique<consensus_node>(quorum_config::of(fig.gqs), opts);
-    nodes.push_back(comp.get());
-    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-  }
-  sim.start();
+  world<consensus_node> w(
+      4, fault_plan::from_pattern(fig.gqs.fps[0], 0), 3,
+      consensus_world::partial_sync(), [&](process_id p) {
+        consensus_options opts;
+        opts.view_duration_unit = view_unit;
+        opts.startup_delay = skew[p];
+        return std::make_unique<consensus_node>(quorum_config::of(fig.gqs),
+                                                opts);
+      });
   const auto wall_begin = std::chrono::steady_clock::now();
-  sim.run_until(10L * 1000 * 1000);  // 10 s
+  w.sim.run_until(10L * 1000 * 1000);  // 10 s
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_begin)
                             .count();
-  gqs_bench::record("events_processed", sim.metrics().events_processed);
+  gqs_bench::record("events_processed", w.sim.metrics().events_processed);
   gqs_bench::record("events_per_sec",
                     wall_s > 0 ? static_cast<double>(
-                                     sim.metrics().events_processed) /
+                                     w.sim.metrics().events_processed) /
                                      wall_s
                                : 0);
 
   std::map<process_id, std::map<std::uint64_t, sim_time>> enter;
   std::uint64_t max_common_view = UINT64_MAX;
   for (process_id p : correct) {
-    for (const auto& [v, at] : nodes[p]->view_log()) enter[p][v] = at;
+    for (const auto& [v, at] : w.nodes[p]->view_log()) enter[p][v] = at;
     max_common_view =
-        std::min(max_common_view, nodes[p]->view_log().back().first);
+        std::min(max_common_view, w.nodes[p]->view_log().back().first);
   }
 
   text_table t({"view v", "view length v*C", "latest entry", "earliest exit",

@@ -30,8 +30,8 @@
 #include <iostream>
 
 #include "sim/flooding.hpp"
-#include "sim/simulation.hpp"
 #include "workload/table.hpp"
+#include "workload/worlds.hpp"
 
 namespace {
 
@@ -77,15 +77,15 @@ class ring_node : public node {
 /// `delivered` receives the delivery count for the workload check.
 double ring_pass(std::uint64_t seed, const network_options& net,
                  std::uint64_t* delivered = nullptr) {
-  simulation sim(kRing, net, fault_plan::none(kRing), seed);
-  for (process_id p = 0; p < kRing; ++p)
-    sim.set_node(p, std::make_unique<ring_node>(p == 0 ? kTokens : 0));
-  sim.start();
+  world<ring_node> w(kRing, fault_plan::none(kRing), seed, net,
+                     [](process_id p) {
+                       return std::make_unique<ring_node>(p == 0 ? kTokens : 0);
+                     });
   const auto begin = std::chrono::steady_clock::now();
-  sim.run_until(sim_time_never - 1);
+  const std::uint64_t events = w.sim.run_until(sim_time_never - 1);
   const auto end = std::chrono::steady_clock::now();
-  if (delivered) *delivered = sim.metrics().messages_delivered;
-  return static_cast<double>(sim.metrics().events_processed) /
+  if (delivered) *delivered = w.sim.metrics().messages_delivered;
+  return static_cast<double>(events) /
          std::chrono::duration<double>(end - begin).count();
 }
 
@@ -110,14 +110,11 @@ class storm_node : public flooding_node {
 double storm_pass(std::uint64_t seed) {
   constexpr process_id n = 8;
   constexpr int rounds = 60;
-  simulation sim(n, network_options{}, fault_plan::none(n), seed);
-  for (process_id p = 0; p < n; ++p)
-    sim.set_node(p, std::make_unique<storm_node>(rounds));
-  sim.start();
+  world<storm_node> w(n, fault_plan::none(n), seed, network_options{}, rounds);
   const auto begin = std::chrono::steady_clock::now();
-  sim.run_until(sim_time_never - 1);
+  const std::uint64_t events = w.sim.run_until(sim_time_never - 1);
   const auto end = std::chrono::steady_clock::now();
-  return static_cast<double>(sim.metrics().events_processed) /
+  return static_cast<double>(events) /
          std::chrono::duration<double>(end - begin).count();
 }
 

@@ -27,20 +27,13 @@ run_result run(const generalized_quorum_system& gqs, const failure_pattern* f,
   run_result out;
   out.stats["completed"] = 0;
   out.stats["prefix"] = 0;
-  simulation sim(gqs.system_size(), consensus_world::partial_sync(),
-                 f ? fault_plan::from_pattern(*f, 0)
-                   : fault_plan::none(gqs.system_size()),
-                 seed);
-  std::vector<replicated_log_node*> replicas;
-  for (process_id p = 0; p < gqs.system_size(); ++p) {
-    auto nd = std::make_unique<replicated_log_node>(
-        gqs.system_size(), quorum_config::of(gqs),
-        static_cast<std::size_t>(commands) + 4);
-    replicas.push_back(nd.get());
-    sim.set_node(p, std::move(nd));
-  }
-  sim.start();
-  sim.run_until(0);
+  world<replicated_log_node> w(
+      gqs.system_size(),
+      f ? fault_plan::from_pattern(*f, 0) : fault_plan::none(gqs.system_size()),
+      seed, consensus_world::partial_sync(), gqs.system_size(),
+      quorum_config::of(gqs), static_cast<std::size_t>(commands) + 4);
+  simulation& sim = w.sim;
+  const std::vector<replicated_log_node*>& replicas = w.nodes;
 
   std::vector<process_id> members(submitters.begin(), submitters.end());
   for (int i = 0; i < commands; ++i) {

@@ -95,17 +95,6 @@ struct smr_result {
   std::vector<reg_state> finals;
 };
 
-bool converged(const smr_world& w, std::uint64_t commands) {
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    const std::uint64_t prefix = w.nodes[0]->applied_prefix(shard);
-    for (const auto* node : w.nodes)
-      if (node->applied_prefix(shard) != prefix) return false;
-  }
-  for (const auto* node : w.nodes)
-    if (node->counters().commands_applied < commands) return false;
-  return true;
-}
-
 smr_result run_smr_pass(std::uint64_t seed, const shard_plan& plan,
                         std::uint64_t ops_per_process,
                         keyed_checks checks = {}, bool telemetry = false) {

@@ -69,17 +69,11 @@ int main() {
   std::cout << "partition_tolerant_kv — 4 replicas, Figure 1 GQS, failure "
                "pattern f1 injected at t=0\n\n";
 
-  simulation sim(4, network_options{},
-                 fault_plan::from_pattern(fig.gqs.fps[0], 0), /*seed=*/7);
-  std::vector<kv_node*> replicas;
-  for (process_id p = 0; p < 4; ++p) {
-    auto nd = std::make_unique<kv_node>(/*slots=*/4,
-                                        quorum_config::of(fig.gqs));
-    replicas.push_back(nd.get());
-    sim.set_node(p, std::move(nd));
-  }
-  sim.start();
-  sim.run_until(0);
+  world<kv_node> w(4, fault_plan::from_pattern(fig.gqs.fps[0], 0),
+                   /*seed=*/7, network_options{}, /*slots=*/4,
+                   quorum_config::of(fig.gqs));
+  simulation& sim = w.sim;
+  const std::vector<kv_node*>& replicas = w.nodes;
 
   constexpr process_id a = 0, b = 1;
   const sim_time budget_step = 600L * 1000 * 1000;

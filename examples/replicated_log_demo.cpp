@@ -20,17 +20,12 @@ int main() {
   std::cout << "replicated_log_demo — 4 replicas, failure pattern f1 at "
                "t=0, U_f1 = {a, b}\n\n";
 
-  simulation sim(4, consensus_world::partial_sync(),
-                 fault_plan::from_pattern(fig.gqs.fps[0], 0), /*seed=*/21);
-  std::vector<replicated_log_node*> replicas;
-  for (process_id p = 0; p < 4; ++p) {
-    auto nd = std::make_unique<replicated_log_node>(
-        4, quorum_config::of(fig.gqs), /*max_slots=*/8);
-    replicas.push_back(nd.get());
-    sim.set_node(p, std::move(nd));
-  }
-  sim.start();
-  sim.run_until(0);
+  world<replicated_log_node> w(
+      4, fault_plan::from_pattern(fig.gqs.fps[0], 0), /*seed=*/21,
+      consensus_world::partial_sync(), 4, quorum_config::of(fig.gqs),
+      /*max_slots=*/8);
+  simulation& sim = w.sim;
+  const std::vector<replicated_log_node*>& replicas = w.nodes;
 
   // Deposits submitted at both U_f1 members, partly concurrent.
   struct submission {

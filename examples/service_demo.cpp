@@ -20,6 +20,7 @@
 #include "register/keyed_register.hpp"
 #include "workload/clients.hpp"
 #include "workload/table.hpp"
+#include "workload/worlds.hpp"
 
 namespace {
 
@@ -35,16 +36,9 @@ int main() {
   std::cout << "service_demo — one quorum service engine per process, "
             << kKeys << " keys, Figure 1 GQS\n\n";
 
-  simulation sim(kN, network_options{}, fault_plan::none(kN), /*seed=*/21);
-  std::vector<keyed_register_node*> nodes;
-  for (process_id p = 0; p < kN; ++p) {
-    auto comp = std::make_unique<keyed_register_node>(
-        kKeys, quorum_config::of(fig.gqs), service_options{});
-    nodes.push_back(comp.get());
-    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-  }
-  sim.start();
-  sim.run_until(0);
+  world<keyed_register_node> w(kN, fault_plan::none(kN), /*seed=*/21,
+                               network_options{}, kKeys,
+                               quorum_config::of(fig.gqs), service_options{});
 
   client_workload_options opts;
   opts.keys = kKeys;
@@ -54,12 +48,12 @@ int main() {
   opts.inflight_window = 4;
   opts.seed = 5;
 
-  keyed_node_adapter<keyed_register_node> adapter{nodes};
+  keyed_node_adapter<keyed_register_node> adapter{w.nodes};
   workload_driver<keyed_node_adapter<keyed_register_node>> driver(
-      sim, std::move(adapter), opts);
+      w.sim, std::move(adapter), opts);
   driver.launch();
-  if (!sim.run_until_condition([&] { return driver.done(); },
-                               600L * 1000 * 1000)) {
+  if (!w.sim.run_until_condition([&] { return driver.done(); },
+                                 600L * 1000 * 1000)) {
     std::cerr << "workload stalled\n";
     return 1;
   }
@@ -94,7 +88,7 @@ int main() {
             << fmt_double(s.p95 / 1000) << " / " << fmt_double(s.p99 / 1000)
             << " ms\n";
 
-  const auto& c = nodes[0]->counters();
+  const auto& c = w.nodes[0]->counters();
   std::cout << "process a engine counters: " << c.ops_completed
             << " ops over " << c.flushes << " flushes, "
             << c.set_batches_sent << " set batches ("

@@ -135,13 +135,15 @@ fail_prone_system parse_fail_prone_system(const std::string& text) {
       if (!n)
         throw parse_error(line_number,
                           "'system <n>' must precede the first pattern");
-      process_set crash;
-      std::vector<edge> fail;
+      std::optional<process_set> crash;
+      std::optional<std::vector<edge>> fail;
       while (!s.at_end()) {
         if (s.try_consume("crash")) {
+          if (crash) throw parse_error(line_number, "repeated 'crash=' clause");
           s.expect("=");
           crash = parse_process_set(s, *n);
         } else if (s.try_consume("fail")) {
+          if (fail) throw parse_error(line_number, "repeated 'fail=' clause");
           s.expect("=");
           fail = parse_edge_set(s);
         } else {
@@ -150,7 +152,8 @@ fail_prone_system parse_fail_prone_system(const std::string& text) {
         }
       }
       try {
-        patterns.emplace_back(*n, crash, fail);
+        patterns.emplace_back(*n, crash.value_or(process_set{}),
+                              fail.value_or(std::vector<edge>{}));
       } catch (const std::invalid_argument& bad) {
         throw parse_error(line_number, bad.what());
       }

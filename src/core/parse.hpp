@@ -6,7 +6,9 @@
 //   pattern crash={p, q, ...} fail={(p,q), (r,s), ...}
 //
 // Process ids are 0-based integers below n. Both clauses of a pattern are
-// optional ("pattern" alone is the nothing-fails pattern). Example — the
+// optional ("pattern" alone is the nothing-fails pattern) and may come in
+// either order, but each at most once per line: a repeated clause is a
+// parse_error, never a silent overwrite. Example — the
 // paper's f1 over a=0, b=1, c=2, d=3:
 //
 //   system 4

@@ -1,6 +1,7 @@
 // qaf_ablation.hpp — deliberately weakened variants of the Figure 3
 // access functions, for the ablation study of the paper's logical-clock
-// mechanism (bench_ablation_clocks, E12 in EXPERIMENTS.md).
+// mechanism (bench_ablation_clocks, E12 in EXPERIMENTS.md), and the
+// study's disjoint-quorum scenario.
 //
 // The full protocol has two clock-driven waits:
 //
@@ -23,10 +24,12 @@
 // the paper's mechanism is load-bearing.
 #pragma once
 
+#include <set>
 #include <utility>
 
 #include "quorum/qaf_core.hpp"
 #include "register/atomic_register.hpp"
+#include "sim/options.hpp"
 
 namespace gqs {
 
@@ -66,5 +69,25 @@ class ablated_qaf : public push_qaf<S> {
 
 /// Figure 4 register over the weakened access functions.
 using ablated_register_node = atomic_register<ablated_qaf<reg_state>>;
+
+/// Scenario C of bench_ablation_clocks, the one the set-confirmation wait
+/// closes: disjoint write quorums {0,1} and {2,3} under read quorum {1,2}.
+/// A reader's cutoff resolves through the write quorum the writer did not
+/// use.
+inline quorum_config disjoint_scenario_config() {
+  return quorum_config{{process_set{1, 2}},
+                       {process_set{0, 1}, process_set{2, 3}}};
+}
+
+/// The scenario's channels: only 0→1, 1→0, 1→3, 3→2, 2→3 and 2→1 stay up.
+inline fault_plan disjoint_scenario_faults() {
+  const std::set<std::pair<process_id, process_id>> alive = {
+      {0, 1}, {1, 0}, {1, 3}, {3, 2}, {2, 3}, {2, 1}};
+  fault_plan faults = fault_plan::none(4);
+  for (process_id u = 0; u < 4; ++u)
+    for (process_id v = 0; v < 4; ++v)
+      if (u != v && !alive.contains({u, v})) faults.disconnect(u, v, 0);
+  return faults;
+}
 
 }  // namespace gqs

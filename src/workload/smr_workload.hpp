@@ -1,6 +1,6 @@
 // smr_workload.hpp — wiring the keyed workload drivers onto the sharded
-// SMR service: a canonical world builder plus the driver adapter, shared
-// by the SMR tests and bench_smr_throughput.
+// SMR service: the world preset, its convergence check and the driver
+// adapter, shared by the SMR tests and bench_smr_throughput.
 //
 // The adapter satisfies the workload_driver contract (clients.hpp): a
 // write completes when the *submitting* replica applies the command at
@@ -36,23 +36,12 @@ struct smr_adapter {
 
 /// One smr_service per process over a partially synchronous network (the
 /// consensus default), started and settled at time 0.
-struct smr_world {
-  simulation sim;
-  std::vector<smr_service*> nodes;
-
+struct smr_world : world<smr_service> {
   smr_world(const generalized_quorum_system& gqs, fault_plan faults,
             std::uint64_t seed, service_key keys, smr_options options = {},
             network_options net = consensus_world::partial_sync())
-      : sim(gqs.system_size(), net, std::move(faults), seed) {
-    for (process_id p = 0; p < gqs.system_size(); ++p) {
-      auto comp = std::make_unique<smr_service>(keys, quorum_config::of(gqs),
-                                                options);
-      nodes.push_back(comp.get());
-      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-    }
-    sim.start();
-    sim.run_until(0);
-  }
+      : world(gqs.system_size(), std::move(faults), seed, net, keys,
+              quorum_config::of(gqs), options) {}
 
   smr_adapter adapter() { return smr_adapter{nodes}; }
 
@@ -60,5 +49,18 @@ struct smr_world {
     return {nodes.begin(), nodes.end()};
   }
 };
+
+/// Every replica applied the same log prefix per shard, covering at
+/// least `min_cmds` commands.
+inline bool converged(const smr_world& w, std::uint64_t min_cmds) {
+  for (std::size_t s = 0; s < w.nodes.front()->shard_count(); ++s) {
+    const std::uint64_t prefix = w.nodes.front()->applied_prefix(s);
+    for (const smr_service* r : w.nodes)
+      if (r->applied_prefix(s) != prefix) return false;
+  }
+  for (const smr_service* r : w.nodes)
+    if (r->counters().commands_applied < min_cmds) return false;
+  return true;
+}
 
 }  // namespace gqs

@@ -5,40 +5,26 @@
 #include <gtest/gtest.h>
 
 #include "lincheck/wing_gong.hpp"
-#include "qaf_worlds.hpp"
 #include "quorum/qaf_ablation.hpp"
 #include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
 
-/// Scenario C of the bench (testing::disjoint_scenario_config).
-struct disjoint_world {
-  simulation sim;
-  std::vector<ablated_register_node*> nodes;
-  register_client<ablated_register_node> client;
-
+/// Scenario C of the bench (disjoint_scenario_config).
+struct disjoint_world : register_world<ablated_register_node> {
   disjoint_world(std::uint64_t seed, bool use_get_cutoff,
                  bool use_set_confirmation)
-      : sim(4, network_options{}, testing::disjoint_scenario_faults(), seed),
-        client(sim, {}) {
-    const quorum_config qc = testing::disjoint_scenario_config();
-    std::vector<ablated_register_node*> ptrs;
-    for (process_id p = 0; p < 4; ++p) {
-      ablated_qaf_options opts;
-      opts.use_get_cutoff = use_get_cutoff;
-      opts.use_set_confirmation = use_set_confirmation;
-      if (p == 1) opts.initial_clock = 1000;
-      auto comp =
-          std::make_unique<ablated_register_node>(qc, reg_state{}, opts);
-      ptrs.push_back(comp.get());
-      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-    }
-    nodes = ptrs;
-    client = register_client<ablated_register_node>(sim, std::move(ptrs));
-    sim.start();
-    sim.run_until(0);
-  }
+      : register_world(
+            4, disjoint_scenario_faults(), seed, network_options{},
+            [&](process_id p) {
+              ablated_qaf_options opts;
+              opts.use_get_cutoff = use_get_cutoff;
+              opts.use_set_confirmation = use_set_confirmation;
+              if (p == 1) opts.initial_clock = 1000;
+              return std::make_unique<ablated_register_node>(
+                  disjoint_scenario_config(), reg_state{}, opts);
+            }) {}
 
   /// Runs `rounds` of write-at-0-then-read-at-3; returns false on stall.
   bool run_rounds(int rounds) {

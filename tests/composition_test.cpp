@@ -23,22 +23,20 @@ TEST(Composition, RegisterAndConsensusShareTheNetwork) {
   const process_set u_f = compute_u_f(fig.gqs, fig.gqs.fps[0]);
 
   // Consensus needs eventual timeliness; the register tolerates it too.
-  simulation sim(4, consensus_world::partial_sync(),
-                 fault_plan::from_pattern(fig.gqs.fps[0], 0), /*seed=*/3);
-
   std::vector<gqs_register_node*> registers;
   std::vector<consensus_node*> consensi;
-  for (process_id p = 0; p < 4; ++p) {
-    auto host = std::make_unique<mux_host>();
-    registers.push_back(&host->emplace_component<gqs_register_node>(
-        quorum_config::of(fig.gqs), reg_state{},
-        generalized_qaf_options{}));
-    consensi.push_back(&host->emplace_component<consensus_node>(
-        quorum_config::of(fig.gqs), consensus_options{}));
-    sim.set_node(p, std::move(host));
-  }
-  sim.start();
-  sim.run_until(0);
+  world<mux_host> w(
+      4, fault_plan::from_pattern(fig.gqs.fps[0], 0), /*seed=*/3,
+      consensus_world::partial_sync(), [&](process_id) {
+        auto host = std::make_unique<mux_host>();
+        registers.push_back(&host->emplace_component<gqs_register_node>(
+            quorum_config::of(fig.gqs), reg_state{},
+            generalized_qaf_options{}));
+        consensi.push_back(&host->emplace_component<consensus_node>(
+            quorum_config::of(fig.gqs), consensus_options{}));
+        return host;
+      });
+  simulation& sim = w.sim;
 
   // Drive both stacks concurrently from a and b.
   bool write_done = false;
@@ -72,20 +70,19 @@ TEST(Composition, ManyRegistersAtOnce) {
   // Eight independent registers multiplexed per process; interleaved ops
   // at both U_f1 members; each register individually linearizable.
   const auto fig = make_figure1();
-  simulation sim(4, network_options{},
-                 fault_plan::from_pattern(fig.gqs.fps[0], 0), /*seed=*/5);
   constexpr int kRegisters = 8;
   std::vector<std::vector<gqs_register_node*>> regs(4);
-  for (process_id p = 0; p < 4; ++p) {
-    auto host = std::make_unique<mux_host>();
-    for (int r = 0; r < kRegisters; ++r)
-      regs[p].push_back(&host->emplace_component<gqs_register_node>(
-          quorum_config::of(fig.gqs), reg_state{},
-          generalized_qaf_options{}));
-    sim.set_node(p, std::move(host));
-  }
-  sim.start();
-  sim.run_until(0);
+  world<mux_host> w(
+      4, fault_plan::from_pattern(fig.gqs.fps[0], 0), /*seed=*/5,
+      network_options{}, [&](process_id p) {
+        auto host = std::make_unique<mux_host>();
+        for (int r = 0; r < kRegisters; ++r)
+          regs[p].push_back(&host->emplace_component<gqs_register_node>(
+              quorum_config::of(fig.gqs), reg_state{},
+              generalized_qaf_options{}));
+        return host;
+      });
+  simulation& sim = w.sim;
 
   // Write register r at a with value 1000+r, all concurrently.
   int writes_pending = kRegisters;

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "consensus/consensus_client.hpp"
 #include "core/factories.hpp"
 #include "sim/time.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
@@ -12,40 +12,6 @@ namespace {
 using namespace sim_literals;
 
 constexpr process_id kA = 0, kB = 1, kC = 2;
-
-struct consensus_world {
-  simulation sim;
-  std::vector<consensus_node*> nodes;
-  consensus_client client;
-
-  /// The §7 network: timely (δ = 10 ms) from GST = 0 by default; tests
-  /// override gst to exercise the asynchronous prefix.
-  static network_options partial_sync(sim_time gst = 0) {
-    network_options net;
-    net.min_delay = 1_ms;
-    net.max_delay = 200_ms;  // pre-GST delays can be long
-    net.delta = 10_ms;
-    net.gst = gst;
-    return net;
-  }
-
-  consensus_world(const generalized_quorum_system& gqs, fault_plan faults,
-                  std::uint64_t seed, network_options net = partial_sync(),
-                  consensus_options opts = {})
-      : sim(gqs.system_size(), net, std::move(faults), seed), client(sim, {}) {
-    std::vector<consensus_node*> ptrs;
-    for (process_id p = 0; p < gqs.system_size(); ++p) {
-      auto comp =
-          std::make_unique<consensus_node>(quorum_config::of(gqs), opts);
-      ptrs.push_back(comp.get());
-      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-    }
-    nodes = ptrs;
-    client = consensus_client(sim, std::move(ptrs));
-    sim.start();
-    sim.run_until(0);
-  }
-};
 
 TEST(ConsensusOptions, Validation) {
   consensus_options bad;

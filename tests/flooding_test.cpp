@@ -7,6 +7,7 @@
 
 #include "core/factories.hpp"
 #include "sim/time.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
@@ -40,21 +41,10 @@ class flood_recorder : public flooding_node {
   }
 };
 
-struct flood_world {
-  simulation sim;
-  std::vector<flood_recorder*> nodes;
-
+struct flood_world : world<flood_recorder> {
   flood_world(process_id n, fault_plan faults, std::uint64_t seed = 1,
               network_options net = {})
-      : sim(n, net, std::move(faults), seed) {
-    for (process_id p = 0; p < n; ++p) {
-      auto nd = std::make_unique<flood_recorder>();
-      nodes.push_back(nd.get());
-      sim.set_node(p, std::move(nd));
-    }
-    sim.start();
-    sim.run_until(0);
-  }
+      : world(n, std::move(faults), seed, net) {}
 };
 
 TEST(Flooding, BroadcastReachesEveryoneIncludingSelf) {

@@ -21,7 +21,7 @@
 #include "quorum/quorum_service.hpp"
 #include "register/keyed_register.hpp"
 #include "register/keyed_register_client.hpp"
-#include "sim/simulation.hpp"
+#include "workload/worlds.hpp"
 #include "strategy/planner.hpp"
 #include "workload/topologies.hpp"
 
@@ -100,17 +100,11 @@ TEST(LargeN, GridQuorumServiceRoundTripAt256) {
   for (process_id u = 0; u < kBigN; ++u)
     for (process_id v = 0; v < kBigN; ++v)
       if (u != v && !star.has_edge(u, v)) faults.disconnect(u, v, 0);
-  simulation sim(kBigN, {}, std::move(faults), /*seed=*/7);
-  std::vector<keyed_register_node*> nodes;
-  for (process_id p = 0; p < kBigN; ++p) {
-    auto comp = std::make_unique<keyed_register_node>(
-        /*keys=*/4, quorum_config::of(qs), service_options{});
-    nodes.push_back(comp.get());
-    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-  }
-  keyed_register_client<keyed_register_node> client(sim, nodes);
-  sim.start();
-  sim.run_until(0);
+  world<keyed_register_node> w(kBigN, std::move(faults), /*seed=*/7, {},
+                               /*keys=*/4, quorum_config::of(qs),
+                               service_options{});
+  simulation& sim = w.sim;
+  keyed_register_client<keyed_register_node> client(sim, w.nodes);
 
   constexpr sim_time kLong = 600L * 1000 * 1000;
   auto settle = [&] {

@@ -5,6 +5,7 @@
 #include "core/factories.hpp"
 #include "lincheck/object_checkers.hpp"
 #include "sim/time.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
@@ -13,23 +14,15 @@ using namespace sim_literals;
 
 constexpr process_id kA = 0, kB = 1, kC = 2;
 
-struct lattice_world {
-  simulation sim;
-  std::vector<lattice_agreement_node*> nodes;
+/// The lattice preset plus each process's proposal and output.
+struct lattice_run : lattice_world {
   std::vector<lattice_outcome> outcomes;
 
-  lattice_world(const generalized_quorum_system& gqs, fault_plan faults,
-                std::uint64_t seed)
-      : sim(gqs.system_size(), network_options{}, std::move(faults), seed) {
-    for (process_id p = 0; p < gqs.system_size(); ++p) {
-      auto nd = std::make_unique<lattice_agreement_node>(
-          gqs.system_size(), quorum_config::of(gqs));
-      nodes.push_back(nd.get());
-      sim.set_node(p, std::move(nd));
+  lattice_run(const generalized_quorum_system& gqs, fault_plan faults,
+              std::uint64_t seed)
+      : lattice_world(gqs, std::move(faults), seed) {
+    for (process_id p = 0; p < gqs.system_size(); ++p)
       outcomes.push_back({p, 0, std::nullopt});
-    }
-    sim.start();
-    sim.run_until(0);
   }
 
   void propose(process_id p, lattice_value x) {
@@ -49,7 +42,7 @@ struct lattice_world {
 TEST(Lattice, SoloProposeReturnsOwnValue) {
   // With no other proposals, Downward + Upward validity force y = x.
   const auto fig = make_figure1();
-  lattice_world w(fig.gqs, fault_plan::none(4), 1);
+  lattice_run w(fig.gqs, fault_plan::none(4), 1);
   w.propose(kA, 0b101);
   ASSERT_TRUE(
       w.sim.run_until_condition([&] { return w.returned(kA); }, 600_s));
@@ -59,7 +52,7 @@ TEST(Lattice, SoloProposeReturnsOwnValue) {
 
 TEST(Lattice, SequentialProposalsGrow) {
   const auto fig = make_figure1();
-  lattice_world w(fig.gqs, fault_plan::none(4), 2);
+  lattice_run w(fig.gqs, fault_plan::none(4), 2);
   w.propose(kA, 0b001);
   ASSERT_TRUE(
       w.sim.run_until_condition([&] { return w.returned(kA); }, 600_s));
@@ -74,7 +67,7 @@ TEST(Lattice, SequentialProposalsGrow) {
 TEST(Lattice, WorksUnderFigure1F1) {
   // Theorem 1 for lattice agreement under channel failures.
   const auto fig = make_figure1();
-  lattice_world w(fig.gqs, fault_plan::from_pattern(fig.gqs.fps[0], 0), 3);
+  lattice_run w(fig.gqs, fault_plan::from_pattern(fig.gqs.fps[0], 0), 3);
   w.propose(kA, 0b01);
   w.propose(kB, 0b10);
   ASSERT_TRUE(w.sim.run_until_condition(
@@ -85,7 +78,7 @@ TEST(Lattice, WorksUnderFigure1F1) {
 
 TEST(Lattice, IsolatedProposerHangs) {
   const auto fig = make_figure1();
-  lattice_world w(fig.gqs, fault_plan::from_pattern(fig.gqs.fps[0], 0), 4);
+  lattice_run w(fig.gqs, fault_plan::from_pattern(fig.gqs.fps[0], 0), 4);
   w.propose(kC, 0b1);
   w.sim.run_until(60_s);
   EXPECT_FALSE(w.returned(kC));
@@ -94,7 +87,7 @@ TEST(Lattice, IsolatedProposerHangs) {
 
 TEST(Lattice, SingleShotEnforced) {
   const auto fig = make_figure1();
-  lattice_world w(fig.gqs, fault_plan::none(4), 5);
+  lattice_run w(fig.gqs, fault_plan::none(4), 5);
   w.propose(kA, 0b1);
   ASSERT_TRUE(
       w.sim.run_until_condition([&] { return w.returned(kA); }, 600_s));
@@ -111,7 +104,7 @@ TEST_P(LatticeSweep, ConcurrentProposalsSafe) {
   const auto [pattern, seed] = GetParam();
   const auto fig = make_figure1();
   const process_set u_f = compute_u_f(fig.gqs, fig.gqs.fps[pattern]);
-  lattice_world w(fig.gqs, fault_plan::from_pattern(fig.gqs.fps[pattern], 0),
+  lattice_run w(fig.gqs, fault_plan::from_pattern(fig.gqs.fps[pattern], 0),
                   seed);
   int bit = 0;
   for (process_id p : u_f) w.propose(p, lattice_value{1} << bit++);

@@ -11,6 +11,7 @@
 #include "sim/runner.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
@@ -50,21 +51,12 @@ class silent_node : public node {
   std::vector<delivery>* log_;
 };
 
-struct channel_world {
-  simulation sim;
-  std::vector<silent_node*> nodes;
-  std::vector<delivery> delivers;
+/// Base-from-member: the shared log outlives the nodes that write to it.
+struct delivery_log { std::vector<delivery> delivers; };
 
+struct channel_world : delivery_log, world<silent_node> {
   channel_world(process_id n, network_options net, std::uint64_t seed = 1)
-      : sim(n, net, fault_plan::none(n), seed) {
-    for (process_id p = 0; p < n; ++p) {
-      auto nd = std::make_unique<silent_node>(delivers);
-      nodes.push_back(nd.get());
-      sim.set_node(p, std::move(nd));
-    }
-    sim.start();
-    sim.run_until(0);
-  }
+      : world(n, fault_plan::none(n), seed, net, delivers) {}
 };
 
 network_options pinned_delay(sim_time d) {

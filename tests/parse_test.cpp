@@ -73,13 +73,22 @@ TEST(Parse, Errors) {
   EXPECT_THROW(
       parse_fail_prone_system("system 3\npattern crash={0} fail={(0,1)}\n"),
       parse_error);
+  // A repeated clause is rejected, not silently overwritten.
+  EXPECT_THROW(
+      parse_fail_prone_system("system 4\npattern crash={0} crash={3}\n"),
+      parse_error);
+  EXPECT_THROW(parse_fail_prone_system(
+                   "system 4\npattern fail={(0,2)} crash={3} fail={(1,2)}\n"),
+               parse_error);
 }
 
 TEST(Parse, ErrorCarriesLineNumber) {
-  // Crash ids past n, and one past process_set's capacity.
-  for (const char* text : {"system 3\n\npattern crash={4}\n",
-                           "system 3\n\npattern crash={9}\n",
-                           "system 3\n\npattern crash={300}\n"}) {
+  // Crash ids past n, one past process_set's capacity, repeated clauses.
+  for (const char* text :
+       {"system 3\n\npattern crash={4}\n", "system 3\n\npattern crash={9}\n",
+        "system 3\n\npattern crash={300}\n",
+        "system 4\n\npattern crash={0} crash={3}\n",
+        "system 4\n\npattern fail={(0,2)} fail={(1,2)}\n"}) {
     try {
       parse_fail_prone_system(text);
       ADD_FAILURE() << "expected parse_error: " << text;

@@ -11,40 +11,26 @@
 #include "core/factories.hpp"
 #include "lincheck/dependency_graph.hpp"
 #include "lincheck/wing_gong.hpp"
-#include "qaf_worlds.hpp"
+#include "quorum/qaf_ablation.hpp"
 #include "quorum/quorum_service.hpp"
 #include "register/keyed_register.hpp"
 #include "register/keyed_register_client.hpp"
-#include "sim/simulation.hpp"
 #include "strategy/planner.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
 
 constexpr sim_time kLong = 600L * 1000 * 1000;
 
-struct service_world {
-  simulation sim;
-  std::vector<keyed_register_node*> nodes;
-  keyed_register_client<keyed_register_node> client;
+struct service_world : world<keyed_register_node> {
+  keyed_register_client<keyed_register_node> client{sim, nodes};
 
   service_world(service_key keys, const generalized_quorum_system& gqs,
                 fault_plan faults, std::uint64_t seed,
                 service_options opts = {}, network_options net = {})
-      : sim(gqs.system_size(), net, std::move(faults), seed),
-        client(sim, {}) {
-    std::vector<keyed_register_node*> ptrs;
-    for (process_id p = 0; p < gqs.system_size(); ++p) {
-      auto comp = std::make_unique<keyed_register_node>(
-          keys, quorum_config::of(gqs), opts);
-      ptrs.push_back(comp.get());
-      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-    }
-    nodes = ptrs;
-    client = keyed_register_client<keyed_register_node>(sim, std::move(ptrs));
-    sim.start();
-    sim.run_until(0);
-  }
+      : world(gqs.system_size(), std::move(faults), seed, net, keys,
+              quorum_config::of(gqs), opts) {}
 
   bool settle() {
     return sim.run_until_condition([&] { return client.all_complete(); },
@@ -192,16 +178,10 @@ struct open_register : keyed_register_node {
 
 TEST(QuorumService, PersistentGossipGapTriggersNack) {
   const auto fig = make_figure1();
-  simulation sim(4, network_options{}, fault_plan::none(4), 6);
-  std::vector<open_register*> nodes;
-  for (process_id p = 0; p < 4; ++p) {
-    auto comp = std::make_unique<open_register>(4, quorum_config::of(fig.gqs),
-                                                service_options{});
-    nodes.push_back(comp.get());
-    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-  }
-  sim.start();
-  sim.run_until(0);
+  world<open_register> w(4, fault_plan::none(4), 6, network_options{}, 4,
+                         quorum_config::of(fig.gqs), service_options{});
+  simulation& sim = w.sim;
+  std::vector<open_register*>& nodes = w.nodes;
   // Inject gossip seq 6 from origin 1 into process 0: a 5-deep gap that
   // regular gossip needs 5 periods to close, so the NACK pacing (2 ticks)
   // fires first.
@@ -254,26 +234,21 @@ TEST(QuorumService, RepairAfterLongGapShipsOnlyKeysChangedSinceGap) {
   const auto fig = make_figure1();
   service_options opts;
   opts.initial_clock = 50;
-  simulation sim(4, network_options{}, fault_plan::none(4), 7);
-  std::vector<open_register*> nodes;
   repair_spy* spy = nullptr;
-  for (process_id p = 0; p < 4; ++p) {
-    std::unique_ptr<open_register> comp;
-    if (p == 0) {
-      auto s = std::make_unique<repair_spy>(8, quorum_config::of(fig.gqs),
-                                            opts);
-      spy = s.get();
-      comp = std::move(s);
-    } else {
-      comp = std::make_unique<open_register>(8, quorum_config::of(fig.gqs),
-                                             opts);
-    }
-    nodes.push_back(comp.get());
-    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-  }
+  world<open_register> w(
+      4, fault_plan::none(4), 7, network_options{},
+      [&](process_id p) -> std::unique_ptr<open_register> {
+        if (p != 0)
+          return std::make_unique<open_register>(
+              8, quorum_config::of(fig.gqs), opts);
+        auto s = std::make_unique<repair_spy>(8, quorum_config::of(fig.gqs),
+                                              opts);
+        spy = s.get();
+        return s;
+      });
+  simulation& sim = w.sim;
+  std::vector<open_register*>& nodes = w.nodes;
   keyed_register_client<open_register> client(sim, nodes);
-  sim.start();
-  sim.run_until(0);
   const auto settle = [&] {
     return sim.run_until_condition([&] { return client.all_complete(); },
                                    sim.now() + kLong);
@@ -504,30 +479,21 @@ TEST(QuorumService, FullProtocolSafeWhereAblationViolates) {
 
 // ---------- mutation: the set-confirmation wait is load-bearing ----------
 
-/// The ablation study's disjoint scenario (testing::disjoint_scenario_config)
+/// The ablation study's disjoint scenario (disjoint_scenario_config)
 /// on the keyed register, with p1's clock 1000 ticks ahead: one key,
 /// written at 0 and read at 3.
-struct disjoint_service_world {
-  simulation sim;
-  std::vector<keyed_register_node*> nodes;
-  keyed_register_client<keyed_register_node> client;
+struct disjoint_service_world : world<keyed_register_node> {
+  keyed_register_client<keyed_register_node> client{sim, nodes};
 
   disjoint_service_world(std::uint64_t seed, bool use_set_confirmation)
-      : sim(4, network_options{}, testing::disjoint_scenario_faults(), seed),
-        client(sim, {}) {
-    for (process_id p = 0; p < 4; ++p) {
-      service_options opts;
-      opts.use_set_confirmation = use_set_confirmation;
-      if (p == 1) opts.initial_clock = 1000;
-      auto comp = std::make_unique<keyed_register_node>(
-          1, testing::disjoint_scenario_config(), opts);
-      nodes.push_back(comp.get());
-      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-    }
-    client = keyed_register_client<keyed_register_node>(sim, nodes);
-    sim.start();
-    sim.run_until(0);
-  }
+      : world(4, disjoint_scenario_faults(), seed, network_options{},
+              [&](process_id p) {
+                service_options opts;
+                opts.use_set_confirmation = use_set_confirmation;
+                if (p == 1) opts.initial_clock = 1000;
+                return std::make_unique<keyed_register_node>(
+                    1, disjoint_scenario_config(), opts);
+              }) {}
 
   /// Runs `rounds` of write-at-0-then-read-at-3; returns false on stall.
   bool run_rounds(int rounds) {

@@ -7,18 +7,28 @@
 #include "core/factories.hpp"
 #include "lincheck/dependency_graph.hpp"
 #include "lincheck/wing_gong.hpp"
-#include "register_worlds.hpp"
 #include "sim/time.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
 
 using namespace sim_literals;
-using testing::abd_register_world;
-using testing::figure1_register_world;
-using testing::gqs_register_world;
+using gqs_register_world = register_world<gqs_register_node>;
+using abd_register_world = register_world<abd_register_node>;
 
 constexpr process_id kA = 0, kB = 1, kC = 2;
+
+/// The Figure 4 register over the Figure 1 GQS under failure pattern
+/// `pattern_index` (0..3), failing at time 0.
+gqs_register_world figure1_register_world(int pattern_index,
+                                          std::uint64_t seed) {
+  const auto fig = make_figure1();
+  return gqs_register_world(
+      4, fault_plan::from_pattern(fig.gqs.fps[pattern_index], 0), seed,
+      network_options{}, quorum_config::of(fig.gqs), reg_state{},
+      generalized_qaf_options{});
+}
 
 TEST(GqsRegister, WriteThenReadNoFailures) {
   const auto fig = make_figure1();

@@ -13,23 +13,14 @@ using namespace sim_literals;
 
 constexpr process_id kA = 0, kB = 1, kC = 2;
 
-struct log_world {
-  simulation sim;
-  std::vector<replicated_log_node*> replicas;
+struct log_world : world<replicated_log_node> {
+  std::vector<replicated_log_node*>& replicas = nodes;
 
   log_world(const generalized_quorum_system& gqs, fault_plan faults,
             std::uint64_t seed, std::size_t slots = 8)
-      : sim(gqs.system_size(), consensus_world::partial_sync(),
-            std::move(faults), seed) {
-    for (process_id p = 0; p < gqs.system_size(); ++p) {
-      auto nd = std::make_unique<replicated_log_node>(
-          gqs.system_size(), quorum_config::of(gqs), slots);
-      replicas.push_back(nd.get());
-      sim.set_node(p, std::move(nd));
-    }
-    sim.start();
-    sim.run_until(0);
-  }
+      : world(gqs.system_size(), std::move(faults), seed,
+              consensus_world::partial_sync(), gqs.system_size(),
+              quorum_config::of(gqs), slots) {}
 
   std::vector<const replicated_log_node*> replica_views() const {
     return {replicas.begin(), replicas.end()};

@@ -36,21 +36,6 @@ struct submit_batch {
   }
 };
 
-/// Every replica applied the same log prefix per shard, covering at
-/// least `min_cmds` commands.
-bool converged(const smr_world& w, std::uint64_t min_cmds) {
-  for (std::size_t s = 0; s < w.nodes.front()->shard_count(); ++s) {
-    std::uint64_t lead = 0;
-    for (const smr_service* r : w.nodes)
-      lead = std::max(lead, r->applied_prefix(s));
-    for (const smr_service* r : w.nodes)
-      if (r->applied_prefix(s) != lead) return false;
-  }
-  for (const smr_service* r : w.nodes)
-    if (r->counters().commands_applied < min_cmds) return false;
-  return true;
-}
-
 TEST(SmrService, CommitsAndConvergesOnFigure1) {
   const auto fig = make_figure1();
   smr_world w(fig.gqs, fault_plan::none(4), /*seed=*/1, /*keys=*/8);

@@ -4,7 +4,7 @@
 
 #include "core/factories.hpp"
 #include "sim/time.hpp"
-#include "snapshot/snapshot_client.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
@@ -12,29 +12,6 @@ namespace {
 using namespace sim_literals;
 
 constexpr process_id kA = 0, kB = 1, kC = 2;
-
-struct snapshot_world {
-  simulation sim;
-  std::vector<snapshot_node<std::int64_t>*> nodes;
-  snapshot_client client;
-
-  snapshot_world(const generalized_quorum_system& gqs, fault_plan faults,
-                 std::uint64_t seed)
-      : sim(gqs.system_size(), network_options{}, std::move(faults), seed),
-        client(sim, {}) {
-    std::vector<snapshot_node<std::int64_t>*> ptrs;
-    for (process_id p = 0; p < gqs.system_size(); ++p) {
-      auto nd = std::make_unique<snapshot_node<std::int64_t>>(
-          gqs.system_size(), quorum_config::of(gqs));
-      ptrs.push_back(nd.get());
-      sim.set_node(p, std::move(nd));
-    }
-    nodes = ptrs;
-    client = snapshot_client(sim, std::move(ptrs));
-    sim.start();
-    sim.run_until(0);
-  }
-};
 
 snapshot_world figure1_snapshot_world(int pattern, std::uint64_t seed) {
   const auto fig = make_figure1();

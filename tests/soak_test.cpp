@@ -152,16 +152,10 @@ TEST_P(SoakSweep, KeyedServiceStreamingCheckerAcrossChurn) {
   constexpr service_key kKeys = 16;
   const auto fig = make_figure1();
   const sim_time s1 = 150'000 + (seed % 3) * 100'000;
-  simulation sim(kN, network_options{}, churn_plan(s1, 2 * s1), seed);
-  std::vector<keyed_register_node*> nodes;
-  for (process_id p = 0; p < kN; ++p) {
-    auto comp = std::make_unique<keyed_register_node>(
-        kKeys, quorum_config::of(fig.gqs), service_options{});
-    nodes.push_back(comp.get());
-    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-  }
-  sim.start();
-  sim.run_until(0);
+  world<keyed_register_node> w(kN, churn_plan(s1, 2 * s1), seed,
+                               network_options{}, kKeys,
+                               quorum_config::of(fig.gqs), service_options{});
+  simulation& sim = w.sim;
 
   client_workload_options opts;
   opts.keys = kKeys;
@@ -171,7 +165,7 @@ TEST_P(SoakSweep, KeyedServiceStreamingCheckerAcrossChurn) {
   opts.inflight_window = 2;
   opts.partition_writes = true;
   opts.seed = 1000 + seed;
-  keyed_node_adapter<keyed_register_node> adapter{nodes};
+  keyed_node_adapter<keyed_register_node> adapter{w.nodes};
   workload_driver<keyed_node_adapter<keyed_register_node>> driver(
       sim, std::move(adapter), opts);
 

@@ -5,6 +5,7 @@
 
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
@@ -33,22 +34,13 @@ class silent_node : public node {
   std::vector<delivery>* log_;
 };
 
-struct traced_world {
-  simulation sim;
-  std::vector<silent_node*> nodes;
-  std::vector<delivery> delivers;
+/// Base-from-member: the shared log outlives the nodes that write to it.
+struct delivery_log { std::vector<delivery> delivers; };
 
+struct traced_world : delivery_log, world<silent_node> {
   explicit traced_world(fault_plan faults, std::uint64_t seed = 1,
                         network_options net = spans_on())
-      : sim(faults.system_size(), net, std::move(faults), seed) {
-    for (process_id p = 0; p < sim.size(); ++p) {
-      auto n = std::make_unique<silent_node>(delivers);
-      nodes.push_back(n.get());
-      sim.set_node(p, std::move(n));
-    }
-    sim.start();
-    sim.run_until(0);
-  }
+      : world(faults.system_size(), faults, seed, net, delivers) {}
 
   static network_options spans_on() {
     network_options net;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/time.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
@@ -109,24 +110,21 @@ TEST(Component, UseBeforeBindThrows) {
   EXPECT_THROW(lonely.say(0, 1), std::logic_error);
 }
 
-struct mux_world {
-  simulation sim;
-  std::vector<mux_host*> hosts;
-  std::vector<std::vector<probe*>> probes;  // [process][instance]
+/// Base-from-member: the [process][instance] probes the factory fills.
+struct probe_table { std::vector<std::vector<probe*>> probes; };
+
+struct mux_world : probe_table, world<mux_host> {
+  std::vector<mux_host*>& hosts = nodes;
 
   mux_world(process_id n, int instances, std::uint64_t seed)
-      : sim(n, network_options{}, fault_plan::none(n), seed),
-        probes(n) {
-    for (process_id p = 0; p < n; ++p) {
-      auto host = std::make_unique<mux_host>();
-      for (int i = 0; i < instances; ++i)
-        probes[p].push_back(&host->emplace_component<probe>());
-      hosts.push_back(host.get());
-      sim.set_node(p, std::move(host));
-    }
-    sim.start();
-    sim.run_until(0);
-  }
+      : world(n, fault_plan::none(n), seed, network_options{},
+              [&](process_id) {
+                auto host = std::make_unique<mux_host>();
+                probes.emplace_back();
+                for (int i = 0; i < instances; ++i)
+                  probes.back().push_back(&host->emplace_component<probe>());
+                return host;
+              }) {}
 };
 
 TEST(MuxHost, AllComponentsStart) {

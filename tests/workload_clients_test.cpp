@@ -10,6 +10,7 @@
 #include "lincheck/wing_gong.hpp"
 #include "register/keyed_register.hpp"
 #include "workload/clients.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
@@ -101,33 +102,14 @@ TEST(Schedules, ReadRatioRespected) {
 
 // ---------- drivers over the quorum service ----------
 
-struct driver_world {
-  simulation sim;
-  std::vector<keyed_register_node*> nodes;
+struct driver_world : world<keyed_register_node> {
   workload_driver<keyed_node_adapter<keyed_register_node>> driver;
 
   driver_world(const client_workload_options& opts, std::uint64_t sim_seed,
                service_options svc = {})
-      : sim(4, network_options{},
-            fault_plan::none(4), sim_seed),
-        nodes(),
-        driver(make_driver(opts, svc)) {}
-
-  workload_driver<keyed_node_adapter<keyed_register_node>> make_driver(
-      const client_workload_options& opts, service_options svc) {
-    const auto fig = make_figure1();
-    for (process_id p = 0; p < 4; ++p) {
-      auto comp = std::make_unique<keyed_register_node>(
-          opts.keys, quorum_config::of(fig.gqs), svc);
-      nodes.push_back(comp.get());
-      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-    }
-    sim.start();
-    sim.run_until(0);
-    keyed_node_adapter<keyed_register_node> adapter{nodes};
-    return workload_driver<keyed_node_adapter<keyed_register_node>>(
-        sim, std::move(adapter), opts);
-  }
+      : world(4, fault_plan::none(4), sim_seed, network_options{}, opts.keys,
+              quorum_config::of(make_figure1().gqs), svc),
+        driver(sim, keyed_node_adapter<keyed_register_node>{nodes}, opts) {}
 
   bool run() {
     driver.launch();

@@ -1,11 +1,13 @@
 // Tests for the workload utilities backing the bench harness (table
-// rendering and summary statistics) — they are public API too.
+// rendering, summary statistics and the world builder) — they are public
+// API too.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "workload/stats.hpp"
 #include "workload/table.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
@@ -105,6 +107,64 @@ TEST(Stats, LatencySummaryFormat) {
   s.p50 = 10'000;
   s.p95 = 20'000;
   EXPECT_EQ(fmt_latency_summary(s), "12.3 / 10.0 / 20.0 ms");
+}
+
+// ---------- world<Node> ----------
+
+struct hello : message {};
+
+/// Broadcasts a hello at start; logs (when, from) of every hello heard.
+class greeter : public component {
+ public:
+  bool started = false;
+  std::vector<std::pair<sim_time, process_id>> heard;
+  void start() override { started = true; broadcast(make_message<hello>()); }
+  void deliver(process_id from, const message_ptr&) override {
+    heard.emplace_back(now(), from);
+  }
+};
+
+struct quiet_node : flooding_node {
+  void on_deliver(process_id, const message_ptr&) override {}
+};
+
+TEST(Worlds, ComponentsHostedNodesInstalledDirectly) {
+  world<greeter> hosted(3, fault_plan::none(3), 1, network_options{});
+  world<quiet_node> direct(3, fault_plan::none(3), 1, network_options{});
+  for (process_id p = 0; p < 3; ++p) {
+    auto& host = dynamic_cast<single_host&>(hosted.sim.node_at(p));
+    EXPECT_EQ(&host.as<greeter>(), hosted.nodes[p]);
+    EXPECT_EQ(&direct.sim.node_at(p), direct.nodes[p]);
+  }
+}
+
+TEST(Worlds, FactorySeesEachProcessOnceInAscendingOrder) {
+  std::vector<process_id> asked;
+  world<greeter> w(5, fault_plan::none(5), 1, network_options{},
+                   [&](process_id p) {
+                     asked.push_back(p);
+                     return std::make_unique<greeter>();
+                   });
+  EXPECT_EQ(asked, (std::vector<process_id>{0, 1, 2, 3, 4}));
+}
+
+TEST(Worlds, TimeZeroEventsRunBeforeConstructorReturns) {
+  world<greeter> w(3, fault_plan::none(3), 1, network_options{});
+  EXPECT_TRUE(w.sim.idle_before(0));
+  for (const greeter* g : w.nodes) EXPECT_TRUE(g->started);
+}
+
+TEST(Worlds, SameSpecAndSeedGiveIdenticalDeliveryLogs) {
+  const auto logs = [](std::uint64_t seed) {
+    world<greeter> w(4, fault_plan::none(4), seed, network_options{});
+    w.sim.run_until(1'000'000);
+    std::vector<std::vector<std::pair<sim_time, process_id>>> out;
+    for (const greeter* g : w.nodes) out.push_back(g->heard);
+    return out;
+  };
+  EXPECT_EQ(logs(3), logs(3));
+  EXPECT_EQ(logs(3)[0].size(), 4u);  // every hello, its own included
+  EXPECT_NE(logs(3), logs(4));       // and the seed steers the delays
 }
 
 }  // namespace
