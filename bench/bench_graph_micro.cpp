@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/existence.hpp"
 #include "core/factories.hpp"
+#include "core/pattern_table.hpp"
 #include "core/random_systems.hpp"
 #include "core/solver.hpp"
 #include "sim/message.hpp"
@@ -158,25 +160,62 @@ void bm_check_generalized_corpus(benchmark::State& state) {
 }
 BENCHMARK(bm_check_generalized_corpus);
 
-/// Generating one |F| = 16 system of a corpus family: the topology plus
-/// 16 failure patterns, each built as rows of faulty channels.
-void bm_scenario_system(benchmark::State& state, const char* name) {
+/// The topology_corpus(256) family `name` with |F| = 16; skips the
+/// benchmark if the family is missing.
+std::optional<scenario_params> corpus_family(benchmark::State& state,
+                                             const std::string& name) {
   const auto corpus = topology_corpus(256);
   const auto family = std::find_if(
       corpus.begin(), corpus.end(),
       [&](const scenario_family& f) { return f.name == name; });
   if (family == corpus.end()) {
     state.SkipWithError("family missing from topology_corpus(256)");
-    return;
+    return std::nullopt;
   }
   scenario_params params = family->params;
   params.patterns = 16;
+  return params;
+}
+
+/// Generating one |F| = 16 system of a corpus family: the topology plus
+/// 16 failure patterns, each built as rows of faulty channels.
+void bm_scenario_system(benchmark::State& state, const char* name) {
+  const auto params = corpus_family(state, name);
+  if (!params) return;
   std::mt19937_64 rng(1);
-  for (auto _ : state) benchmark::DoNotOptimize(scenario_system(params, rng));
+  for (auto _ : state) benchmark::DoNotOptimize(scenario_system(*params, rng));
 }
 BENCHMARK_CAPTURE(bm_scenario_system, ring64uni, "ring64uni");
 BENCHMARK_CAPTURE(bm_scenario_system, clique64, "clique64");
 BENCHMARK_CAPTURE(bm_scenario_system, geometric256, "geometric256");
+
+/// Compiling the residual tables of one |F| = 16 corpus draw in place (one
+/// iteration builds all 16), on both sides of the one-word boundary. The
+/// family is `kind`, the size Arg(0) and `suffix`, e.g. ring64uni.
+void bm_pattern_table(benchmark::State& state, const char* kind,
+                      const char* suffix) {
+  std::string name = kind;
+  name += std::to_string(state.range(0));
+  name += suffix;
+  const auto params = corpus_family(state, name);
+  if (!params) return;
+  std::mt19937_64 rng(1);
+  const fail_prone_system fps = scenario_system(*params, rng);
+  pattern_table t;
+  for (auto _ : state)
+    for (const failure_pattern& f : fps) {
+      build_pattern_table_into(f, t);
+      benchmark::DoNotOptimize(t.components.data());
+    }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fps.size()));
+}
+BENCHMARK_CAPTURE(bm_pattern_table, ring_uni, "ring", "uni")
+    ->Arg(24)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(bm_pattern_table, clique, "clique", "")
+    ->Arg(24)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(bm_pattern_table, grid, "grid", "")
+    ->Arg(24)->Arg(64)->Arg(128)->Arg(256);
 
 void bm_plan_optimal_threshold(benchmark::State& state) {
   const auto qs = threshold_quorum_system(8, 2);

@@ -6,148 +6,151 @@ namespace gqs {
 
 namespace {
 
-/// Allocation-light Tarjan over process_set adjacency rows; emits
-/// components into `out` in reverse topological order (sinks first), the
-/// same contract as digraph::sccs(). Scratch is sized to the system once —
-/// table construction is the hot path of every existence decision and the
-/// general digraph implementation spends most of its time in small-vector
-/// churn at these sizes.
-struct scc_scratch {
-  std::vector<process_set> adj;
-  std::size_t nw;  // prefix word budget: all sets live in {0..n-1}
-  std::vector<int> index;
-  std::vector<int> lowlink;
-  std::vector<char> on_stack;
-  std::vector<process_id> stack;
+/// Per-thread scratch for compile(), grown to the largest system seen, so
+/// a build allocates only the table's own vectors. Table construction is
+/// the hot path of every existence decision and GQS check.
+struct build_scratch {
+  std::vector<process_set> adj;    // residual out-rows, by vertex
+  std::vector<process_set> below;  // below[v]: the stack when v opened
   struct frame {
     process_id v;
-    process_set remaining;
+    process_set rest;  // out-neighbours not yet tried
   };
   std::vector<frame> dfs;
-  int sp = 0, fp = 0, next_index = 0;
+  std::vector<process_id> roots;          // the path's component roots
+  std::vector<process_set> components;    // sinks first
+  std::vector<process_set> succ;          // out-neighbours outside each
+  std::vector<process_set> comp_reach;    // closure of each component
+  std::vector<process_set> comp_reaching; // what reaches each component
+  std::vector<std::uint16_t> comp_of, rank;
+  std::vector<std::uint64_t> order;  // sort keys, index in the low bits
 
-  explicit scc_scratch(process_id n)
-      : adj(n), nw(process_set::words_for(n)), index(n, -1), lowlink(n, 0),
-        on_stack(n, 0), stack(n), dfs(n) {}
-
-  void run(process_id root, const process_set& live,
-           std::vector<process_set>& out) {
+  /// Path-based SCC (Gabow) over the rows in `adj` restricted to `live`;
+  /// emits components sinks first, the same contract as digraph::sccs().
+  /// Word-parallel: all of a vertex's edges back into the stack are one
+  /// set, tested against each root it merges, and a finished root's
+  /// component is one set difference — O(n · nw) word operations, not
+  /// O(edges).
+  void run(process_set live, std::size_t nw) {
+    process_set unvisited = live, on_stack;
+    components.clear();
     auto open = [&](process_id v) {
-      index[v] = lowlink[v] = next_index++;
-      stack[static_cast<std::size_t>(sp++)] = v;
-      on_stack[v] = 1;
-      frame& f = dfs[static_cast<std::size_t>(fp++)];
-      f.v = v;
-      f.remaining = adj[v];
-      f.remaining.and_with(live, nw);
+      below[v] = on_stack;
+      on_stack.insert(v);
+      unvisited.erase(v);
+      roots.push_back(v);
+      // Gabow's rule for every edge into the stack at once: merge roots
+      // until the top root opened no later than each target. Edges to
+      // vertices opened after v never merge roots, so v's back edges are
+      // all known here and no later step of its frame needs the test.
+      // The tree's first root has nothing below it, so roots never empty.
+      const process_set back = adj[v] & below[v];
+      while (back.intersects(below[roots.back()], nw)) roots.pop_back();
+      dfs.push_back(frame{v, adj[v]});
     };
-    open(root);
-    while (fp > 0) {
-      frame& top = dfs[static_cast<std::size_t>(fp - 1)];
-      if (!top.remaining.empty(nw)) {
-        const process_id w = top.remaining.take_first(nw);
-        if (index[w] < 0) {
-          open(w);
-        } else if (on_stack[w]) {
-          lowlink[top.v] = std::min(lowlink[top.v], index[w]);
+    while (!unvisited.empty(nw)) {
+      open(unvisited.first());
+      while (!dfs.empty()) {
+        frame& top = dfs.back();
+        top.rest.and_with(unvisited, nw);
+        if (!top.rest.empty(nw)) {
+          open(top.rest.take_first(nw));
+          continue;
         }
-      } else {
         const process_id v = top.v;
-        --fp;
-        if (fp > 0) {
-          frame& parent = dfs[static_cast<std::size_t>(fp - 1)];
-          lowlink[parent.v] = std::min(lowlink[parent.v], lowlink[v]);
-        }
-        if (lowlink[v] == index[v]) {
-          process_set component;
-          process_id w;
-          do {
-            w = stack[static_cast<std::size_t>(--sp)];
-            on_stack[w] = 0;
-            component.insert(w);
-          } while (w != v);
-          out.push_back(component);
-        }
+        dfs.pop_back();
+        if (roots.back() != v) continue;
+        roots.pop_back();
+        components.push_back(on_stack - below[v]);
+        on_stack = below[v];
       }
     }
   }
 };
 
-/// Fills `t` from the adjacency rows in `scratch.adj` over the vertex set
+/// This thread's scratch, sized for an n-process system.
+build_scratch& scratch_for(process_id n) {
+  thread_local build_scratch s;
+  s.adj.resize(n);
+  s.below.resize(n);
+  s.comp_of.resize(n);
+  return s;
+}
+
+/// Fills `t` from the adjacency rows in `s.adj` over the vertex set
 /// `t.correct` (rows must stay inside it).
-void compile(process_id n, scc_scratch& scratch, pattern_table& t) {
-  const std::size_t nw = scratch.nw;
+void compile(process_id n, build_scratch& s, pattern_table& t) {
+  const std::size_t nw = process_set::words_for(n);
   t.reach_from.assign(n, process_set{});
   t.scc.assign(n, process_set{});
   t.component_of.assign(n, 0);
   t.components.clear();
   t.reach_to.clear();
+  s.run(t.correct, nw);
+  const std::vector<process_set>& components = s.components;
+  const std::size_t k = components.size();
+  s.succ.resize(k);
+  s.comp_reach.resize(k);
+  s.comp_reaching.resize(k);
+  s.order.resize(k);
+  s.rank.resize(k);
 
-  std::vector<process_set> components;
-  components.reserve(static_cast<std::size_t>(t.correct.size()));
-  for (process_id v : t.correct)
-    if (scratch.index[v] < 0) scratch.run(v, t.correct, components);
-
-  // Both reachability closures ride the condensation DAG: components
-  // arrive sinks first, so one forward sweep unions each component's
-  // successors' closures (reach_from), and one reverse sweep pushes each
-  // component's reaching set into its successors (reach_to — for a
-  // strongly connected S, "reaches all of S" ≡ "reaches any of S"). Both
-  // are O(edges) word operations.
-  std::vector<std::uint16_t> comp_of(n, 0);
-  for (std::size_t idx = 0; idx < components.size(); ++idx)
-    for (process_id v : components[idx])
-      comp_of[v] = static_cast<std::uint16_t>(idx);
-  std::vector<process_set> comp_reach(components.size());
-  std::vector<process_set> comp_reaching(components.size());
-  for (std::size_t idx = 0; idx < components.size(); ++idx) {
+  // Both reachability closures ride the condensation DAG, visiting each
+  // successor component once rather than each edge: components arrive
+  // sinks first, so one forward sweep ORs in one successor's closure and
+  // drops every vertex it covers (reach_from), and one reverse sweep
+  // pushes each component's reaching set into its successors, skipping
+  // any that a pushed-to successor already reaches (reach_to — for a
+  // strongly connected S, "reaches all of S" ≡ "reaches any of S").
+  for (std::size_t idx = 0; idx < k; ++idx) {
     const process_set comp = components[idx];
+    process_set out;
+    std::uint64_t size = 0, top = 0;  // the drain ends on the top member
+    for (process_set rest = comp; !rest.empty(nw); ++size) {
+      top = rest.take_first(nw);
+      s.comp_of[top] = static_cast<std::uint16_t>(idx);
+      out.or_with(s.adj[top], nw);
+    }
+    // Sort key: size descending, then set value (SCCs are disjoint, so of
+    // two equal-size components the larger set holds the larger top
+    // member), then the index, carried in the low bits.
+    s.order[idx] = (process_set::max_processes - size) << 32 | top << 16 | idx;
+    out.subtract(comp, nw);
+    s.succ[idx] = out;
     process_set r = comp;
-    for (process_id v : comp) {
-      process_set external = scratch.adj[v];
-      external.subtract(comp, nw);
-      for (process_id w : external) r.or_with(comp_reach[comp_of[w]], nw);
+    while (!out.empty(nw)) {
+      r.or_with(s.comp_reach[s.comp_of[out.take_first(nw)]], nw);
+      out.subtract(r, nw);
     }
-    comp_reach[idx] = r;
-    comp_reaching[idx] = comp;
-    for (process_id v : comp) {
-      t.reach_from[v] = r;
-      t.scc[v] = comp;
-    }
+    s.comp_reach[idx] = r;
+    s.comp_reaching[idx] = comp;
   }
-  for (std::size_t idx = components.size(); idx-- > 0;) {
-    const process_set comp = components[idx];
-    const process_set reaching = comp_reaching[idx];  // now complete
-    for (process_id v : comp) {
-      process_set external = scratch.adj[v];
-      external.subtract(comp, nw);
-      for (process_id w : external)
-        comp_reaching[comp_of[w]].or_with(reaching, nw);
+  for (std::size_t idx = k; idx-- > 0;) {
+    const process_set reaching = s.comp_reaching[idx];  // now complete
+    process_set out = s.succ[idx];
+    while (!out.empty(nw)) {
+      const std::uint16_t c = s.comp_of[out.take_first(nw)];
+      s.comp_reaching[c].or_with(reaching, nw);
+      out.subtract(s.comp_reach[c], nw);
     }
   }
 
-  // Sort candidates (size descending, set value as the deterministic
-  // tie-break) and carry each component's reach_to along. Sizes are
-  // precomputed once outside the comparator: an O(W) popcount per probe
-  // dominates the sort at W > 1.
-  std::vector<std::uint16_t> order(components.size());
-  std::vector<std::uint16_t> sizes(components.size());
-  for (std::size_t idx = 0; idx < components.size(); ++idx) {
-    order[idx] = static_cast<std::uint16_t>(idx);
-    sizes[idx] = static_cast<std::uint16_t>(components[idx].size(nw));
+  // Candidates in key order, each carrying its reach_to along.
+  std::sort(s.order.begin(), s.order.end());
+  t.components.reserve(k);
+  t.reach_to.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t idx = s.order[i] & 0xffff;
+    t.components.push_back(components[idx]);
+    t.reach_to.push_back(s.comp_reaching[idx]);
+    s.rank[idx] = static_cast<std::uint16_t>(i);
   }
-  std::sort(order.begin(), order.end(),
-            [&](std::uint16_t a, std::uint16_t b) {
-              return sizes[a] != sizes[b] ? sizes[a] > sizes[b]
-                                          : components[a] < components[b];
-            });
-  t.components.reserve(components.size());
-  t.reach_to.reserve(components.size());
-  for (std::size_t k = 0; k < components.size(); ++k) {
-    t.components.push_back(components[order[k]]);
-    t.reach_to.push_back(comp_reaching[order[k]]);
-    for (process_id v : components[order[k]])
-      t.component_of[v] = static_cast<std::uint16_t>(k);
+  for (process_set rest = t.correct; !rest.empty(nw);) {
+    const process_id v = rest.take_first(nw);
+    const std::uint16_t c = s.comp_of[v];
+    t.reach_from[v] = s.comp_reach[c];
+    t.scc[v] = components[c];
+    t.component_of[v] = s.rank[c];
   }
 }
 
@@ -155,8 +158,8 @@ void compile(process_id n, scc_scratch& scratch, pattern_table& t) {
 
 void build_pattern_table_into(const failure_pattern& f, pattern_table& t) {
   const process_id n = f.system_size();
-  scc_scratch scratch(n);
-  const std::size_t nw = scratch.nw;
+  build_scratch& scratch = scratch_for(n);
+  const std::size_t nw = process_set::words_for(n);
   const digraph& faulty = f.faulty_channels();
   t.correct = f.correct();
   for (process_id v : t.correct) {
@@ -176,7 +179,7 @@ pattern_table build_pattern_table(const failure_pattern& f) {
 
 pattern_table build_pattern_table(const digraph& network, process_set live) {
   const process_id n = network.vertex_count();
-  scc_scratch scratch(n);
+  build_scratch& scratch = scratch_for(n);
   pattern_table t;
   t.correct = network.present() & live;
   for (process_id v : t.correct)

@@ -156,15 +156,16 @@ struct dfs_engine {
         p = q;
         break;
       }
-      const int c = cur[q].size();
+      const int c = cur[q].size(cw);
       if (c < best_count) {
         best_count = c;
         p = q;
       }
     }
-    // The iterator snapshots the domain's words, so assignments below
-    // (which only write deeper rows) cannot perturb the loop.
-    for (process_id i : cur[p]) {
+    // Drain a copy of the domain in increasing order; assignments below
+    // only write deeper rows, so the copy stays the domain at this depth.
+    for (candidate_set rest = cur[p]; !rest.empty(cw);) {
+      const process_id i = rest.take_first(cw);
       if (!assign(depth, p, i)) {
         if (out_of_budget) return false;
         continue;

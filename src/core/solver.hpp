@@ -112,6 +112,8 @@ class existence_solver {
   /// std::invalid_argument on an empty system, mirroring find_gqs.
   explicit existence_solver(const fail_prone_system& fps,
                             solver_options opts = {});
+  /// A temporary system would dangle: solve() reads it after construction.
+  existence_solver(fail_prone_system&&, solver_options = {}) = delete;
 
   /// Decision only. May return on the first witness any branch finds, so
   /// it is faster than solve() on satisfiable instances but promises only

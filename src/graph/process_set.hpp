@@ -231,7 +231,7 @@ class basic_process_set {
   // The nw == 1 branch in each method below is not a micro-optimisation
   // footnote: it turns the runtime-bounded word loop into the exact
   // straight-line code the W == 1 instantiation compiles to, which is what
-  // keeps n ≤ 64 hot paths (Tarjan/BFS inner loops) at single-word cost.
+  // keeps n ≤ 64 hot paths (SCC/BFS inner loops) at single-word cost.
 
   /// empty() over the first nw words.
   constexpr bool empty(std::size_t nw) const noexcept {

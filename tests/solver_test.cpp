@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "core/factories.hpp"
@@ -41,8 +42,17 @@ TEST(Solver, Example9DoesNotAdmit) {
 }
 
 TEST(Solver, EmptySystemThrows) {
-  EXPECT_THROW(existence_solver(fail_prone_system(3)), std::invalid_argument);
+  const fail_prone_system empty(3);
+  EXPECT_THROW(existence_solver{empty}, std::invalid_argument);
 }
+
+// The solver keeps a reference to its system, so a temporary is rejected
+// at compile time rather than left dangling.
+static_assert(
+    !std::is_constructible_v<existence_solver, fail_prone_system&&>);
+static_assert(
+    !std::is_constructible_v<existence_solver, fail_prone_system&&,
+                             solver_options>);
 
 TEST(Solver, AgreesWithFindGqs) {
   // find_gqs routes through the solver with default options; an explicit
@@ -256,31 +266,112 @@ TEST(Solver, WitnessIdenticalForAnyThreadCount) {
 }
 
 // The pattern tables the solver builds agree with the graph layer's
-// ground truth.
+// ground truth: every field of `t` against the digraph reference for the
+// residual `g`.
+void expect_matches_reference(const pattern_table& t, const digraph& g) {
+  const process_id n = g.vertex_count();
+  EXPECT_EQ(t.correct, g.present());
+  ASSERT_EQ(t.reach_from.size(), n);
+  ASSERT_EQ(t.scc.size(), n);
+  ASSERT_EQ(t.component_of.size(), n);
+  const auto sccs = g.sccs();
+  ASSERT_EQ(t.components.size(), sccs.size());
+  ASSERT_EQ(t.reach_to.size(), sccs.size());
+  // One BFS per vertex; reach_to is then reach_to_all's definition.
+  std::vector<process_set> reach(n);
+  for (process_id v : g.present()) reach[v] = g.reachable_from(v);
+  process_set covered;
+  for (std::size_t i = 0; i < t.components.size(); ++i) {
+    covered |= t.components[i];
+    EXPECT_NE(std::find(sccs.begin(), sccs.end(), t.components[i]),
+              sccs.end());
+    process_set readers;
+    for (process_id u : g.present())
+      if (t.components[i].is_subset_of(reach[u])) readers.insert(u);
+    EXPECT_EQ(t.reach_to[i], readers);
+    for (process_id v : t.components[i]) {
+      EXPECT_EQ(t.scc[v], t.components[i]);
+      EXPECT_EQ(t.reach_from[v], reach[v]);
+      EXPECT_EQ(t.component_of[v], i);
+    }
+  }
+  EXPECT_EQ(covered, g.present());
+  for (process_id v = 0; v < n; ++v) {
+    if (g.present().contains(v)) continue;
+    EXPECT_TRUE(t.reach_from[v].empty());
+    EXPECT_TRUE(t.scc[v].empty());
+    EXPECT_EQ(t.component_of[v], 0);
+  }
+  // Sorted by size descending, set value ascending.
+  for (std::size_t i = 1; i < t.components.size(); ++i) {
+    const auto &prev = t.components[i - 1], &cur = t.components[i];
+    EXPECT_TRUE(prev.size() > cur.size() ||
+                (prev.size() == cur.size() && prev < cur));
+  }
+}
+
+void expect_same_table(const pattern_table& a, const pattern_table& b) {
+  EXPECT_EQ(a.correct, b.correct);
+  EXPECT_EQ(a.components, b.components);
+  EXPECT_EQ(a.reach_to, b.reach_to);
+  EXPECT_EQ(a.reach_from, b.reach_from);
+  EXPECT_EQ(a.scc, b.scc);
+  EXPECT_EQ(a.component_of, b.component_of);
+}
+
 TEST(PatternTable, MatchesDigraphGroundTruth) {
-  const auto fig = make_figure1();
-  for (const failure_pattern& f : fig.gqs.fps) {
-    const pattern_table t = build_pattern_table(f);
-    EXPECT_EQ(t.correct, f.correct());
-    const digraph residual = f.residual();
-    const auto sccs = residual.sccs();
-    ASSERT_EQ(t.components.size(), sccs.size());
-    process_set covered;
-    for (std::size_t i = 0; i < t.components.size(); ++i) {
-      covered |= t.components[i];
-      EXPECT_EQ(t.reach_to[i], residual.reach_to_all(t.components[i]));
-      for (process_id v : t.components[i]) {
-        EXPECT_EQ(t.scc[v], t.components[i]);
-        EXPECT_EQ(t.reach_from[v], residual.reachable_from(v));
+  for (const failure_pattern& f : make_figure1().gqs.fps)
+    expect_matches_reference(build_pattern_table(f), f.residual());
+
+  // One |F| = 16 draw per corpus family, up to n = 256 (four words).
+  std::uint64_t seed = 1;
+  for (scenario_family family : topology_corpus(256)) {
+    SCOPED_TRACE(family.name);
+    family.params.patterns = 16;
+    std::mt19937_64 rng(seed++);
+    for (const failure_pattern& f : scenario_system(family.params, rng))
+      expect_matches_reference(build_pattern_table(f), f.residual());
+  }
+
+  // Seeded random digraphs through the (network, live) overload, on both
+  // sides of each word boundary, from edgeless to complete.
+  std::mt19937_64 rng(7);
+  for (process_id n : {1u, 63u, 64u, 65u, 128u, 256u}) {
+    for (double degree : {0.0, 0.5, 1.0, 1.5, 3.0, 0.25 * n, 1.0 * n}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " degree " << degree);
+      std::bernoulli_distribution edge(std::min(1.0, degree / n));
+      std::bernoulli_distribution alive(0.85);
+      std::vector<process_set> rows(n);
+      process_set live;
+      for (process_id u = 0; u < n; ++u) {
+        if (alive(rng)) live.insert(u);
+        for (process_id v = 0; v < n; ++v)
+          if (u != v && edge(rng)) rows[u].insert(v);
       }
+      const digraph network = digraph::from_rows(rows);
+      digraph residual = network;
+      residual.remove_vertices(network.present() - live);
+      expect_matches_reference(build_pattern_table(network, live), residual);
     }
-    EXPECT_EQ(covered, residual.present());
-    // Sorted by size descending, set value ascending.
-    for (std::size_t i = 1; i < t.components.size(); ++i) {
-      const auto &prev = t.components[i - 1], &cur = t.components[i];
-      EXPECT_TRUE(prev.size() > cur.size() ||
-                  (prev.size() == cur.size() && prev < cur));
-    }
+  }
+
+  // One table rebuilt in place across sizes: nothing of the n = 256 build
+  // may leak into the n = 12 one, or back. Half the processes crash, so
+  // each build crashes low ids the previous one kept.
+  random_system_params big;
+  big.n = 256;
+  big.crash_probability = 0.5;
+  big.channel_fail_probability = 0.99;
+  random_system_params small;
+  small.n = 12;
+  small.crash_probability = 0.5;
+  pattern_table t;
+  for (const random_system_params& params : {big, small, big}) {
+    SCOPED_TRACE(testing::Message() << "rebuilt at n " << params.n);
+    const failure_pattern f = random_failure_pattern(params, rng);
+    build_pattern_table_into(f, t);
+    expect_same_table(t, build_pattern_table(f));
+    expect_matches_reference(t, f.residual());
   }
 }
 
