@@ -2,13 +2,13 @@
 """Fold the repo benchmark's per-workload results into one JSON snapshot.
 
 Usage:
-    python3 scripts/bench_snapshot.py --out BENCH_<n>.json [--seconds S]
-        [--smoke]
+    python3 scripts/bench_snapshot.py --out BENCH_<n>.json
 
 Runs `benchmark/run.py --workload W --seed S --trace T` for every workload
-of BENCHMARK.json, seeds 1 and 2, and both trace modes, and writes
+of BENCHMARK.json, seeds 1 and 2, and both trace modes, each at
+BENCHMARK.json's run_seconds, and writes
 
-    {"run_seconds", "smoke", "host", "workloads": {W: {"seed<S>": {
+    {"run_seconds", "host", "workloads": {W: {"seed<S>": {
         "correct", "attempted", "failed",
         "end_to_end": {metric: {value, unit}},      # --trace 0
         "per_layer":  {metric: {value, unit}}}}}}    # --trace 1
@@ -32,13 +32,10 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "benchmark" / "run.py"
 
 
-def run_one(workload, seed, trace, seconds, smoke):
+def run_one(workload, seed, trace, seconds):
     cmd = [sys.executable, str(RUN), "--workload", workload,
-           "--seed", str(seed), "--trace", str(trace)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
-    if smoke:
-        cmd.append("--smoke")
+           "--seed", str(seed), "--trace", str(trace),
+           "--seconds", str(seconds)]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -55,16 +52,11 @@ def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--seconds", type=float,
-                   help=f"per run; BENCHMARK.json's {spec['run_seconds']} "
-                        "by default")
-    p.add_argument("--smoke", action="store_true")
     args = p.parse_args()
 
+    seconds = spec["run_seconds"]
     snapshot = {
-        "run_seconds": (args.seconds if args.seconds is not None
-                        else spec["run_seconds"]),
-        "smoke": args.smoke,
+        "run_seconds": seconds,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "system": platform.system()},
         "workloads": {},
@@ -73,8 +65,8 @@ def main():
         for w in spec["workloads"]:
             per_seed = snapshot["workloads"].setdefault(w["name"], {})
             for seed in (1, 2):
-                e2e = run_one(w["name"], seed, 0, args.seconds, args.smoke)
-                traced = run_one(w["name"], seed, 1, args.seconds, args.smoke)
+                e2e = run_one(w["name"], seed, 0, seconds)
+                traced = run_one(w["name"], seed, 1, seconds)
                 per_seed[f"seed{seed}"] = {
                     "correct": e2e["correct"] and traced["correct"],
                     "attempted": e2e["attempted"],

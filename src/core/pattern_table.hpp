@@ -4,9 +4,10 @@
 // Definition 2 (f-availability, f-reachability) and Proposition 1 (U_f)
 // are questions about a single residual graph per pattern. A pattern_table
 // compiles that graph once — a word-parallel path-based SCC over bitmask
-// rows, then both reachability closures on the condensation DAG, in
-// O(n · ⌈n/64⌉) word operations — after which each query is a handful of
-// word operations:
+// rows in O(n · ⌈n/64⌉) word operations, then both reachability closures
+// on the condensation DAG at O(⌈n/64⌉) per successor component not yet
+// covered, at worst O(edges · ⌈n/64⌉) — after which each query is a
+// handful of word operations:
 //
 //   f-available(q)     q ≠ ∅ ∧ q ⊆ correct ∧ q ⊆ scc[first(q)]
 //   f-reachable(w, r)  w, r ≠ ∅, both ⊆ correct, w ⊆ reach_from[p] ∀ p ∈ r
