@@ -1,4 +1,5 @@
-// bench_ablation_clocks — Experiment E12 (ablation; EXPERIMENTS.md).
+// bench_ablation_clocks — Experiment E12 (ablation; docs/ARCHITECTURE.md,
+// "Figures → benches").
 //
 // Is the paper's logical-clock mechanism load-bearing? The Figure 4
 // register is run over three access-function variants under Figure 1's f1:

@@ -1,4 +1,5 @@
-// bench_fig1_gqs — Experiments E1 + E2 (DESIGN.md §5).
+// bench_fig1_gqs — Experiments E1 + E2
+// (docs/ARCHITECTURE.md, "Figures → benches").
 //
 // Regenerates the paper's running example: Figure 1's fail-prone system
 // and generalized quorum system (Examples 1, 2, 7, 8), the U_f sets of

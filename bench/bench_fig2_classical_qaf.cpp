@@ -1,4 +1,5 @@
-// bench_fig2_classical_qaf — Experiment E3 (DESIGN.md §5).
+// bench_fig2_classical_qaf — Experiment E3
+// (docs/ARCHITECTURE.md, "Figures → benches").
 //
 // The Figure 2 quorum access functions over classical threshold quorum
 // systems (Examples 4 and 6): quorum_get / quorum_set latency (simulated

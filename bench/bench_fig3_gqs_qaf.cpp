@@ -1,4 +1,5 @@
-// bench_fig3_gqs_qaf — Experiment E4 (DESIGN.md §5).
+// bench_fig3_gqs_qaf — Experiment E4
+// (docs/ARCHITECTURE.md, "Figures → benches").
 //
 // The Figure 3 quorum access functions (logical clocks + gossip) under
 // each Figure 1 failure pattern: quorum_get / quorum_set latency and

@@ -1,4 +1,5 @@
-// bench_fig4_register — Experiments E5 + E6 (DESIGN.md §5).
+// bench_fig4_register — Experiments E5 + E6
+// (docs/ARCHITECTURE.md, "Figures → benches").
 //
 // E5: the Figure 4 register over the Figure 3 access functions under every
 // Figure 1 pattern — read/write latency at each U_f member, with the

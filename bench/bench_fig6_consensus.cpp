@@ -1,4 +1,5 @@
-// bench_fig6_consensus — Experiment E8 (DESIGN.md §5).
+// bench_fig6_consensus — Experiment E8
+// (docs/ARCHITECTURE.md, "Figures → benches").
 //
 // The Figure 6 consensus protocol under partial synchrony: decision
 // latency at every U_f member per Figure 1 pattern, a sweep of the view

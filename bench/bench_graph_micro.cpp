@@ -1,4 +1,5 @@
-// bench_graph_micro — Experiment E11 (DESIGN.md §5).
+// bench_graph_micro — Experiment E11
+// (docs/ARCHITECTURE.md, "Figures → benches").
 //
 // google-benchmark microbenchmarks of the combinatorial kernels everything
 // else is built on: SCC decomposition, reachability closures, the

@@ -1,4 +1,5 @@
-// bench_lowerbound — Experiment E10 (DESIGN.md §5).
+// bench_lowerbound — Experiment E10
+// (docs/ARCHITECTURE.md, "Figures → benches").
 //
 // The Theorem 2 machinery as an algorithm:
 //   * scaling of the GQS existence search (SCC-choice backtracking) with

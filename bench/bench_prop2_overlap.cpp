@@ -1,4 +1,5 @@
-// bench_prop2_overlap — Experiment E9 (DESIGN.md §5).
+// bench_prop2_overlap — Experiment E9
+// (docs/ARCHITECTURE.md, "Figures → benches").
 //
 // Proposition 2: with each process spending v·C in view v, for every
 // duration d there is a view V from which on all correct processes overlap

@@ -1,4 +1,5 @@
-// bench_snapshot_lattice — Experiment E7 (DESIGN.md §5).
+// bench_snapshot_lattice — Experiment E7
+// (docs/ARCHITECTURE.md, "Figures → benches").
 //
 // Theorem 1's derived objects: SWMR atomic snapshots (built from Figure 4
 // registers) and single-shot lattice agreement (built from snapshots).

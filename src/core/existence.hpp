@@ -1,12 +1,13 @@
 // existence.hpp — deciding whether a fail-prone system admits a generalized
 // quorum system, and the canonical lower-bound construction (paper §6).
 //
-// Key normalization (proved in DESIGN.md §3): if some GQS exists for F,
-// then one exists in which, for every pattern f, the validating write
-// quorum is a *whole* strongly connected component S_f of G \ f and the
-// matching read quorum is reach_to(S_f) — the set of all correct processes
-// that can reach S_f. Inflating quorums preserves f-availability and
-// f-reachability and can only help Consistency. Hence:
+// Key normalization (the Theorem 2 row of docs/ARCHITECTURE.md, "The
+// combinatorial core"): if some GQS exists for F, then one exists in
+// which, for every pattern f, the validating write quorum is a *whole*
+// strongly connected component S_f of G \ f and the matching read quorum
+// is reach_to(S_f) — the set of all correct processes that can reach S_f.
+// Inflating quorums preserves f-availability and f-reachability and can
+// only help Consistency. Hence:
 //
 //   F admits a GQS  ⟺  one can choose an SCC S_f of G \ f for each f ∈ F
 //                      such that for all f, g: reach_to(S_f) ∩ S_g ≠ ∅.

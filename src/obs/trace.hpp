@@ -5,8 +5,8 @@
 // layers (quorum_service flush groups, smr_service phase/commit rounds,
 // the channel layer's queueing/serialization) and carried across
 // processes ON the messages themselves (message::trace_span, copied into
-// flooding envelopes and mux wrappers), so a receiver attaches its work
-// to the sender's span. The simulator adds one "net"-category leaf per
+// flooding envelopes), so a receiver attaches its work to the sender's
+// span. The simulator adds one "net"-category leaf per
 // network event (net.send / net.deliver / net.drop_channel /
 // net.drop_crashed / net.drop_queue / net.timer), attached to the
 // message's span when it was stamped. The recorder's output is Chrome

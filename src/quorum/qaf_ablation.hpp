@@ -1,7 +1,7 @@
 // qaf_ablation.hpp — deliberately weakened variants of the Figure 3
 // access functions, for the ablation study of the paper's logical-clock
-// mechanism (bench_ablation_clocks, E12 in EXPERIMENTS.md), and the
-// study's disjoint-quorum scenario.
+// mechanism (bench_ablation_clocks, E12 in docs/ARCHITECTURE.md, "Figures →
+// benches"), and the study's disjoint-quorum scenario.
 //
 // The full protocol has two clock-driven waits:
 //

@@ -14,9 +14,10 @@
 // seq), and SMR acceptors answer a repeated 1A/2A idempotently.
 //
 // SMR Phase 1 thus resends its original 1A although the leader's applied
-// prefix may have advanced since. That is safe: an older floor only makes
-// acceptors report more slots, finish_phase1 ignores slots below
-// `applied`, and its catch-up commits use each acceptor's own floor.
+// prefix may have advanced since. That is safe: acceptors keep the highest
+// floor heard from the leader (an older one could only make them report
+// more slots), finish_phase1 ignores slots below `applied`, and its
+// catch-up commits use each acceptor's own floor.
 //
 // The engines keep only what differs: the wire message, the selector
 // stream a round draws from, and when a round is covered (or abandoned),

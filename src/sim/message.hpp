@@ -2,16 +2,16 @@
 //
 // Messages are immutable C++ values shared between sender and receivers;
 // protocols define subclasses and downcast on receipt (the simulator is an
-// in-process model of a network, so no serialization layer is pretended —
-// see DESIGN.md §3).
+// in-process model of a network, so no serialization layer is pretended;
+// wire_size() prices the bytes — docs/ARCHITECTURE.md, "Network model").
 //
 // Dispatch: every message built through make_message carries a type tag (a
 // per-type sentinel address), so message_cast is a pointer compare plus a
 // static_cast on the hot delivery path — the per-delivery dynamic_cast
-// chains of the protocol deliver() handlers and the transport mux resolve
-// without RTTI. The cast matches the exact constructed type; casting a
-// tagged message to anything else yields nullptr. Messages created without
-// make_message (tag unset) fall back to dynamic_cast.
+// chains of the protocol deliver() handlers resolve without RTTI. The cast
+// matches the exact constructed type; casting a tagged message to
+// anything else yields nullptr. Messages created without make_message
+// (tag unset) fall back to dynamic_cast.
 #pragma once
 
 #include <cstddef>
@@ -48,8 +48,8 @@ struct message {
 
   /// Causal span this message belongs to (null by default). Stamped
   /// post-construction by the sender via stamp_trace_span; wrapper
-  /// messages (flooding envelopes, mux tags) copy it from their payload so
-  /// the channel layer and the receiver see the originating span.
+  /// messages (flooding envelopes) copy it from their payload so the
+  /// channel layer and the receiver see the originating span.
   span_ref trace_span;
 };
 

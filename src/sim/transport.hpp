@@ -3,16 +3,11 @@
 // A `component` is a protocol state machine (quorum access functions, a
 // register, consensus, ...) that communicates through an abstract
 // `transport`. A `single_host` is a simulation node hosting one component
-// over the flooding layer. A `mux_host` hosts many components at the same
-// process, multiplexing their traffic over one flooding endpoint with
-// instance tags — replicated_log runs one Figure 6 consensus instance per
-// slot this way, and composition_test runs a Figure 4 register next to a
-// Figure 6 consensus instance at every process.
+// over the flooding layer.
 #pragma once
 
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/flooding.hpp"
@@ -110,100 +105,6 @@ class single_host : public flooding_node, private transport {
   obs_bundle* obs() const override { return &node::sim().obs(); }
 
   std::unique_ptr<component> comp_;
-};
-
-/// Simulation node hosting several components, each with its own logical
-/// channel (instance tag). Component k at process p talks only to
-/// component k at other processes.
-class mux_host : public flooding_node {
- public:
-  /// Adds a component; returns its instance index. Call before the
-  /// simulation starts.
-  int add_component(std::unique_ptr<component> c) {
-    if (!c) throw std::invalid_argument("mux_host: null component");
-    const int instance = static_cast<int>(comps_.size());
-    proxies_.push_back(std::make_unique<proxy>(this, instance));
-    c->bind(*proxies_.back());
-    comps_.push_back(std::move(c));
-    return instance;
-  }
-
-  /// Constructs and adds a component in place; returns a typed reference.
-  template <class C, class... Args>
-  C& emplace_component(Args&&... args) {
-    auto c = std::make_unique<C>(std::forward<Args>(args)...);
-    C& ref = *c;
-    add_component(std::move(c));
-    return ref;
-  }
-
-  std::size_t component_count() const noexcept { return comps_.size(); }
-
- protected:
-  void on_start() override {
-    for (auto& c : comps_) c->start();
-  }
-
-  void on_timer(int timer_id) override {
-    const auto it = timer_owner_.find(timer_id);
-    if (it == timer_owner_.end()) return;
-    const int instance = it->second;
-    timer_owner_.erase(it);
-    comps_[instance]->on_timeout(timer_id);
-  }
-
-  void on_deliver(process_id origin, const message_ptr& payload) override {
-    // Integer-tag dispatch: the wrapper type resolves by tag compare (one
-    // pointer equality, no dynamic_cast) and the component by its integer
-    // instance index.
-    const auto* t = message_cast<tagged>(payload);
-    if (!t) return;
-    if (t->instance < 0 ||
-        t->instance >= static_cast<int>(comps_.size()))
-      return;  // peer hosts more components than we do: ignore
-    comps_[t->instance]->deliver(origin, t->inner);
-  }
-
- private:
-  struct tagged : message {
-    int instance;
-    message_ptr inner;
-    tagged(int i, message_ptr m) : instance(i), inner(std::move(m)) {
-      if (inner) trace_span = inner->trace_span;  // wrapper rides the span
-    }
-    std::size_t wire_size() const override {
-      return 8 + inner->wire_size();  // instance tag + payload
-    }
-  };
-
-  class proxy final : public transport {
-   public:
-    proxy(mux_host* host, int instance) : host_(host), instance_(instance) {}
-
-    void unicast(process_id dest, message_ptr m) override {
-      host_->flood_send(dest, make_message<tagged>(instance_, std::move(m)));
-    }
-    void broadcast(message_ptr m) override {
-      host_->flood_broadcast(make_message<tagged>(instance_, std::move(m)));
-    }
-    int set_timer(sim_time delay) override {
-      const int id = host_->node::set_timer(delay);
-      host_->timer_owner_[id] = instance_;
-      return id;
-    }
-    process_id self() const override { return host_->node::id(); }
-    process_id size() const override { return host_->node::system_size(); }
-    sim_time now() const override { return host_->node::now(); }
-    obs_bundle* obs() const override { return &host_->sim().obs(); }
-
-   private:
-    mux_host* host_;
-    int instance_;
-  };
-
-  std::vector<std::unique_ptr<component>> comps_;
-  std::vector<std::unique_ptr<proxy>> proxies_;
-  std::unordered_map<int, int> timer_owner_;  // timer id -> instance
 };
 
 }  // namespace gqs

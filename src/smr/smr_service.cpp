@@ -80,16 +80,14 @@ std::uint64_t smr_service::applied_prefix(std::size_t shard) const {
 // lifecycle
 
 void smr_service::start() {
-  register_obs();
   const process_id n = system_size();
+  for (const process_id p : options_.leaders)
+    if (p >= n) throw std::invalid_argument("smr_service: leader out of range");
+  register_obs();
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    shard_state& ss = shards_[s];
-    ss.applied_seqs.resize(n);
-    ss.leader_activity = now();
-    if (leader_of(s, ss.view) == id())
-      begin_phase1(s);
-    else
-      arm_lease(s);
+    shards_[s].applied_seqs.resize(n);
+    shards_[s].heard.resize(n, 0);
+    enter_view(s, 1);
   }
   retry_timer_ = set_timer(std::max<sim_time>(options_.resubmit_timeout / 2, 1));
 }
@@ -150,9 +148,10 @@ void smr_service::on_timeout(int timer_id) {
   timers_.erase(it);
   switch (ref.kind) {
     case timer_ref::kind_t::lease: {
+      // One rule for every role: follower, candidate (rule 2: a campaign
+      // not covered within the patience times out) and leader (rule 3).
       shard_state& ss = shards_[ref.shard];
       ss.lease_armed = false;
-      if (ss.leading || ss.phase1_inflight) return;  // no lease while I lead
       if (now() - ss.leader_activity >= lease_patience(ss))
         lease_expired(ref.shard);
       else
@@ -161,9 +160,17 @@ void smr_service::on_timeout(int timer_id) {
     }
     case timer_ref::kind_t::heartbeat: {
       shard_state& ss = shards_[ref.shard];
+      ss.beat_armed = false;
       if (!ss.leading) return;  // stepped down; stop the beat
-      ++counters_.heartbeats;
-      broadcast(make_message<hb_msg>(ref.shard, ss.view, ss.applied));
+      // Rule 3: beat only when idle; a won round's commit already renewed
+      // every follower, and the win the leader itself.
+      if (!ss.won_since_beat) {
+        ++counters_.heartbeats;
+        ss.hb_acks = {};
+        if (ss.hb_acks.add(id(), config_.writes)) renew_lease(ref.shard);
+        broadcast(make_message<hb_msg>(ref.shard, ss.view, ss.applied));
+      }
+      ss.won_since_beat = false;
       arm_heartbeat(ref.shard);
       return;
     }
@@ -180,36 +187,52 @@ void smr_service::arm_lease(std::uint32_t shard) {
 }
 
 void smr_service::arm_heartbeat(std::uint32_t shard) {
+  shard_state& ss = shards_[shard];
+  if (ss.beat_armed) return;  // a chain from an earlier term still ticks
   timers_[set_timer(options_.heartbeat_period)] =
       timer_ref{timer_ref::kind_t::heartbeat, shard};
+  ss.beat_armed = true;
 }
 
 void smr_service::renew_lease(std::uint32_t shard) {
-  shards_[shard].leader_activity = now();
+  shard_state& ss = shards_[shard];
+  // Rule 4: while one of its own commands is overdue, a follower ignores
+  // leader activity, so a view that does not serve it ends on the growing
+  // schedule. Leaving a view early never endangers safety (views are
+  // promises); it only costs a Phase 1. A leader renews on its write
+  // quorum's answers alone.
+  if (!ss.leading && !ss.pending.empty() &&
+      now() - ss.pending.begin()->second.submitted_at >=
+          options_.resubmit_timeout)
+    return;
+  ss.leader_activity = now();
 }
 
 void smr_service::lease_expired(std::uint32_t shard) {
-  shard_state& ss = shards_[shard];
   ++counters_.view_changes;
   if (tracer_) tracer_->leaf("smr.view_change", "smr", id(), {}, now());
-  ++ss.view;
+  enter_view(shard, shards_[shard].view + 1);
+}
+
+/// Rule 1, Figure 6's view entry: the view is this replica's shard-wide
+/// promise, and its 1B report goes to the view's leader unasked (or it
+/// campaigns, leading the view itself). A pushed report is as good as a
+/// solicited one: from the promise on, the acceptor refuses lower views.
+void smr_service::enter_view(std::uint32_t shard, std::uint64_t view) {
+  shard_state& ss = shards_[shard];
+  if (ss.leading || ss.phase1_inflight) step_down(shard);
+  ss.view = view;
   ss.leader_activity = now();
-  if (leader_of(shard, ss.view) == id())
+  arm_lease(shard);
+  const process_id leader = leader_of(shard, view);
+  if (leader == id())
     begin_phase1(shard);
   else
-    arm_lease(shard);
+    push_report(shard, leader);
 }
 
 void smr_service::adopt_view(std::uint32_t shard, std::uint64_t view) {
-  shard_state& ss = shards_[shard];
-  if (view <= ss.view) return;
-  const bool was_leader_role = ss.leading || ss.phase1_inflight;
-  ss.view = view;
-  ss.leader_activity = now();
-  if (was_leader_role)
-    step_down(shard);
-  else if (!ss.lease_armed)
-    arm_lease(shard);
+  if (view > shards_[shard].view) enter_view(shard, view);
 }
 
 void smr_service::step_down(std::uint32_t shard) {
@@ -239,7 +262,6 @@ void smr_service::step_down(std::uint32_t shard) {
     ss.staged.clear();
     mark_dirty(shard);
   }
-  if (!ss.lease_armed) arm_lease(shard);
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +293,7 @@ void smr_service::submit(smr_command cmd, pending_cmd rec) {
   cmd.submitter = id();
   cmd.submit_seq = ss.next_seq++;
   rec.cmd = cmd;
-  rec.issued_at = now();
+  rec.submitted_at = rec.issued_at = now();
   if (tracer_)
     rec.span = tracer_->begin_span("smr.submit", "smr", id(), {}, now());
   ++counters_.commands_submitted;
@@ -358,17 +380,9 @@ std::optional<process_set> smr_service::draw(std::uint32_t shard,
 
 void smr_service::begin_phase1(std::uint32_t shard) {
   shard_state& ss = shards_[shard];
-  if (ss.phase1_inflight || ss.leading) return;
-  if (ss.promised > ss.view) {
-    // Someone campaigns in a higher view; stand by as a follower (the
-    // lease keeps ticking so this shard can never stall leaderless).
-    arm_lease(shard);
-    return;
-  }
   ss.phase1_inflight = true;
   ss.p1bs = {};
   ++counters_.phase1_rounds;
-  ss.promised = ss.view;  // self-promise
   const std::uint64_t floor = ss.applied;
   auto wire = make_message<p1a_msg>(shard, ss.view, floor);
   if (tracer_) {
@@ -399,12 +413,22 @@ smr_service::p1b_report smr_service::make_report(const shard_state& ss,
   return report;
 }
 
+/// The report covers every slot from min(own applied, the floor last heard
+/// from the leader). The leader's applied prefix only grows, so it is at
+/// least that floor: every slot it may still propose into is covered.
+void smr_service::push_report(std::uint32_t shard, process_id leader) {
+  const shard_state& ss = shards_[shard];
+  const std::uint64_t from = std::min(ss.applied, ss.heard[leader]);
+  unicast(leader, make_message<p1b_msg>(shard, ss.view, make_report(ss, from)));
+}
+
 void smr_service::finish_phase1(std::uint32_t shard,
                                 const process_set& quorum) {
   shard_state& ss = shards_[shard];
   ss.phase1_inflight = false;
   ss.leading = true;
   ss.commit_sent = ss.applied;
+  renew_lease(shard);  // a full lease to reach its write quorum
   rounds_.close(ss.phase1_round);
   if (tracer_ && ss.phase1_span.valid()) {
     tracer_->end_span(ss.phase1_span, now());
@@ -509,6 +533,9 @@ void smr_service::phase2_won(std::uint32_t shard, std::uint64_t slot) {
       ss.phase2_spans.erase(p2);
     }
   }
+  // Rule 3: a write quorum answered.
+  renew_lease(shard);
+  ss.won_since_beat = true;
   mark_chosen(shard, slot, entry);
   announce_commits(shard);
   apply_prefix(shard);
@@ -614,9 +641,11 @@ void smr_service::deliver(process_id origin, const message_ptr& payload) {
   } else if (const auto* m = message_cast<p2b_msg>(payload)) {
     on_p2b(origin, *m);
   } else if (const auto* m = message_cast<commit_msg>(payload)) {
-    on_commit(*m);
+    on_commit(origin, *m);
   } else if (const auto* m = message_cast<hb_msg>(payload)) {
-    if (origin != id()) on_hb(*m);
+    if (origin != id()) on_hb(origin, *m);
+  } else if (const auto* m = message_cast<hb_ack_msg>(payload)) {
+    on_hb_ack(origin, *m);
   }
 }
 
@@ -629,18 +658,23 @@ void smr_service::on_fwd(const fwd_msg& m) {
   }
 }
 
+/// The campaign announcement: enter its view (which pushes the 1B), or
+/// re-push when already there — the first push may predate a fault.
 void smr_service::on_p1a(process_id origin, const p1a_msg& m) {
   shard_state& ss = shards_[m.shard];
-  adopt_view(m.shard, m.view);
-  if (m.view < ss.promised) return;  // stale candidate; no reply
-  ss.promised = m.view;
-  if (m.view == ss.view) renew_lease(m.shard);  // the campaign is activity
-  unicast(origin,
-          make_message<p1b_msg>(m.shard, m.view, make_report(ss, m.floor)));
+  ss.heard[origin] = std::max(ss.heard[origin], m.floor);
+  if (m.view < ss.view) return;  // stale candidate
+  if (m.view == ss.view)
+    push_report(m.shard, origin);
+  else
+    adopt_view(m.shard, m.view);
+  renew_lease(m.shard);  // the campaign is activity
 }
 
 void smr_service::on_p1b(process_id origin, const p1b_msg& m) {
   shard_state& ss = shards_[m.shard];
+  // A 1B for a higher view names this replica its leader: campaign.
+  adopt_view(m.shard, m.view);
   if (!ss.phase1_inflight || m.view != ss.view) return;  // stale round
   const auto quorum = ss.p1bs.add(origin, m.report, config_.reads);
   if (quorum) finish_phase1(m.shard, *quorum);
@@ -648,10 +682,9 @@ void smr_service::on_p1b(process_id origin, const p1b_msg& m) {
 
 void smr_service::on_p2a(process_id origin, const p2a_msg& m) {
   shard_state& ss = shards_[m.shard];
-  if (m.view < ss.promised) return;  // promised away
+  if (m.view < ss.view) return;  // promised away
   adopt_view(m.shard, m.view);
-  ss.promised = m.view;
-  if (m.view == ss.view) renew_lease(m.shard);
+  renew_lease(m.shard);
   const auto acc = ss.accepted.find(m.slot);
   if (acc == ss.accepted.end() || acc->second.aview <= m.view)
     ss.accepted[m.slot] = accepted_rec<smr_entry_ptr>{m.view, m.entry};
@@ -667,18 +700,31 @@ void smr_service::on_p2b(process_id origin, const p2b_msg& m) {
   if (quorum) phase2_won(m.shard, m.slot);
 }
 
-void smr_service::on_commit(const commit_msg& m) {
+void smr_service::on_commit(process_id origin, const commit_msg& m) {
   shard_state& ss = shards_[m.shard];
+  ss.heard[origin] = std::max(ss.heard[origin], m.slot);
   adopt_view(m.shard, m.view);
   if (m.view == ss.view) renew_lease(m.shard);
   mark_chosen(m.shard, m.slot, m.entry);
   apply_prefix(m.shard);
 }
 
-void smr_service::on_hb(const hb_msg& m) {
+void smr_service::on_hb(process_id origin, const hb_msg& m) {
   shard_state& ss = shards_[m.shard];
+  ss.heard[origin] = std::max(ss.heard[origin], m.floor);
   adopt_view(m.shard, m.view);
-  if (m.view == ss.view) renew_lease(m.shard);
+  if (m.view != ss.view) return;
+  renew_lease(m.shard);
+  unicast(origin, make_message<hb_ack_msg>(m.shard, m.view));
+}
+
+/// Rule 3: a leader keeps its view only while a write quorum answers. One
+/// cut off from every write quorum can commit nothing; letting it step
+/// down stops its beats from holding followers in a dead view.
+void smr_service::on_hb_ack(process_id origin, const hb_ack_msg& m) {
+  shard_state& ss = shards_[m.shard];
+  if (ss.leading && m.view == ss.view && ss.hb_acks.add(origin, config_.writes))
+    renew_lease(m.shard);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,25 +1,21 @@
-// smr_service.hpp — sharded, pipelined state-machine replication on the
-// shared-engine fast path.
+// smr_service.hpp — sharded, pipelined state-machine replication over a
+// generalized quorum system: the repository's one SMR.
 //
-// The seed replicated log (smr/replicated_log.hpp) runs one full Figure-6
-// consensus instance per slot over mux_host: every slot carries its own
-// view synchronizer, every phase message is a flooded broadcast, and a
-// replica submits one command at a time. smr_service keeps the Figure-6
-// protocol core — the view/leader rotation, the 1B/2A/2B phases over GQS
-// read and write quorums, the acceptor rules (consensus/acceptor_core.hpp)
-// — but restructures it the way quorum_service restructured the register
-// path:
+// It is Figure 6 made multi-decree. The view/leader rotation, the
+// 1B/2A/2B phases over GQS read and write quorums and the acceptor rules
+// (consensus/acceptor_core.hpp) are the paper's; around them:
 //
 //   * sharding — the keyspace is partitioned across independent consensus
 //     groups (shard(key) = key mod shards), each with its own log, leader
 //     and view schedule, all multiplexed over ONE component per process;
-//   * leases — the leader of a shard's current view acquires one Phase-1
-//     promise covering every slot (multi-decree Paxos) and keeps it while
-//     followers observe leader activity (commits/heartbeats renew a lease
-//     timer whose patience grows with the view, Proposition-2 style); on
-//     expiry followers advance the view round-robin and the new leader
-//     re-runs Phase 1 — the seed's view synchronizer, per shard instead
-//     of per slot;
+//   * views as leases — a replica's view of a shard is its shard-wide
+//     promise. On entering a view it pushes its 1B report to the view's
+//     leader (Figure 6), whose one Phase 1 then covers every slot. Any
+//     replica leaves its view when the view's evidence of progress goes
+//     stale for lease_duration + v·lease_backoff_unit, patience growing
+//     per view as in Proposition 2: a follower's evidence is leader
+//     traffic, a candidate's is none (its campaign times out), a leader's
+//     is a write quorum answering (won rounds, acked idle heartbeats);
 //   * batching — commands submitted anywhere are forwarded to the shard
 //     leader and coalesced (one 0-delay flush per instant, the
 //     quorum_service idiom) into multi-command log entries, so steady
@@ -31,21 +27,14 @@
 //     escalation to broadcast (quorum/targeted_round.hpp), so liveness
 //     under a failure pattern is exactly this engine's broadcast mode's.
 //
-// That broadcast mode is NOT live under the paper's generalized patterns
-// the way Figure 6 is: Phase 1 is request/response (the leader's p1a is
-// answered by p1b) and followers change views only on lease expiry,
-// whereas Figure 6 has every process push its 1B on entering a view. On
-// Figure 1 under f1..f4, U_f members' commands never commit
-// (docs/ARCHITECTURE.md, "Sharded SMR"); smr/replicated_log.hpp is the
-// SMR that stays live there.
-//
-// Safety is per-slot Paxos over the GQS (Consistency of the quorum
-// system); the acceptor side is the shared acceptor_core under one
-// shard-wide promise. Exactly-once application: commands carry
-// (submitter, per-shard seq) and every replica dedups through a
-// sequence_filter while applying the identical log prefix, so retried
-// commands (resubmitted to a new leader after a lease expiry) apply once
-// at every replica deterministically.
+// Liveness is Theorem 1's: under any f ∈ F every command submitted at a
+// U_f member commits (docs/ARCHITECTURE.md, "Sharded SMR", states the four
+// view rules and why each is safe). Safety is per-slot Paxos over the GQS
+// (Consistency of the quorum system) and does not depend on how views
+// change. Exactly-once application: commands carry (submitter, per-shard
+// seq) and every replica dedups through a sequence_filter while applying
+// the identical log prefix, so retried commands (resubmitted to a new
+// leader) apply once at every replica deterministically.
 #pragma once
 
 #include <cstdint>
@@ -92,21 +81,23 @@ using smr_entry_ptr = std::shared_ptr<const smr_entry>;
 struct smr_options {
   /// Number of consensus groups the keyspace partitions across.
   std::size_t shards = 1;
-  /// Follower patience before a view change, at view v:
-  /// lease_duration + v · lease_backoff_unit (growing per view so correct
-  /// processes eventually overlap in a view, as in consensus_options).
+  /// Patience of every role before leaving view v without evidence of
+  /// progress: lease_duration + v · lease_backoff_unit (growing per view
+  /// so correct processes eventually overlap in a view, as in
+  /// consensus_options).
   sim_time lease_duration = 150000;    // 150 ms
   sim_time lease_backoff_unit = 50000; // 50 ms — the seed's C
-  /// Leader keep-alive while idle (renews follower leases between
-  /// batches).
+  /// Leader keep-alive while idle (no round won in the last period): it
+  /// renews follower leases and, acked by a write quorum, the leader's.
   sim_time heartbeat_period = 50000;   // 50 ms
   /// Outstanding Phase-2 slots per shard (in-order commit).
   int pipeline_window = 4;
   /// Commands per log entry cap.
   std::size_t max_batch = 64;
   /// A submitter re-forwards a command to the (current) leader when it
-  /// has not applied within this delay — the liveness path across leader
-  /// failures. Dedup makes the retry safe.
+  /// has not applied within this delay, and from then on stops renewing
+  /// its lease — the liveness path across leader failures. Dedup makes
+  /// the retry safe.
   sim_time resubmit_timeout = 400000;  // 400 ms
   /// With a selector: delay before a phase round that still lacks quorum
   /// coverage falls back to full broadcast (targeted_round.hpp). 0
@@ -116,7 +107,8 @@ struct smr_options {
   /// (strategy/shard_plan.hpp). Empty, or a null entry, keeps full
   /// broadcast.
   std::vector<selector_ptr> shard_selectors;
-  /// Initial (view-1) leader per shard; defaults to shard mod n.
+  /// Initial (view-1) leader per shard, each < n (checked at start);
+  /// defaults to shard mod n.
   std::vector<process_id> leaders;
 
   void validate() const;
@@ -134,8 +126,10 @@ struct smr_counters {
   std::uint64_t targeted_phase1 = 0;
   std::uint64_t targeted_phase2 = 0;
   std::uint64_t escalations = 0;
-  std::uint64_t view_changes = 0;        ///< lease expiries observed here
-  std::uint64_t heartbeats = 0;
+  /// Views left on stale evidence: lease expiries, campaign timeouts and
+  /// leader step-downs (adopting a higher view does not count).
+  std::uint64_t view_changes = 0;
+  std::uint64_t heartbeats = 0;          ///< idle beats sent while leading
   std::uint64_t retries = 0;             ///< commands re-forwarded
 
   /// Every field, once (metrics_registry::observe_counters reads it).
@@ -233,8 +227,8 @@ class smr_service : public component {
       return 8 + sizeof(smr_command) * cmds.size();
     }
   };
-  /// Phase 1: the view-v leader solicits promises over every slot ≥ its
-  /// committed floor.
+  /// Phase 1: the view-v leader announces its campaign (receivers enter
+  /// v, or re-push their 1B if already there) and its applied floor.
   struct p1a_msg : message {
     std::uint32_t shard;
     std::uint64_t view;
@@ -300,7 +294,7 @@ class smr_service : public component {
       return 24 + entry_wire_size(entry);
     }
   };
-  /// Leader keep-alive between batches.
+  /// Leader keep-alive while idle.
   struct hb_msg : message {
     std::uint32_t shard;
     std::uint64_t view;
@@ -308,6 +302,13 @@ class smr_service : public component {
     hb_msg(std::uint32_t s, std::uint64_t v, std::uint64_t f)
         : shard(s), view(v), floor(f) {}
     std::size_t wire_size() const override { return 24; }
+  };
+  /// A follower in the heartbeat's view answers it.
+  struct hb_ack_msg : message {
+    std::uint32_t shard;
+    std::uint64_t view;
+    hb_ack_msg(std::uint32_t s, std::uint64_t v) : shard(s), view(v) {}
+    std::size_t wire_size() const override { return 16; }
   };
 
  private:
@@ -321,7 +322,8 @@ class smr_service : public component {
   /// A command submitted here, until this replica applies it.
   struct pending_cmd {
     smr_command cmd;
-    sim_time issued_at = 0;
+    sim_time submitted_at = 0;
+    sim_time issued_at = 0;  ///< last (re)route
     write_callback wdone;
     read_callback rdone;
     span_ref span;  ///< "smr.submit", open until applied here
@@ -329,9 +331,11 @@ class smr_service : public component {
 
   /// Per-shard protocol state at this replica.
   struct shard_state {
-    std::uint64_t view = 1;
+    std::uint64_t view = 1;  ///< also the shard-wide promise (all slots)
+    /// Per process, the highest applied floor it announced (p1a, hb,
+    /// commit): a lower bound on its applied prefix.
+    std::vector<std::uint64_t> heard;
     // -- acceptor --
-    std::uint64_t promised = 0;  ///< shard-wide promise (covers all slots)
     std::map<std::uint64_t, accepted_rec<smr_entry_ptr>> accepted;
     // -- learner --
     std::vector<smr_entry_ptr> chosen;  ///< the log (indexed by slot)
@@ -353,6 +357,9 @@ class smr_service : public component {
     // -- timers --
     sim_time leader_activity = 0;  ///< lazily-checked lease renewal
     bool lease_armed = false;      ///< one outstanding lease timer
+    bool beat_armed = false;       ///< one outstanding heartbeat timer
+    bool won_since_beat = false;   ///< a round was won: skip the beat
+    quorum_cover_tracker hb_acks;  ///< answers to the last heartbeat
     bool dirty = false;  ///< staged/fwd_staged non-empty this instant
     // -- tracing (populated only while a trace is recorded) --
     span_ref phase1_span;                         ///< open "smr.phase1"
@@ -386,11 +393,13 @@ class smr_service : public component {
   void begin_phase1(std::uint32_t shard);
   void finish_phase1(std::uint32_t shard, const process_set& quorum);
   p1b_report make_report(const shard_state& ss, std::uint64_t floor) const;
+  void push_report(std::uint32_t shard, process_id leader);
   void begin_phase2(std::uint32_t shard, std::uint64_t slot,
                     smr_entry_ptr entry);
   void phase2_won(std::uint32_t shard, std::uint64_t slot);
   void announce_commits(std::uint32_t shard);
 
+  void enter_view(std::uint32_t shard, std::uint64_t view);
   void adopt_view(std::uint32_t shard, std::uint64_t view);
   void step_down(std::uint32_t shard);
   void arm_lease(std::uint32_t shard);
@@ -408,8 +417,9 @@ class smr_service : public component {
   void on_p1b(process_id origin, const p1b_msg& m);
   void on_p2a(process_id origin, const p2a_msg& m);
   void on_p2b(process_id origin, const p2b_msg& m);
-  void on_commit(const commit_msg& m);
-  void on_hb(const hb_msg& m);
+  void on_commit(process_id origin, const commit_msg& m);
+  void on_hb(process_id origin, const hb_msg& m);
+  void on_hb_ack(process_id origin, const hb_ack_msg& m);
 
   /// The quorum a phase round of `shard` targets; none without a selector.
   std::optional<process_set> draw(std::uint32_t shard, bool phase1);
@@ -439,7 +449,7 @@ class smr_service : public component {
 };
 
 /// Agreement across replicas: no slot of any shard chosen with two
-/// different entries (the sharded analogue of check_log_agreement).
+/// different entries, and no replica's safety_violation() latch set.
 lincheck_result check_smr_agreement(
     const std::vector<const smr_service*>& replicas);
 

@@ -20,7 +20,7 @@ namespace gqs {
 
 /// n processes running one Node each. A component is hosted on its own
 /// single_host (a flooding endpoint); any other node (a flooding_node, a
-/// mux_host, ...) is installed as is. The nodes come from a factory
+/// snapshot node, ...) is installed as is. The nodes come from a factory
 /// `p -> unique_ptr<Node>`, called once per process in ascending p, or —
 /// when every process runs the same node — from Node's constructor
 /// arguments. The constructor starts the simulation and runs every

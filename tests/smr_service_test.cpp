@@ -3,14 +3,17 @@
 // forwarding, batching, sharding, lease-driven leader re-election after a
 // crash, retry-based exactly-once application, and strategy-targeted
 // phase quorums (fewer messages, identical outcomes, escalation as the
-// liveness fallback).
+// liveness fallback), and Theorem 1's liveness under Figure 1's failure
+// patterns, at time 0 and mid-run.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/factories.hpp"
+#include "core/quorum_system.hpp"
 #include "strategy/planner.hpp"
 #include "strategy/shard_plan.hpp"
 #include "workload/smr_workload.hpp"
@@ -273,6 +276,10 @@ TEST(SmrService, OptionValidationRejectsBadConfigs) {
   bad.leaders = {0, 1};  // two leaders for one shard
   EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
   bad = {};
+  bad.leaders = {7};  // no process 7 at n = 4: must not wrap to process 3
+  EXPECT_THROW(smr_world(gqs, fault_plan::none(4), 1, 4, bad),
+               std::invalid_argument);
+  bad = {};
   bad.escalation_timeout = -1;
   EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
   EXPECT_THROW(smr_service(0, config, {}), std::invalid_argument);
@@ -309,6 +316,198 @@ TEST(SmrService, CommitsAndConvergesOnCongestedLinks) {
   EXPECT_TRUE(check_smr_agreement(w.replicas()).linearizable);
   EXPECT_GT(w.sim.metrics().bytes_sent, 0u);
   EXPECT_EQ(w.sim.metrics().dropped_queue_full, 0u);
+}
+
+void expect_safe(const smr_world& w) {
+  EXPECT_TRUE(check_smr_agreement(w.replicas()).linearizable);
+  for (const smr_service* r : w.nodes)
+    EXPECT_FALSE(r->safety_violation().has_value())
+        << *r->safety_violation();
+}
+
+TEST(SmrService, UfWritesCommitUnderEveryFigure1Pattern) {
+  // Theorem 1 for the SMR: under each f ∈ F every U_f member's writes
+  // commit, in broadcast mode over one shard and with per-shard targeted
+  // quorums over four.
+  const auto fig = make_figure1();
+  shard_plan_options spo;
+  spo.shards = 4;
+  const shard_plan plan = plan_shards(fig.gqs, spo);
+  for (const bool targeted : {false, true}) {
+    for (std::size_t i = 0; i < fig.gqs.fps.size(); ++i) {
+      SCOPED_TRACE((targeted ? "targeted, f" : "broadcast, f") +
+                   std::to_string(i + 1));
+      smr_options opts;
+      if (targeted) {
+        opts.shards = 4;
+        opts.shard_selectors = plan.selectors;
+        opts.leaders = plan.leaders;
+      }
+      const auto& f = fig.gqs.fps[i];
+      smr_world w(fig.gqs, fault_plan::from_pattern(f, 0), 31 + i,
+                  /*keys=*/4, opts);
+      const process_set u_f = compute_u_f(fig.gqs, f);
+      std::vector<submit_batch> batches(4);
+      for (const process_id p : u_f)
+        batches[p].fire(w.sim, w.nodes[p], p, 4, 3);
+      EXPECT_TRUE(w.sim.run_until_condition(
+          [&] {
+            for (const process_id p : u_f)
+              if (batches[p].completed < 3) return false;
+            return true;
+          },
+          kLong));
+      expect_safe(w);
+    }
+  }
+}
+
+TEST(SmrService, UfWritesCommitAfterMidRunFailure) {
+  // f3 strikes at 200 ms and cuts a, the view-1 leader, off: nothing
+  // reaches it, while its heartbeats still reach c and d. Unanswered, it
+  // must step down, or its beats would hold c and d in its view forever.
+  const auto fig = make_figure1();
+  const auto& f3 = fig.gqs.fps[2];
+  smr_world w(fig.gqs, fault_plan::from_pattern(f3, 200000), 100,
+              /*keys=*/4);
+  std::vector<submit_batch> early(4), late(4);
+  for (process_id p = 0; p < 4; ++p)
+    early[p].fire(w.sim, w.nodes[p], p, 4, 4);
+  const process_set u_f = compute_u_f(fig.gqs, f3);
+  for (const process_id p : u_f)
+    late[p].fire(w.sim, w.nodes[p], p, 4, 3, /*at=*/2000000);
+  EXPECT_TRUE(w.sim.run_until_condition(
+      [&] {
+        for (const process_id p : u_f)
+          if (early[p].completed < 4 || late[p].completed < 3) return false;
+        return true;
+      },
+      kLong));
+  expect_safe(w);
+}
+
+/// Every member of `racers` submits one write in the same instant; returns
+/// once each has applied its own.
+void race_round(smr_world& w, const process_set& racers, std::uint64_t round) {
+  std::size_t done = 0;
+  for (const process_id p : racers)
+    w.sim.post(p, [&w, &done, p, round] {
+      w.nodes[p]->submit_write(p, pack_client_value(p, round),
+                               [&done](reg_version) { ++done; });
+    });
+  ASSERT_TRUE(w.sim.run_until_condition(
+      [&] { return done == static_cast<std::size_t>(racers.size()); },
+      w.sim.now() + kLong));
+}
+
+TEST(SmrService, RepeatedRoundsKeepPrefixExactlyOnce) {
+  // Two back-to-back contention rounds, without faults (all four race) and
+  // under each Figure 1 pattern (the U_f members race): at every racer the
+  // applied log holds each command exactly once, the second round's after
+  // the first round's.
+  const auto fig = make_figure1();
+  for (std::size_t i = 0; i <= fig.gqs.fps.size(); ++i) {
+    SCOPED_TRACE(i == 0 ? "no faults" : "f" + std::to_string(i));
+    const failure_pattern* f = i == 0 ? nullptr : &fig.gqs.fps[i - 1];
+    smr_world w(fig.gqs, f ? fault_plan::from_pattern(*f, 0)
+                           : fault_plan::none(4),
+                41 + i, /*keys=*/4);
+    const process_set racers =
+        f ? compute_u_f(fig.gqs, *f) : process_set::full(4);
+    race_round(w, racers, 0);
+    race_round(w, racers, 1);
+    const std::size_t total = 2 * static_cast<std::size_t>(racers.size());
+    ASSERT_TRUE(w.sim.run_until_condition(
+        [&] {
+          for (const process_id r : racers)
+            if (w.nodes[r]->counters().commands_applied < total) return false;
+          return true;
+        },
+        w.sim.now() + kLong));
+    for (const process_id r : racers) {
+      EXPECT_EQ(w.nodes[r]->counters().commands_applied, total);
+      // First position of each (submitter, seq) in the applied log.
+      std::map<std::pair<process_id, std::uint32_t>, std::size_t> first;
+      std::size_t pos = 0;
+      const auto& log = w.nodes[r]->log(0);
+      for (std::uint64_t s = 0; s < w.nodes[r]->applied_prefix(0); ++s)
+        for (const smr_command& c : *log[s])
+          first.try_emplace({c.submitter, c.submit_seq}, pos++);
+      ASSERT_EQ(first.size(), total) << "a command is missing";
+      for (const process_id p : racers)
+        for (const process_id q : racers)
+          EXPECT_LT(first.at({p, 0u}), first.at({q, 1u}));
+    }
+    expect_safe(w);
+  }
+}
+
+TEST(SmrService, IsolatedReplicaLearnsNothing) {
+  // Under f1 nothing reaches c: it enters views, pushes 1Bs and campaigns
+  // on its own schedule, but learns no decision.
+  const auto fig = make_figure1();
+  smr_world w(fig.gqs, fault_plan::from_pattern(fig.gqs.fps[0], 0), 6,
+              /*keys=*/4);
+  submit_batch a;
+  a.fire(w.sim, w.nodes[0], 0, 4, 1);
+  ASSERT_TRUE(
+      w.sim.run_until_condition([&] { return a.completed == 1; }, kLong));
+  w.sim.run_until(w.sim.now() + 60L * 1000 * 1000);
+  EXPECT_GT(w.nodes[2]->view_of(0), 1u);
+  EXPECT_EQ(w.nodes[2]->applied_prefix(0), 0u)
+      << "c cannot hear any decision under f1";
+  expect_safe(w);
+}
+
+/// A replica deaf to Phase-2 and commit traffic while `deaf` is set.
+struct deaf_replica : smr_service {
+  using smr_service::smr_service;
+  bool deaf = false;
+  void deliver(process_id origin, const message_ptr& payload) override {
+    if (deaf && (message_cast<p2a_msg>(payload) ||
+                 message_cast<commit_msg>(payload)))
+      return;
+    smr_service::deliver(origin, payload);
+  }
+};
+
+TEST(SmrService, LaggingLeaderRecoversEntriesFromPushedReports) {
+  // Process 1, view 2's leader, misses every accept and commit of view 1.
+  // When leader 0 crashes, 1 must learn the committed entries from the
+  // 1B reports 2 and 3 push on entering view 2, or its log would fork.
+  const auto gqs = threshold_quorum_system(4, 1);
+  auto faults = fault_plan::none(4);
+  faults.crash(0, 300000);
+  world<deaf_replica> w(4, std::move(faults), 8,
+                        consensus_world::partial_sync(), [&](process_id p) {
+                          auto r = std::make_unique<deaf_replica>(
+                              4, quorum_config::of(gqs));
+                          r->deaf = p == 1;
+                          return r;
+                        });
+  std::vector<submit_batch> before(3);
+  for (int i = 0; i < 3; ++i)  // three entries, one per instant
+    before[i].fire(w.sim, w.nodes[0], 0, 4, 2, /*at=*/20000 * i);
+  w.sim.run_until(290000);
+  for (const submit_batch& b : before) ASSERT_EQ(b.completed, 2u);
+  ASSERT_EQ(w.nodes[2]->applied_prefix(0), 3u);
+  ASSERT_EQ(w.nodes[1]->applied_prefix(0), 0u);
+
+  submit_batch after;
+  after.fire(w.sim, w.nodes[2], 2, 4, 2, /*at=*/1000000 - w.sim.now());
+  ASSERT_TRUE(
+      w.sim.run_until_condition([&] { return after.completed == 2; }, kLong));
+  EXPECT_EQ(w.nodes[1]->view_of(0), 2u);
+  EXPECT_GT(w.nodes[1]->counters().entries_proposed, 0u);
+  ASSERT_GE(w.nodes[1]->applied_prefix(0), 4u);
+  for (std::uint64_t s = 0; s < 3; ++s)
+    EXPECT_EQ(*w.nodes[1]->log(0)[s], *w.nodes[2]->log(0)[s]) << "slot " << s;
+  EXPECT_EQ(w.nodes[1]->counters().commands_applied, 8u);
+  const std::vector<const smr_service*> survivors = {w.nodes[1], w.nodes[2],
+                                                     w.nodes[3]};
+  EXPECT_TRUE(check_smr_agreement(survivors).linearizable);
+  for (const smr_service* r : survivors)
+    EXPECT_FALSE(r->safety_violation().has_value());
 }
 
 }  // namespace
