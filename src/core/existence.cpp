@@ -24,26 +24,26 @@ std::optional<gqs_witness> find_gqs(const fail_prone_system& fps) {
 bool gqs_exists_exhaustive(const fail_prone_system& fps) {
   if (fps.empty())
     throw std::invalid_argument("gqs_exists_exhaustive: empty system");
-  // Candidate tables are shared with the solver, but the enumeration below
-  // is deliberately naive — it is the oracle the solver is tested against,
-  // so it must stay independent of the solver's pruning machinery.
-  std::vector<pattern_table> options;
+  // The candidate tables are the patterns' own, as the solver's are, but the
+  // enumeration below is deliberately naive: it is the oracle the solver is
+  // tested against, so it must stay independent of its pruning machinery.
+  std::vector<const pattern_table*> options;
   options.reserve(fps.size());
-  for (const failure_pattern& f : fps) options.push_back(build_pattern_table(f));
+  for (const failure_pattern& f : fps) options.push_back(&f.table());
 
   auto self_consistent = [&](std::size_t a, std::size_t i) {
-    return options[a].reach_to[i].intersects(options[a].components[i]);
+    return options[a]->reach_to[i].intersects(options[a]->components[i]);
   };
   auto compatible = [&](std::size_t a, std::size_t ia, std::size_t b,
                         std::size_t ib) {
     // Consistency both ways: R_a ∩ W_b ≠ ∅ and R_b ∩ W_a ≠ ∅.
-    return options[a].reach_to[ia].intersects(options[b].components[ib]) &&
-           options[b].reach_to[ib].intersects(options[a].components[ia]);
+    return options[a]->reach_to[ia].intersects(options[b]->components[ib]) &&
+           options[b]->reach_to[ib].intersects(options[a]->components[ia]);
   };
 
   std::vector<std::size_t> choice(options.size(), 0);
-  for (const pattern_table& t : options)
-    if (t.components.empty()) return false;
+  for (const pattern_table* t : options)
+    if (t->components.empty()) return false;
   // Odometer enumeration over all SCC combinations.
   while (true) {
     bool ok = true;
@@ -56,7 +56,7 @@ bool gqs_exists_exhaustive(const fail_prone_system& fps) {
     // Advance odometer.
     std::size_t pos = 0;
     while (pos < choice.size()) {
-      if (++choice[pos] < options[pos].components.size()) break;
+      if (++choice[pos] < options[pos]->components.size()) break;
       choice[pos] = 0;
       ++pos;
     }
@@ -83,7 +83,7 @@ std::optional<generalized_quorum_system> canonical_construction(
     if (!t.is_subset_of(f.correct()))
       return fail("tau(f) contains a faulty process for pattern #" +
                   std::to_string(k));
-    const pattern_table view = build_pattern_table(f);
+    const pattern_table& view = f.table();
     if (!view.available(t))
       return fail(
           "tau(f) is not strongly connected in G \\ f for pattern #" +

@@ -1,11 +1,21 @@
 #include "core/failure_pattern.hpp"
 
+#include <atomic>
+#include <mutex>
 #include <stdexcept>
+
+#include "core/pattern_table.hpp"
 
 namespace gqs {
 
+struct failure_pattern::compiled::block {
+  std::once_flag once;
+  std::atomic<bool> done{false};
+  pattern_table table;
+};
+
 failure_pattern::failure_pattern(process_id n)
-    : n_(n), faulty_channels_(n) {
+    : n_(n), faulty_rows_(n), table_{std::make_shared<compiled::block>()} {
   if (n == 0) throw std::invalid_argument("failure_pattern: empty system");
 }
 
@@ -55,7 +65,7 @@ failure_pattern failure_pattern::from_rows(
           "faulty)");
   }
   f.crashable_ = crashable;
-  f.faulty_channels_ = digraph::from_rows(std::move(faulty_rows));
+  f.faulty_rows_ = std::move(faulty_rows);
   return f;
 }
 
@@ -68,8 +78,22 @@ digraph failure_pattern::residual_of(const digraph& network) const {
     throw std::invalid_argument("failure_pattern: network size mismatch");
   digraph g = network;
   g.remove_vertices(crashable_);
-  g.remove_edges_of(faulty_channels_);
+  g.remove_edges_of(faulty_channels());
   return g;
+}
+
+const pattern_table& failure_pattern::table() const {
+  compiled::block& b = *table_.shared;
+  if (!b.done.load(std::memory_order_acquire))
+    std::call_once(b.once, [&] {
+      build_pattern_table_into(*this, b.table);
+      b.done.store(true, std::memory_order_release);
+    });
+  return b.table;
+}
+
+bool failure_pattern::table_compiled() const noexcept {
+  return table_.shared->done.load(std::memory_order_acquire);
 }
 
 std::string failure_pattern::to_string(
@@ -86,7 +110,7 @@ std::string failure_pattern::to_string(
   }
   out += "}, C={";
   first = true;
-  for (const edge& e : faulty_channels_.edges()) {
+  for (const edge& e : faulty_channels().edges()) {
     if (!first) out += ", ";
     out += '(';
     out += name(e.from);

@@ -6,6 +6,7 @@
 // faulty processes are faulty by default).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,8 @@
 #include "graph/process_set.hpp"
 
 namespace gqs {
+
+struct pattern_table;  // core/pattern_table.hpp
 
 /// A failure pattern (P, C): processes allowed to crash and channels
 /// (between correct processes) allowed to disconnect.
@@ -42,11 +45,17 @@ class failure_pattern {
   /// Processes correct under this pattern.
   process_set correct() const { return crashable_.complement_in(n_); }
 
-  /// C — the channels that may disconnect, as an edge set.
-  const digraph& faulty_channels() const noexcept { return faulty_channels_; }
+  /// C — the channels that may disconnect, as an edge set built per call.
+  digraph faulty_channels() const { return digraph::from_rows(faulty_rows_); }
+
+  /// C as it is stored, one out-row per process: v ∈ faulty_rows()[u] iff
+  /// the channel (u, v) may disconnect.
+  const std::vector<process_set>& faulty_rows() const noexcept {
+    return faulty_rows_;
+  }
 
   bool channel_may_fail(process_id from, process_id to) const {
-    return faulty_channels_.has_edge(from, to);
+    return faulty_rows_.at(from).contains(to);
   }
 
   /// True iff the channel (from, to) is reliable under this pattern, i.e.
@@ -64,14 +73,31 @@ class failure_pattern {
   /// physical network is not complete).
   digraph residual_of(const digraph& network) const;
 
+  /// G \ f compiled (core/pattern_table.hpp), built by the first call from
+  /// any thread and shared by every copy of this pattern. A pattern never
+  /// changes, so neither does its table.
+  const pattern_table& table() const;
+
+  /// True once table() has run on this pattern or on any copy of it.
+  bool table_compiled() const noexcept;
+
   bool operator==(const failure_pattern&) const = default;
 
   std::string to_string(const std::vector<std::string>& names = {}) const;
 
  private:
+  /// The lazily filled table, allocated at construction; every copy holds
+  /// the same block, and any two blocks compare equal.
+  struct compiled {
+    struct block;
+    std::shared_ptr<block> shared;
+    bool operator==(const compiled&) const noexcept { return true; }
+  };
+
   process_id n_ = 0;
   process_set crashable_;
-  digraph faulty_channels_;
+  std::vector<process_set> faulty_rows_;
+  compiled table_;
 };
 
 /// A fail-prone system F: a finite set of failure patterns over a common

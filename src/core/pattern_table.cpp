@@ -81,8 +81,6 @@ build_scratch& scratch_for(process_id n) {
 /// `t.correct` (rows must stay inside it).
 void compile(process_id n, build_scratch& s, pattern_table& t) {
   const std::size_t nw = process_set::words_for(n);
-  t.reach_from.assign(n, process_set{});
-  t.scc.assign(n, process_set{});
   t.component_of.assign(n, 0);
   t.components.clear();
   t.reach_to.clear();
@@ -147,10 +145,7 @@ void compile(process_id n, build_scratch& s, pattern_table& t) {
   }
   for (process_set rest = t.correct; !rest.empty(nw);) {
     const process_id v = rest.take_first(nw);
-    const std::uint16_t c = s.comp_of[v];
-    t.reach_from[v] = s.comp_reach[c];
-    t.scc[v] = components[c];
-    t.component_of[v] = s.rank[c];
+    t.component_of[v] = s.rank[s.comp_of[v]];
   }
 }
 
@@ -160,12 +155,12 @@ void build_pattern_table_into(const failure_pattern& f, pattern_table& t) {
   const process_id n = f.system_size();
   build_scratch& scratch = scratch_for(n);
   const std::size_t nw = process_set::words_for(n);
-  const digraph& faulty = f.faulty_channels();
+  const std::vector<process_set>& faulty = f.faulty_rows();
   t.correct = f.correct();
   for (process_id v : t.correct) {
     process_set row = t.correct;
     row.erase(v);
-    row.subtract(faulty.out_neighbors(v), nw);
+    row.subtract(faulty[v], nw);
     scratch.adj[v] = row;
   }
   compile(n, scratch, t);
@@ -190,15 +185,18 @@ pattern_table build_pattern_table(const digraph& network, process_set live) {
 
 bool pattern_table::available(process_set q) const {
   return !q.empty() && q.is_subset_of(correct) &&
-         q.is_subset_of(scc[q.first()]);
+         q.is_subset_of(scc(q.first()));
 }
 
 bool pattern_table::reachable(process_set w, process_set r) const {
   if (w.empty() || r.empty()) return false;
   if (!w.is_subset_of(correct) || !r.is_subset_of(correct)) return false;
-  for (process_id p : r)
-    if (!w.is_subset_of(reach_from[p])) return false;
-  return true;
+  // Reaching one member of a strongly connected set reaches all of it, so
+  // r must lie in the reach_to of each component w meets.
+  process_set readers = correct;
+  for (process_set rest = w; !rest.empty(); rest -= scc(rest.first()))
+    readers &= reach_to[component_of[rest.first()]];
+  return r.is_subset_of(readers);
 }
 
 bool pattern_table::validates(process_set w,
@@ -245,7 +243,7 @@ process_set pattern_table::u_f(const quorum_family& reads,
   const process_set u = validating_union(reads, writes);
   // Proposition 1: u is strongly connected in G \ f, so it sits inside a
   // single SCC; U_f is that whole component.
-  return u.empty() ? u : scc[u.first()];
+  return u.empty() ? u : scc(u.first());
 }
 
 }  // namespace gqs

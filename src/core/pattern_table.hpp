@@ -9,13 +9,15 @@
 // covered, at worst O(edges · ⌈n/64⌉) — after which each query is a
 // handful of word operations:
 //
-//   f-available(q)     q ≠ ∅ ∧ q ⊆ correct ∧ q ⊆ scc[first(q)]
-//   f-reachable(w, r)  w, r ≠ ∅, both ⊆ correct, w ⊆ reach_from[p] ∀ p ∈ r
-//   U_f                scc[first(U)], U the union of validating writes
+//   f-available(q)     q ≠ ∅ ∧ q ⊆ correct ∧ q ⊆ scc(first(q))
+//   f-reachable(w, r)  w, r ≠ ∅, both ⊆ correct, r ⊆ reach_to[c] for every
+//                      component c that w meets
+//   U_f                scc(first(U)), U the union of validating writes
 //
-// The existence solver builds one table per pattern for its search and
-// reuses them for the witness; check_generalized, compute_u_f and the
-// other quorum_system.hpp entry points build one per pattern per call.
+// Each failure_pattern owns its table (failure_pattern::table()), built by
+// its first query and shared by its copies; every pattern query reads it.
+// The builders below compile fresh tables, the (network, live) one for
+// residuals that are no pattern's.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +45,13 @@ struct pattern_table {
   /// the component (the maximal matching read quorum).
   std::vector<process_set> reach_to;
 
-  /// Per-vertex reachability closure: reach_from[v] is the set of vertices
-  /// reachable from v (empty for crashed v). Indexed by vertex, sized to
-  /// the system size.
-  std::vector<process_set> reach_from;
-
-  /// Per-vertex SCC membership: scc[v] is the component containing v
-  /// (empty for crashed v). Indexed by vertex.
-  std::vector<process_set> scc;
-
-  /// Per-vertex index into components / reach_to (0 for crashed v).
+  /// Per-vertex index into components / reach_to (0 for crashed v),
+  /// sized to the system size. Nothing else is per vertex: a table lives
+  /// as long as its pattern, so it keeps only per-component sets.
   std::vector<std::uint16_t> component_of;
+
+  /// The component containing the correct process v.
+  process_set scc(process_id v) const { return components[component_of[v]]; }
 
   /// f-availability: q is nonempty, correct, and inside one SCC.
   bool available(process_set q) const;

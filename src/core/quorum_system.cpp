@@ -5,12 +5,12 @@
 namespace gqs {
 
 bool is_f_available(process_set q, const failure_pattern& f) {
-  return build_pattern_table(f).available(q);
+  return f.table().available(q);
 }
 
 bool is_f_reachable_from(process_set w, process_set r,
                          const failure_pattern& f) {
-  return build_pattern_table(f).reachable(w, r);
+  return f.table().reachable(w, r);
 }
 
 check_result check_consistency(const quorum_family& reads,
@@ -30,11 +30,9 @@ check_result check_consistency(const quorum_family& reads,
 check_result check_generalized_availability(const fail_prone_system& fps,
                                             const quorum_family& reads,
                                             const quorum_family& writes) {
-  pattern_table view;  // rebuilt in place per pattern, reusing its storage
   for (std::size_t k = 0; k < fps.size(); ++k) {
     const failure_pattern& f = fps[k];
-    build_pattern_table_into(f, view);
-    if (!view.admits(reads, writes))
+    if (!f.table().admits(reads, writes))
       return check_result::bad(
           "Availability violated for failure pattern #" + std::to_string(k) +
           " " + f.to_string() +
@@ -95,24 +93,24 @@ std::vector<available_pair> available_pairs_in(const quorum_family& reads,
 std::optional<available_pair> find_available_pair(
     const generalized_quorum_system& gqs, const failure_pattern& f) {
   const auto pairs =
-      build_pattern_table(f).pairs(gqs.reads, gqs.writes, /*first_only=*/true);
+      f.table().pairs(gqs.reads, gqs.writes, /*first_only=*/true);
   if (pairs.empty()) return std::nullopt;
   return pairs.front();
 }
 
 std::vector<available_pair> all_available_pairs(
     const generalized_quorum_system& gqs, const failure_pattern& f) {
-  return build_pattern_table(f).pairs(gqs.reads, gqs.writes);
+  return f.table().pairs(gqs.reads, gqs.writes);
 }
 
 process_set validating_write_union(const generalized_quorum_system& gqs,
                                    const failure_pattern& f) {
-  return build_pattern_table(f).validating_union(gqs.reads, gqs.writes);
+  return f.table().validating_union(gqs.reads, gqs.writes);
 }
 
 process_set compute_u_f(const generalized_quorum_system& gqs,
                         const failure_pattern& f) {
-  return build_pattern_table(f).u_f(gqs.reads, gqs.writes);
+  return f.table().u_f(gqs.reads, gqs.writes);
 }
 
 }  // namespace gqs

@@ -14,9 +14,9 @@ namespace gqs {
 /// A family of quorums (read or write).
 using quorum_family = std::vector<process_set>;
 
-// Every pattern query below compiles G \ f into a pattern_table
-// (core/pattern_table.hpp) once per call and answers from it; a caller
-// asking many questions of one pattern builds the table itself.
+// Every pattern query below answers from the pattern's own compiled
+// G \ f (failure_pattern::table()), built by the first query of that
+// pattern or of any copy of it and reused by every later one.
 
 /// f-availability (paper §3): Q contains only processes correct under f and
 /// is strongly connected in the residual graph G \ f (paths may relay

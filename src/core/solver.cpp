@@ -22,12 +22,12 @@ using candidate_set = process_set;
 /// Set over candidates j of pattern b compatible with candidate i of
 /// pattern a, computed directly from the tables (the stage-1 path; stage 2
 /// reads the same values out of the prebuilt matrix).
-candidate_set compute_row(const std::vector<pattern_table>& tables,
+candidate_set compute_row(const std::vector<const pattern_table*>& tables,
                           std::size_t a, std::size_t i, std::size_t b) {
-  const pattern_table& ta = tables[a];
-  const pattern_table& tb = tables[b];
+  const pattern_table& ta = *tables[a];
+  const pattern_table& tb = *tables[b];
   const std::size_t nw = process_set::words_for(
-      static_cast<process_id>(ta.reach_from.size()));
+      static_cast<process_id>(ta.component_of.size()));
   candidate_set row;
   for (std::size_t j = 0; j < tb.components.size(); ++j) {
     // Consistency both ways: reach(S_a) ∩ S_b and reach(S_b) ∩ S_a.
@@ -43,7 +43,7 @@ candidate_set compute_row(const std::vector<pattern_table>& tables,
 /// computes compatibility rows on the fly (matrix == nullptr); stage-2
 /// branches look them up in the completed bitmatrix.
 struct dfs_engine {
-  const std::vector<pattern_table>& tables;
+  const std::vector<const pattern_table*>& tables;
   const candidate_set* matrix;  // [a][b][i] -> set over j, given stride
   std::size_t stride;           // candidate slots per (a, b) block
   std::size_t m;
@@ -66,7 +66,7 @@ struct dfs_engine {
   std::vector<std::size_t> choice;  // candidate index per pattern
   std::vector<char> assigned;
 
-  dfs_engine(const std::vector<pattern_table>& pattern_tables,
+  dfs_engine(const std::vector<const pattern_table*>& pattern_tables,
              const candidate_set* compat_matrix, std::size_t compat_stride,
              bool forward, bool mrv)
       : tables(pattern_tables),
@@ -79,10 +79,10 @@ struct dfs_engine {
         choice(m, npos),
         assigned(m, 0) {
     nw = process_set::words_for(
-        static_cast<process_id>(tables.front().reach_from.size()));
+        static_cast<process_id>(tables.front()->component_of.size()));
     std::size_t max_candidates = 1;
-    for (const pattern_table& t : tables)
-      max_candidates = std::max(max_candidates, t.components.size());
+    for (const pattern_table* t : tables)
+      max_candidates = std::max(max_candidates, t->components.size());
     cw = candidate_set::words_for(static_cast<process_id>(max_candidates));
   }
 
@@ -96,8 +96,8 @@ struct dfs_engine {
     if (matrix)
       return matrix[(a * m + b) * stride + i].test(
           static_cast<process_id>(j));
-    return tables[a].reach_to[i].intersects(tables[b].components[j], nw) &&
-           tables[b].reach_to[j].intersects(tables[a].components[i], nw);
+    return tables[a]->reach_to[i].intersects(tables[b]->components[j], nw) &&
+           tables[b]->reach_to[j].intersects(tables[a]->components[i], nw);
   }
 
   bool abandoned() const {
@@ -220,14 +220,13 @@ existence_solver::existence_solver(const fail_prone_system& fps,
   if (threads_ == 0) threads_ = std::thread::hardware_concurrency();
   if (threads_ == 0) threads_ = 1;
 
-  tables_.resize(fps_.size());
-  for (std::size_t k = 0; k < fps_.size(); ++k)
-    build_pattern_table_into(fps_[k], tables_[k]);
+  tables_.reserve(fps_.size());
+  for (const failure_pattern& f : fps_) tables_.push_back(&f.table());
 
   domains_.assign(tables_.size(), process_set{});
   const std::size_t nw = process_set::words_for(fps_.system_size());
   for (std::size_t p = 0; p < tables_.size(); ++p) {
-    const pattern_table& t = tables_[p];
+    const pattern_table& t = *tables_[p];
     for (std::size_t i = 0; i < t.components.size(); ++i)
       if (t.reach_to[i].intersects(t.components[i], nw))  // self-consistency
         domains_[p].insert(static_cast<process_id>(i));
@@ -247,12 +246,12 @@ void existence_solver::build_compat() {
   if (!compat_.empty()) return;
   const std::size_t m = tables_.size();
   compat_stride_ = 1;
-  for (const pattern_table& t : tables_)
-    compat_stride_ = std::max(compat_stride_, t.components.size());
+  for (const pattern_table* t : tables_)
+    compat_stride_ = std::max(compat_stride_, t->components.size());
   compat_.assign(m * m * compat_stride_, process_set{});
   for (std::size_t a = 0; a < m; ++a) {
     for (std::size_t b = a + 1; b < m; ++b) {
-      for (std::size_t i = 0; i < tables_[a].components.size(); ++i) {
+      for (std::size_t i = 0; i < tables_[a]->components.size(); ++i) {
         const process_set row = compute_row(tables_, a, i, b);
         compat_[(a * m + b) * compat_stride_ + i] = row;
         for (process_id j : row)
@@ -265,11 +264,9 @@ void existence_solver::build_compat() {
 
 void existence_solver::propagate_arc_consistency() {
   const std::size_t m = tables_.size();
-  std::size_t max_candidates = 1;
-  for (const pattern_table& t : tables_)
-    max_candidates = std::max(max_candidates, t.components.size());
+  // build_compat ran first: the stride is the largest candidate count.
   const std::size_t cw =
-      process_set::words_for(static_cast<process_id>(max_candidates));
+      process_set::words_for(static_cast<process_id>(compat_stride_));
   bool changed = true;
   while (changed && !empty_domain_) {
     changed = false;
@@ -406,21 +403,16 @@ std::optional<std::vector<std::size_t>> existence_solver::search(
 std::optional<gqs_witness> existence_solver::witness_from(
     const std::vector<std::size_t>& choice) const {
   quorum_family reads, writes;
-  std::vector<process_set> chosen_w, chosen_r;
   for (std::size_t k = 0; k < tables_.size(); ++k) {
-    const process_set w = tables_[k].components[choice[k]];
-    const process_set r = tables_[k].reach_to[choice[k]];
-    writes.push_back(w);
-    reads.push_back(r);
-    chosen_w.push_back(w);
-    chosen_r.push_back(r);
+    writes.push_back(tables_[k]->components[choice[k]]);
+    reads.push_back(tables_[k]->reach_to[choice[k]]);
   }
   termination_mapping tau;
-  for (const pattern_table& t : tables_) tau.push_back(t.u_f(reads, writes));
-  generalized_quorum_system system(fps_, std::move(reads), std::move(writes));
-
-  return gqs_witness{std::move(system), std::move(chosen_w),
-                     std::move(chosen_r), std::move(tau)};
+  for (const pattern_table* t : tables_) tau.push_back(t->u_f(reads, writes));
+  // The copy of F shares its patterns' tables with fps_.
+  generalized_quorum_system system(fps_, reads, writes);
+  return gqs_witness{std::move(system), std::move(writes), std::move(reads),
+                     std::move(tau)};
 }
 
 bool existence_solver::exists() { return search(false).has_value(); }

@@ -8,10 +8,10 @@
 // subsystem precomputes everything the search needs once and turns the hot
 // path into word-parallel bit operations:
 //
-//   * per-pattern candidate tables (pattern_table, core/pattern_table.hpp):
-//     all SCCs of G \ f, their reach-to closures, and per-vertex
-//     reachability/SCC sets, computed once per pattern — and reused to
-//     assemble the witness's termination mapping (U_f per pattern);
+//   * per-pattern candidate tables: each pattern's compiled G \ f
+//     (failure_pattern::table(), core/pattern_table.hpp) — all SCCs, their
+//     reach-to closures, per-vertex reachability/SCC sets — shared with the
+//     witness's copy of F, whose U_f and Definition 2 check they answer;
 //   * an |F| × |F| pairwise-compatibility bitmatrix: for pattern a,
 //     candidate i, pattern b, a candidate-index set of the candidates j of
 //     b that are mutually consistent with (a, i) — the search tests
@@ -100,11 +100,10 @@ struct solver_stats {
   bool unsat_by_preprocessing = false;  ///< decided with no search at all
 };
 
-/// The existence solver. Construction precomputes the candidate tables,
-/// the compatibility bitmatrix, and (unless disabled) the arc-consistent
-/// domains; exists()/solve() run the search. A solver instance is
-/// single-use state plus reusable tables: exists() and solve() may each be
-/// called any number of times (stats accumulate).
+/// The existence solver. Construction reads each pattern's compiled table
+/// (failure_pattern::table()) and seeds the candidate domains; exists() and
+/// solve() run the search, building the compatibility bitmatrix only on
+/// escalation, and may each be called any number of times (stats accumulate).
 class existence_solver {
  public:
   /// Keeps a reference to `fps` — the system must outlive the solver
@@ -127,7 +126,8 @@ class existence_solver {
   std::optional<gqs_witness> solve();
 
   const solver_stats& stats() const noexcept { return stats_; }
-  const std::vector<pattern_table>& tables() const noexcept {
+  /// The tables searched: &fps[k].table() for each pattern k.
+  const std::vector<const pattern_table*>& tables() const noexcept {
     return tables_;
   }
 
@@ -145,7 +145,7 @@ class existence_solver {
   const fail_prone_system& fps_;
   solver_options opts_;
   unsigned threads_ = 1;
-  std::vector<pattern_table> tables_;
+  std::vector<const pattern_table*> tables_;
   // Stage 2 only: compat_[(a*m + b)*stride + i] is the candidate-index set
   // over j. The stride is the largest candidate count across patterns, so
   // single-crash corpora (one SCC per pattern) stay tiny.

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "core/factories.hpp"
+#include "core/pattern_table.hpp"
+#include "core/random_systems.hpp"
 
 namespace gqs {
 namespace {
@@ -167,6 +169,59 @@ TEST(FailProneSystem, AddAndIterate) {
   }
   EXPECT_EQ(count, 2);
   EXPECT_EQ(fps[0].crashable(), process_set{0});
+}
+
+TEST(FailurePattern, TableCompiledOnFirstQueryAndSharedByCopies) {
+  const failure_pattern f(4, process_set{3}, {{0, 1}});
+  const failure_pattern copy = f;  // taken before any query
+  EXPECT_FALSE(f.table_compiled());
+  EXPECT_FALSE(copy.table_compiled());
+
+  const pattern_table& t = copy.table();
+  EXPECT_TRUE(f.table_compiled());
+  EXPECT_EQ(&f.table(), &t);
+  const failure_pattern later = f;  // taken after the query
+  EXPECT_EQ(&later.table(), &t);
+  EXPECT_EQ(t.correct, (process_set{0, 1, 2}));
+
+  // An equal pattern built on its own has its own, uncompiled table, and
+  // still compares equal: the table is not part of the pattern's value.
+  const failure_pattern twin(4, process_set{3}, {{0, 1}});
+  EXPECT_FALSE(twin.table_compiled());
+  EXPECT_EQ(twin, f);
+  EXPECT_EQ(f, twin);
+  EXPECT_NE(&twin.table(), &t);
+}
+
+TEST(FailProneSystem, ConstructionCompilesNothing) {
+  std::mt19937_64 rng(11);
+  random_system_params params;
+  params.n = 12;
+  params.patterns = 8;
+  const fail_prone_system fps = random_fail_prone_system(params, rng);
+  const fail_prone_system copy = fps;
+  for (const failure_pattern& f : copy) EXPECT_FALSE(f.table_compiled());
+  EXPECT_EQ(&copy[3].table(), &fps[3].table());
+  for (std::size_t k = 0; k < fps.size(); ++k)
+    EXPECT_EQ(fps[k].table_compiled(), k == 3) << "pattern " << k;
+}
+
+TEST(FailProneSystem, AddAfterQueryLeavesCopiesIntact) {
+  fail_prone_system fps(3);
+  fps.add(failure_pattern(3, process_set{0}, {}));
+  fps.add(failure_pattern(3, {}, {{1, 2}}));
+  const pattern_table* first = &fps[0].table();
+  const fail_prone_system copy = fps;
+  for (process_id p = 0; p < 3; ++p)  // reallocates fps's patterns
+    fps.add(failure_pattern(3, process_set{p}, {}));
+  ASSERT_EQ(copy.size(), 2u);
+  EXPECT_EQ(fps.size(), 5u);
+  EXPECT_EQ(copy[0], fps[0]);
+  EXPECT_EQ(copy[1], fps[1]);
+  EXPECT_EQ(&fps[0].table(), first);
+  EXPECT_EQ(&copy[0].table(), first);
+  EXPECT_FALSE(copy[1].table_compiled());
+  EXPECT_EQ(&copy[1].table(), &fps[1].table());
 }
 
 TEST(FailProneSystem, SizeMismatchRejected) {

@@ -311,9 +311,11 @@ TEST(ResidualView, TopologyAliveViewAgreesWithOracle) {
     const pattern_table view = build_pattern_table(topology, alive);
     EXPECT_EQ(view.correct, residual.present()) << family.name;
     for (process_id v : view.correct) {
-      EXPECT_EQ(view.components[view.component_of[v]], residual.scc_of(v))
-          << family.name << " v=" << v;
-      EXPECT_EQ(view.reach_from[v], residual.reachable_from(v))
+      EXPECT_EQ(view.scc(v), residual.scc_of(v)) << family.name << " v=" << v;
+      process_set from;  // the components whose reach_to holds v
+      for (std::size_t i = 0; i < view.components.size(); ++i)
+        if (view.reach_to[i].contains(v)) from |= view.components[i];
+      EXPECT_EQ(from, residual.reachable_from(v))
           << family.name << " v=" << v;
     }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <random>
 #include <type_traits>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/factories.hpp"
 #include "core/random_systems.hpp"
 #include "graph/digraph.hpp"
+#include "sim/runner.hpp"
 #include "workload/topologies.hpp"
 
 namespace gqs {
@@ -271,8 +273,6 @@ TEST(Solver, WitnessIdenticalForAnyThreadCount) {
 void expect_matches_reference(const pattern_table& t, const digraph& g) {
   const process_id n = g.vertex_count();
   EXPECT_EQ(t.correct, g.present());
-  ASSERT_EQ(t.reach_from.size(), n);
-  ASSERT_EQ(t.scc.size(), n);
   ASSERT_EQ(t.component_of.size(), n);
   const auto sccs = g.sccs();
   ASSERT_EQ(t.components.size(), sccs.size());
@@ -290,17 +290,22 @@ void expect_matches_reference(const pattern_table& t, const digraph& g) {
       if (t.components[i].is_subset_of(reach[u])) readers.insert(u);
     EXPECT_EQ(t.reach_to[i], readers);
     for (process_id v : t.components[i]) {
-      EXPECT_EQ(t.scc[v], t.components[i]);
-      EXPECT_EQ(t.reach_from[v], reach[v]);
+      EXPECT_EQ(t.scc(v), t.components[i]);
       EXPECT_EQ(t.component_of[v], i);
     }
   }
   EXPECT_EQ(covered, g.present());
   for (process_id v = 0; v < n; ++v) {
-    if (g.present().contains(v)) continue;
-    EXPECT_TRUE(t.reach_from[v].empty());
-    EXPECT_TRUE(t.scc[v].empty());
-    EXPECT_EQ(t.component_of[v], 0);
+    if (!g.present().contains(v)) {
+      EXPECT_EQ(t.component_of[v], 0);
+      continue;
+    }
+    // What v reaches, read off the table: the components whose reach_to
+    // holds v.
+    process_set from;
+    for (std::size_t i = 0; i < t.components.size(); ++i)
+      if (t.reach_to[i].contains(v)) from |= t.components[i];
+    EXPECT_EQ(from, reach[v]);
   }
   // Sorted by size descending, set value ascending.
   for (std::size_t i = 1; i < t.components.size(); ++i) {
@@ -314,14 +319,16 @@ void expect_same_table(const pattern_table& a, const pattern_table& b) {
   EXPECT_EQ(a.correct, b.correct);
   EXPECT_EQ(a.components, b.components);
   EXPECT_EQ(a.reach_to, b.reach_to);
-  EXPECT_EQ(a.reach_from, b.reach_from);
-  EXPECT_EQ(a.scc, b.scc);
   EXPECT_EQ(a.component_of, b.component_of);
 }
 
 TEST(PatternTable, MatchesDigraphGroundTruth) {
-  for (const failure_pattern& f : make_figure1().gqs.fps)
-    expect_matches_reference(build_pattern_table(f), f.residual());
+  // Each pattern's own table (the one every query reads) and a fresh
+  // build of it.
+  for (const failure_pattern& f : make_figure1().gqs.fps) {
+    expect_matches_reference(f.table(), f.residual());
+    expect_same_table(build_pattern_table(f), f.table());
+  }
 
   // One |F| = 16 draw per corpus family, up to n = 256 (four words).
   std::uint64_t seed = 1;
@@ -329,8 +336,10 @@ TEST(PatternTable, MatchesDigraphGroundTruth) {
     SCOPED_TRACE(family.name);
     family.params.patterns = 16;
     std::mt19937_64 rng(seed++);
-    for (const failure_pattern& f : scenario_system(family.params, rng))
-      expect_matches_reference(build_pattern_table(f), f.residual());
+    for (const failure_pattern& f : scenario_system(family.params, rng)) {
+      expect_matches_reference(f.table(), f.residual());
+      expect_same_table(build_pattern_table(f), f.table());
+    }
   }
 
   // Seeded random digraphs through the (network, live) overload, on both
@@ -373,6 +382,75 @@ TEST(PatternTable, MatchesDigraphGroundTruth) {
     expect_same_table(t, build_pattern_table(f));
     expect_matches_reference(t, f.residual());
   }
+}
+
+// Four threads ask one uncompiled pattern for its table at once: one
+// compile, one table object, the same contents a fresh build gives. Run
+// under TSAN (the solver_test binary is in the CI tsan job).
+TEST(PatternTable, ConcurrentFirstQueriesShareOneTable) {
+  constexpr std::size_t kThreads = 4;
+  std::mt19937_64 rng(5);
+  random_system_params params;
+  params.n = 256;
+  params.crash_probability = 0.1;
+  params.channel_fail_probability = 0.9;
+  for (int round = 0; round < 8; ++round) {
+    const failure_pattern f = random_failure_pattern(params, rng);
+    ASSERT_FALSE(f.table_compiled());
+    std::latch start(kThreads);
+    std::vector<const pattern_table*> seen(kThreads);
+    std::vector<pattern_table> contents(kThreads);
+    std::vector<run_spec> specs;
+    for (std::size_t k = 0; k < kThreads; ++k)
+      specs.push_back({"query" + std::to_string(k), [&, k] {
+                         const failure_pattern copy = f;
+                         start.arrive_and_wait();
+                         seen[k] = &copy.table();
+                         contents[k] = *seen[k];
+                         return run_result{};
+                       }});
+    for (const run_result& r : experiment_runner(kThreads).run_all(specs))
+      ASSERT_TRUE(r.ok) << r.error;
+    const pattern_table fresh = build_pattern_table(f);
+    for (std::size_t k = 0; k < kThreads; ++k) {
+      EXPECT_EQ(seen[k], &f.table()) << "thread " << k;
+      expect_same_table(contents[k], fresh);
+    }
+  }
+}
+
+// The witness's copy of F shares the tables the solver searched, so
+// checking the witness compiles nothing: a plan-corpus instance builds
+// |F| tables, not 2|F|.
+TEST(Solver, WitnessSharesTheSearchedTables) {
+  solver_options opts;
+  opts.threads = 1;
+  int sat = 0;
+  for (const scenario_family& family : topology_corpus(64)) {
+    if (family.params.topology.n < 12) continue;
+    SCOPED_TRACE(family.name);
+    scenario_params params = family.params;
+    params.patterns = 16;
+    std::mt19937_64 rng(2);
+    const auto fps = scenario_system(params, rng);
+    for (const failure_pattern& f : fps) ASSERT_FALSE(f.table_compiled());
+    existence_solver solver(fps, opts);
+    const auto witness = solver.solve();
+    ASSERT_EQ(solver.tables().size(), fps.size());
+    if (!witness) continue;
+    ++sat;
+    std::vector<const pattern_table*> distinct;
+    for (std::size_t k = 0; k < fps.size(); ++k) {
+      EXPECT_EQ(solver.tables()[k], &fps[k].table());
+      EXPECT_EQ(&witness->system.fps[k].table(), solver.tables()[k]);
+      distinct.push_back(solver.tables()[k]);
+    }
+    EXPECT_TRUE(check_generalized(witness->system).ok);
+    std::sort(distinct.begin(), distinct.end());
+    EXPECT_EQ(std::unique(distinct.begin(), distinct.end()) - distinct.begin(),
+              16);
+  }
+  EXPECT_GT(sat, 0);
 }
 
 TEST(Solver, StagedSearchAgreesWhenEscalationForced) {
