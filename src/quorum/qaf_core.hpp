@@ -30,6 +30,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -63,19 +64,27 @@ class quorum_cover_tracker {
   bool covered_ = false;
 };
 
-/// Coverage tracking plus the per-process response payloads.
+/// Coverage tracking plus the per-process response payloads, kept in a
+/// dense per-process array: a round allocates once, not once per ack.
 template <class T>
 class quorum_response_collector {
  public:
-  /// Records a response; returns the covered quorum if coverage was just
-  /// reached.
+  /// Records a response (a repeat replaces the earlier one); returns the
+  /// covered quorum if coverage was just reached.
   std::optional<process_set> add(process_id from, T value,
                                  const quorum_family& family) {
-    responses_.insert_or_assign(from, std::move(value));
+    if (from >= responses_.size()) grow(from, family);
+    responses_[from] = std::move(value);
+    answered_.insert(from);
     return cover_.add(from, family);
   }
 
-  const T& at(process_id p) const { return responses_.at(p); }
+  /// The response of p; throws std::out_of_range if p did not answer.
+  const T& at(process_id p) const {
+    if (!answered_.contains(p))
+      throw std::out_of_range("quorum_response_collector: no response");
+    return responses_[p];
+  }
 
   /// The responses of a covered quorum, in process-id order.
   std::vector<T> gather(const process_set& quorum) const {
@@ -86,7 +95,17 @@ class quorum_response_collector {
   }
 
  private:
-  std::map<process_id, T> responses_;
+  /// Sizes the array for `from` and every member of the family at once.
+  void grow(process_id from, const quorum_family& family) {
+    process_set members;
+    for (const process_set& q : family) members |= q;
+    process_id extent = from + 1;
+    for (const process_id p : members) extent = std::max(extent, p + 1);
+    responses_.resize(extent);
+  }
+
+  std::vector<T> responses_;  // indexed by process; valid where answered_
+  process_set answered_;
   quorum_cover_tracker cover_;
 };
 

@@ -25,8 +25,8 @@
 // selector) is one broadcast and arms nothing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -80,10 +80,10 @@ class targeted_round {
   /// With a drawn `quorum`: one unicast per member in ascending id, a hit
   /// per member, and an escalation timer whose handle is returned.
   /// Without one: one broadcast, no timer.
-  handle open(const std::optional<process_set>& quorum, message_ptr wire,
-              span_ref span = {}) {
+  handle open(const std::optional<process_set>& quorum,
+              const message_ptr& wire, span_ref span = {}) {
     if (!quorum) {
-      owner_.broadcast(std::move(wire));
+      owner_.broadcast(wire);
       return none;
     }
     if (hits_.empty()) hits_.assign(owner_.system_size(), 0);
@@ -93,20 +93,18 @@ class targeted_round {
     }
     if (timeout_ == 0) return none;
     const handle h = owner_.set_timer(timeout_);
-    open_.emplace(h, round{std::move(wire), span});
+    open_.push_back(round{h, wire, span});
     return h;
   }
 
   /// The round was covered or abandoned: it never escalates.
-  void close(handle h) { open_.erase(h); }
+  void close(handle h) { take(h); }
 
   /// Forward the owner's timers here: a still-open round's timer
   /// rebroadcasts its original wire, once; any other timer is ignored.
   void on_timeout(int timer_id) {
-    const auto it = open_.find(timer_id);
-    if (it == open_.end()) return;
-    const round r = std::move(it->second);
-    open_.erase(it);
+    const round r = take(timer_id);
+    if (!r.wire) return;
     ++escalations_;
     obs_bundle* o = owner_.obs();
     if (layer_ && o && o->tracer.recording())
@@ -122,9 +120,23 @@ class targeted_round {
 
  private:
   struct round {
+    handle timer = none;
     message_ptr wire;
     span_ref span;
   };
+
+  /// Removes and returns the open round armed with timer `h`; a round
+  /// with a null wire if there is none. Few rounds are open at once (one
+  /// per pipelined batch), so a scan beats a tree.
+  round take(handle h) {
+    const auto it = std::find_if(open_.begin(), open_.end(),
+                                 [h](const round& r) { return r.timer == h; });
+    if (it == open_.end()) return {};
+    round r = std::move(*it);
+    *it = std::move(open_.back());
+    open_.pop_back();
+    return r;
+  }
 
   component& owner_;
   sim_time timeout_;
@@ -132,7 +144,7 @@ class targeted_round {
   const char* layer_;
   bool self_answers_;
   std::vector<std::uint64_t> hits_;
-  std::map<handle, round> open_;
+  std::vector<round> open_;  // unordered; timer ids are unique
 };
 
 }  // namespace gqs

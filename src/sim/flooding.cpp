@@ -12,27 +12,25 @@ void flooding_node::on_attach() {
 }
 
 void flooding_node::on_message(process_id from, const message_ptr& m) {
-  // Tag dispatch: envelopes and direct messages are private types built
-  // and tagged only here, so one pointer compare each identifies them;
-  // anything else is not flooding traffic and is ignored.
-  if (m->type_tag == message_tag_of<envelope>()) {
-    handle(from, std::static_pointer_cast<const envelope>(m));
-  } else if (m->type_tag == message_tag_of<direct_msg>()) {
-    // Deliver in place. No dedup (a physical channel delivers at most
-    // once) and no forwarding (it was addressed to this process alone).
-    const auto* d = static_cast<const direct_msg*>(m.get());
-    on_deliver(d->origin, d->payload);
-  }
+  // Envelopes are a private type built and tagged only here, so one
+  // pointer compare identifies them; anything else is a direct unicast
+  // (the payload itself, from its origin). Deliver it in place: no dedup
+  // (a physical channel delivers at most once) and no forwarding (it was
+  // addressed to this process alone).
+  if (m->type_tag == message_tag_of<envelope>())
+    handle(from, m);
+  else
+    on_deliver(from, m);
 }
 
-void flooding_node::flood_send(process_id dest, message_ptr payload) {
+void flooding_node::flood_send(process_id dest, const message_ptr& payload) {
   if (dest != to_all && dest >= system_size())
     throw std::out_of_range("flood_send: destination out of range");
-  originate(dest, std::move(payload));
+  originate(dest, payload);
 }
 
-void flooding_node::flood_broadcast(message_ptr payload) {
-  originate(to_all, std::move(payload));
+void flooding_node::flood_broadcast(const message_ptr& payload) {
+  originate(to_all, payload);
 }
 
 bool flooding_node::mark_seen(process_id origin, std::uint64_t seq) {
@@ -40,7 +38,7 @@ bool flooding_node::mark_seen(process_id origin, std::uint64_t seq) {
   return seen_[origin].mark(seq);
 }
 
-void flooding_node::originate(process_id dest, message_ptr payload) {
+void flooding_node::originate(process_id dest, const message_ptr& payload) {
   // A self-send never leaves the process: no envelope, so no sequence
   // number that peers could see only partially.
   if (dest == id()) {
@@ -58,39 +56,38 @@ void flooding_node::originate(process_id dest, message_ptr payload) {
     // Reachable implies alive; over an up channel a lossless run delivers
     // the one direct copy, which no relay could improve on.
     if (sim().lossless() && ep.channel_up(e, id(), dest)) {
-      send(dest, make_message<direct_msg>(id(), std::move(payload)));
+      sim().send(id(), dest, payload, direct_framing);
       return;
     }
   }
-  auto env = std::make_shared<envelope>(id(), next_seq_++, dest,
-                                        std::move(payload));
-  env->type_tag = message_tag_of<envelope>();
-  mark_seen(env->origin, env->seq);
+  const std::uint64_t seq = next_seq_++;
+  mark_seen(id(), seq);
+  const message_ptr wire = make_message<envelope>(id(), seq, dest, payload);
   // Local delivery first (a process trivially "reaches" itself).
   if (dest == to_all) {
-    sim().post(id(), [this, env] { on_deliver(env->origin, env->payload); });
+    sim().post(id(), [this, payload] { on_deliver(id(), payload); });
   }
-  forward(env, id());
+  forward(wire, id());
 }
 
-void flooding_node::handle(process_id from,
-                           const std::shared_ptr<const envelope>& env) {
-  if (!mark_seen(env->origin, env->seq)) return;
+void flooding_node::handle(process_id from, const message_ptr& wire) {
+  const auto& env = static_cast<const envelope&>(*wire);
+  if (!mark_seen(env.origin, env.seq)) return;
   // Forward once, on the first copy only (see forward() for whom to).
-  forward(env, from);
-  if (env->dest == to_all || env->dest == id())
-    on_deliver(env->origin, env->payload);
+  forward(wire, from);
+  if (env.dest == to_all || env.dest == id())
+    on_deliver(env.origin, env.payload);
 }
 
-void flooding_node::forward(const std::shared_ptr<const envelope>& env,
-                            process_id from) {
+void flooding_node::forward(const message_ptr& wire, process_id from) {
+  const auto& env = static_cast<const envelope&>(*wire);
   const connectivity_epochs& ep = sim().epochs();
   const std::size_t e = sim().current_epoch();
   // Early drop: reachability only shrinks across epochs, so a destination
   // outside this process's current reachable set can never be reached by
   // any copy forwarded from here, now or later.
-  if (env->dest != to_all && env->dest != id() &&
-      !ep.reachable(e, id()).contains(env->dest))
+  if (env.dest != to_all && env.dest != id() &&
+      !ep.reachable(e, id()).contains(env.dest))
     return;
   // Forward only over up channels to live processes: a send on a downed
   // channel is dropped at the channel, one to a crashed process is dropped
@@ -104,7 +101,7 @@ void flooding_node::forward(const std::shared_ptr<const envelope>& env,
   // a lossless run may rely on that copy arriving.
   if (from != id() && sim().lossless())
     targets -= ep.up_out_channels(e, from);
-  for (process_id q : targets) send(q, env);
+  for (process_id q : targets) send(q, wire);
 }
 
 }  // namespace gqs

@@ -35,14 +35,20 @@
 //    instead of (n−1)²; every live process reachable from the origin in
 //    the final epoch's residual graph still receives it exactly once;
 //  * direct unicast — a unicast to a live destination over an up channel
-//    is one direct message (no envelope, no sequence number), which is all
-//    a targeted quorum round (quorum/targeted_round.hpp) sends per member.
+//    sends the payload itself (no envelope, no sequence number), which is
+//    all a targeted quorum round (quorum/targeted_round.hpp) sends per
+//    member. Its origin is the sender, so the receiver delivers any
+//    non-envelope it gets as a payload from the physical sender. The wire
+//    still carries a 16-byte unicast header (origin + framing), which the
+//    send charges as framing (simulation::send) instead of building a
+//    wrapper message for it.
 // With finite queues any copy can be dropped at its source, so flooding
 // keeps its full redundancy there, targeted unicasts included.
 //
 // Protocols built on flooding_node use flood_send / flood_broadcast and
 // receive payloads through on_deliver(origin, payload); they never see the
-// envelopes.
+// envelopes. Every handle on the path is passed by const reference: an
+// envelope is built once per broadcast and shared by every relay copy.
 #pragma once
 
 #include <cstdint>
@@ -116,32 +122,22 @@ class flooding_node : public node {
   /// run is lossless and the channel is up, otherwise routed around channel
   /// failures by flooding. Delivery to self is immediate (same instant, new
   /// event) and sends nothing.
-  void flood_send(process_id dest, message_ptr payload);
+  void flood_send(process_id dest, const message_ptr& payload);
 
   /// Sends payload to every process, including the sender itself (the
   /// paper's "send to all"; quorums may contain the sender).
-  void flood_broadcast(message_ptr payload);
+  void flood_broadcast(const message_ptr& payload);
 
   /// Protocol-level receipt: payload originated at `origin` (which may be
   /// this process itself).
   virtual void on_deliver(process_id origin, const message_ptr& payload) = 0;
 
  private:
-  /// A unicast over an up channel in a lossless run: delivered where it
-  /// lands, never forwarded, never deduplicated, so it takes no sequence
-  /// number and leaves no gap in any peer's dedup filter.
-  struct direct_msg : message {
-    process_id origin;
-    message_ptr payload;
-
-    direct_msg(process_id o, message_ptr p)
-        : origin(o), payload(std::move(p)) {
-      if (payload) trace_span = payload->trace_span;  // ride the span
-    }
-    std::size_t wire_size() const override {
-      return 16 + payload->wire_size();  // origin + framing
-    }
-  };
+  /// Wire header of a direct unicast (origin + framing), charged by the
+  /// send. A direct unicast is delivered where it lands, never forwarded,
+  /// never deduplicated, so it takes no sequence number and leaves no gap
+  /// in any peer's dedup filter.
+  static constexpr std::size_t direct_framing = 16;
 
   struct envelope : message {
     process_id origin;
@@ -158,11 +154,13 @@ class flooding_node : public node {
     }
   };
 
-  void originate(process_id dest, message_ptr payload);
-  void handle(process_id from, const std::shared_ptr<const envelope>& env);
-  /// Forwards env to every neighbor worth reaching (see file comment).
-  /// `from` is the immediate sender, or this process on origination.
-  void forward(const std::shared_ptr<const envelope>& env, process_id from);
+  void originate(process_id dest, const message_ptr& payload);
+  /// `wire` is an envelope (on_message checked its tag).
+  void handle(process_id from, const message_ptr& wire);
+  /// Forwards the envelope `wire` to every neighbor worth reaching (see
+  /// file comment). `from` is the immediate sender, or this process on
+  /// origination.
+  void forward(const message_ptr& wire, process_id from);
   /// Marks (origin, seq) seen; true iff it is new.
   bool mark_seen(process_id origin, std::uint64_t seq);
 

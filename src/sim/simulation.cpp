@@ -18,7 +18,9 @@ simulation::simulation(process_id n, network_options net, fault_plan faults,
     throw std::invalid_argument("simulation: fault plan size mismatch");
   net_.validate();
   channels_ = link_network(n, net_.channel);
-  wheel_.configure(std::max(net_.max_delay, net_.delta));
+  // The delay bound in force: with gst == 0 every send is timely.
+  wheel_.configure(net_.gst == 0 ? net_.delta
+                                 : std::max(net_.max_delay, net_.delta));
   if (net_.telemetry) obs_.metrics.enable();
   if (net_.record_spans) obs_.tracer.start_recording();
   if (net_.sample_period > 0) obs_.sampler.configure(net_.sample_period);
@@ -89,13 +91,13 @@ simulation::heap_entry simulation::pop_entry() { return wheel_.pop(); }
 
 // ---- event_wheel ----
 
-void simulation::event_wheel::configure(sim_time max_delay_bound) {
+void simulation::event_wheel::configure(sim_time delay_bound) {
   // Bucket width: the smallest power of two giving the wheel a span of
   // roughly four delay bounds, so virtually every message lands inside
   // the window and only long timers take the overflow path.
   width_shift_ = 0;
   const sim_time target =
-      std::max<sim_time>(1, max_delay_bound / (kBuckets / 4));
+      std::max<sim_time>(1, delay_bound / (kBuckets / 4));
   while ((sim_time{1} << width_shift_) < target) ++width_shift_;
 }
 
@@ -186,7 +188,8 @@ void simulation::trace_net(const char* name, process_id at,
   obs_.tracer.leaf(name, "net", at, m ? m->trace_span : span_ref{}, now_);
 }
 
-void simulation::send(process_id from, process_id to, message_ptr m) {
+void simulation::send(process_id from, process_id to, const message_ptr& m,
+                      std::size_t framing) {
   if (from >= n_ || to >= n_)
     throw std::out_of_range("simulation::send: process out of range");
   if (from == to)
@@ -207,8 +210,9 @@ void simulation::send(process_id from, process_id to, message_ptr m) {
   // with a zero-capacity config this function is byte-for-byte the legacy
   // independent-delay model.
   sim_time arrival = now_ + draw_delay();
+  std::size_t bytes = 0;
   if (channels_.enabled()) {
-    const std::size_t bytes = m->wire_size();
+    bytes = framing + m->wire_size();
     const auto admitted =
         channels_.transmit(from, to, bytes, now_, arrival - now_);
     if (!admitted.accepted) {
@@ -235,7 +239,8 @@ void simulation::send(process_id from, process_id to, message_ptr m) {
   e.kind = event_kind::deliver;
   e.a = from;
   e.b = to;
-  e.msg = std::move(m);
+  e.bytes = bytes;
+  e.msg = m;
   push_entry(arrival, slot);
 }
 
@@ -285,6 +290,7 @@ bool simulation::pop_and_dispatch(sim_time horizon) {
   const process_id a = rec.a;
   const process_id b = rec.b;
   const int timer_id = rec.timer_id;
+  const std::size_t bytes = rec.bytes;
   message_ptr msg = std::move(rec.msg);
   const std::size_t epoch = current_epoch();
   switch (kind) {
@@ -300,7 +306,7 @@ bool simulation::pop_and_dispatch(sim_time horizon) {
           trace_net("net.drop_crashed", a, msg.get());
       } else {
         ++metrics_.messages_delivered;
-        if (channels_.enabled()) metrics_.bytes_delivered += msg->wire_size();
+        metrics_.bytes_delivered += bytes;  // 0 without the channel layer
         if (obs_.tracer.recording())
           trace_net("net.deliver", b, msg.get());
         nodes_[b]->on_message(a, msg);

@@ -11,8 +11,19 @@
 // timing wheel (O(1) amortized — see event_wheel below). The hot loop
 // therefore performs no per-event allocation and copies no closures —
 // only `post` events carry a std::function, and it is moved, never
-// copied. Connectivity questions (who is alive, which channels are up)
-// are answered from precomputed per-epoch tables (sim/epochs.hpp).
+// copied. A delivery record holds one message_ptr (an intrusive,
+// non-atomic handle from a per-thread pool — sim/message.hpp) and the
+// wire bytes charged at send time, so neither sending nor delivering
+// touches the heap or an atomic. Connectivity questions (who is alive,
+// which channels are up) are answered from precomputed per-epoch tables
+// (sim/epochs.hpp).
+//
+// Wheel sizing: the wheel spans about four delay bounds, where the bound
+// is the one the run actually draws from — delta when gst == 0 (every
+// send is then in the timely period), max(max_delay, delta) otherwise.
+// Buckets sized to the real bound stay small, so the per-bucket sort on
+// activation is cheap; anything beyond the window (long timers, deep
+// link queues) waits in the overflow heap.
 #pragma once
 
 #include <algorithm>
@@ -149,8 +160,12 @@ class simulation {
   // ---- node-facing API (called from within event handlers) ----
 
   /// Sends m from `from` to `to` over the physical channel, applying the
-  /// channel's failure state and a random delay.
-  void send(process_id from, process_id to, message_ptr m);
+  /// channel's failure state and a random delay. Under the channel layer
+  /// the link carries `framing + m->wire_size()` bytes: `framing` prices a
+  /// header the sender's layer adds on the wire without building a wrapper
+  /// message (flooding's direct unicasts, sim/flooding.hpp).
+  void send(process_id from, process_id to, const message_ptr& m,
+            std::size_t framing = 0);
 
   /// Schedules fn to run at the current time (after already-queued events
   /// of this instant) on behalf of process p; dropped if p has crashed by
@@ -175,12 +190,13 @@ class simulation {
   enum class event_kind : std::uint8_t { start, deliver, timer, post };
 
   /// A typed event in the slab. Only `post` carries a closure; the hot
-  /// deliver path carries just the shared message pointer.
+  /// deliver path carries just the message handle and its wire bytes.
   struct event_record {
     event_kind kind = event_kind::post;
     process_id a = 0;  ///< deliver: sender; otherwise the acting process
     process_id b = 0;  ///< deliver: receiver
     int timer_id = 0;
+    std::size_t bytes = 0;  ///< deliver: wire bytes charged at send
     message_ptr msg;
     std::function<void()> fn;
   };
@@ -213,9 +229,9 @@ class simulation {
   /// arrangement.
   class event_wheel {
    public:
-    /// Sizes the buckets from the run's maximum message-delay bound; call
-    /// once before the first push.
-    void configure(sim_time max_delay_bound);
+    /// Sizes the buckets from the largest message delay the run draws
+    /// (see the file comment); call once before the first push.
+    void configure(sim_time delay_bound);
 
     bool empty() const noexcept { return size_ == 0; }
     std::size_t size() const noexcept { return size_; }
@@ -314,7 +330,7 @@ class node {
 
   /// Physical point-to-point send (no routing around failed channels; use
   /// flooding_node for the paper's transitive-connectivity model).
-  void send(process_id to, message_ptr m) { sim_->send(id_, to, std::move(m)); }
+  void send(process_id to, const message_ptr& m) { sim_->send(id_, to, m); }
 
   /// Physical send to every other process.
   void broadcast_physical(const message_ptr& m) {

@@ -21,8 +21,8 @@ namespace gqs {
 class transport {
  public:
   virtual ~transport() = default;
-  virtual void unicast(process_id dest, message_ptr payload) = 0;
-  virtual void broadcast(message_ptr payload) = 0;
+  virtual void unicast(process_id dest, const message_ptr& payload) = 0;
+  virtual void broadcast(const message_ptr& payload) = 0;
   virtual int set_timer(sim_time delay) = 0;
   virtual process_id self() const = 0;
   virtual process_id size() const = 0;
@@ -51,10 +51,10 @@ class component {
   process_id id() const { return tr().self(); }
   process_id system_size() const { return tr().size(); }
   sim_time now() const { return tr().now(); }
-  void unicast(process_id dest, message_ptr m) {
-    tr().unicast(dest, std::move(m));
+  void unicast(process_id dest, const message_ptr& m) {
+    tr().unicast(dest, m);
   }
-  void broadcast(message_ptr m) { tr().broadcast(std::move(m)); }
+  void broadcast(const message_ptr& m) { tr().broadcast(m); }
   int set_timer(sim_time delay) { return tr().set_timer(delay); }
 
   /// Null-safe observability accessor (nullptr before bind() too).
@@ -94,10 +94,10 @@ class single_host : public flooding_node, private transport {
   }
 
  private:
-  void unicast(process_id dest, message_ptr m) override {
-    flood_send(dest, std::move(m));
+  void unicast(process_id dest, const message_ptr& m) override {
+    flood_send(dest, m);
   }
-  void broadcast(message_ptr m) override { flood_broadcast(std::move(m)); }
+  void broadcast(const message_ptr& m) override { flood_broadcast(m); }
   int set_timer(sim_time delay) override { return node::set_timer(delay); }
   process_id self() const override { return node::id(); }
   process_id size() const override { return node::system_size(); }

@@ -325,10 +325,12 @@ void smr_service::schedule_flush() {
 
 /// One flush per instant (the shared-engine coalescing idiom): every
 /// command staged in the same instant joins one batch or one forward.
+/// A shard marked dirty while this flush runs (mark_dirty) joins the next
+/// flush, so the list is swapped out first; the two lists trade places,
+/// and both keep their capacity.
 void smr_service::flush() {
-  std::vector<std::uint32_t> dirty;
-  dirty.swap(dirty_shards_);
-  for (const std::uint32_t s : dirty) {
+  flushing_.swap(dirty_shards_);
+  for (const std::uint32_t s : flushing_) {
     shard_state& ss = shards_[s];
     ss.dirty = false;
     if (!ss.fwd_staged.empty()) {
@@ -347,6 +349,7 @@ void smr_service::flush() {
     }
     if (ss.leading) drain(s);
   }
+  flushing_.clear();
 }
 
 /// Leader batching + pipelining: pack staged commands into entries of up

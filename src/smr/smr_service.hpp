@@ -437,6 +437,7 @@ class smr_service : public component {
   std::vector<basic_reg_state<reg_value>> states_;  // the state machine
   std::vector<std::uint64_t> write_counts_;         // per-key versions
   std::vector<std::uint32_t> dirty_shards_;
+  std::vector<std::uint32_t> flushing_;  ///< dirty_shards_ during flush()
 
   std::uint64_t sample_seq_ = 0;  ///< per-process selector stream cursor
   int flush_timer_ = -1;

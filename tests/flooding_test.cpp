@@ -19,6 +19,13 @@ struct payload_msg : message {
   explicit payload_msg(int v) : value(v) {}
 };
 
+/// A payload that counts its destructions.
+struct counted_payload : payload_msg {
+  static inline int destroyed = 0;
+  using payload_msg::payload_msg;
+  ~counted_payload() override { ++destroyed; }
+};
+
 class flood_recorder : public flooding_node {
  public:
   struct receipt {
@@ -31,6 +38,8 @@ class flood_recorder : public flooding_node {
   void on_deliver(process_id origin, const message_ptr& payload) override {
     if (const auto* p = message_cast<payload_msg>(payload))
       delivered.push_back({origin, p->value, now()});
+    else if (const auto* c = message_cast<counted_payload>(payload))
+      delivered.push_back({origin, c->value, now()});
   }
 
   void send_to(process_id dest, int value) {
@@ -38,6 +47,9 @@ class flood_recorder : public flooding_node {
   }
   void broadcast_value(int value) {
     flood_broadcast(make_message<payload_msg>(value));
+  }
+  void flood_payload(process_id dest, const message_ptr& payload) {
+    flood_send(dest, payload);
   }
 };
 
@@ -105,6 +117,43 @@ TEST(Flooding, RoutesAroundFailedDirectChannel) {
   w.sim.run_until(1_s);
   ASSERT_EQ(w.nodes[1]->delivered.size(), 1u);
   EXPECT_EQ(w.nodes[1]->delivered[0].value, 11);
+}
+
+TEST(Flooding, DirectUnicastChargesHeaderAndDeliversFromSender) {
+  // Lossless run, channel (1,3) up: the unicast is the payload itself,
+  // with no wrapper message. The link still carries the 16-byte unicast
+  // header on top of the payload's 64 bytes, and the receiver sees the
+  // physical sender as the origin.
+  network_options net;
+  net.channel.bytes_per_us = 1.0;  // 1 byte/µs: 80 µs of serialization
+  flood_world w(4, fault_plan::none(4), 1, net);
+  ASSERT_TRUE(w.sim.lossless());
+  w.nodes[1]->send_to(3, 21);
+  w.sim.run_until(1_s);
+  EXPECT_EQ(w.sim.metrics().messages_sent, 1u);
+  EXPECT_EQ(w.sim.metrics().bytes_sent, 16u + 64u);
+  EXPECT_EQ(w.sim.metrics().bytes_delivered, 16u + 64u);
+  ASSERT_EQ(w.nodes[3]->delivered.size(), 1u);
+  EXPECT_EQ(w.nodes[3]->delivered[0].origin, 1u);
+  EXPECT_EQ(w.nodes[3]->delivered[0].value, 21);
+  EXPECT_GE(w.nodes[3]->delivered[0].at, 80 + net.min_delay);
+}
+
+TEST(Flooding, EnvelopeKeepsPayloadAlive) {
+  // Channel (0,1) is down, so the unicast travels in an envelope through
+  // 2. The sender keeps no handle: the envelope alone holds the payload
+  // until the last relay copy is delivered.
+  counted_payload::destroyed = 0;
+  fault_plan faults = fault_plan::none(3);
+  faults.disconnect(0, 1, 0);
+  flood_world w(3, std::move(faults));
+  w.nodes[0]->flood_payload(1, make_message<counted_payload>(13));
+  EXPECT_EQ(counted_payload::destroyed, 0);
+  w.sim.run_until(1_s);
+  ASSERT_EQ(w.nodes[1]->delivered.size(), 1u);
+  EXPECT_EQ(w.nodes[1]->delivered[0].origin, 0u);
+  EXPECT_EQ(w.nodes[1]->delivered[0].value, 13);
+  EXPECT_EQ(counted_payload::destroyed, 1);
 }
 
 TEST(Flooding, MultiHopChainOnly) {

@@ -204,6 +204,31 @@ TEST(QuorumService, PersistentGossipGapTriggersNack) {
       [&] { return nodes[0]->gossip_backlog() == 0; }, 400000));
 }
 
+TEST(PooledBatch, StorageReturnsToPoolOnceAfterLastReceiver) {
+  // A batch message shared by three receivers hands its entry vector back
+  // to the pool when the last handle goes, and only then.
+  using gossip_msg = quorum_service<reg_value>::gossip_msg;
+  using gossip_entry = quorum_service<reg_value>::gossip_entry;
+  auto pool = std::make_shared<batch_pool<gossip_entry>>();
+  std::vector<gossip_entry> entries(3);
+  const gossip_entry* storage = entries.data();
+  message_ptr wire = make_message<gossip_msg>(
+      1, 1, pooled_batch<gossip_entry>(std::move(entries), pool));
+  std::vector<message_ptr> receivers(3, wire);
+  wire = nullptr;
+  for (std::size_t r = 0; r + 1 < receivers.size(); ++r) {
+    receivers[r] = nullptr;
+    EXPECT_EQ(pool->free_count(), 0u) << "after receiver " << r;
+  }
+  EXPECT_EQ(message_cast<gossip_msg>(receivers.back())->entries.size(), 3u);
+  receivers.back() = nullptr;
+  ASSERT_EQ(pool->free_count(), 1u);
+  const std::vector<gossip_entry> reused = pool->acquire();
+  EXPECT_EQ(reused.data(), storage);  // the same buffer, emptied
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(pool->free_count(), 0u);
+}
+
 /// Records the keys, sequence and clock of every repair it receives, then
 /// handles the repair as usual.
 struct repair_spy : open_register {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <queue>
+#include <random>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/factories.hpp"
@@ -353,6 +358,187 @@ TEST(Simulation, MetricsCountEvents) {
   sim.run_until(1_s);
   EXPECT_EQ(sim.metrics().events_processed, base + 1);  // one delivery
   EXPECT_EQ(sim.metrics().messages_delivered, 1u);
+}
+
+
+// ---- message handles (sim/message.hpp) ----
+
+/// Counts its destructions, so a test sees exactly when the last handle
+/// released it.
+struct counted : message {
+  static inline int destroyed = 0;
+  int value;
+  explicit counted(int v) : value(v) {}
+  ~counted() override { ++destroyed; }
+};
+
+/// Larger than any pooled size class: takes the global-heap path.
+struct bulky : message {
+  char bytes[1024] = {};
+};
+
+TEST(MessageHandle, CopySharesItsMessage) {
+  const message_ptr a = make_message<counted>(3);
+  EXPECT_EQ(a.use_count(), 1u);
+  {
+    const message_ptr b = a;
+    EXPECT_EQ(b.get(), a.get());
+    EXPECT_TRUE(b == a);
+    EXPECT_EQ(a.use_count(), 2u);
+    EXPECT_EQ(message_cast<counted>(b)->value, 3);
+  }
+  EXPECT_EQ(a.use_count(), 1u);
+  EXPECT_EQ(message_cast<ping>(a), nullptr);  // exact type only
+}
+
+TEST(MessageHandle, LastReleaseFreesExactlyOnce) {
+  counted::destroyed = 0;
+  message_ptr a = make_message<counted>(1);
+  message_ptr b = a;
+  message_ptr c;
+  c = b;                        // copy-assign
+  message_ptr d = std::move(c);  // move: no new reference
+  EXPECT_FALSE(c);
+  EXPECT_EQ(a.use_count(), 3u);
+  a = nullptr;
+  b = message_ptr{};
+  EXPECT_EQ(counted::destroyed, 0);
+  EXPECT_EQ(message_cast<counted>(d)->value, 1);
+  d = make_message<counted>(2);  // assignment releases the old message
+  EXPECT_EQ(counted::destroyed, 1);
+  d = nullptr;
+  EXPECT_EQ(counted::destroyed, 2);
+  EXPECT_EQ(d.use_count(), 0u);
+}
+
+TEST(MessageHandle, ReleasedBlockIsReusedBySameSizeClass) {
+  message_ptr a = make_message<counted>(1);
+  const message* block = a.get();
+  a = nullptr;
+  const message_ptr b = make_message<counted>(2);
+  EXPECT_EQ(b.get(), block);  // the pool's free list, not a fresh block
+  EXPECT_EQ(message_cast<counted>(b)->value, 2);
+}
+
+TEST(MessageHandle, BuiltOutsideAnySimulation) {
+  // On a thread that never runs a simulation: build, share, cast and
+  // release, including a message too large to pool. The thread's pool is
+  // returned to the heap when it exits (the ASan job checks for leaks).
+  counted::destroyed = 0;
+  message_ptr survivor;
+  std::thread t([&] {
+    std::vector<message_ptr> held;
+    for (int i = 0; i < 100; ++i) held.push_back(make_message<counted>(i));
+    for (int i = 0; i < 100; i += 2) held[i] = nullptr;
+    const message_ptr big = make_message<bulky>();
+    EXPECT_EQ(big->wire_size(), 64u);
+    EXPECT_NE(message_cast<bulky>(big), nullptr);
+    survivor = held[1];  // leaves the thread with its message
+  });
+  t.join();
+  EXPECT_EQ(counted::destroyed, 99);
+  EXPECT_EQ(message_cast<counted>(survivor)->value, 1);
+  survivor = nullptr;  // released on this thread: goes to its free list
+  EXPECT_EQ(counted::destroyed, 100);
+}
+
+TEST(MessageHandle, DeliveryKeepsMessageAliveAfterSenderDrops) {
+  counted::destroyed = 0;
+  simulation sim = make_sim(3);
+  auto nodes = install_recorders(sim);
+  sim.start();
+  sim.run_until(0);
+  {
+    const message_ptr m = make_message<counted>(5);
+    nodes[0]->send(1, m);
+    nodes[0]->send(2, m);
+  }
+  EXPECT_EQ(counted::destroyed, 0);  // two delivery records hold it
+  sim.run_until(1_s);
+  EXPECT_EQ(sim.metrics().messages_delivered, 2u);
+  EXPECT_EQ(counted::destroyed, 1);  // once, after the last receiver
+}
+
+// ---- event wheel: pop order against a reference priority queue ----
+
+/// Drives the engine's queue through posts only (no nodes, no start) and
+/// checks each dispatch against std::priority_queue over the same keys.
+/// Pushes mix same-instant posts, bursts into one bucket, ordinary delays
+/// up to the delay bound and timers far beyond the wheel's window (its
+/// overflow heap), and are made both before the run and from inside
+/// dispatched events, as protocol handlers do.
+void check_wheel_order(const network_options& net, sim_time bound,
+                       std::uint64_t seed) {
+  simulation sim(1, net, fault_plan::none(1), seed);
+  using key = std::tuple<sim_time, std::uint64_t>;  // (at, push order)
+  std::priority_queue<key, std::vector<key>, std::greater<>> reference;
+  std::mt19937_64 rng(seed);
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  constexpr std::uint64_t kBudget = 20000;
+  std::function<void()> push_some;
+
+  // A bucket is at most bound/32 wide and the window at least 4 bounds
+  // (simulation.hpp), so a burst within 8 µs mostly shares one bucket and
+  // a delay past 8 bounds always lands in the overflow heap.
+  auto draw_delay = [&](bool burst) -> sim_time {
+    if (burst) return bound / 2 + sim_time(rng() % 8);
+    switch (rng() % 5) {
+      case 0: return 0;                                   // same instant
+      case 1: return sim_time(rng() % (bound / 64 + 1));  // active bucket
+      case 2: return 8 * bound + 1 + sim_time(rng() % (32 * bound));
+      default: return sim_time(rng() % (bound + 1));
+    }
+  };
+  auto push_one = [&](bool burst) {
+    const sim_time at = sim.now() + draw_delay(burst);
+    const std::uint64_t order = pushed++;
+    reference.emplace(at, order);
+    sim.post_after(0, at - sim.now(), [&, at, order] {
+      ASSERT_FALSE(reference.empty());
+      EXPECT_EQ(reference.top(), key(at, order))
+          << "pop " << popped << " at " << sim.now();
+      EXPECT_EQ(sim.now(), at);
+      reference.pop();
+      ++popped;
+      if (pushed < kBudget) push_some();
+    });
+  };
+  push_some = [&] {
+    const bool burst = rng() % 16 == 0;
+    const int count = burst ? 40 : static_cast<int>(rng() % 3);
+    for (int i = 0; i < count && pushed < kBudget; ++i) push_one(burst);
+  };
+  for (int i = 0; i < 500; ++i) push_one(i % 50 < 10);
+  sim.run_until(std::numeric_limits<sim_time>::max() / 4);
+  EXPECT_EQ(popped, pushed);
+  EXPECT_TRUE(reference.empty());
+}
+
+TEST(EventWheel, PopOrderMatchesReferenceWithGstZero) {
+  network_options net;  // every delay is at most delta
+  net.max_delay = 200_ms;
+  net.delta = 10_ms;
+  for (std::uint64_t seed : {1, 2, 3}) check_wheel_order(net, net.delta, seed);
+}
+
+TEST(EventWheel, PopOrderMatchesReferenceWithGstPositive) {
+  network_options net;  // delays up to max_delay before GST
+  net.max_delay = 200_ms;
+  net.delta = 10_ms;
+  net.gst = 1_s;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    check_wheel_order(net, net.max_delay, seed);
+    check_wheel_order(net, net.delta, seed);  // bursts far below the bound
+  }
+}
+
+TEST(EventWheel, PopOrderMatchesReferenceWithTinyBound) {
+  network_options net;  // 1 µs delays: the narrowest buckets
+  net.min_delay = 1;
+  net.max_delay = 1;
+  net.delta = 1;
+  for (std::uint64_t seed : {1, 2}) check_wheel_order(net, 64, seed);
 }
 
 }  // namespace

@@ -30,12 +30,10 @@ class recording_transport final : public transport {
   std::vector<sim_time> timers;  ///< delays, in arming order
   mutable obs_bundle bundle;
 
-  void unicast(process_id dest, message_ptr m) override {
-    sends.push_back({dest, std::move(m)});
+  void unicast(process_id dest, const message_ptr& m) override {
+    sends.push_back({dest, m});
   }
-  void broadcast(message_ptr m) override {
-    sends.push_back({kAll, std::move(m)});
-  }
+  void broadcast(const message_ptr& m) override { sends.push_back({kAll, m}); }
   int set_timer(sim_time delay) override {
     timers.push_back(delay);
     return kFirstTimer + static_cast<int>(timers.size()) - 1;
