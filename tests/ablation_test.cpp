@@ -4,7 +4,12 @@
 // pinning down that both clock waits are load-bearing.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "lincheck/wing_gong.hpp"
+#include "qaf_worlds.hpp"
 #include "quorum/qaf_ablation.hpp"
 #include "workload/worlds.hpp"
 
@@ -93,6 +98,80 @@ TEST(Ablation, DroppingGetCutoffViolatesSomewhere) {
     violations += !check_linearizable(w.client.history()).linearizable;
   }
   EXPECT_GT(violations, 0);
+}
+
+/// Runs Figure 1 under f1 with the get cutoff dropped at every process and
+/// pipelines operations at a, some started from completion callbacks (an
+/// ablated get re-enters the freshness check from inside one). Returns the
+/// completions as "label@time:states" in the order they happened.
+std::string ablated_completion_sequence(bool use_set_confirmation) {
+  using testing::insert_update;
+  using testing::int_set;
+  const auto fig = make_figure1();
+  push_qaf_options opts;
+  opts.use_get_cutoff = false;
+  opts.use_set_confirmation = use_set_confirmation;
+  world<push_qaf<int_set>> w(4, fault_plan::from_pattern(fig.gqs.fps[0], 0),
+                             17, network_options{},
+                             quorum_config::of(fig.gqs), int_set{}, opts);
+  push_qaf<int_set>& a = *w.nodes[0];
+  std::string seq;
+  const auto note = [&](const std::string& label,
+                        const std::vector<int_set>* states) {
+    seq += label;
+    seq += "@";
+    seq += std::to_string(w.sim.now());
+    if (states) {
+      seq += ":";
+      for (const int_set& s : *states) {
+        seq += "{";
+        for (const int x : s) {
+          seq += std::to_string(x);
+          seq += ",";
+        }
+        seq += "}";
+      }
+    }
+    seq += " ";
+  };
+  int started = 0;
+  std::function<void(const std::string&, int)> get =
+      [&](const std::string& label, int depth) {
+        ++started;
+        a.quorum_get([&, label, depth](std::vector<int_set> states) {
+          note(label, &states);
+          if (depth == 0) return;
+          // Started from inside the completion: completes in this same
+          // freshness check when the cache already holds a read quorum.
+          get(label + "g", depth - 1);
+          a.quorum_set(insert_update(100 * depth + started),
+                       [&, label] { note(label + "s", nullptr); });
+        });
+      };
+  get("g1", 2);
+  a.quorum_set(insert_update(1), [&] {
+    note("s1", nullptr);
+    get("s1g", 1);
+  });
+  a.quorum_set(insert_update(2), [&] { note("s2", nullptr); });
+  get("g2", 1);
+  w.sim.run_until(w.sim.now() + 200000);
+  return seq;
+}
+
+TEST(Ablation, CallbackStartedOpsCompleteInPinnedOrder) {
+  // Pinned bit for bit: ready gets complete before ready sets, each in
+  // ascending sequence, also when a completion starts the next operation.
+  EXPECT_EQ(ablated_completion_sequence(true),
+            "g1@12553:{1,2,}{} g2@12553:{1,2,}{} g1g@12553:{1,2,}{} "
+            "g2g@12553:{1,2,}{} g1gg@12553:{1,2,}{} s2@18574 s1@19835 "
+            "s1g@19835:{1,2,105,205,}{} s1gg@19835:{1,2,105,205,}{} "
+            "g1gs@44249 g1s@44249 g2s@45670 s1gs@64866 ");
+  EXPECT_EQ(ablated_completion_sequence(false),
+            "s2@8548 s1@8595 g1@12553:{1,2,}{} g2@12553:{1,2,}{} "
+            "s1g@12553:{1,2,}{} g1g@12553:{1,2,}{} g2g@12553:{1,2,}{} "
+            "s1gg@12553:{1,2,}{} g1gg@12553:{1,2,}{} s1gs@18103 "
+            "g1gs@21384 g2s@22576 g1s@26590 ");
 }
 
 TEST(Ablation, BothSwitchesOnMatchesPublishedProtocol) {

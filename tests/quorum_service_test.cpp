@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "core/factories.hpp"
 #include "lincheck/dependency_graph.hpp"
@@ -165,6 +167,73 @@ TEST(QuorumService, PipelinedOpsOnDistinctKeysOverlap) {
     w.client.invoke_write(2, k, static_cast<reg_value>(k));
   ASSERT_TRUE(w.settle());
   EXPECT_EQ(w.client.pending_count(), 0u);
+}
+
+TEST(QuorumService, PipelinedFlushCompletesInPinnedOrder) {
+  // Gets and sets staged in one instant at a and at b under f1 share a
+  // flush; callbacks start more operations into later flushes. The
+  // completion order, times and returned versions are pinned bit for bit.
+  const auto fig = make_figure1();
+  service_world w(8, fig.gqs, fault_plan::from_pattern(fig.gqs.fps[0], 0),
+                  23);
+  std::string seq;
+  const auto note = [&](process_id p, const std::string& label,
+                        const std::vector<reg_state>* states) {
+    seq += std::to_string(p);
+    seq += label;
+    seq += "@";
+    seq += std::to_string(w.sim.now());
+    if (states) {
+      seq += ":";
+      for (const reg_state& s : *states) {
+        seq += std::to_string(s.version.number);
+        seq += ".";
+        seq += std::to_string(s.version.writer);
+        seq += ",";
+      }
+    }
+    seq += " ";
+  };
+  const auto wave = [&](process_id p, std::uint64_t round) {
+    keyed_register_node& n = *w.nodes[p];
+    for (service_key k = 0; k < 4; ++k) {
+      std::string label = "r";
+      label += std::to_string(round);
+      label += "k";
+      label += std::to_string(k);
+      if ((k + p) % 2 == 0) {
+        n.quorum_get(k, [&, p, k, label](std::vector<reg_state> states) {
+          note(p, label + "g", &states);
+          // A follow-up set from the completion lands in a later flush.
+          w.nodes[p]->quorum_set(
+              k + 4, reg_state{static_cast<reg_value>(k), {round + 1, p}},
+              [&, p, label] { note(p, label + "fs", nullptr); });
+        });
+      } else {
+        n.quorum_set(k, reg_state{static_cast<reg_value>(k), {round + 1, p}},
+                     [&, p, label] { note(p, label + "s", nullptr); });
+      }
+    }
+  };
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (process_id p = 0; p < 2; ++p)
+      w.sim.post(p, [&, p, round] { wave(p, round); });
+    w.sim.run_until(w.sim.now() + 40000);
+  }
+  w.sim.run_until(w.sim.now() + 100000);
+  EXPECT_EQ(seq,
+            "0r0k0g@5800:0.0,0.0, 0r0k2g@5800:0.0,0.0, 0r0k1s@13060 "
+            "0r0k3s@13060 1r0k1g@17631:1.0,0.0, 1r0k3g@17631:1.0,0.0, "
+            "1r0k0s@17631 1r0k2s@17631 0r0k0fs@23457 0r0k2fs@23457 "
+            "1r0k1fs@32980 1r0k3fs@32980 0r1k0g@48855:2.1,0.0, "
+            "0r1k2g@48855:2.1,0.0, 0r1k1s@53122 0r1k3s@53122 "
+            "1r1k1g@57318:2.0,0.0, 1r1k3g@57318:2.0,0.0, 1r1k0s@57318 "
+            "1r1k2s@57318 0r1k0fs@67163 0r1k2fs@67163 1r1k1fs@72217 "
+            "1r1k3fs@72217 0r2k1s@89667 0r2k3s@89667 "
+            "0r2k0g@90773:3.1,0.0, 0r2k2g@90773:3.1,0.0, "
+            "1r2k1g@93022:3.0,0.0, 1r2k3g@93022:3.0,0.0, 1r2k0s@97469 "
+            "1r2k2s@97469 0r2k0fs@109753 0r2k2fs@109753 1r2k1fs@119009 "
+            "1r2k3fs@119009 ");
 }
 
 // ---------- NACK / repair plumbing ----------

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 
 #include "core/factories.hpp"
 #include "lincheck/dependency_graph.hpp"
@@ -206,6 +208,43 @@ TEST_P(RegisterWorkloadSweep, ConcurrentOpsLinearizable) {
 INSTANTIATE_TEST_SUITE_P(PatternsAndSeeds, RegisterWorkloadSweep,
                          ::testing::Combine(::testing::Range(0, 4),
                                             ::testing::Range(0u, 4u)));
+
+TEST(GqsRegister, CompletionSequencePinnedUnderF1) {
+  // Overlapping writes at a and reads at b under f1, five rounds. The
+  // completion order, times and versions are pinned bit for bit: a change
+  // to how Figure 3's two clock waits complete shows here first.
+  auto w = figure1_register_world(0, 21);
+  for (int round = 0; round < 5; ++round) {
+    w.client.invoke_write(kA, 10 * round + 1);
+    w.client.invoke_read(kB);
+    ASSERT_TRUE(w.sim.run_until_condition(
+        [&] { return w.client.all_complete(); }, w.sim.now() + 60_s));
+  }
+  const register_history& h = w.client.history();
+  std::vector<std::size_t> order(h.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return h[x].returned_stamp < h[y].returned_stamp;
+  });
+  std::string seq;
+  for (const std::size_t i : order) {
+    const register_op& op = h[i];
+    seq += std::to_string(i);
+    seq += op.kind == reg_op_kind::write ? "W" : "R";
+    seq += std::to_string(op.value);
+    seq += "v";
+    seq += std::to_string(op.version.number);
+    seq += ".";
+    seq += std::to_string(op.version.writer);
+    seq += "@";
+    seq += std::to_string(op.returned_at.value_or(-1));
+    seq += " ";
+  }
+  EXPECT_EQ(seq,
+            "0W1v1.0@33130 1R1v1.0@51650 2W11v2.0@96176 3R11v2.0@114563 "
+            "4W21v3.0@180541 5R11v2.0@182231 6W31v4.0@267357 "
+            "7R21v3.0@288064 8W41v5.0@386021 9R41v5.0@412834 ");
+}
 
 // The ABD baseline under threshold systems with random workloads: also
 // linearizable (both protocols share the Figure 4 skeleton).
