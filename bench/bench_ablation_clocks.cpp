@@ -15,13 +15,16 @@
 // with the black-box Wing–Gong checker. The published protocol must show
 // 0 violations; each ablation must show stale reads on some seeds —
 // demonstrating that both waits are necessary for Real-time ordering
-// (Theorem 3), not just sufficient machinery.
+// (Theorem 3), not just sufficient machinery. The bench enforces the
+// tables' "expected" column: it exits 1 if a full-protocol row has a
+// violating or incomplete run, or if a "> 0" row has no violating run.
 //
 // Every (variant, seed) pair is one experiment-runner cell — 270
 // independent simulations fanned across the thread pool.
 #include "bench_main.hpp"
 
 #include <iostream>
+#include <string>
 
 #include "lincheck/wing_gong.hpp"
 #include "quorum/qaf_ablation.hpp"
@@ -91,7 +94,7 @@ run_result scenario_b_cell(std::uint64_t seed, bool use_get_cutoff,
   const std::uint64_t offsets[] = {0, 100, 0};
   register_world<ablated_register_node> w(
       3, fault_plan::none(3), seed, network_options{}, [&](process_id p) {
-        ablated_qaf_options opts;
+        push_qaf_options opts;
         opts.initial_clock = offsets[p];
         opts.use_get_cutoff = use_get_cutoff;
         opts.use_set_confirmation = use_set_confirmation;
@@ -121,7 +124,7 @@ run_result scenario_c_cell(std::uint64_t seed, bool use_get_cutoff,
   register_world<ablated_register_node> w(
       4, disjoint_scenario_faults(), seed, network_options{},
       [&](process_id p) {
-        ablated_qaf_options opts;
+        push_qaf_options opts;
         opts.use_get_cutoff = use_get_cutoff;
         opts.use_set_confirmation = use_set_confirmation;
         // p1's clock runs +1000 ahead: its *cached* gossip then passes any
@@ -184,19 +187,19 @@ int bench_entry() {
                                               generalized_qaf_options{});
   });
   push_seeds(specs, "a/no-get-cutoff", [qc](std::uint64_t seed) {
-    ablated_qaf_options opts;
+    push_qaf_options opts;
     opts.use_get_cutoff = false;
     return scenario_a_cell<ablated_register_node>(seed, qc, reg_state{},
                                                   opts);
   });
   push_seeds(specs, "a/no-set-confirmation", [qc](std::uint64_t seed) {
-    ablated_qaf_options opts;
+    push_qaf_options opts;
     opts.use_set_confirmation = false;
     return scenario_a_cell<ablated_register_node>(seed, qc, reg_state{},
                                                   opts);
   });
   push_seeds(specs, "a/neither", [qc](std::uint64_t seed) {
-    ablated_qaf_options opts;
+    push_qaf_options opts;
     opts.use_get_cutoff = false;
     opts.use_set_confirmation = false;
     return scenario_a_cell<ablated_register_node>(seed, qc, reg_state{},
@@ -279,5 +282,27 @@ int bench_entry() {
                "linearizability in any scenario; removing either clock\n"
                "wait admits stale reads in the scenario engineered for it —\n"
                "each of the two mechanisms is individually necessary.\n";
-  return 0;
+
+  // The "expected" column, enforced. Rows index the grid in declaration
+  // order: the full protocol of scenarios A, B and C must complete every
+  // run without a violation; each "> 0" row must violate at least once.
+  bool held = true;
+  const auto variant = [&](int row) {
+    const std::string& label = specs[row * kSeeds].label;
+    return label.substr(0, label.rfind('/'));
+  };
+  for (const int row : {0, 4, 7}) {
+    const ablation_tally r = tally(results, row * kSeeds);
+    if (r.violations == 0 && r.completed == kSeeds) continue;
+    std::cerr << variant(row) << ": " << r.violations << " violating and "
+              << kSeeds - r.completed
+              << " incomplete runs; the published protocol must have none\n";
+    held = false;
+  }
+  for (const int row : {1, 3, 6, 8}) {
+    if (tally(results, row * kSeeds).violations > 0) continue;
+    std::cerr << variant(row) << ": no violating run, expected > 0\n";
+    held = false;
+  }
+  return held ? 0 : 1;
 }

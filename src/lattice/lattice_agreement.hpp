@@ -42,8 +42,9 @@ class lattice_agreement_node : public snapshot_node<lattice_value> {
   using propose_callback = std::function<void(lattice_value)>;
 
   lattice_agreement_node(process_id segments, quorum_config config,
-                         generalized_qaf_options options = {})
-      : snapshot_node<lattice_value>(segments, std::move(config), options) {}
+                         service_options options = {})
+      : snapshot_node<lattice_value>(segments, std::move(config),
+                                     std::move(options)) {}
 
   /// Proposes x; the callback receives the output value y.
   void propose(lattice_value x, propose_callback done) {

@@ -33,39 +33,9 @@
 
 namespace gqs {
 
-struct ablated_qaf_options {
-  sim_time gossip_period = 5000;
-  /// Keep Figure 3's clock cutoff in quorum_get (lines 5-8). If false,
-  /// quorum_get returns the first full read quorum of cached gossip,
-  /// however old.
-  bool use_get_cutoff = true;
-  /// Keep Figure 3's delayed completion of quorum_set (lines 18-20). If
-  /// false, quorum_set returns as soon as a write quorum acknowledged.
-  bool use_set_confirmation = true;
-  /// Starting value of the logical clock. The protocol never compares
-  /// clocks of different processes for equality, so correctness must be
-  /// invariant under per-process offsets — the ablation uses an offset to
-  /// widen the race that the set-confirmation wait closes.
-  std::uint64_t initial_clock = 0;
-};
-
+/// The engine core itself, whose options carry the two wait switches.
 template <class S>
-class ablated_qaf : public push_qaf<S> {
- public:
-  ablated_qaf(quorum_config config, S initial, ablated_qaf_options options)
-      : push_qaf<S>(std::move(config), std::move(initial),
-                    to_core(options)) {}
-
- private:
-  static push_qaf_options to_core(const ablated_qaf_options& o) {
-    push_qaf_options core;
-    core.gossip_period = o.gossip_period;
-    core.use_get_cutoff = o.use_get_cutoff;
-    core.use_set_confirmation = o.use_set_confirmation;
-    core.initial_clock = o.initial_clock;
-    return core;
-  }
-};
+using ablated_qaf = push_qaf<S>;
 
 /// Figure 4 register over the weakened access functions.
 using ablated_register_node = atomic_register<ablated_qaf<reg_state>>;

@@ -13,17 +13,22 @@
 //                                 (GET_RESP states, CLOCK_RESP clocks);
 //   * max_clock_over            — the c_get / c_set cutoff rule (Figure 3
 //                                 lines 7 and 19);
-//   * gossip_cache              — per-origin freshest (state, clock) and
-//                                 the "read quorum at clock ≥ cutoff"
-//                                 query (the guards of lines 8 and 20);
+//   * push_qaf_options          — Figure 3's knobs, declared once (the
+//                                 service's options extend them);
+//   * cutoff_waits              — Figure 3's two clock waits (the get
+//                                 cutoff of lines 5-8 and the set
+//                                 confirmation of lines 18-20): acks to
+//                                 cutoff, then a read quorum fresh at the
+//                                 cutoff, with the ablation switches;
+//   * gossip_cache              — per-origin freshest (state, clock): the
+//                                 freshness source of push_qaf's waits;
 //   * push_qaf                  — the complete Figure 3 protocol over one
-//                                 object, with the ablation study's two
-//                                 wait switches as options.
+//                                 object.
 //
 // generalized_qaf (Figure 3 proper), ablated_qaf (the weakened variants of
 // bench_ablation_clocks) and classical_qaf (Figure 2) are thin
-// instantiations; the multi-object quorum_service reuses the collectors
-// and the cutoff rule over batched wire messages.
+// instantiations; the multi-object quorum_service runs the same
+// cutoff_waits over batched wire messages and its own gossip streams.
 #pragma once
 
 #include <algorithm>
@@ -118,8 +123,7 @@ inline std::uint64_t max_clock_over(
   return cutoff;
 }
 
-/// Freshest gossip per origin, and the "some read quorum gossiped clocks
-/// ≥ cutoff" guard of Figure 3 lines 8 and 20.
+/// Freshest gossip per origin: the freshness source of push_qaf's waits.
 template <class S>
 class gossip_cache {
  public:
@@ -130,13 +134,13 @@ class gossip_cache {
     if (!e || e->clock < clock) e = entry{std::move(state), clock};
   }
 
-  /// A read quorum all of whose members gossiped clocks ≥ cutoff, if any.
-  std::optional<process_set> quorum_at(const quorum_family& reads,
-                                       std::uint64_t cutoff) const {
+  /// The origins that gossiped a clock ≥ cutoff. An origin counts only
+  /// once it gossiped, even at cutoff 0.
+  process_set fresh_at(std::uint64_t cutoff) const {
     process_set fresh;
     for (const auto& [p, e] : entries_)
       if (e && e->clock >= cutoff) fresh.insert(p);
-    return covered_quorum(reads, fresh);
+    return fresh;
   }
 
   /// Cached states of a covered quorum, in process-id order.
@@ -155,9 +159,10 @@ class gossip_cache {
   std::map<process_id, std::optional<entry>> entries_;
 };
 
-/// Options of the push-based (Figure 3) protocol. The defaults are the
-/// published protocol; the two `use_*` switches exist for the ablation
-/// study (qaf_ablation.hpp) and MUST stay true in supported use.
+/// Figure 3's knobs, shared by push_qaf and quorum_service (whose
+/// service_options extends them). The defaults are the published protocol;
+/// the two `use_*` switches exist for the ablation study (qaf_ablation.hpp)
+/// and MUST stay true in supported use.
 struct push_qaf_options {
   /// Period of the unsolicited state/clock propagation (Figure 3 line 12).
   sim_time gossip_period = 5000;  // 5 ms
@@ -173,20 +178,173 @@ struct push_qaf_options {
   /// invariant under per-process offsets — the ablation uses an offset to
   /// widen the race that the set-confirmation wait closes.
   std::uint64_t initial_clock = 0;
-  /// Strategy-driven targeted access: when set, CLOCK_REQ/SET_REQ go only
-  /// to the members of a sampled write quorum (one direct message each)
-  /// instead of to all n processes, and responses return point-to-point.
-  /// Null keeps the seed broadcast behavior bit-for-bit.
+  /// Strategy-driven targeted access (strategy/selector.hpp): when set,
+  /// every clock request and set request goes only to the members of a
+  /// sampled write quorum (one direct message each) instead of to all n
+  /// processes, and responses return point-to-point. Null keeps the
+  /// broadcast protocol bit-for-bit.
   selector_ptr selector;
-  /// With a selector: how long an operation waits for its targeted quorum
+  /// With a selector: how long a request waits for its targeted quorum
   /// before escalating to a full broadcast (targeted_round.hpp). 0
   /// disables escalation — ONLY for the mutation tests.
   sim_time escalation_timeout = 40000;  // 40 ms
 
   void validate() const {
     if (gossip_period <= 0)
-      throw std::invalid_argument("push_qaf: bad gossip period");
+      throw std::invalid_argument("quorum access: bad gossip period");
   }
+};
+
+/// Figure 3's two clock waits at one engine, keyed by the engine's
+/// operation sequence numbers: the get cutoff (lines 5-8) and the set
+/// confirmation (lines 18-20). A wait collects clock acks until they cover
+/// a write quorum; its cutoff is then the max clock over that quorum
+/// (lines 7 and 19) and its targeted round closes. It completes once a
+/// read quorum is fresh at the cutoff (lines 8 and 20). With the get
+/// cutoff ablated a get opens at cutoff 0; with the set confirmation
+/// ablated a set completes on its write-quorum ack.
+///
+/// The engine keeps its wire messages, its clock and opens its rounds;
+/// as `Owner` it supplies what else differs:
+///
+///   process_set fresh_at(std::uint64_t cutoff) const;  // freshness source
+///   void complete_get(Get&& get, const process_set& read_quorum);
+///   void complete_set(Set&& set);
+///
+/// Completion order: the ready get of lowest sequence, else the ready set
+/// of lowest sequence, chosen afresh after every completion, since a
+/// completion may open a new wait (an ablated push_qaf get opens ready and
+/// settles from inside the callback).
+template <class Owner, class Get, class Set>
+class cutoff_waits {
+ public:
+  cutoff_waits(Owner& owner, const quorum_config& config,
+               const push_qaf_options& options, targeted_round& rounds)
+      : owner_(owner),
+        config_(config),
+        use_get_cutoff_(options.use_get_cutoff),
+        use_set_confirmation_(options.use_set_confirmation),
+        rounds_(rounds) {}
+
+  /// Opens get `seq`. With the get cutoff, `probe()` starts its clock
+  /// round and returns the round's handle. Ablated, no round starts and
+  /// the wait opens ready to settle (c_get = 0); returns true then.
+  template <class Probe>
+  bool open_get(std::uint64_t seq, Get get, Probe&& probe) {
+    wait<Get>& w = gets_[seq];
+    w.op = std::move(get);
+    if (use_get_cutoff_) {
+      w.round = probe();
+      return false;
+    }
+    w.have_cutoff = true;
+    return true;
+  }
+
+  /// Opens set `seq`, whose request went out in targeted round `round`.
+  void open_set(std::uint64_t seq, Set set, targeted_round::handle round) {
+    wait<Set>& w = sets_[seq];
+    w.op = std::move(set);
+    w.round = round;
+  }
+
+  /// A clock ack from `from` for get `seq` (lines 6-7).
+  void get_ack(std::uint64_t seq, process_id from, std::uint64_t clock) {
+    const auto it = gets_.find(seq);
+    if (it != gets_.end() && cover(it->second, from, clock)) settle();
+  }
+
+  /// A set ack from `from` for set `seq` (lines 18-19).
+  void set_ack(std::uint64_t seq, process_id from, std::uint64_t clock) {
+    const auto it = sets_.find(seq);
+    if (it == sets_.end() || !cover(it->second, from, clock)) return;
+    if (!use_set_confirmation_) {
+      Set op = std::move(it->second.op);
+      sets_.erase(it);
+      owner_.complete_set(std::move(op));
+    }
+    settle();
+  }
+
+  /// Completes every wait a read quorum is fresh for, in the order above.
+  void settle() {
+    while (complete_next()) {
+    }
+  }
+
+  /// Open waits, gets and sets.
+  std::size_t open_count() const noexcept {
+    return gets_.size() + sets_.size();
+  }
+
+ private:
+  template <class Op>
+  struct wait {
+    Op op;
+    quorum_response_collector<std::uint64_t> acks;
+    bool have_cutoff = false;
+    std::uint64_t cutoff = 0;
+    targeted_round::handle round = targeted_round::none;
+  };
+
+  /// Records an ack; true iff it just fixed the wait's cutoff.
+  template <class Op>
+  bool cover(wait<Op>& w, process_id from, std::uint64_t clock) {
+    if (w.have_cutoff) return false;
+    const auto quorum = w.acks.add(from, clock, config_.writes);
+    if (!quorum) return false;
+    rounds_.close(w.round);
+    w.have_cutoff = true;
+    w.cutoff = max_clock_over(w.acks, *quorum);
+    return true;
+  }
+
+  std::optional<process_set> fresh_quorum(std::uint64_t cutoff) const {
+    return covered_quorum(config_.reads, owner_.fresh_at(cutoff));
+  }
+
+  /// Completes the first ready wait; false if none is ready. Freshness
+  /// only grows, so a wait is ready at least as soon as any wait with a
+  /// higher cutoff: if the lowest open cutoff is unmet, the scan is
+  /// skipped.
+  bool complete_next() {
+    std::optional<std::uint64_t> lowest;
+    for (const auto& [seq, w] : gets_)
+      if (w.have_cutoff && (!lowest || w.cutoff < *lowest)) lowest = w.cutoff;
+    for (const auto& [seq, w] : sets_)
+      if (w.have_cutoff && (!lowest || w.cutoff < *lowest)) lowest = w.cutoff;
+    if (!lowest) return false;
+    const std::optional<process_set> at_lowest = fresh_quorum(*lowest);
+    if (!at_lowest) return false;
+    const auto ready = [&](std::uint64_t cutoff) {
+      return cutoff == *lowest ? at_lowest : fresh_quorum(cutoff);
+    };
+    for (auto it = gets_.begin(); it != gets_.end(); ++it) {
+      if (!it->second.have_cutoff) continue;
+      const std::optional<process_set> quorum = ready(it->second.cutoff);
+      if (!quorum) continue;
+      Get op = std::move(it->second.op);
+      gets_.erase(it);
+      owner_.complete_get(std::move(op), *quorum);
+      return true;
+    }
+    for (auto it = sets_.begin(); it != sets_.end(); ++it) {
+      if (!it->second.have_cutoff || !ready(it->second.cutoff)) continue;
+      Set op = std::move(it->second.op);
+      sets_.erase(it);
+      owner_.complete_set(std::move(op));
+      return true;
+    }
+    return false;
+  }
+
+  Owner& owner_;
+  const quorum_config& config_;
+  bool use_get_cutoff_;
+  bool use_set_confirmation_;
+  targeted_round& rounds_;
+  std::map<std::uint64_t, wait<Get>> gets_;
+  std::map<std::uint64_t, wait<Set>> sets_;
 };
 
 /// Targeted-access accounting of one push_qaf instance.
@@ -200,9 +358,10 @@ struct push_qaf_counters {
   }
 };
 
-/// The complete Figure 3 protocol over a single opaque state S, built on
-/// the shared collectors above. generalized_qaf and ablated_qaf are
-/// instantiations; see their headers for the protocol documentation.
+/// The complete Figure 3 protocol over a single opaque state S: per-op
+/// wire messages and the clock rule, with the waits in cutoff_waits over a
+/// gossip_cache. generalized_qaf and ablated_qaf are instantiations; see
+/// their headers for the protocol documentation.
 template <class S>
 class push_qaf : public quorum_access<S> {
  public:
@@ -215,7 +374,8 @@ class push_qaf : public quorum_access<S> {
         options_(options),
         state_(std::move(initial)),
         clock_(options.initial_clock),
-        rounds_(*this, options_.escalation_timeout, counters_.escalations) {
+        rounds_(*this, options_.escalation_timeout, counters_.escalations),
+        waits_(*this, config_, options_, rounds_) {
     config_.validate();
     options_.validate();
     if (options_.selector)
@@ -226,23 +386,18 @@ class push_qaf : public quorum_access<S> {
   // Figure 3, lines 3-9.
   void quorum_get(get_callback done) override {
     const std::uint64_t seq = ++seq_;
-    auto& pending = gets_[seq];
-    pending.done = std::move(done);
-    if (options_.use_get_cutoff) {
-      pending.round = rounds_.open(draw(seq), make_message<clock_req>(seq));
-    } else {
-      pending.have_cutoff = true;  // c_get = 0: any gossip qualifies
-      recheck_waits();
-    }
+    if (waits_.open_get(seq, std::move(done), [&] {
+          return rounds_.open(draw(seq), make_message<clock_req>(seq));
+        }))
+      waits_.settle();  // ablated: c_get = 0, any gossip qualifies
   }
 
   // Figure 3, lines 15-20.
   void quorum_set(update_fn u, set_callback done) override {
     const std::uint64_t seq = ++seq_;
-    auto& pending = sets_[seq];
-    pending.done = std::move(done);
-    pending.round =
-        rounds_.open(draw(seq), make_message<set_req>(seq, std::move(u)));
+    waits_.open_set(
+        seq, std::move(done),
+        rounds_.open(draw(seq), make_message<set_req>(seq, std::move(u))));
   }
 
   const S& local_state() const override { return state_; }
@@ -281,12 +436,12 @@ class push_qaf : public quorum_access<S> {
       // — the Figure 3 freshness invariant. Broadcast mode is untouched.
       if (options_.selector && clock_ < m->clock) clock_ = m->clock;
       cache_.observe(origin, m->state, m->clock);
-      recheck_waits();
+      waits_.settle();
     } else if (const auto* m = message_cast<clock_req>(payload)) {
       // Figure 3, lines 10-11.
       this->unicast(origin, make_message<clock_resp>(m->seq, clock_));
     } else if (const auto* m = message_cast<clock_resp>(payload)) {
-      on_clock_resp(origin, *m);
+      waits_.get_ack(m->seq, origin, m->clock);
     } else if (const auto* m = message_cast<set_req>(payload)) {
       // Figure 3, lines 21-24. Under targeted access the same SET_REQ can
       // arrive twice (direct message, then the escalated broadcast —
@@ -299,11 +454,14 @@ class push_qaf : public quorum_access<S> {
       }
       this->unicast(origin, make_message<set_resp>(m->seq, clock_));
     } else if (const auto* m = message_cast<set_resp>(payload)) {
-      on_set_resp(origin, *m);
+      waits_.set_ack(m->seq, origin, m->clock);
     }
   }
 
  private:
+  using waits = cutoff_waits<push_qaf, get_callback, set_callback>;
+  friend waits;
+
   // ---- messages ----
   struct gossip : message {  // the paper's unsolicited GET_RESP(state, clock)
     S state;
@@ -329,22 +487,6 @@ class push_qaf : public quorum_access<S> {
     std::uint64_t seq;
     std::uint64_t clock;
     set_resp(std::uint64_t k, std::uint64_t c) : seq(k), clock(c) {}
-  };
-
-  // ---- pending operations ----
-  struct pending_get {
-    get_callback done;
-    bool have_cutoff = false;
-    std::uint64_t c_get = 0;
-    quorum_response_collector<std::uint64_t> clock_resps;
-    targeted_round::handle round = targeted_round::none;
-  };
-  struct pending_set {
-    set_callback done;
-    bool have_cutoff = false;
-    std::uint64_t c_set = 0;
-    quorum_response_collector<std::uint64_t> set_resps;
-    targeted_round::handle round = targeted_round::none;
   };
 
   void arm_gossip_timer() {
@@ -381,70 +523,14 @@ class push_qaf : public quorum_access<S> {
 
   static constexpr std::uint64_t kAppliedWindow = 1 << 16;
 
-  void on_clock_resp(process_id from, const clock_resp& m) {
-    const auto it = gets_.find(m.seq);
-    if (it == gets_.end() || it->second.have_cutoff) return;
-    // Lines 6-7: wait for CLOCK_RESPs from all members of some write
-    // quorum; c_get = max clock among that quorum.
-    const auto w_get = it->second.clock_resps.add(from, m.clock,
-                                                  config_.writes);
-    if (!w_get) return;
-    rounds_.close(it->second.round);
-    it->second.have_cutoff = true;
-    it->second.c_get = max_clock_over(it->second.clock_resps, *w_get);
-    recheck_waits();
+  // ---- cutoff_waits hooks ----
+  process_set fresh_at(std::uint64_t cutoff) const {
+    return cache_.fresh_at(cutoff);
   }
-
-  void on_set_resp(process_id from, const set_resp& m) {
-    const auto it = sets_.find(m.seq);
-    if (it == sets_.end() || it->second.have_cutoff) return;
-    // Lines 18-19: wait for SET_RESPs from all members of some write
-    // quorum; c_set = max clock among that quorum.
-    const auto w_set = it->second.set_resps.add(from, m.clock,
-                                                config_.writes);
-    if (!w_set) return;
-    rounds_.close(it->second.round);
-    if (!options_.use_set_confirmation) {
-      auto done = std::move(it->second.done);
-      sets_.erase(it);
-      done();
-      recheck_waits();
-      return;
-    }
-    it->second.have_cutoff = true;
-    it->second.c_set = max_clock_over(it->second.set_resps, *w_set);
-    recheck_waits();
+  void complete_get(get_callback&& done, const process_set& read_quorum) {
+    done(cache_.states_of(read_quorum));
   }
-
-  void recheck_waits() {
-    // Completing an operation may invoke a callback that starts another
-    // operation; restart the scan after every completion for safety.
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (auto it = gets_.begin(); it != gets_.end(); ++it) {
-        if (!it->second.have_cutoff) continue;
-        const auto r_get = cache_.quorum_at(config_.reads, it->second.c_get);
-        if (!r_get) continue;
-        std::vector<S> states = cache_.states_of(*r_get);
-        auto done = std::move(it->second.done);
-        gets_.erase(it);
-        done(std::move(states));
-        progress = true;
-        break;
-      }
-      if (progress) continue;
-      for (auto it = sets_.begin(); it != sets_.end(); ++it) {
-        if (!it->second.have_cutoff) continue;
-        if (!cache_.quorum_at(config_.reads, it->second.c_set)) continue;
-        auto done = std::move(it->second.done);
-        sets_.erase(it);
-        done();
-        progress = true;
-        break;
-      }
-    }
-  }
+  void complete_set(set_callback&& done) { done(); }
 
   quorum_config config_;
   push_qaf_options options_;
@@ -453,12 +539,11 @@ class push_qaf : public quorum_access<S> {
   std::uint64_t clock_;  // the Figure 3 logical clock
   int gossip_timer_ = -1;
   gossip_cache<S> cache_;
-  std::map<std::uint64_t, pending_get> gets_;
-  std::map<std::uint64_t, pending_set> sets_;
   // ---- targeted-access state (empty without a selector) ----
   push_qaf_counters counters_;
   targeted_round rounds_;
   std::map<process_id, std::set<std::uint64_t>> applied_sets_;
+  waits waits_;
 };
 
 }  // namespace gqs

@@ -5,8 +5,7 @@
 namespace gqs {
 
 void service_options::validate() const {
-  if (gossip_period <= 0)
-    throw std::invalid_argument("quorum_service: bad gossip period");
+  push_qaf_options::validate();
   if (nack_gap_ticks < 1)
     throw std::invalid_argument("quorum_service: bad nack gap");
 }

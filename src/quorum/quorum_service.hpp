@@ -24,6 +24,13 @@
 //   * pipelined operations: a process may have any number of operations in
 //     flight; completions resolve in operation order.
 //
+// The two Figure 3 clock waits are qaf_core.hpp's cutoff_waits, shared
+// with push_qaf: one get wait per flush group of quorum_gets (they share
+// the CLOCK probe, so the cutoff) and one set wait per SET batch (acked
+// with one clock, so the shared cutoff is each member's own). The service
+// keeps its wire messages, its clock rule and its freshness source, the
+// per-origin gossip_stream below.
+//
 // Correctness is the Figure 3 argument applied per key. The shared engine
 // clock ticks only on gossip, and a SET is acked with the clock of the
 // next gossip — the first to carry the update. That keeps everything the
@@ -63,28 +70,13 @@ namespace gqs {
 /// Identifier of a logical object multiplexed over the service.
 using service_key = std::uint32_t;
 
-struct service_options {
-  /// Period of the shared dirty-batch gossip (Figure 3 line 12, batched).
-  sim_time gossip_period = 5000;  // 5 ms
-  /// Figure 3's two clock waits; ablation switches exactly as in
-  /// qaf_ablation.hpp. MUST stay true in supported use.
-  bool use_get_cutoff = true;
-  bool use_set_confirmation = true;
-  /// Starting value of the shared engine clock (per-process offsets are
-  /// harmless; see qaf_ablation.hpp).
-  std::uint64_t initial_clock = 0;
+/// Figure 3's knobs (qaf_core.hpp) plus the service's stream repair. The
+/// gossip period paces the shared dirty-batch gossip; the clock is the
+/// shared engine clock; a selector targets each flush group's CLOCK probe
+/// and SET batch.
+struct service_options : push_qaf_options {
   /// Gossip ticks a stream gap may persist before the receiver NACKs it.
   int nack_gap_ticks = 2;
-  /// Strategy-driven targeted access (strategy/selector.hpp): when set,
-  /// the CLOCK probe and SET batch of every flush group go only to the
-  /// members of a sampled write quorum (one unicast each), and acks return
-  /// point-to-point — instead of a full broadcast. Null keeps broadcast
-  /// behavior unchanged.
-  selector_ptr selector;
-  /// With a selector: delay before a flush group that still lacks write-
-  /// quorum coverage is rebroadcast to all (targeted_round.hpp). 0
-  /// disables escalation — ONLY for the mutation tests.
-  sim_time escalation_timeout = 40000;  // 40 ms
 
   void validate() const;
 };
@@ -237,7 +229,8 @@ class quorum_service : public component {
         set_pool_(std::make_shared<batch_pool<set_entry>>()),
         gossip_pool_(std::make_shared<batch_pool<gossip_entry>>()),
         rounds_(*this, options_.escalation_timeout, counters_.escalations,
-                "svc") {
+                "svc"),
+        waits_(*this, config_, options_, rounds_) {
     if (keys == 0)
       throw std::invalid_argument("quorum_service: no keys");
     config_.validate();
@@ -399,11 +392,11 @@ class quorum_service : public component {
     } else if (const auto* m = message_cast<probe_msg>(payload)) {
       this->unicast(origin, make_message<probe_ack_msg>(m->req, clock_));
     } else if (const auto* m = message_cast<probe_ack_msg>(payload)) {
-      on_probe_ack(origin, *m);
+      waits_.get_ack(m->req, origin, m->clock);
     } else if (const auto* m = message_cast<set_batch_msg>(payload)) {
       on_set_batch(origin, *m);
     } else if (const auto* m = message_cast<set_ack_msg>(payload)) {
-      on_set_ack(origin, *m);
+      waits_.set_ack(m->batch, origin, m->clock);
     } else if (const auto* m = message_cast<nack_msg>(payload)) {
       on_nack(origin, *m);
     } else if (const auto* m = message_cast<repair_msg>(payload)) {
@@ -424,27 +417,16 @@ class quorum_service : public component {
     set_callback done;
   };
 
-  /// All quorum_gets flushed in one instant: they share the CLOCK probe
-  /// and therefore the cutoff.
-  struct get_group {
-    std::vector<staged_get> members;
-    quorum_response_collector<std::uint64_t> clock_acks;
-    bool have_cutoff = false;
-    std::uint64_t cutoff = 0;
-    targeted_round::handle round = targeted_round::none;
+  /// The operations of one kind flushed in one instant: one cutoff wait.
+  template <class Op>
+  struct flush_group {
+    std::vector<Op> members;
     span_ref span;  // open from flush until the group completes
   };
-  /// All quorum_sets flushed in one instant: one wire batch, one ack
-  /// stream; every entry of a batch is acked with one clock, so the
-  /// shared cutoff is each member's own Figure 3 cutoff.
-  struct set_group {
-    std::vector<staged_set> members;
-    quorum_response_collector<std::uint64_t> acks;
-    bool have_cutoff = false;
-    std::uint64_t cutoff = 0;
-    targeted_round::handle round = targeted_round::none;
-    span_ref span;  // open from flush until the group completes
-  };
+  using waits =
+      cutoff_waits<quorum_service, flush_group<staged_get>,
+                   flush_group<staged_set>>;
+  friend waits;
 
   /// Binds this instance to the host's obs bundle (nullptr-safe; inert
   /// when telemetry is off): counters as snapshot-time observers, backlog
@@ -459,8 +441,7 @@ class quorum_service : public component {
         return static_cast<std::int64_t>(gossip_backlog());
       });
       o->sampler.add_probe("svc.open_groups", [this] {
-        return static_cast<std::int64_t>(get_groups_.size() +
-                                         set_groups_.size());
+        return static_cast<std::int64_t>(waits_.open_count());
       });
     }
   }
@@ -494,47 +475,40 @@ class quorum_service : public component {
   void flush() {
     ++counters_.flushes;
     if (!staged_gets_.empty()) {
-      if (options_.use_get_cutoff) {
-        const std::uint64_t req = ++probe_seq_;
-        get_group& g = get_groups_[req];
-        g.members = std::move(staged_gets_);
-        g.span = open_group_span("svc.get");
+      const std::uint64_t req = ++probe_seq_;
+      const span_ref span = open_group_span("svc.get");
+      // Ablated, no probe goes out: c_get = 0, any cached state qualifies.
+      waits_.open_get(req, {std::move(staged_gets_), span}, [&] {
         ++counters_.probes_sent;
         if (options_.selector) ++counters_.targeted_probes;
         message_ptr probe = make_message<probe_msg>(req);
-        stamp_trace_span(probe, g.span);
-        g.round = rounds_.open(draw(req * 2), std::move(probe), g.span);
-      } else {
-        // Ablated: c_get = 0, any cached state qualifies.
-        get_group& g = get_groups_[++probe_seq_];
-        g.members = std::move(staged_gets_);
-        g.span = open_group_span("svc.get");
-        g.have_cutoff = true;
-      }
+        stamp_trace_span(probe, span);
+        return rounds_.open(draw(req * 2), std::move(probe), span);
+      });
       staged_gets_.clear();
     }
     if (!staged_sets_.empty()) {
       const std::uint64_t batch = ++batch_seq_;
-      set_group& g = set_groups_[batch];
-      g.members = std::move(staged_sets_);
-      g.span = open_group_span("svc.set");
-      staged_sets_.clear();
+      const span_ref span = open_group_span("svc.set");
       std::vector<set_entry> entries = set_pool_->acquire();
-      entries.reserve(g.members.size());
+      entries.reserve(staged_sets_.size());
       // The group only needs the callbacks from here on — move the
       // payloads onto the wire instead of duplicating them for the
       // duration of the quorum round.
-      for (staged_set& s : g.members)
+      for (staged_set& s : staged_sets_)
         entries.push_back(set_entry{s.op_seq, s.key, std::move(s.state)});
       ++counters_.set_batches_sent;
       counters_.set_entries_sent += entries.size();
       if (options_.selector) ++counters_.targeted_set_batches;
       message_ptr wire = make_message<set_batch_msg>(
           batch, pooled_batch<set_entry>(std::move(entries), set_pool_));
-      stamp_trace_span(wire, g.span);
-      g.round = rounds_.open(draw(batch * 2 + 1), std::move(wire), g.span);
+      stamp_trace_span(wire, span);
+      waits_.open_set(
+          batch, {std::move(staged_sets_), span},
+          rounds_.open(draw(batch * 2 + 1), std::move(wire), span));
+      staged_sets_.clear();
     }
-    recheck_waits();
+    waits_.settle();
   }
 
   /// The write quorum a flush group targets; none without a selector. Gets
@@ -598,25 +572,12 @@ class quorum_service : public component {
 
   void on_gossip(process_id origin, const gossip_msg& m) {
     for (const gossip_entry& e : m.entries.items()) apply_entry(origin, e);
-    if (streams_[origin].observe(m.gseq, m.clock)) recheck_waits();
+    if (streams_[origin].observe(m.gseq, m.clock)) waits_.settle();
   }
 
   void on_repair(process_id origin, const repair_msg& m) {
     for (const gossip_entry& e : m.entries) apply_entry(origin, e);
-    if (streams_[origin].repair(m.upto_seq, m.clock)) recheck_waits();
-  }
-
-  void on_probe_ack(process_id from, const probe_ack_msg& m) {
-    const auto it = get_groups_.find(m.req);
-    if (it == get_groups_.end() || it->second.have_cutoff) return;
-    // Lines 6-7 per member: CLOCK_RESPs from all of some write quorum;
-    // the cutoff is the max clock among that quorum.
-    const auto w = it->second.clock_acks.add(from, m.clock, config_.writes);
-    if (!w) return;
-    rounds_.close(it->second.round);
-    it->second.have_cutoff = true;
-    it->second.cutoff = max_clock_over(it->second.clock_acks, *w);
-    recheck_waits();
+    if (streams_[origin].repair(m.upto_seq, m.clock)) waits_.settle();
   }
 
   void on_set_batch(process_id origin, const set_batch_msg& m) {
@@ -633,79 +594,36 @@ class quorum_service : public component {
     this->unicast(origin, make_message<set_ack_msg>(m.batch, clock_ + 1));
   }
 
-  void on_set_ack(process_id from, const set_ack_msg& m) {
-    const auto it = set_groups_.find(m.batch);
-    if (it == set_groups_.end() || it->second.have_cutoff) return;
-    const auto w = it->second.acks.add(from, m.clock, config_.writes);
-    if (!w) return;
-    rounds_.close(it->second.round);
-    if (!options_.use_set_confirmation) {
-      // Ablated: complete as soon as a write quorum acknowledged.
-      set_group g = std::move(it->second);
-      set_groups_.erase(it);
-      close_group_span(g.span);
-      for (staged_set& s : g.members) complete_set(std::move(s));
-      recheck_waits();
-      return;
-    }
-    it->second.have_cutoff = true;
-    it->second.cutoff = max_clock_over(it->second.acks, *w);
-    recheck_waits();
-  }
+  // ---- cutoff_waits hooks ----
 
-  /// The processes whose contiguous gossip clock has reached `cutoff`.
-  std::optional<process_set> fresh_quorum(std::uint64_t cutoff) const {
+  /// The origins whose contiguous gossip clock has reached `cutoff`; every
+  /// stream is fresh at 0.
+  process_set fresh_at(std::uint64_t cutoff) const {
     process_set fresh;
     for (process_id q = 0; q < static_cast<process_id>(streams_.size());
          ++q)
       if (streams_[q].freshness() >= cutoff) fresh.insert(q);
-    return covered_quorum(config_.reads, fresh);
+    return fresh;
   }
 
-  void complete_get(staged_get&& g, const process_set& quorum) {
-    std::vector<state_type> states;
-    states.reserve(quorum.size());
-    for (process_id p : quorum) states.push_back(cache_[p][g.key]);
-    ++counters_.ops_completed;
-    auto done = std::move(g.done);
-    done(std::move(states));
+  void complete_get(flush_group<staged_get>&& g, const process_set& quorum) {
+    close_group_span(g.span);
+    for (staged_get& m : g.members) {
+      std::vector<state_type> states;
+      states.reserve(quorum.size());
+      for (process_id p : quorum) states.push_back(cache_[p][m.key]);
+      ++counters_.ops_completed;
+      auto done = std::move(m.done);
+      done(std::move(states));
+    }
   }
 
-  void complete_set(staged_set&& s) {
-    ++counters_.ops_completed;
-    auto done = std::move(s.done);
-    done();
-  }
-
-  void recheck_waits() {
-    // Completions may start new operations (which only stage and arm the
-    // flush timer) or resolve further groups; restart after each
-    // completed group.
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (auto it = get_groups_.begin(); it != get_groups_.end(); ++it) {
-        if (!it->second.have_cutoff) continue;
-        const auto r = fresh_quorum(it->second.cutoff);
-        if (!r) continue;
-        get_group g = std::move(it->second);
-        get_groups_.erase(it);
-        close_group_span(g.span);
-        for (staged_get& m : g.members) complete_get(std::move(m), *r);
-        progress = true;
-        break;
-      }
-      if (progress) continue;
-      for (auto it = set_groups_.begin(); it != set_groups_.end(); ++it) {
-        if (!it->second.have_cutoff) continue;
-        if (!fresh_quorum(it->second.cutoff)) continue;
-        set_group g = std::move(it->second);
-        set_groups_.erase(it);
-        close_group_span(g.span);
-        for (staged_set& m : g.members) complete_set(std::move(m));
-        progress = true;
-        break;
-      }
+  void complete_set(flush_group<staged_set>&& g) {
+    close_group_span(g.span);
+    for (staged_set& m : g.members) {
+      ++counters_.ops_completed;
+      auto done = std::move(m.done);
+      done();
     }
   }
 
@@ -731,14 +649,13 @@ class quorum_service : public component {
 
   std::vector<staged_get> staged_gets_;
   std::vector<staged_set> staged_sets_;
-  std::map<std::uint64_t, get_group> get_groups_;
-  std::map<std::uint64_t, set_group> set_groups_;
 
   std::shared_ptr<batch_pool<set_entry>> set_pool_;
   std::shared_ptr<batch_pool<gossip_entry>> gossip_pool_;
 
   service_counters counters_;
   targeted_round rounds_;
+  waits waits_;
   trace_recorder* tracer_ = nullptr;  // non-null iff spans are recording
 
   /// Repair side: answer a NACK with a cumulative batch of exactly the

@@ -31,7 +31,6 @@
 #include <memory>
 #include <vector>
 
-#include "quorum/qaf_generalized.hpp"
 #include "register/keyed_register.hpp"
 #include "sim/transport.hpp"
 
@@ -53,7 +52,9 @@ struct snapshot_cell {
 ///
 /// The underlying keyed register runs the generalized (Figure 3) access
 /// functions, so the snapshot works under any fail-prone system admitting
-/// a GQS, with wait-freedom inside U_f.
+/// a GQS, with wait-freedom inside U_f. The options are the engine's own
+/// (service_options), passed through whole: a selector targets the
+/// segments' shared engine.
 template <class V>
 class snapshot_node : public single_host {
  public:
@@ -63,9 +64,9 @@ class snapshot_node : public single_host {
   using update_callback = std::function<void()>;
 
   snapshot_node(process_id segments, quorum_config config,
-                generalized_qaf_options options = {})
+                service_options options = {})
       : single_host(std::make_unique<register_service>(
-            segments, std::move(config), to_service(options))),
+            segments, std::move(config), std::move(options))),
         segments_(segments),
         registers_(&as<register_service>()) {}
 
@@ -98,13 +99,6 @@ class snapshot_node : public single_host {
     bool have_previous = false;
     std::vector<int> moved;
   };
-
-  static service_options to_service(const generalized_qaf_options& o) {
-    o.validate();
-    service_options opts;
-    opts.gossip_period = o.gossip_period;
-    return opts;
-  }
 
   void scan_round(std::shared_ptr<scan_state> op) {
     collect([this, op](std::vector<cell> current) {

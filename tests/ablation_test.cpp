@@ -23,7 +23,7 @@ struct disjoint_world : register_world<ablated_register_node> {
       : register_world(
             4, disjoint_scenario_faults(), seed, network_options{},
             [&](process_id p) {
-              ablated_qaf_options opts;
+              push_qaf_options opts;
               opts.use_get_cutoff = use_get_cutoff;
               opts.use_set_confirmation = use_set_confirmation;
               if (p == 1) opts.initial_clock = 1000;
@@ -79,7 +79,7 @@ TEST(Ablation, DroppingGetCutoffViolatesSomewhere) {
   const quorum_config qc = quorum_config::of(fig.gqs);
   int violations = 0;
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
-    ablated_qaf_options opts;
+    push_qaf_options opts;
     opts.use_get_cutoff = false;
     register_world<ablated_register_node> w(
         4, fault_plan::from_pattern(fig.gqs.fps[0], 0), seed,
@@ -181,7 +181,7 @@ TEST(Ablation, BothSwitchesOnMatchesPublishedProtocol) {
   const auto fig = make_figure1();
   const quorum_config qc = quorum_config::of(fig.gqs);
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    ablated_qaf_options opts;  // defaults: both on
+    push_qaf_options opts;  // defaults: both on
     register_world<ablated_register_node> w(
         4, fault_plan::from_pattern(fig.gqs.fps[0], 0), seed,
         network_options{}, qc, reg_state{}, opts);

@@ -202,7 +202,8 @@ TEST(QuorumService, PipelinedFlushCompletesInPinnedOrder) {
       label += "k";
       label += std::to_string(k);
       if ((k + p) % 2 == 0) {
-        n.quorum_get(k, [&, p, k, label](std::vector<reg_state> states) {
+        n.quorum_get(k, [&, p, k, round,
+                         label](std::vector<reg_state> states) {
           note(p, label + "g", &states);
           // A follow-up set from the completion lands in a later flush.
           w.nodes[p]->quorum_set(

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/factories.hpp"
 #include "sim/time.hpp"
+#include "strategy/planner.hpp"
+#include "strategy/selector.hpp"
 #include "workload/worlds.hpp"
 
 namespace gqs {
@@ -42,6 +46,39 @@ TEST(Snapshot, UpdateThenScanSeesIt) {
   const auto r =
       check_snapshot_linearizable(w.client.history(), 4);
   EXPECT_TRUE(r.linearizable) << r.reason;
+}
+
+TEST(Snapshot, SelectorReachesTheSegmentEngine) {
+  // snapshot_node and lattice_agreement_node take the engine's own
+  // options, whole: a selector handed to either must target the segments'
+  // shared engine, not be dropped on the way.
+  const auto fig = make_figure1();
+  service_options opts;
+  opts.selector = std::make_shared<const quorum_selector>(
+      plan_optimal(fig.gqs).strategy, 5);
+  world<snapshot_node<std::int64_t>> w(4, fault_plan::none(4), 3,
+                                       network_options{}, 4,
+                                       quorum_config::of(fig.gqs), opts);
+  snapshot_client client{w.sim, w.nodes};
+  client.invoke_update(kA, 7);
+  ASSERT_TRUE(
+      w.sim.run_until_condition([&] { return client.complete(0); }, 240_s));
+  client.invoke_scan(kB);
+  ASSERT_TRUE(
+      w.sim.run_until_condition([&] { return client.complete(1); }, 240_s));
+  EXPECT_EQ(client.history()[1].observed[kA], 7);
+  std::uint64_t targeted = 0;
+  for (const auto* node : w.nodes)
+    targeted += node->service().counters().targeted_probes;
+  EXPECT_GT(targeted, 0u);
+
+  world<lattice_agreement_node> l(4, fault_plan::none(4), 4,
+                                  network_options{}, 4,
+                                  quorum_config::of(fig.gqs), opts);
+  bool decided = false;
+  l.nodes[kA]->propose(1, [&](lattice_value) { decided = true; });
+  ASSERT_TRUE(l.sim.run_until_condition([&] { return decided; }, 240_s));
+  EXPECT_GT(l.nodes[kA]->service().counters().targeted_probes, 0u);
 }
 
 TEST(Snapshot, WorksUnderFigure1F1) {
