@@ -237,7 +237,7 @@ class cutoff_waits {
       w.round = probe();
       return false;
     }
-    w.have_cutoff = true;
+    w.cutoff = 0;
     return true;
   }
 
@@ -282,19 +282,17 @@ class cutoff_waits {
   struct wait {
     Op op;
     quorum_response_collector<std::uint64_t> acks;
-    bool have_cutoff = false;
-    std::uint64_t cutoff = 0;
+    std::optional<std::uint64_t> cutoff;  // set once acks cover
     targeted_round::handle round = targeted_round::none;
   };
 
   /// Records an ack; true iff it just fixed the wait's cutoff.
   template <class Op>
   bool cover(wait<Op>& w, process_id from, std::uint64_t clock) {
-    if (w.have_cutoff) return false;
+    if (w.cutoff) return false;
     const auto quorum = w.acks.add(from, clock, config_.writes);
     if (!quorum) return false;
     rounds_.close(w.round);
-    w.have_cutoff = true;
     w.cutoff = max_clock_over(w.acks, *quorum);
     return true;
   }
@@ -310,9 +308,9 @@ class cutoff_waits {
   bool complete_next() {
     std::optional<std::uint64_t> lowest;
     for (const auto& [seq, w] : gets_)
-      if (w.have_cutoff && (!lowest || w.cutoff < *lowest)) lowest = w.cutoff;
+      if (w.cutoff && (!lowest || *w.cutoff < *lowest)) lowest = w.cutoff;
     for (const auto& [seq, w] : sets_)
-      if (w.have_cutoff && (!lowest || w.cutoff < *lowest)) lowest = w.cutoff;
+      if (w.cutoff && (!lowest || *w.cutoff < *lowest)) lowest = w.cutoff;
     if (!lowest) return false;
     const std::optional<process_set> at_lowest = fresh_quorum(*lowest);
     if (!at_lowest) return false;
@@ -320,8 +318,8 @@ class cutoff_waits {
       return cutoff == *lowest ? at_lowest : fresh_quorum(cutoff);
     };
     for (auto it = gets_.begin(); it != gets_.end(); ++it) {
-      if (!it->second.have_cutoff) continue;
-      const std::optional<process_set> quorum = ready(it->second.cutoff);
+      if (!it->second.cutoff) continue;
+      const std::optional<process_set> quorum = ready(*it->second.cutoff);
       if (!quorum) continue;
       Get op = std::move(it->second.op);
       gets_.erase(it);
@@ -329,7 +327,7 @@ class cutoff_waits {
       return true;
     }
     for (auto it = sets_.begin(); it != sets_.end(); ++it) {
-      if (!it->second.have_cutoff || !ready(it->second.cutoff)) continue;
+      if (!it->second.cutoff || !ready(*it->second.cutoff)) continue;
       Set op = std::move(it->second.op);
       sets_.erase(it);
       owner_.complete_set(std::move(op));
