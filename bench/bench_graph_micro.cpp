@@ -144,10 +144,8 @@ std::optional<corpus_draw> geometric24_draw(benchmark::State& state) {
 void bm_solve_corpus(benchmark::State& state) {
   const auto draw = geometric24_draw(state);
   if (!draw) return;
-  solver_options options;
-  options.threads = 1;
   for (auto _ : state) {
-    existence_solver solver(draw->fps, options);
+    existence_solver solver(draw->fps);
     benchmark::DoNotOptimize(solver.solve());
   }
 }

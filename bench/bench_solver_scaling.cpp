@@ -1,7 +1,7 @@
 // bench_solver_scaling — existence-solver throughput on the topology
 // scenario corpus.
 //
-// Four parts:
+// Three parts:
 //
 //   corpus     — every decision instance of the corpus (|F| = 16,
 //                n = 12..64) decided by existence_solver, best of 3
@@ -11,10 +11,7 @@
 //   structured — decision/validation timings for the structured families
 //                (single-crash existence at n = 64..256, Definition 2
 //                validation of the grid/tree/cluster constructions at
-//                n = 256);
-//   threads    — the parallel top-level fan-out at 1/2/4 workers on the
-//                corpus (wall time only; the witness is bit-identical by
-//                construction, which tests/solver_test.cpp asserts).
+//                n = 256).
 //
 // Verdicts are checked against independent searches in
 // tests/solver_test.cpp (the exhaustive oracle at n <= 8, a plain
@@ -81,11 +78,11 @@ int bench_entry() {
 
   // Best of 3 passes to shrug off scheduler noise.
   constexpr int kPasses = 3;
-  std::uint64_t nodes = 0, forward_prunes = 0, arc_prunes = 0;
+  std::uint64_t nodes = 0, forward_prunes = 0;
   int sat = 0;
   double solver_secs = 0;
   for (int pass = 0; pass < kPasses; ++pass) {
-    nodes = forward_prunes = arc_prunes = 0;
+    nodes = forward_prunes = 0;
     sat = 0;
     const auto begin = std::chrono::steady_clock::now();
     for (const fail_prone_system& fps : corpus) {
@@ -93,7 +90,6 @@ int bench_entry() {
       sat += solver.exists() ? 1 : 0;
       nodes += solver.stats().nodes;
       forward_prunes += solver.stats().forward_prunes;
-      arc_prunes += solver.stats().arc_prunes;
     }
     const double secs = seconds_since(begin);
     solver_secs = pass == 0 ? secs : std::min(solver_secs, secs);
@@ -105,15 +101,13 @@ int bench_entry() {
                         fmt_double(solver_secs, 3)});
   corpus_table.print();
   std::cout << "sat " << sat << " / " << corpus.size() << ", solver nodes "
-            << nodes << ", forward prunes " << forward_prunes
-            << ", arc prunes " << arc_prunes << "\n\n";
+            << nodes << ", forward prunes " << forward_prunes << "\n\n";
 
   gqs_bench::record("corpus_instances", std::uint64_t{corpus.size()});
   gqs_bench::record("corpus_sat", static_cast<std::uint64_t>(sat));
   gqs_bench::record("solver_solved_per_sec", solver_rate);
   gqs_bench::record("solver_nodes", nodes);
   gqs_bench::record("solver_forward_prunes", forward_prunes);
-  gqs_bench::record("solver_arc_prunes", arc_prunes);
 
   // ---- part 2: scaling sweep --------------------------------------------
   print_heading("Scaling sweep: solver only, n up to 256");
@@ -148,8 +142,7 @@ int bench_entry() {
       existence_solver solver(fps);
       band_sat += solver.exists() ? 1 : 0;
       band_nodes += solver.stats().nodes;
-      band_prunes +=
-          solver.stats().forward_prunes + solver.stats().arc_prunes;
+      band_prunes += solver.stats().forward_prunes;
     }
     const double secs = seconds_since(begin);
     const double rate = band.size() / secs;
@@ -208,30 +201,5 @@ int bench_entry() {
     gqs_bench::record(std::string(cname) + "_validate_n256_ms", ms);
   }
   structured.print();
-  std::cout << "\n";
-
-  // ---- part 4: thread fan-out -------------------------------------------
-  // stage1_node_budget = 1 forces every decision through the stage-2
-  // bitmatrix + fan-out path, so the thread pool actually engages (the
-  // corpus median instance otherwise decides in the sequential stage 1).
-  print_heading(
-      "Parallel fan-out: corpus re-decided at 1/2/4 workers (stage 2 "
-      "forced)");
-  text_table threads_table({"threads", "solved/sec"});
-  for (unsigned threads : {1u, 2u, 4u}) {
-    solver_options opts;
-    opts.threads = threads;
-    opts.stage1_node_budget = 1;
-    const auto begin = std::chrono::steady_clock::now();
-    for (const fail_prone_system& fps : corpus) {
-      existence_solver solver(fps, opts);
-      (void)solver.exists();
-    }
-    const double rate = corpus.size() / seconds_since(begin);
-    threads_table.add_row({std::to_string(threads), fmt_double(rate, 1)});
-    gqs_bench::record("threads" + std::to_string(threads) + "_solved_per_sec",
-                      rate);
-  }
-  threads_table.print();
   return 0;
 }

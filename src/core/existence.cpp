@@ -7,16 +7,14 @@
 namespace gqs {
 
 std::vector<process_set> write_candidates(const failure_pattern& f) {
-  return f.residual().sccs();
+  return f.table().components;
 }
 
 std::optional<gqs_witness> find_gqs(const fail_prone_system& fps) {
   if (fps.empty())
     throw std::invalid_argument("find_gqs: empty fail-prone system");
-  // Default solver options: tiny instances decide in the sequential
-  // stage-1 search; only escalated searches touch the thread pool
-  // ($GQS_SOLVER_THREADS overrides the size). Callers wanting explicit
-  // control use existence_solver directly.
+  // Default solver options (FC + MRV); callers wanting the ablation knobs
+  // or the search stats use existence_solver directly.
   existence_solver solver(fps);
   return solver.solve();
 }

@@ -13,11 +13,11 @@
 //                      such that for all f, g: reach_to(S_f) ∩ S_g ≠ ∅.
 //
 // This finite choice problem is solved by the existence solver
-// (core/solver.hpp): precomputed candidate tables, a pairwise
-// compatibility bitmatrix, conflict-driven pruning, and an optional
-// parallel top-level fan-out. find_gqs below is the convenience wrapper
-// (sequential defaults); the witness returned is exactly the paper's
-// Theorem 2 construction with τ(f) = S_f.
+// (core/solver.hpp): one sequential backtracking search over the patterns'
+// candidate tables with forward checking and most-constrained-first
+// ordering. find_gqs below is the convenience wrapper (default options);
+// the witness returned is exactly the paper's Theorem 2 construction with
+// τ(f) = S_f.
 #pragma once
 
 #include <functional>
@@ -68,8 +68,9 @@ std::optional<generalized_quorum_system> canonical_construction(
     const fail_prone_system& fps, const termination_mapping& tau,
     std::string* why = nullptr);
 
-/// All candidate write-quorum components for a pattern: the SCCs of G \ f.
-/// (Every f-available set is contained in exactly one of them.)
+/// All candidate write-quorum components for a pattern: the SCCs of G \ f,
+/// read off its compiled table (largest first). Every f-available set is
+/// contained in exactly one of them.
 std::vector<process_set> write_candidates(const failure_pattern& f);
 
 }  // namespace gqs

@@ -52,8 +52,7 @@ std::vector<std::string> figure1_names();
 /// The classical single-crash fail-prone system:
 /// F = { ({p}, ∅) : p ∈ P }. Every residual graph is the complete graph
 /// on n−1 processes, so these systems always admit a GQS (n ≥ 2) and the
-/// existence solver decides them in stage 1 with one candidate per
-/// pattern.
+/// existence solver decides them with one candidate per pattern.
 fail_prone_system single_crash_fail_prone_system(process_id n);
 
 /// √n × √n grid: processes split into k = ⌊n/⌊√n⌋⌋ contiguous row-blocks

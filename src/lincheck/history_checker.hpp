@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "lincheck/register_history.hpp"
-#include "register/keyed_register_client.hpp"
 
 namespace gqs {
 

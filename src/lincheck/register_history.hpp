@@ -50,6 +50,12 @@ struct register_op {
 
 using register_history = std::vector<register_op>;
 
+/// One recorded keyed operation: a register_op plus its key.
+struct keyed_register_op {
+  service_key key = 0;
+  register_op op;
+};
+
 /// Edge types of the Appendix-B dependency graph: real-time precedence,
 /// write→read of the same version (reads-from), write→write in version
 /// order, and read→write anti-dependency (τ(r) < τ(w)).

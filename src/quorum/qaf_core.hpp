@@ -160,9 +160,9 @@ class gossip_cache {
 };
 
 /// Figure 3's knobs, shared by push_qaf and quorum_service (whose
-/// service_options extends them). The defaults are the published protocol;
-/// the two `use_*` switches exist for the ablation study (qaf_ablation.hpp)
-/// and MUST stay true in supported use.
+/// service_options names the same struct). The defaults are the published
+/// protocol; the two `use_*` switches exist for the ablation study
+/// (qaf_ablation.hpp) and MUST stay true in supported use.
 struct push_qaf_options {
   /// Period of the unsolicited state/clock propagation (Figure 3 line 12).
   sim_time gossip_period = 5000;  // 5 ms

@@ -1,14 +1,6 @@
 #include "quorum/quorum_service.hpp"
 
-#include <stdexcept>
-
 namespace gqs {
-
-void service_options::validate() const {
-  push_qaf_options::validate();
-  if (nack_gap_ticks < 1)
-    throw std::invalid_argument("quorum_service: bad nack gap");
-}
 
 bool gossip_stream::observe(std::uint64_t seq, std::uint64_t clock) {
   if (seq < next_) return false;  // stale duplicate

@@ -67,19 +67,10 @@
 
 namespace gqs {
 
-/// Identifier of a logical object multiplexed over the service.
-using service_key = std::uint32_t;
-
-/// Figure 3's knobs (qaf_core.hpp) plus the service's stream repair. The
-/// gossip period paces the shared dirty-batch gossip; the clock is the
-/// shared engine clock; a selector targets each flush group's CLOCK probe
-/// and SET batch.
-struct service_options : push_qaf_options {
-  /// Gossip ticks a stream gap may persist before the receiver NACKs it.
-  int nack_gap_ticks = 2;
-
-  void validate() const;
-};
+/// Figure 3's knobs (qaf_core.hpp). The gossip period paces the shared
+/// dirty-batch gossip; the clock is the shared engine clock; a selector
+/// targets each flush group's CLOCK probe and SET batch.
+using service_options = push_qaf_options;
 
 /// Progress and wire-traffic counters of one service instance.
 struct service_counters {
@@ -546,7 +537,7 @@ class quorum_service : public component {
         s.gap_ticks = 0;
         continue;
       }
-      if (++s.gap_ticks < options_.nack_gap_ticks) continue;
+      if (++s.gap_ticks < kNackGapTicks) continue;
       s.gap_ticks = 0;
       ++counters_.nacks_sent;
       if (tracer_)
@@ -626,6 +617,9 @@ class quorum_service : public component {
       done();
     }
   }
+
+  /// Gossip ticks a stream gap may persist before the receiver NACKs it.
+  static constexpr int kNackGapTicks = 2;
 
   service_key keys_;
   quorum_config config_;

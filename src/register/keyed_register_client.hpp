@@ -20,12 +20,6 @@
 
 namespace gqs {
 
-/// One recorded keyed operation: a register_op plus its key.
-struct keyed_register_op {
-  service_key key = 0;
-  register_op op;
-};
-
 template <class Node>
 class keyed_register_client {
  public:

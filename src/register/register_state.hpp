@@ -14,6 +14,10 @@ namespace gqs {
 /// instantiates the register with a richer cell type.
 using reg_value = std::int64_t;
 
+/// Identifier of a logical object (a key) multiplexed over a keyed
+/// service: quorum_service, smr_service and the histories they record.
+using service_key = std::uint32_t;
+
 /// Version = N × N ordered lexicographically: a monotonically increasing
 /// number paired with the writer's process id (Figure 4 line 5). The
 /// initial state carries version (0, 0).

@@ -34,7 +34,7 @@
 #include <random>
 #include <vector>
 
-#include "register/keyed_register_client.hpp"
+#include "lincheck/register_history.hpp"
 #include "sim/simulation.hpp"
 #include "workload/stats.hpp"
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <functional>
 #include <locale>
 #include <map>
 #include <memory>
@@ -16,7 +15,6 @@
 #include <utility>
 
 #include "core/factories.hpp"
-#include "core/solver.hpp"
 #include "lincheck/wing_gong.hpp"
 #include "sim/time.hpp"
 #include "workload/worlds.hpp"
@@ -365,39 +363,34 @@ class scoped_env {
   std::optional<std::string> old_;
 };
 
-// The thread-count knobs parse strictly: a sign, letters or a suffix is an
+// The thread-count knob parses strictly: a sign, letters or a suffix is an
 // error naming the variable (never UINT_MAX threads or a silent default),
 // an empty value means unset, and a plain count is taken as is.
 TEST(Runner, CountKnobsParseStrictly) {
-  const auto fig = make_figure1();
-  const std::pair<const char*, std::function<unsigned()>> knobs[] = {
-      {"GQS_RUNNER_THREADS", [] { return experiment_runner().threads(); }},
-      {"GQS_SOLVER_THREADS",
-       [&fig] { return existence_solver(fig.gqs.fps).threads(); }}};
-  for (const auto& [name, resolve] : knobs) {
-    for (const char* bad : {"-1", "abc", "8x"}) {
-      const scoped_env env(name, bad);
-      try {
-        const unsigned threads = resolve();
-        ADD_FAILURE() << name << "=" << bad << " resolved to " << threads
-                      << " threads";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
-            << e.what();
-      }
+  constexpr const char* kName = "GQS_RUNNER_THREADS";
+  const auto resolve = [] { return experiment_runner().threads(); };
+  for (const char* bad : {"-1", "abc", "8x"}) {
+    const scoped_env env(kName, bad);
+    try {
+      const unsigned threads = resolve();
+      ADD_FAILURE() << kName << "=" << bad << " resolved to " << threads
+                    << " threads";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(kName), std::string::npos)
+          << e.what();
     }
-    unsigned unset = 0;
-    {
-      const scoped_env env(name, nullptr);
-      unset = resolve();
-    }
-    {
-      const scoped_env env(name, "");
-      EXPECT_EQ(resolve(), unset) << name;
-    }
-    const scoped_env env(name, "3");
-    EXPECT_EQ(resolve(), 3u) << name;
   }
+  unsigned unset = 0;
+  {
+    const scoped_env env(kName, nullptr);
+    unset = resolve();
+  }
+  {
+    const scoped_env env(kName, "");
+    EXPECT_EQ(resolve(), unset);
+  }
+  const scoped_env env(kName, "3");
+  EXPECT_EQ(resolve(), 3u);
 }
 
 TEST(Runner, EnvCountBoundsAndDefaults) {
