@@ -4,7 +4,7 @@
 // commands over the n=8 threshold GQS (k=2) on a partially synchronous
 // network: the keyspace partitioned over 4 consensus groups with
 // planner-assigned leaders (strategy/shard_plan.hpp), one Phase-1 promise
-// per lease, same-instant commands batched into multi-command entries, up
+// per view, same-instant commands batched into multi-command entries, up
 // to 4 pipelined Phase-2 slots per shard, and phases targeted at
 // strategy-sampled quorums with timeout escalation armed.
 //

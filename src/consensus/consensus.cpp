@@ -3,7 +3,9 @@
 namespace gqs {
 
 consensus_node::consensus_node(quorum_config config, consensus_options options)
-    : config_(std::move(config)), options_(options) {
+    : config_(std::move(config)),
+      options_(options),
+      schedule_(options_.view_duration_unit) {
   config_.validate();
   options_.validate();
 }
@@ -43,13 +45,12 @@ void consensus_node::on_timeout(int timer_id) {
 
 // Figure 6, lines 27-31.
 void consensus_node::advance_view() {
-  ++view_;
-  view_log_.emplace_back(view_, now());
-  view_timer_ = set_timer(static_cast<sim_time>(view_) *
-                          options_.view_duration_unit);
-  // view_ is monotone, so the promise never refuses.
-  const auto rec = acceptor_.promise(view_);
-  unicast(leader_of(view_), make_message<msg_1b>(view_, rec->aview, rec->val));
+  schedule_.enter(schedule_.view() + 1, now());
+  view_timer_ = set_timer(schedule_.duration());
+  const std::uint64_t view = schedule_.view();
+  // The schedule is monotone, so the promise never refuses.
+  const auto rec = acceptor_.promise(view);
+  unicast(leader_of(view), make_message<msg_1b>(view, rec->aview, rec->val));
   phase_ = phase_t::enter;  // line 31 — even after deciding
   // Messages for this view may already be buffered.
   try_lead();
@@ -57,22 +58,22 @@ void consensus_node::advance_view() {
   try_decide();
   // Garbage-collect buffers of strictly lower views: the protocol ignores
   // them from now on.
-  one_bs_.erase(one_bs_.begin(), one_bs_.lower_bound(view_));
-  two_as_.erase(two_as_.begin(), two_as_.lower_bound(view_));
-  two_bs_.erase(two_bs_.begin(), two_bs_.lower_bound(view_));
+  one_bs_.erase(one_bs_.begin(), one_bs_.lower_bound(view));
+  two_as_.erase(two_as_.begin(), two_as_.lower_bound(view));
+  two_bs_.erase(two_bs_.begin(), two_bs_.lower_bound(view));
 }
 
 void consensus_node::deliver(process_id origin, const message_ptr& payload) {
   if (const auto* m = message_cast<msg_1b>(payload)) {
-    if (m->view < view_) return;  // out of date
+    if (m->view < current_view()) return;  // out of date
     one_bs_[m->view][origin] = accepted_rec<value_type>{m->aview, m->val};
     try_lead();
   } else if (const auto* m = message_cast<msg_2a>(payload)) {
-    if (m->view < view_) return;
+    if (m->view < current_view()) return;
     two_as_.emplace(m->view, m->x);  // one leader per view ⇒ one 2A value
     try_accept();
   } else if (const auto* m = message_cast<msg_2b>(payload)) {
-    if (m->view < view_) return;
+    if (m->view < current_view()) return;
     two_bs_[m->view][origin] = m->x;
     try_decide();
   }
@@ -81,8 +82,9 @@ void consensus_node::deliver(process_id origin, const message_ptr& payload) {
 // Figure 6, lines 8-16: the leader gathers 1Bs from a read quorum.
 void consensus_node::try_lead() {
   if (phase_ != phase_t::enter) return;
-  if (leader_of(view_) != id()) return;
-  const auto it = one_bs_.find(view_);
+  const std::uint64_t view = current_view();
+  if (leader_of(view) != id()) return;
+  const auto it = one_bs_.find(view);
   if (it == one_bs_.end()) return;
   process_set responders;
   for (const auto& [p, e] : it->second) responders.insert(p);
@@ -99,24 +101,26 @@ void consensus_node::try_lead() {
     if (!my_val_.has_value()) return;  // line 11: skip this turn
     pick = my_val_;
   }
-  broadcast(make_message<msg_2a>(view_, *pick));
+  broadcast(make_message<msg_2a>(view, *pick));
   phase_ = phase_t::propose;
 }
 
 // Figure 6, lines 17-22.
 void consensus_node::try_accept() {
   if (phase_ != phase_t::enter && phase_ != phase_t::propose) return;
-  const auto it = two_as_.find(view_);
+  const std::uint64_t view = current_view();
+  const auto it = two_as_.find(view);
   if (it == two_as_.end()) return;
-  acceptor_.accept(view_, it->second);  // view_ was promised on entry
-  broadcast(make_message<msg_2b>(view_, it->second));
+  acceptor_.accept(view, it->second);  // the view was promised on entry
+  broadcast(make_message<msg_2b>(view, it->second));
   phase_ = phase_t::accept;
 }
 
 // Figure 6, lines 23-26.
 void consensus_node::try_decide() {
   if (phase_ == phase_t::decide) return;
-  const auto it = two_bs_.find(view_);
+  const std::uint64_t view = current_view();
+  const auto it = two_bs_.find(view);
   if (it == two_bs_.end()) return;
   // Group matching 2Bs by value (in fact all 2Bs of a view match, because
   // its unique leader sent one 2A).
@@ -125,7 +129,7 @@ void consensus_node::try_decide() {
     for (const auto& [q, y] : it->second)
       if (y == x) matching.insert(q);
     if (covered_quorum(config_.writes, matching)) {
-      acceptor_.accept(view_, x);
+      acceptor_.accept(view, x);
       phase_ = phase_t::decide;
       decision_ = x;
       settle_waiters();

@@ -6,7 +6,7 @@
 //
 //   * Views rotate round-robin: leader(v) = p_((v-1) mod n + 1).
 //   * A process spends v·C time units in view v (no synchronization
-//     messages!). Proposition 2: for any d there is a view from which on
+//     messages!; consensus/view_schedule.hpp). Proposition 2: for any d there is a view from which on
 //     all correct processes overlap in every view for at least d.
 //   * On entering view v, send 1B(v, aview, val) to leader(v).
 //   * The leader of v gathers 1B messages from all members of some *read*
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "consensus/acceptor_core.hpp"
+#include "consensus/view_schedule.hpp"
 #include "quorum/quorum_config.hpp"
 #include "register/register_state.hpp"
 #include "sim/transport.hpp"
@@ -79,12 +80,10 @@ class consensus_node : public component {
     }
     learners_.push_back(std::move(cb));
   }
-  std::uint64_t current_view() const noexcept { return view_; }
+  std::uint64_t current_view() const noexcept { return schedule_.view(); }
 
   /// (view, entry time) log — the data behind the Proposition 2 bench.
-  const std::vector<std::pair<std::uint64_t, sim_time>>& view_log() const {
-    return view_log_;
-  }
+  const view_schedule::log_type& view_log() const { return schedule_.log(); }
 
   void start() override;
   void deliver(process_id origin, const message_ptr& payload) override;
@@ -133,7 +132,7 @@ class consensus_node : public component {
   quorum_config config_;
   consensus_options options_;
 
-  std::uint64_t view_ = 0;
+  view_schedule schedule_;
   /// The single-decree acceptor register (promised view + accepted pair);
   /// shared logic with the sharded SMR service — see acceptor_core.hpp.
   acceptor_core<value_type> acceptor_;
@@ -155,7 +154,6 @@ class consensus_node : public component {
 
   std::vector<propose_callback> waiters_;
   std::vector<std::function<void(value_type)>> learners_;
-  std::vector<std::pair<std::uint64_t, sim_time>> view_log_;
 };
 
 }  // namespace gqs

@@ -1,8 +1,8 @@
 // timeseries.hpp — periodic gauge sampler on simulated time.
 //
 // Components register probes (read-only int64 callbacks: link queue
-// depths, in-flight pipeline windows, dedup/gossip backlog, lease/view
-// state); the simulator calls sample_due() from its event loop whenever
+// depths, in-flight pipeline windows, dedup/gossip backlog, view state);
+// the simulator calls sample_due() from its event loop whenever
 // simulated time crosses the configured period. Sampling only *reads*
 // component state — no RNG draws, no events scheduled — so enabling it
 // cannot perturb a run's behaviour, and the recorded points are a pure

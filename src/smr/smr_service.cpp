@@ -10,11 +10,8 @@ namespace gqs {
 void smr_options::validate() const {
   if (shards == 0 || shards > 4096)
     throw std::invalid_argument("smr_service: bad shard count");
-  if (lease_duration <= 0 || lease_backoff_unit < 0)
-    throw std::invalid_argument("smr_service: bad lease parameters");
-  if (heartbeat_period <= 0 || heartbeat_period >= lease_duration)
-    throw std::invalid_argument(
-        "smr_service: heartbeat period must undercut the lease");
+  if (view_duration_unit <= 0)
+    throw std::invalid_argument("smr_service: bad view duration");
   if (pipeline_window <= 0)
     throw std::invalid_argument("smr_service: bad pipeline window");
   if (max_batch == 0)
@@ -43,7 +40,9 @@ smr_service::smr_service(service_key keys, quorum_config config,
     check_selector_covers(sel->strategy().writes, config_.writes, "write");
     check_selector_covers(sel->strategy().reads, config_.reads, "read");
   }
-  shards_.resize(options_.shards);
+  shards_.reserve(options_.shards);
+  for (std::size_t s = 0; s < options_.shards; ++s)
+    shards_.emplace_back(options_.view_duration_unit);
   states_.resize(keys_);
   write_counts_.resize(keys_, 0);
 }
@@ -65,7 +64,7 @@ const smr_service::shard_state& smr_service::shard_at(std::size_t shard) const {
 }
 
 std::uint64_t smr_service::view_of(std::size_t shard) const {
-  return shard_at(shard).view;
+  return shard_at(shard).schedule.view();
 }
 
 const std::vector<smr_entry_ptr>& smr_service::log(std::size_t shard) const {
@@ -86,7 +85,6 @@ void smr_service::start() {
   register_obs();
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     shards_[s].applied_seqs.resize(n);
-    shards_[s].heard.resize(n, 0);
     enter_view(s, 1);
   }
   retry_timer_ = set_timer(std::max<sim_time>(options_.resubmit_timeout / 2, 1));
@@ -122,7 +120,7 @@ void smr_service::register_obs() {
         [this] {
           std::int64_t hi = 0;
           for (const shard_state& ss : shards_)
-            hi = std::max(hi, static_cast<std::int64_t>(ss.view));
+            hi = std::max(hi, static_cast<std::int64_t>(ss.schedule.view()));
           return hi;
         },
         timeseries_sampler::agg::max);
@@ -142,97 +140,39 @@ void smr_service::on_timeout(int timer_id) {
     return;
   }
   rounds_.on_timeout(timer_id);
-  const auto it = timers_.find(timer_id);
-  if (it == timers_.end()) return;  // an escalation, or stale
-  const timer_ref ref = it->second;
-  timers_.erase(it);
-  switch (ref.kind) {
-    case timer_ref::kind_t::lease: {
-      // One rule for every role: follower, candidate (rule 2: a campaign
-      // not covered within the patience times out) and leader (rule 3).
-      shard_state& ss = shards_[ref.shard];
-      ss.lease_armed = false;
-      if (now() - ss.leader_activity >= lease_patience(ss))
-        lease_expired(ref.shard);
-      else
-        arm_lease(ref.shard);  // renewed since arming: sleep the remainder
-      return;
-    }
-    case timer_ref::kind_t::heartbeat: {
-      shard_state& ss = shards_[ref.shard];
-      ss.beat_armed = false;
-      if (!ss.leading) return;  // stepped down; stop the beat
-      // Rule 3: beat only when idle; a won round's commit already renewed
-      // every follower, and the win the leader itself.
-      if (!ss.won_since_beat) {
-        ++counters_.heartbeats;
-        ss.hb_acks = {};
-        if (ss.hb_acks.add(id(), config_.writes)) renew_lease(ref.shard);
-        broadcast(make_message<hb_msg>(ref.shard, ss.view, ss.applied));
-      }
-      ss.won_since_beat = false;
-      arm_heartbeat(ref.shard);
-      return;
-    }
-  }
-}
-
-void smr_service::arm_lease(std::uint32_t shard) {
+  const auto it = view_timers_.find(timer_id);
+  if (it == view_timers_.end()) return;  // an escalation
+  const std::uint32_t shard = it->second;
+  view_timers_.erase(it);
   shard_state& ss = shards_[shard];
-  if (ss.lease_armed) return;
-  const sim_time deadline = ss.leader_activity + lease_patience(ss);
-  timers_[set_timer(std::max<sim_time>(deadline - now(), 1))] =
-      timer_ref{timer_ref::kind_t::lease, shard};
-  ss.lease_armed = true;
-}
-
-void smr_service::arm_heartbeat(std::uint32_t shard) {
-  shard_state& ss = shards_[shard];
-  if (ss.beat_armed) return;  // a chain from an earlier term still ticks
-  timers_[set_timer(options_.heartbeat_period)] =
-      timer_ref{timer_ref::kind_t::heartbeat, shard};
-  ss.beat_armed = true;
-}
-
-void smr_service::renew_lease(std::uint32_t shard) {
-  shard_state& ss = shards_[shard];
-  // Rule 4: while one of its own commands is overdue, a follower ignores
-  // leader activity, so a view that does not serve it ends on the growing
-  // schedule. Leaving a view early never endangers safety (views are
-  // promises); it only costs a Phase 1. A leader renews on its write
-  // quorum's answers alone.
-  if (!ss.leading && !ss.pending.empty() &&
-      now() - ss.pending.begin()->second.submitted_at >=
-          options_.resubmit_timeout)
-    return;
-  ss.leader_activity = now();
-}
-
-void smr_service::lease_expired(std::uint32_t shard) {
+  if (timer_id != ss.view_timer) return;  // the shard entered a view since
+  // Figure 6, line 27: the view's time on the schedule is up.
   ++counters_.view_changes;
   if (tracer_) tracer_->leaf("smr.view_change", "smr", id(), {}, now());
-  enter_view(shard, shards_[shard].view + 1);
+  enter_view(shard, ss.schedule.view() + 1);
 }
 
-/// Rule 1, Figure 6's view entry: the view is this replica's shard-wide
-/// promise, and its 1B report goes to the view's leader unasked (or it
-/// campaigns, leading the view itself). A pushed report is as good as a
-/// solicited one: from the promise on, the acceptor refuses lower views.
-void smr_service::enter_view(std::uint32_t shard, std::uint64_t view) {
+/// Figure 6's view entry, for a view above the current one: the view is
+/// this replica's shard-wide promise, it lasts v·C from now, and the 1B
+/// report goes to the view's leader unasked (or the replica campaigns,
+/// leading the view itself). A pushed report is as good as a solicited
+/// one: from the promise on, the acceptor refuses lower views. Entering on
+/// the leader's campaign, the report starts at or below the leader's
+/// announced floor, so it covers at once. Returns whether the view was
+/// entered.
+bool smr_service::enter_view(std::uint32_t shard, std::uint64_t view,
+                             std::uint64_t leader_floor) {
   shard_state& ss = shards_[shard];
+  if (!ss.schedule.enter(view, now())) return false;
   if (ss.leading || ss.phase1_inflight) step_down(shard);
-  ss.view = view;
-  ss.leader_activity = now();
-  arm_lease(shard);
+  ss.view_timer = set_timer(ss.schedule.duration());
+  view_timers_.emplace(ss.view_timer, shard);
   const process_id leader = leader_of(shard, view);
   if (leader == id())
     begin_phase1(shard);
   else
-    push_report(shard, leader);
-}
-
-void smr_service::adopt_view(std::uint32_t shard, std::uint64_t view) {
-  if (view > shards_[shard].view) enter_view(shard, view);
+    push_report(shard, leader, std::min(ss.applied, leader_floor));
+  return true;
 }
 
 void smr_service::step_down(std::uint32_t shard) {
@@ -240,9 +180,8 @@ void smr_service::step_down(std::uint32_t shard) {
   ss.leading = false;
   ss.phase1_inflight = false;
   ss.p1bs = {};
+  ss.held.clear();
   rounds_.close(ss.phase1_round);
-  for (const auto& [slot, round] : ss.inflight) rounds_.close(round.round);
-  ss.inflight.clear();
   if (tracer_) {
     // Abandoned rounds: close their spans here rather than letting
     // finalize() stretch them to the end of the run.
@@ -255,13 +194,19 @@ void smr_service::step_down(std::uint32_t shard) {
     for (auto& [slot, sp] : ss.slot_spans) tracer_->end_span(sp, now());
     ss.slot_spans.clear();
   }
-  // Undecided batches are not lost: re-route their commands towards the
-  // new leader (duplicates are deduplicated at application).
-  if (!ss.staged.empty()) {
-    for (smr_command& c : ss.staged) ss.fwd_staged.push_back(std::move(c));
-    ss.staged.clear();
-    mark_dirty(shard);
+  // Undecided batches are not lost: re-route their commands, in-flight
+  // ones first, towards the new leader. An in-flight entry may still be
+  // chosen in this view; its commands then commit twice, and application
+  // deduplicates the second copy.
+  for (const auto& [slot, round] : ss.inflight) {
+    rounds_.close(round.round);
+    ss.fwd_staged.insert(ss.fwd_staged.end(), round.entry->begin(),
+                         round.entry->end());
   }
+  ss.inflight.clear();
+  for (smr_command& c : ss.staged) ss.fwd_staged.push_back(std::move(c));
+  ss.staged.clear();
+  if (!ss.fwd_staged.empty()) mark_dirty(shard);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +248,7 @@ void smr_service::submit(smr_command cmd, pending_cmd rec) {
 
 void smr_service::route(std::uint32_t shard, const smr_command& cmd) {
   shard_state& ss = shards_[shard];
-  if (leader_of(shard, ss.view) == id())
+  if (leader_of(shard, ss.schedule.view()) == id())
     ss.staged.push_back(cmd);
   else
     ss.fwd_staged.push_back(cmd);
@@ -334,7 +279,7 @@ void smr_service::flush() {
     shard_state& ss = shards_[s];
     ss.dirty = false;
     if (!ss.fwd_staged.empty()) {
-      const process_id target = leader_of(s, ss.view);
+      const process_id target = leader_of(s, ss.schedule.view());
       if (target == id()) {
         for (smr_command& c : ss.fwd_staged)
           ss.staged.push_back(std::move(c));
@@ -368,7 +313,7 @@ void smr_service::drain(std::uint32_t shard) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase 1 — one promise per lease, covering every slot above the floor
+// Phase 1 — one promise per view, covering every slot above the floor
 
 /// Phase 1 draws a read quorum and Phase 2 a write quorum, both from one
 /// per-process stream shared by every shard.
@@ -387,7 +332,7 @@ void smr_service::begin_phase1(std::uint32_t shard) {
   ss.p1bs = {};
   ++counters_.phase1_rounds;
   const std::uint64_t floor = ss.applied;
-  auto wire = make_message<p1a_msg>(shard, ss.view, floor);
+  auto wire = make_message<p1a_msg>(shard, ss.schedule.view(), floor);
   if (tracer_) {
     ss.phase1_span = tracer_->begin_span("smr.phase1", "smr", id(), {}, now());
     stamp_trace_span(wire, ss.phase1_span);
@@ -401,28 +346,58 @@ void smr_service::begin_phase1(std::uint32_t shard) {
 }
 
 smr_service::p1b_report smr_service::make_report(const shard_state& ss,
-                                                 std::uint64_t floor) const {
+                                                 std::uint64_t from) const {
   p1b_report report;
+  report.from = from;
   report.floor = ss.applied;
-  for (std::uint64_t s = floor; s < ss.chosen.size(); ++s)
+  for (std::uint64_t s = from; s < ss.chosen.size(); ++s)
     if (ss.chosen[s])
       report.slots.push_back(
           p1b_slot{s, true, accepted_rec<smr_entry_ptr>{0, ss.chosen[s]}});
   for (const auto& [s, acc] : ss.accepted) {
-    if (s < floor) continue;
+    if (s < from) continue;
     if (s < ss.chosen.size() && ss.chosen[s]) continue;  // reported above
     report.slots.push_back(p1b_slot{s, false, acc});
   }
   return report;
 }
 
-/// The report covers every slot from min(own applied, the floor last heard
-/// from the leader). The leader's applied prefix only grows, so it is at
-/// least that floor: every slot it may still propose into is covered.
-void smr_service::push_report(std::uint32_t shard, process_id leader) {
+void smr_service::push_report(std::uint32_t shard, process_id leader,
+                              std::uint64_t from) {
   const shard_state& ss = shards_[shard];
-  const std::uint64_t from = std::min(ss.applied, ss.heard[leader]);
-  unicast(leader, make_message<p1b_msg>(shard, ss.view, make_report(ss, from)));
+  unicast(leader, make_message<p1b_msg>(shard, ss.schedule.view(),
+                                        make_report(ss, from)));
+}
+
+/// The report-cover rule: a report counts toward the read quorum only once
+/// it starts at or below the leader's applied prefix, so that it covers
+/// every slot the leader may still propose into; until then it is held.
+/// The slots it skips were applied at the reporter, so their commits reach
+/// the leader too: the reporter reaches the leader, and flooding relays
+/// every commit wherever its sender reaches.
+void smr_service::count_report(std::uint32_t shard, process_id origin,
+                               p1b_report report) {
+  shard_state& ss = shards_[shard];
+  if (report.from > ss.applied) {
+    ss.held.insert_or_assign(origin, std::move(report));
+    return;
+  }
+  ss.held.erase(origin);
+  const auto quorum = ss.p1bs.add(origin, std::move(report), config_.reads);
+  if (quorum) finish_phase1(shard, *quorum);
+}
+
+/// Counts the held reports the applied prefix now covers.
+void smr_service::count_held(std::uint32_t shard) {
+  shard_state& ss = shards_[shard];
+  while (ss.phase1_inflight) {
+    const auto it = std::find_if(
+        ss.held.begin(), ss.held.end(),
+        [&](const auto& e) { return e.second.from <= ss.applied; });
+    if (it == ss.held.end()) return;
+    auto node = ss.held.extract(it);
+    count_report(shard, node.key(), std::move(node.mapped()));
+  }
 }
 
 void smr_service::finish_phase1(std::uint32_t shard,
@@ -431,7 +406,6 @@ void smr_service::finish_phase1(std::uint32_t shard,
   ss.phase1_inflight = false;
   ss.leading = true;
   ss.commit_sent = ss.applied;
-  renew_lease(shard);  // a full lease to reach its write quorum
   rounds_.close(ss.phase1_round);
   if (tracer_ && ss.phase1_span.valid()) {
     tracer_->end_span(ss.phase1_span, now());
@@ -479,24 +453,25 @@ void smr_service::finish_phase1(std::uint32_t shard,
   for (const process_id p : quorum) {
     if (p == id()) continue;
     for (std::uint64_t s = ss.p1bs.at(p).floor; s < ss.applied; ++s)
-      unicast(p, make_message<commit_msg>(shard, ss.view, s, ss.chosen[s]));
+      unicast(p, make_message<commit_msg>(shard, ss.schedule.view(), s,
+                                          ss.chosen[s]));
   }
 
   announce_commits(shard);
   apply_prefix(shard);
-  arm_heartbeat(shard);
   drain(shard);
 }
 
 // ---------------------------------------------------------------------------
-// Phase 2 — pipelined slots under the lease's promise
+// Phase 2 — pipelined slots under the view's promise
 
 void smr_service::begin_phase2(std::uint32_t shard, std::uint64_t slot,
                                smr_entry_ptr entry) {
   shard_state& ss = shards_[shard];
   ++counters_.entries_proposed;  // one Phase-2 round per entry
-  ss.accepted[slot] = accepted_rec<smr_entry_ptr>{ss.view, entry};  // self
-  auto wire = make_message<p2a_msg>(shard, ss.view, slot, entry);
+  const std::uint64_t view = ss.schedule.view();
+  ss.accepted[slot] = accepted_rec<smr_entry_ptr>{view, entry};  // self
+  auto wire = make_message<p2a_msg>(shard, view, slot, entry);
   span_ref root;
   if (tracer_) {
     // One root span per (shard, slot), open until the commit announcement.
@@ -536,9 +511,6 @@ void smr_service::phase2_won(std::uint32_t shard, std::uint64_t slot) {
       ss.phase2_spans.erase(p2);
     }
   }
-  // Rule 3: a write quorum answered.
-  renew_lease(shard);
-  ss.won_since_beat = true;
   mark_chosen(shard, slot, entry);
   announce_commits(shard);
   apply_prefix(shard);
@@ -552,7 +524,8 @@ void smr_service::announce_commits(std::uint32_t shard) {
   if (!ss.leading) return;
   while (ss.commit_sent < ss.chosen.size() && ss.chosen[ss.commit_sent]) {
     ++counters_.entries_committed;
-    auto wire = make_message<commit_msg>(shard, ss.view, ss.commit_sent,
+    auto wire = make_message<commit_msg>(shard, ss.schedule.view(),
+                                         ss.commit_sent,
                                          ss.chosen[ss.commit_sent]);
     if (tracer_) {
       const auto root = ss.slot_spans.find(ss.commit_sent);
@@ -644,11 +617,7 @@ void smr_service::deliver(process_id origin, const message_ptr& payload) {
   } else if (const auto* m = message_cast<p2b_msg>(payload)) {
     on_p2b(origin, *m);
   } else if (const auto* m = message_cast<commit_msg>(payload)) {
-    on_commit(origin, *m);
-  } else if (const auto* m = message_cast<hb_msg>(payload)) {
-    if (origin != id()) on_hb(origin, *m);
-  } else if (const auto* m = message_cast<hb_ack_msg>(payload)) {
-    on_hb_ack(origin, *m);
+    on_commit(*m);
   }
 }
 
@@ -662,32 +631,29 @@ void smr_service::on_fwd(const fwd_msg& m) {
 }
 
 /// The campaign announcement: enter its view (which pushes the 1B), or
-/// re-push when already there — the first push may predate a fault.
+/// re-push when already there — the first push may predate a fault, or
+/// start above the leader's floor. Either report starts at or below that
+/// floor, so it covers at once.
 void smr_service::on_p1a(process_id origin, const p1a_msg& m) {
   shard_state& ss = shards_[m.shard];
-  ss.heard[origin] = std::max(ss.heard[origin], m.floor);
-  if (m.view < ss.view) return;  // stale candidate
-  if (m.view == ss.view)
-    push_report(m.shard, origin);
-  else
-    adopt_view(m.shard, m.view);
-  renew_lease(m.shard);  // the campaign is activity
+  if (m.view < ss.schedule.view()) return;  // stale candidate
+  if (!enter_view(m.shard, m.view, m.floor))
+    push_report(m.shard, origin, std::min(ss.applied, m.floor));
 }
 
 void smr_service::on_p1b(process_id origin, const p1b_msg& m) {
   shard_state& ss = shards_[m.shard];
   // A 1B for a higher view names this replica its leader: campaign.
-  adopt_view(m.shard, m.view);
-  if (!ss.phase1_inflight || m.view != ss.view) return;  // stale round
-  const auto quorum = ss.p1bs.add(origin, m.report, config_.reads);
-  if (quorum) finish_phase1(m.shard, *quorum);
+  enter_view(m.shard, m.view);
+  if (!ss.phase1_inflight || m.view != ss.schedule.view())
+    return;  // stale round
+  count_report(m.shard, origin, m.report);
 }
 
 void smr_service::on_p2a(process_id origin, const p2a_msg& m) {
   shard_state& ss = shards_[m.shard];
-  if (m.view < ss.view) return;  // promised away
-  adopt_view(m.shard, m.view);
-  renew_lease(m.shard);
+  if (m.view < ss.schedule.view()) return;  // promised away
+  enter_view(m.shard, m.view);
   const auto acc = ss.accepted.find(m.slot);
   if (acc == ss.accepted.end() || acc->second.aview <= m.view)
     ss.accepted[m.slot] = accepted_rec<smr_entry_ptr>{m.view, m.entry};
@@ -696,38 +662,18 @@ void smr_service::on_p2a(process_id origin, const p2a_msg& m) {
 
 void smr_service::on_p2b(process_id origin, const p2b_msg& m) {
   shard_state& ss = shards_[m.shard];
-  if (!ss.leading || m.view != ss.view) return;  // stale round
+  if (!ss.leading || m.view != ss.schedule.view()) return;  // stale round
   const auto it = ss.inflight.find(m.slot);
   if (it == ss.inflight.end()) return;  // already decided (or never ours)
   const auto quorum = it->second.acks.add(origin, config_.writes);
   if (quorum) phase2_won(m.shard, m.slot);
 }
 
-void smr_service::on_commit(process_id origin, const commit_msg& m) {
-  shard_state& ss = shards_[m.shard];
-  ss.heard[origin] = std::max(ss.heard[origin], m.slot);
-  adopt_view(m.shard, m.view);
-  if (m.view == ss.view) renew_lease(m.shard);
+void smr_service::on_commit(const commit_msg& m) {
+  enter_view(m.shard, m.view);
   mark_chosen(m.shard, m.slot, m.entry);
   apply_prefix(m.shard);
-}
-
-void smr_service::on_hb(process_id origin, const hb_msg& m) {
-  shard_state& ss = shards_[m.shard];
-  ss.heard[origin] = std::max(ss.heard[origin], m.floor);
-  adopt_view(m.shard, m.view);
-  if (m.view != ss.view) return;
-  renew_lease(m.shard);
-  unicast(origin, make_message<hb_ack_msg>(m.shard, m.view));
-}
-
-/// Rule 3: a leader keeps its view only while a write quorum answers. One
-/// cut off from every write quorum can commit nothing; letting it step
-/// down stops its beats from holding followers in a dead view.
-void smr_service::on_hb_ack(process_id origin, const hb_ack_msg& m) {
-  shard_state& ss = shards_[m.shard];
-  if (ss.leading && m.view == ss.view && ss.hb_acks.add(origin, config_.writes))
-    renew_lease(m.shard);
+  count_held(m.shard);
 }
 
 // ---------------------------------------------------------------------------

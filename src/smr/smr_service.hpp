@@ -1,21 +1,20 @@
 // smr_service.hpp — sharded, pipelined state-machine replication over a
 // generalized quorum system: the repository's one SMR.
 //
-// It is Figure 6 made multi-decree. The view/leader rotation, the
-// 1B/2A/2B phases over GQS read and write quorums and the acceptor rules
+// It is Figure 6 made multi-decree. The view/leader rotation, the view
+// schedule (consensus/view_schedule.hpp), the 1B/2A/2B phases over GQS
+// read and write quorums and the acceptor rules
 // (consensus/acceptor_core.hpp) are the paper's; around them:
 //
 //   * sharding — the keyspace is partitioned across independent consensus
 //     groups (shard(key) = key mod shards), each with its own log, leader
 //     and view schedule, all multiplexed over ONE component per process;
-//   * views as leases — a replica's view of a shard is its shard-wide
-//     promise. On entering a view it pushes its 1B report to the view's
-//     leader (Figure 6), whose one Phase 1 then covers every slot. Any
-//     replica leaves its view when the view's evidence of progress goes
-//     stale for lease_duration + v·lease_backoff_unit, patience growing
-//     per view as in Proposition 2: a follower's evidence is leader
-//     traffic, a candidate's is none (its campaign times out), a leader's
-//     is a write quorum answering (won rounds, acked idle heartbeats);
+//   * one Phase 1 per view — a replica's view of a shard is its shard-wide
+//     promise. It stays in view v for v·view_duration_unit on its own
+//     clock (Figure 6), or until it learns of a higher view from a
+//     message, which restarts that clock. On entering a view it pushes its
+//     1B report to the view's leader, whose one Phase 1 then covers every
+//     slot the leader may still propose into;
 //   * batching — commands submitted anywhere are forwarded to the shard
 //     leader and coalesced (one 0-delay flush per instant, the
 //     quorum_service idiom) into multi-command log entries, so steady
@@ -28,13 +27,14 @@
 //     under a failure pattern is exactly this engine's broadcast mode's.
 //
 // Liveness is Theorem 1's: under any f ∈ F every command submitted at a
-// U_f member commits (docs/ARCHITECTURE.md, "Sharded SMR", states the four
-// view rules and why each is safe). Safety is per-slot Paxos over the GQS
-// (Consistency of the quorum system) and does not depend on how views
-// change. Exactly-once application: commands carry (submitter, per-shard
-// seq) and every replica dedups through a sequence_filter while applying
-// the identical log prefix, so retried commands (resubmitted to a new
-// leader) apply once at every replica deterministically.
+// U_f member commits, because views move only on Figure 6's schedule
+// (docs/ARCHITECTURE.md, "Sharded SMR", states the schedule and the
+// report-cover rule, and why each is safe). Safety is per-slot Paxos over
+// the GQS (Consistency of the quorum system) and does not depend on how
+// views change. Exactly-once application: commands carry (submitter,
+// per-shard seq) and every replica dedups through a sequence_filter while
+// applying the identical log prefix, so retried commands (resubmitted to a
+// new leader) apply once at every replica deterministically.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "consensus/acceptor_core.hpp"
+#include "consensus/view_schedule.hpp"
 #include "lincheck/register_history.hpp"
 #include "quorum/qaf_core.hpp"
 #include "quorum/quorum_service.hpp"
@@ -81,23 +82,15 @@ using smr_entry_ptr = std::shared_ptr<const smr_entry>;
 struct smr_options {
   /// Number of consensus groups the keyspace partitions across.
   std::size_t shards = 1;
-  /// Patience of every role before leaving view v without evidence of
-  /// progress: lease_duration + v · lease_backoff_unit (growing per view
-  /// so correct processes eventually overlap in a view, as in
-  /// consensus_options).
-  sim_time lease_duration = 150000;    // 150 ms
-  sim_time lease_backoff_unit = 50000; // 50 ms — the seed's C
-  /// Leader keep-alive while idle (no round won in the last period): it
-  /// renews follower leases and, acked by a write quorum, the leader's.
-  sim_time heartbeat_period = 50000;   // 50 ms
+  /// The constant C of consensus_options: a replica stays in view v of a
+  /// shard for v·C from entering it.
+  sim_time view_duration_unit = 50000;  // 50 ms
   /// Outstanding Phase-2 slots per shard (in-order commit).
   int pipeline_window = 4;
   /// Commands per log entry cap.
   std::size_t max_batch = 64;
   /// A submitter re-forwards a command to the (current) leader when it
-  /// has not applied within this delay, and from then on stops renewing
-  /// its lease — the liveness path across leader failures. Dedup makes
-  /// the retry safe.
+  /// has not applied within this delay. Dedup makes the retry safe.
   sim_time resubmit_timeout = 400000;  // 400 ms
   /// With a selector: delay before a phase round that still lacks quorum
   /// coverage falls back to full broadcast (targeted_round.hpp). 0
@@ -126,10 +119,9 @@ struct smr_counters {
   std::uint64_t targeted_phase1 = 0;
   std::uint64_t targeted_phase2 = 0;
   std::uint64_t escalations = 0;
-  /// Views left on stale evidence: lease expiries, campaign timeouts and
-  /// leader step-downs (adopting a higher view does not count).
+  /// Views left because their time on the schedule ran out (adopting a
+  /// higher view from a message does not count).
   std::uint64_t view_changes = 0;
-  std::uint64_t heartbeats = 0;          ///< idle beats sent while leading
   std::uint64_t retries = 0;             ///< commands re-forwarded
 
   /// Every field, once (metrics_registry::observe_counters reads it).
@@ -146,7 +138,6 @@ struct smr_counters {
     f("targeted_phase2", &smr_counters::targeted_phase2);
     f("escalations", &smr_counters::escalations);
     f("view_changes", &smr_counters::view_changes);
-    f("heartbeats", &smr_counters::heartbeats);
     f("retries", &smr_counters::retries);
   }
 };
@@ -228,7 +219,8 @@ class smr_service : public component {
     }
   };
   /// Phase 1: the view-v leader announces its campaign (receivers enter
-  /// v, or re-push their 1B if already there) and its applied floor.
+  /// v, or re-push their 1B if already there) and its applied floor, from
+  /// which the answering reports start.
   struct p1a_msg : message {
     std::uint32_t shard;
     std::uint64_t view;
@@ -244,8 +236,11 @@ class smr_service : public component {
     bool chosen;
     accepted_rec<smr_entry_ptr> acc;
   };
+  /// The slots a report covers: every one from `from` on. The leader
+  /// counts it only once `from` is at or below its own applied prefix.
   struct p1b_report {
-    std::uint64_t floor = 0;
+    std::uint64_t from = 0;
+    std::uint64_t floor = 0;  ///< the reporter's applied prefix
     std::vector<p1b_slot> slots;
   };
   struct p1b_msg : message {
@@ -255,7 +250,7 @@ class smr_service : public component {
     p1b_msg(std::uint32_t s, std::uint64_t v, p1b_report r)
         : shard(s), view(v), report(std::move(r)) {}
     std::size_t wire_size() const override {
-      std::size_t bytes = 24;
+      std::size_t bytes = 32;
       for (const p1b_slot& s : report.slots)
         bytes += 32 + (s.acc.val ? entry_wire_size(*s.acc.val) : 0);
       return bytes;
@@ -281,7 +276,7 @@ class smr_service : public component {
         : shard(s), view(v), slot(sl) {}
     std::size_t wire_size() const override { return 24; }
   };
-  /// In-order commit announcement (doubles as lease renewal).
+  /// In-order commit announcement.
   struct commit_msg : message {
     std::uint32_t shard;
     std::uint64_t view;
@@ -293,22 +288,6 @@ class smr_service : public component {
     std::size_t wire_size() const override {
       return 24 + entry_wire_size(entry);
     }
-  };
-  /// Leader keep-alive while idle.
-  struct hb_msg : message {
-    std::uint32_t shard;
-    std::uint64_t view;
-    std::uint64_t floor;
-    hb_msg(std::uint32_t s, std::uint64_t v, std::uint64_t f)
-        : shard(s), view(v), floor(f) {}
-    std::size_t wire_size() const override { return 24; }
-  };
-  /// A follower in the heartbeat's view answers it.
-  struct hb_ack_msg : message {
-    std::uint32_t shard;
-    std::uint64_t view;
-    hb_ack_msg(std::uint32_t s, std::uint64_t v) : shard(s), view(v) {}
-    std::size_t wire_size() const override { return 16; }
   };
 
  private:
@@ -331,10 +310,11 @@ class smr_service : public component {
 
   /// Per-shard protocol state at this replica.
   struct shard_state {
-    std::uint64_t view = 1;  ///< also the shard-wide promise (all slots)
-    /// Per process, the highest applied floor it announced (p1a, hb,
-    /// commit): a lower bound on its applied prefix.
-    std::vector<std::uint64_t> heard;
+    explicit shard_state(sim_time unit) : schedule(unit) {}
+
+    /// The view is also the shard-wide promise (all slots).
+    view_schedule schedule;
+    int view_timer = -1;  ///< ends the current view
     // -- acceptor --
     std::map<std::uint64_t, accepted_rec<smr_entry_ptr>> accepted;
     // -- learner --
@@ -346,6 +326,9 @@ class smr_service : public component {
     bool phase1_inflight = false;
     targeted_round::handle phase1_round = targeted_round::none;
     quorum_response_collector<p1b_report> p1bs;
+    /// Reports that do not cover yet, by reporter, until the applied
+    /// prefix reaches their start.
+    std::map<process_id, p1b_report> held;
     std::uint64_t next_slot = 0;    ///< next slot to propose into
     std::uint64_t commit_sent = 0;  ///< commits announced while leading
     std::map<std::uint64_t, inflight_round> inflight;
@@ -354,12 +337,6 @@ class smr_service : public component {
     // -- client --
     std::map<std::uint32_t, pending_cmd> pending;  ///< by submit_seq
     std::uint32_t next_seq = 0;
-    // -- timers --
-    sim_time leader_activity = 0;  ///< lazily-checked lease renewal
-    bool lease_armed = false;      ///< one outstanding lease timer
-    bool beat_armed = false;       ///< one outstanding heartbeat timer
-    bool won_since_beat = false;   ///< a round was won: skip the beat
-    quorum_cover_tracker hb_acks;  ///< answers to the last heartbeat
     bool dirty = false;  ///< staged/fwd_staged non-empty this instant
     // -- tracing (populated only while a trace is recorded) --
     span_ref phase1_span;                         ///< open "smr.phase1"
@@ -367,21 +344,11 @@ class smr_service : public component {
     std::map<std::uint64_t, span_ref> phase2_spans;  ///< "smr.phase2" child
   };
 
-  struct timer_ref {
-    enum class kind_t { lease, heartbeat } kind;
-    std::uint32_t shard;
-  };
-
   void check_key(service_key key) const {
     if (key >= keys_)
       throw std::out_of_range("smr_service: key out of range");
   }
   const shard_state& shard_at(std::size_t shard) const;
-
-  sim_time lease_patience(const shard_state& ss) const {
-    return options_.lease_duration +
-           static_cast<sim_time>(ss.view) * options_.lease_backoff_unit;
-  }
 
   void submit(smr_command cmd, pending_cmd rec);
   void route(std::uint32_t shard, const smr_command& cmd);
@@ -392,20 +359,19 @@ class smr_service : public component {
 
   void begin_phase1(std::uint32_t shard);
   void finish_phase1(std::uint32_t shard, const process_set& quorum);
-  p1b_report make_report(const shard_state& ss, std::uint64_t floor) const;
-  void push_report(std::uint32_t shard, process_id leader);
+  p1b_report make_report(const shard_state& ss, std::uint64_t from) const;
+  void push_report(std::uint32_t shard, process_id leader, std::uint64_t from);
+  void count_report(std::uint32_t shard, process_id origin,
+                    p1b_report report);
+  void count_held(std::uint32_t shard);
   void begin_phase2(std::uint32_t shard, std::uint64_t slot,
                     smr_entry_ptr entry);
   void phase2_won(std::uint32_t shard, std::uint64_t slot);
   void announce_commits(std::uint32_t shard);
 
-  void enter_view(std::uint32_t shard, std::uint64_t view);
-  void adopt_view(std::uint32_t shard, std::uint64_t view);
+  bool enter_view(std::uint32_t shard, std::uint64_t view,
+                  std::uint64_t leader_floor = UINT64_MAX);
   void step_down(std::uint32_t shard);
-  void arm_lease(std::uint32_t shard);
-  void arm_heartbeat(std::uint32_t shard);
-  void renew_lease(std::uint32_t shard);
-  void lease_expired(std::uint32_t shard);
 
   void mark_chosen(std::uint32_t shard, std::uint64_t slot,
                    const smr_entry_ptr& entry);
@@ -417,9 +383,7 @@ class smr_service : public component {
   void on_p1b(process_id origin, const p1b_msg& m);
   void on_p2a(process_id origin, const p2a_msg& m);
   void on_p2b(process_id origin, const p2b_msg& m);
-  void on_commit(process_id origin, const commit_msg& m);
-  void on_hb(process_id origin, const hb_msg& m);
-  void on_hb_ack(process_id origin, const hb_ack_msg& m);
+  void on_commit(const commit_msg& m);
 
   /// The quorum a phase round of `shard` targets; none without a selector.
   std::optional<process_set> draw(std::uint32_t shard, bool phase1);
@@ -442,7 +406,7 @@ class smr_service : public component {
   std::uint64_t sample_seq_ = 0;  ///< per-process selector stream cursor
   int flush_timer_ = -1;
   int retry_timer_ = -1;
-  std::map<int, timer_ref> timers_;  ///< lease and heartbeat timers
+  std::map<int, std::uint32_t> view_timers_;  ///< timer → its shard
   smr_counters counters_;
   targeted_round rounds_;
   trace_recorder* tracer_ = nullptr;  ///< non-null iff recording spans

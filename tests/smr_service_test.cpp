@@ -1,7 +1,7 @@
 // Tests for the sharded, pipelined SMR service (smr/smr_service.hpp):
 // commit and convergence over Figure-1 and threshold systems, command
-// forwarding, batching, sharding, lease-driven leader re-election after a
-// crash, retry-based exactly-once application, and strategy-targeted
+// forwarding, batching, sharding, schedule-driven leader re-election
+// after a crash, retry-based exactly-once application, and strategy-targeted
 // phase quorums (fewer messages, identical outcomes, escalation as the
 // liveness fallback), and Theorem 1's liveness under Figure 1's failure
 // patterns, at time 0 and mid-run.
@@ -12,7 +12,9 @@
 #include <optional>
 #include <vector>
 
+#include "core/existence.hpp"
 #include "core/factories.hpp"
+#include "core/parse.hpp"
 #include "core/quorum_system.hpp"
 #include "strategy/planner.hpp"
 #include "strategy/shard_plan.hpp"
@@ -131,7 +133,7 @@ TEST(SmrService, LeaderCrashReElectsAndRecovers) {
   after.fire(w.sim, w.nodes[2], 2, 4, 4, /*at=*/1000000);  // post-crash
   ASSERT_TRUE(w.sim.run_until_condition(
       [&] { return before.completed == 4 && after.completed == 4; }, kLong));
-  // Survivors advanced past view 1 on lease expiry and re-elected.
+  // Survivors advanced past view 1 on the view schedule and re-elected.
   EXPECT_GT(w.nodes[1]->view_of(0), 1u);
   EXPECT_GT(w.nodes[1]->counters().view_changes +
                 w.nodes[2]->counters().view_changes +
@@ -196,8 +198,8 @@ TEST(SmrService, EscalationRestoresLivenessUnderCrash) {
   // Process 3 is crashed from the start. Leader 0's Phase 1 targets the
   // live read quorum {0, 1, 2}, but every Phase-2 round targets the write
   // quorum {0, 3}: only the leader itself ever acks, so each round stalls
-  // until the escalation broadcast brings in 1 and 2. The leader stays
-  // alive and keeps renewing its lease, so no view change rescues a round.
+  // until the escalation broadcast brings in 1 and 2. View 1 outlasts the
+  // run, so no rotation to a new leader rescues a round.
   read_write_strategy strategy;
   strategy.reads = quorum_strategy::pure(process_set{0, 1, 2});
   strategy.writes = quorum_strategy::pure(process_set{0, 3});
@@ -207,6 +209,7 @@ TEST(SmrService, EscalationRestoresLivenessUnderCrash) {
     opts.shard_selectors = {
         std::make_shared<const quorum_selector>(strategy, 7)};
     opts.escalation_timeout = escalation_timeout;
+    opts.view_duration_unit = kLong;
     auto faults = fault_plan::none(4);
     faults.crash(3, 0);
     smr_world w(gqs, std::move(faults), 12, /*keys=*/4, opts);
@@ -270,7 +273,7 @@ TEST(SmrService, OptionValidationRejectsBadConfigs) {
   bad.pipeline_window = 0;
   EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
   bad = {};
-  bad.heartbeat_period = bad.lease_duration;  // must undercut the lease
+  bad.view_duration_unit = 0;
   EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
   bad = {};
   bad.leaders = {0, 1};  // two leaders for one shard
@@ -301,7 +304,7 @@ TEST(SmrService, CommitsAndConvergesOnCongestedLinks) {
   // Bandwidth-limited links under the partial-synchrony timing: Phase-2
   // and commit traffic serializes FIFO per link, so batches pay wire time
   // proportional to their entry count. Unbounded queues keep the protocol
-  // lossless; leases are long enough to ride out the queueing delay.
+  // lossless, and growing views ride out the queueing delay.
   network_options net = consensus_world::partial_sync();
   net.channel.bytes_per_us = 0.5;
   const auto gqs = threshold_quorum_system(4, 1);
@@ -364,8 +367,8 @@ TEST(SmrService, UfWritesCommitUnderEveryFigure1Pattern) {
 
 TEST(SmrService, UfWritesCommitAfterMidRunFailure) {
   // f3 strikes at 200 ms and cuts a, the view-1 leader, off: nothing
-  // reaches it, while its heartbeats still reach c and d. Unanswered, it
-  // must step down, or its beats would hold c and d in its view forever.
+  // reaches it, while it still reaches c and d. Its view ends on the
+  // schedule, so a, which never hears a later view, cannot hold c and d.
   const auto fig = make_figure1();
   const auto& f3 = fig.gqs.fps[2];
   smr_world w(fig.gqs, fault_plan::from_pattern(f3, 200000), 100,
@@ -384,6 +387,38 @@ TEST(SmrService, UfWritesCommitAfterMidRunFailure) {
       },
       kLong));
   expect_safe(w);
+
+  // Every read quorum of this system's witness contains 0, and under
+  // pattern 4 nothing reaches 0 while 0 still reaches 1. Process 0 wins
+  // view 1 before the strike; a 0 that held its view for as long as its
+  // write quorum {0} answered would never learn of a later view, so no
+  // later Phase 1 would gather its 1B.
+  const fail_prone_system fps = parse_fail_prone_system(
+      "system 4\n"
+      "pattern crash={3} fail={(0,2),(1,2),(2,1)}\n"
+      "pattern crash={1} fail={(0,2),(0,3),(3,0)}\n"
+      "pattern crash={2} fail={(0,3),(1,3),(3,0)}\n"
+      "pattern crash={} fail={(0,2),(0,3),(1,0),(1,2),(2,0),(2,1),(2,3),"
+      "(3,0)}\n");
+  const std::optional<gqs_witness> witness = find_gqs(fps);
+  ASSERT_TRUE(witness.has_value());
+  const failure_pattern& f4 = fps[3];
+  ASSERT_EQ(compute_u_f(witness->system, f4), (process_set{1, 3}));
+  for (const sim_time strike : {50000, 100000, 200000, 400000}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("pattern 4 at " + std::to_string(strike / 1000) +
+                   " ms, seed " + std::to_string(seed));
+      smr_world rw(witness->system, fault_plan::from_pattern(f4, strike),
+                   seed, /*keys=*/4);
+      std::vector<submit_batch> writes(4);
+      for (const process_id p : {1, 3})
+        writes[p].fire(rw.sim, rw.nodes[p], p, 4, 1, /*at=*/2000000);
+      EXPECT_TRUE(rw.sim.run_until_condition(
+          [&] { return writes[1].completed == 1 && writes[3].completed == 1; },
+          kLong));
+      expect_safe(rw);
+    }
+  }
 }
 
 /// Every member of `racers` submits one write in the same instant; returns
@@ -475,13 +510,16 @@ TEST(SmrService, LaggingLeaderRecoversEntriesFromPushedReports) {
   // Process 1, view 2's leader, misses every accept and commit of view 1.
   // When leader 0 crashes, 1 must learn the committed entries from the
   // 1B reports 2 and 3 push on entering view 2, or its log would fork.
+  // View 1 lasts 500 ms, past the crash; view 2 lasts until 1.5 s.
   const auto gqs = threshold_quorum_system(4, 1);
+  smr_options opts;
+  opts.view_duration_unit = 500000;
   auto faults = fault_plan::none(4);
   faults.crash(0, 300000);
   world<deaf_replica> w(4, std::move(faults), 8,
                         consensus_world::partial_sync(), [&](process_id p) {
                           auto r = std::make_unique<deaf_replica>(
-                              4, quorum_config::of(gqs));
+                              4, quorum_config::of(gqs), opts);
                           r->deaf = p == 1;
                           return r;
                         });
