@@ -28,6 +28,7 @@
 
 #include "lincheck/wing_gong.hpp"
 #include "quorum/qaf_ablation.hpp"
+#include "register/atomic_register.hpp"
 #include "sim/runner.hpp"
 #include "workload/table.hpp"
 #include "workload/worlds.hpp"
@@ -73,11 +74,12 @@ run_result drive_rounds(World& w, process_id writer, process_id reader,
 }
 
 /// Scenario A: Figure 1's f1, writer a, reader b.
-template <class RegNode, class... Args>
-run_result scenario_a_cell(std::uint64_t seed, Args... node_args) {
+run_result scenario_a_cell(std::uint64_t seed, const quorum_config& qc,
+                           const push_qaf_options& opts) {
   const auto fig = make_figure1();
-  register_world<RegNode> w(4, fault_plan::from_pattern(fig.gqs.fps[0], 0),
-                            seed, network_options{}, node_args...);
+  register_world<gqs_register_node> w(
+      4, fault_plan::from_pattern(fig.gqs.fps[0], 0), seed, network_options{},
+      qc, reg_state{}, opts);
   return drive_rounds(w, 0, 1, 6);
 }
 
@@ -92,13 +94,13 @@ run_result scenario_b_cell(std::uint64_t seed, bool use_get_cutoff,
                            bool use_set_confirmation) {
   const auto qs = threshold_quorum_system(3, 1);
   const std::uint64_t offsets[] = {0, 100, 0};
-  register_world<ablated_register_node> w(
+  register_world<gqs_register_node> w(
       3, fault_plan::none(3), seed, network_options{}, [&](process_id p) {
         push_qaf_options opts;
         opts.initial_clock = offsets[p];
         opts.use_get_cutoff = use_get_cutoff;
         opts.use_set_confirmation = use_set_confirmation;
-        return std::make_unique<ablated_register_node>(
+        return std::make_unique<gqs_register_node>(
             quorum_config::of(qs), reg_state{}, opts);
       });
   return drive_rounds(w, 0, 2, 8);
@@ -121,7 +123,7 @@ run_result scenario_b_cell(std::uint64_t seed, bool use_get_cutoff,
 /// the read then returns {stale p1, pre-apply p2}.
 run_result scenario_c_cell(std::uint64_t seed, bool use_get_cutoff,
                            bool use_set_confirmation) {
-  register_world<ablated_register_node> w(
+  register_world<gqs_register_node> w(
       4, disjoint_scenario_faults(), seed, network_options{},
       [&](process_id p) {
         push_qaf_options opts;
@@ -131,7 +133,7 @@ run_result scenario_c_cell(std::uint64_t seed, bool use_get_cutoff,
         // W2-derived cutoff even when it predates the latest update. Equal
         // gossip rates keep the lag constant (liveness intact).
         if (p == 1) opts.initial_clock = 1000;
-        return std::make_unique<ablated_register_node>(
+        return std::make_unique<gqs_register_node>(
             disjoint_scenario_config(), reg_state{}, opts);
       });
   return drive_rounds(w, 0, 3, 6);
@@ -183,27 +185,23 @@ int bench_entry() {
   // and fan it out in one go.
   std::vector<run_spec> specs;
   push_seeds(specs, "a/full", [qc](std::uint64_t seed) {
-    return scenario_a_cell<gqs_register_node>(seed, qc, reg_state{},
-                                              generalized_qaf_options{});
+    return scenario_a_cell(seed, qc, push_qaf_options{});
   });
   push_seeds(specs, "a/no-get-cutoff", [qc](std::uint64_t seed) {
     push_qaf_options opts;
     opts.use_get_cutoff = false;
-    return scenario_a_cell<ablated_register_node>(seed, qc, reg_state{},
-                                                  opts);
+    return scenario_a_cell(seed, qc, opts);
   });
   push_seeds(specs, "a/no-set-confirmation", [qc](std::uint64_t seed) {
     push_qaf_options opts;
     opts.use_set_confirmation = false;
-    return scenario_a_cell<ablated_register_node>(seed, qc, reg_state{},
-                                                  opts);
+    return scenario_a_cell(seed, qc, opts);
   });
   push_seeds(specs, "a/neither", [qc](std::uint64_t seed) {
     push_qaf_options opts;
     opts.use_get_cutoff = false;
     opts.use_set_confirmation = false;
-    return scenario_a_cell<ablated_register_node>(seed, qc, reg_state{},
-                                                  opts);
+    return scenario_a_cell(seed, qc, opts);
   });
   push_seeds(specs, "b/full",
              [](std::uint64_t s) { return scenario_b_cell(s, true, true); });

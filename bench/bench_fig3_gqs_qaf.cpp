@@ -25,7 +25,7 @@ using int_state = std::int64_t;
 using qaf = generalized_qaf<int_state>;
 
 run_result measure(int pattern, process_id at, bool sets, int ops,
-                   generalized_qaf_options opts, std::uint64_t seed) {
+                   push_qaf_options opts, std::uint64_t seed) {
   const auto fig = make_figure1();
   component_world<qaf> w(4, fault_plan::from_pattern(fig.gqs.fps[pattern], 0),
                          seed, network_options{}, quorum_config::of(fig.gqs),
@@ -111,7 +111,7 @@ int bench_entry() {
     for (sim_time period_ms : periods_ms)
       specs.push_back({"gossip" + std::to_string(period_ms) + "ms",
                        [period_ms] {
-                         generalized_qaf_options opts;
+                         push_qaf_options opts;
                          opts.gossip_period = period_ms * 1000;
                          return measure(0, 0, false, 15, opts, 11);
                        }});

@@ -96,7 +96,7 @@ void experiment_e5(const experiment_runner& runner) {
                register_world<gqs_register_node> w(
                    4, fault_plan::from_pattern(fig.gqs.fps[pattern], 0),
                    seed, network_options{}, quorum_config::of(fig.gqs),
-                   reg_state{}, generalized_qaf_options{});
+                   reg_state{}, push_qaf_options{});
                return run_ops(w, p, writes, 10, 600L * 1000 * 1000);
              }});
       }
@@ -136,7 +136,7 @@ void experiment_e6(const experiment_runner& runner) {
                      register_world<gqs_register_node> reg(
                          4, fault_plan::from_pattern(fig.gqs.fps[0], 0), 5,
                          network_options{}, quorum_config::of(fig.gqs),
-                         reg_state{}, generalized_qaf_options{});
+                         reg_state{}, push_qaf_options{});
                      return run_ops(reg, 0, true, 5, 600L * 1000 * 1000);
                    }});
   // Scenario 2: crash-only threshold system (n = 4, k = 1), one crash.
@@ -154,7 +154,7 @@ void experiment_e6(const experiment_runner& runner) {
                      register_world<gqs_register_node> reg(
                          4, std::move(faults), 6, network_options{},
                          quorum_config::of(qs), reg_state{},
-                         generalized_qaf_options{});
+                         push_qaf_options{});
                      return run_ops(reg, 0, true, 10, 600L * 1000 * 1000);
                    }});
   const auto results = runner.run_all(specs);

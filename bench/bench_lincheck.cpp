@@ -14,8 +14,9 @@
 // checked-ops/sec over the mixed corpus, gated in CI via
 // bench/baselines.json (`lincheck_speedup`).
 //
-// Scale: one million-op history is checked in batch mode (absolute
-// `checker_ops_per_sec`), streamed through the windowed checker (rate and
+// Scale: one million-op history is checked in batch mode
+// (`checker_ops_per_sec`, a per-host `info` key in bench/baselines.json,
+// never gated), streamed through the windowed checker (rate and
 // peak live-window size — the O(window) memory claim, measured), and
 // checked per-key through the experiment_runner fan-out with 1- and
 // 2-thread pools, whose results must be bit-identical.

@@ -101,7 +101,7 @@ run_result minimization_cell(const generalized_quorum_system& system) {
   const auto fig = make_figure1();
   register_world<gqs_register_node> w(
       4, fault_plan::from_pattern(fig.gqs.fps[0], 0), 9, network_options{},
-      quorum_config::of(system), reg_state{}, generalized_qaf_options{});
+      quorum_config::of(system), reg_state{}, push_qaf_options{});
   run_result out;
   std::uint64_t msgs = 0;
   for (int i = 0; i < 10; ++i) {

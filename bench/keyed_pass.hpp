@@ -2,7 +2,8 @@
 // (bench_service_throughput, bench_strategy, bench_smr_throughput).
 //
 // run_keyed_pass drives one started world's keyed workload to completion
-// within a simulated horizon, timing the host wall clock of that run. The
+// within a simulated horizon; everything it returns is a pure function of
+// the world's seeds (host throughput is gqs_bench's to measure). The
 // caller picks its checks of the recorded history:
 //
 //   stream — the streaming checker rides the workload driver's hooks
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -40,13 +40,10 @@ struct keyed_pass {
   bool ok = false;
   std::string why;  ///< first failure, empty when ok
   std::uint64_t completed = 0;
-  double wall_s = 0;  ///< host time of the run (checks excluded)
-  double ops_per_sec = 0;
   std::vector<double> latencies_us;
   std::vector<std::uint64_t> per_key_ops;
   std::vector<gqs::keyed_register_op> history;
   std::size_t peak_window = 0;  ///< stream: largest live checker window
-  double check_s = 0;           ///< batch: the faster of the two checks
 
   void fail(std::string reason) {
     ok = false;
@@ -62,7 +59,6 @@ template <class Adapter>
 keyed_pass run_keyed_pass(gqs::simulation& sim, Adapter adapter,
                           const gqs::client_workload_options& workload,
                           gqs::sim_time horizon, keyed_checks checks = {}) {
-  using clock = std::chrono::steady_clock;
   gqs::workload_driver<Adapter> driver(sim, std::move(adapter), workload);
   gqs::streaming_checker live(workload.keys);
   keyed_pass r;
@@ -78,17 +74,12 @@ keyed_pass run_keyed_pass(gqs::simulation& sim, Adapter adapter,
   }
 
   driver.launch();
-  const auto begin = clock::now();
-  const bool done = sim.run_until_condition([&] { return driver.done(); },
-                                            sim.now() + horizon);
-  r.wall_s = std::chrono::duration<double>(clock::now() - begin).count();
-  if (!done) {
+  if (!sim.run_until_condition([&] { return driver.done(); },
+                               sim.now() + horizon)) {
     r.why = "run did not complete within the horizon";
     return r;
   }
   r.completed = driver.completed();
-  r.ops_per_sec =
-      r.wall_s > 0 ? static_cast<double>(r.completed) / r.wall_s : 0;
   r.latencies_us = driver.latencies_us();
   r.per_key_ops = driver.per_key_ops();
   r.history = driver.history();
@@ -103,13 +94,8 @@ keyed_pass run_keyed_pass(gqs::simulation& sim, Adapter adapter,
   if (checks.batch && r.why.empty()) {
     gqs::keyed_check_options serial, pooled;
     pooled.threads = 2;
-    const auto c0 = clock::now();
     const auto l1 = check_keyed_history(r.history, workload.keys, serial);
-    const auto c1 = clock::now();
     const auto l2 = check_keyed_history(r.history, workload.keys, pooled);
-    const auto c2 = clock::now();
-    r.check_s = std::min(std::chrono::duration<double>(c1 - c0).count(),
-                         std::chrono::duration<double>(c2 - c1).count());
     if (!l1.linearizable)
       r.why = "batch check flagged the run: " + l1.reason;
     else if (l1.reason != l2.reason || l1.per_key_ops != l2.per_key_ops ||

@@ -30,7 +30,7 @@ int main() {
   //    the Figure 3 access functions, failures injected at time 0.
   register_world<gqs_register_node> world(
       4, fault_plan::from_pattern(f1, 0), /*seed=*/1, network_options{},
-      quorum_config::of(fig.gqs), reg_state{}, generalized_qaf_options{});
+      quorum_config::of(fig.gqs), reg_state{}, push_qaf_options{});
 
   constexpr process_id a = 0, b = 1;
   const sim_time budget = 600L * 1000 * 1000;

@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
 """Performance gate over bench/out JSON records.
 
-Compares the throughput records of the gated benches against a baseline
-and fails (exit 1) on a regression larger than the tolerance. Baselines
-come from a committed bench/baselines.json; pass --previous to use a
-downloaded previous bench-out artifact instead (record-vs-record), with
-the committed file as the fallback for keys the artifact lacks.
+Compares the gated records of the benches against a baseline and fails
+(exit 1) on a regression larger than the tolerance. Baselines come from
+a committed bench/baselines.json; pass --previous to use a downloaded
+previous bench-out artifact instead (record-vs-record), with the
+committed file as the fallback for keys the artifact lacks.
 
-By default only machine-relative ratio keys (e.g. `telemetry_overhead`,
-two configurations of the same engine measured on the same host) are
-gated — absolute throughput numbers vary with the runner hardware. Set
-GQS_BENCH_GATE_ABSOLUTE=1 to gate those too (useful on pinned,
-self-hosted runners). Every key the baseline names — gate, absolute or
-info — must be present in the record; a missing one fails the gate, so
-the baseline cannot keep naming records a bench no longer writes.
+Only machine-relative ratio keys (e.g. `telemetry_overhead`, two
+configurations of the same engine measured on the same host) are gated;
+per-host throughputs are `info` keys, printed but never gated, since they
+vary with the runner hardware (benchmark/'s gqs_bench is the throughput
+surface). Every key the baseline names — gate or info — must be present
+in the record; a missing one fails the gate, so the baseline cannot keep
+naming records a bench no longer writes.
 
 Override knobs (documented in README.md):
   GQS_BENCH_GATE_SKIP=1        skip the gate entirely (exit 0)
   GQS_BENCH_GATE_TOLERANCE=x   regression tolerance (default from
                                baselines.json, normally 0.20)
-  GQS_BENCH_GATE_ABSOLUTE=1    also gate absolute throughput keys
 """
 
 import argparse
@@ -61,7 +60,6 @@ def main() -> int:
     tolerance_env = os.environ.get("GQS_BENCH_GATE_TOLERANCE", "").strip()
     tolerance = (float(tolerance_env) if tolerance_env
                  else float(baseline.get("tolerance", 0.20)))
-    gate_absolute = os.environ.get("GQS_BENCH_GATE_ABSOLUTE") == "1"
     records_dir = pathlib.Path(args.records)
     previous_dir = pathlib.Path(args.previous) if args.previous else None
 
@@ -76,16 +74,12 @@ def main() -> int:
 
         # Every key the baseline names must exist in the record, so the
         # baseline cannot keep naming records a bench no longer writes.
-        named = [*spec.get("gate", {}), *spec.get("absolute", {}),
-                 *spec.get("info", [])]
+        named = [*spec.get("gate", {}), *spec.get("info", [])]
         missing = {key for key in named if key not in record}
         failures += [f"{bench}.{key}: missing from record"
                      for key in named if key in missing]
 
-        gates = dict(spec.get("gate", {}))
-        if gate_absolute:
-            gates.update(spec.get("absolute", {}))
-        for key, committed_value in gates.items():
+        for key, committed_value in spec.get("gate", {}).items():
             if key in missing:
                 continue
             current = float(record[key])

@@ -21,14 +21,15 @@
 // histories (stale reads / new-old inversions).
 //
 // This is NOT part of the supported API — it exists to demonstrate that
-// the paper's mechanism is load-bearing.
+// the paper's mechanism is load-bearing. The register over it is
+// gqs_register_node (register/atomic_register.hpp), built with the
+// switches off.
 #pragma once
 
 #include <set>
 #include <utility>
 
 #include "quorum/qaf_core.hpp"
-#include "register/atomic_register.hpp"
 #include "sim/options.hpp"
 
 namespace gqs {
@@ -36,9 +37,6 @@ namespace gqs {
 /// The engine core itself, whose options carry the two wait switches.
 template <class S>
 using ablated_qaf = push_qaf<S>;
-
-/// Figure 4 register over the weakened access functions.
-using ablated_register_node = atomic_register<ablated_qaf<reg_state>>;
 
 /// Scenario C of bench_ablation_clocks, the one the set-confirmation wait
 /// closes: disjoint write quorums {0,1} and {2,3} under read quorum {1,2}.

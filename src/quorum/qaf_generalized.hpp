@@ -24,49 +24,17 @@
 // both arguments operationally.
 //
 // The protocol body lives in the shared engine core (qaf_core.hpp's
-// push_qaf); this header pins its options to the published protocol. The
-// multi-object quorum_service runs the same machinery batched over many
-// keys.
+// push_qaf); generalized_qaf is that engine itself, and a default
+// push_qaf_options (both waits on, clock starting at 0, no selector) is
+// the published protocol. The multi-object quorum_service runs the same
+// machinery batched over many keys.
 #pragma once
-
-#include <utility>
 
 #include "quorum/qaf_core.hpp"
 
 namespace gqs {
 
-struct generalized_qaf_options {
-  /// Period of the unsolicited state/clock propagation (Figure 3 line 12).
-  sim_time gossip_period = 5000;  // 5 ms
-  /// Strategy-driven targeted access (strategy/selector.hpp): CLOCK_REQ /
-  /// SET_REQ go only to a sampled write quorum, with timeout escalation
-  /// back to broadcast. Null = the published broadcast protocol.
-  selector_ptr selector;
-  sim_time escalation_timeout = 40000;  // 40 ms; see push_qaf_options
-
-  void validate() const {
-    if (gossip_period <= 0)
-      throw std::invalid_argument("generalized_qaf: bad gossip period");
-  }
-};
-
 template <class S>
-class generalized_qaf : public push_qaf<S> {
- public:
-  generalized_qaf(quorum_config config, S initial,
-                  generalized_qaf_options options = {})
-      : push_qaf<S>(std::move(config), std::move(initial),
-                    to_core(options)) {}
-
- private:
-  static push_qaf_options to_core(generalized_qaf_options o) {
-    o.validate();
-    push_qaf_options core;
-    core.gossip_period = o.gossip_period;
-    core.selector = std::move(o.selector);
-    core.escalation_timeout = o.escalation_timeout;
-    return core;  // both waits on, clock starts at 0: Figure 3 verbatim
-  }
-};
+using generalized_qaf = push_qaf<S>;
 
 }  // namespace gqs

@@ -11,13 +11,14 @@
 #include "lincheck/wing_gong.hpp"
 #include "qaf_worlds.hpp"
 #include "quorum/qaf_ablation.hpp"
+#include "register/atomic_register.hpp"
 #include "workload/worlds.hpp"
 
 namespace gqs {
 namespace {
 
 /// Scenario C of the bench (disjoint_scenario_config).
-struct disjoint_world : register_world<ablated_register_node> {
+struct disjoint_world : register_world<gqs_register_node> {
   disjoint_world(std::uint64_t seed, bool use_get_cutoff,
                  bool use_set_confirmation)
       : register_world(
@@ -27,7 +28,7 @@ struct disjoint_world : register_world<ablated_register_node> {
               opts.use_get_cutoff = use_get_cutoff;
               opts.use_set_confirmation = use_set_confirmation;
               if (p == 1) opts.initial_clock = 1000;
-              return std::make_unique<ablated_register_node>(
+              return std::make_unique<gqs_register_node>(
                   disjoint_scenario_config(), reg_state{}, opts);
             }) {}
 
@@ -81,7 +82,7 @@ TEST(Ablation, DroppingGetCutoffViolatesSomewhere) {
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     push_qaf_options opts;
     opts.use_get_cutoff = false;
-    register_world<ablated_register_node> w(
+    register_world<gqs_register_node> w(
         4, fault_plan::from_pattern(fig.gqs.fps[0], 0), seed,
         network_options{}, qc, reg_state{}, opts);
     bool ok = true;
@@ -182,7 +183,7 @@ TEST(Ablation, BothSwitchesOnMatchesPublishedProtocol) {
   const quorum_config qc = quorum_config::of(fig.gqs);
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     push_qaf_options opts;  // defaults: both on
-    register_world<ablated_register_node> w(
+    register_world<gqs_register_node> w(
         4, fault_plan::from_pattern(fig.gqs.fps[0], 0), seed,
         network_options{}, qc, reg_state{}, opts);
     const auto wi = w.client.invoke_write(0, 5);

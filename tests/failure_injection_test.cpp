@@ -29,7 +29,7 @@ world_t make_world(int pattern, std::uint64_t seed) {
   const auto fig = make_figure1();
   return world_t(4, fault_plan::from_pattern(fig.gqs.fps[pattern], kStrike),
                  seed, network_options{}, quorum_config::of(fig.gqs),
-                 reg_state{}, generalized_qaf_options{});
+                 reg_state{}, push_qaf_options{});
 }
 
 TEST(FailureInjection, OpsBeforeStrikeUseFullConnectivity) {

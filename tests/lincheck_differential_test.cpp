@@ -120,7 +120,7 @@ register_history figure1_history(std::uint64_t seed) {
   register_world<gqs_register_node> w(
       4, fault_plan::from_pattern(fig.gqs.fps[0], 0), seed,
       network_options{}, quorum_config::of(fig.gqs), reg_state{},
-      generalized_qaf_options{});
+      push_qaf_options{});
   for (int round = 0; round < 4; ++round) {
     const auto wi = w.client.invoke_write(0, 10 + round);
     EXPECT_TRUE(w.sim.run_until_condition(
@@ -167,7 +167,7 @@ TEST_P(DifferentialSweep, TopologyCorpusHistoriesAgree) {
   register_world<gqs_register_node> w(
       sp.topology.n, fault_plan::from_pattern(system.fps[0], 0),
       seed * 23 + 1, network_options{}, quorum_config::of(system),
-      reg_state{}, generalized_qaf_options{});
+      reg_state{}, push_qaf_options{});
   int value = 1;
   for (process_id p : u_f) {
     const auto wi = w.client.invoke_write(p, value++);

@@ -27,7 +27,7 @@ register_history make_real_history(std::uint64_t seed) {
   register_world<gqs_register_node> w(
       4, fault_plan::from_pattern(fig.gqs.fps[0], 0), seed,
       network_options{}, quorum_config::of(fig.gqs), reg_state{},
-      generalized_qaf_options{});
+      push_qaf_options{});
   for (int round = 0; round < 3; ++round) {
     const auto wi = w.client.invoke_write(0, 10 + round);
     EXPECT_TRUE(w.sim.run_until_condition(

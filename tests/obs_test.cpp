@@ -434,7 +434,7 @@ TEST(CounterSurface, QuorumServiceRowsEqualSummedFields) {
 TEST(CounterSurface, PushQafRowsEqualSummedFields) {
   using targeted_register = atomic_register<generalized_qaf<reg_state>>;
   const auto fig = make_figure1();
-  generalized_qaf_options options;
+  push_qaf_options options;
   options.selector = unreachable_write_quorum(fig.gqs);
   component_world<targeted_register> w(
       4, fault_plan::from_pattern(fig.gqs.fps[0], 0), 21, telemetry_on(),

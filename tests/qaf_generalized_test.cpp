@@ -19,7 +19,7 @@ using testing::int_set;
 constexpr process_id kA = 0, kB = 1, kC = 2, kD = 3;
 
 generalized_world figure1_world(int pattern_index, std::uint64_t seed,
-                                generalized_qaf_options opts = {}) {
+                                push_qaf_options opts = {}) {
   const auto fig = make_figure1();
   return generalized_world(
       4, fault_plan::from_pattern(fig.gqs.fps[pattern_index], 0), seed, {},
@@ -27,7 +27,11 @@ generalized_world figure1_world(int pattern_index, std::uint64_t seed,
 }
 
 TEST(GeneralizedQafOptions, Validation) {
-  generalized_qaf_options opts;
+  push_qaf_options opts;
+  // generalized_qaf is push_qaf itself: only the defaults make it Figure 3
+  // verbatim (both clock waits on, clock from 0, broadcast access).
+  EXPECT_TRUE(opts.use_get_cutoff && opts.use_set_confirmation &&
+              opts.initial_clock == 0 && !opts.selector);
   opts.gossip_period = 0;
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 }
@@ -36,7 +40,7 @@ TEST(GeneralizedQaf, GetCompletesWithoutFailures) {
   const auto fig = make_figure1();
   generalized_world w(4, fault_plan::none(4), 1, {},
                       quorum_config::of(fig.gqs), int_set{},
-                      generalized_qaf_options{});
+                      push_qaf_options{});
   std::optional<std::vector<int_set>> result;
   w.nodes[kA]->quorum_get([&](std::vector<int_set> states) {
     result = std::move(states);
@@ -217,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(Patterns, Figure1PatternSweep,
 class GossipPeriodSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(GossipPeriodSweep, RoundTripCompletes) {
-  generalized_qaf_options opts;
+  push_qaf_options opts;
   opts.gossip_period = GetParam() * 1_ms;
   auto w = figure1_world(0, 11, opts);
   bool done = false;

@@ -49,7 +49,7 @@ TEST_P(RandomGqsSweep, RegisterCorrectOnWitnessQuorums) {
     register_world<gqs_register_node> w(
         params.n, fault_plan::from_pattern(f, 0), seed * 17 + k,
         network_options{}, quorum_config::of(system), reg_state{},
-        generalized_qaf_options{});
+        push_qaf_options{});
 
     // One write + one read per U_f member, sequentially.
     int value = 1;
@@ -135,7 +135,7 @@ TEST_P(RandomGqsSweep, RegisterCorrectOnTopologyScenarioWitness) {
     register_world<gqs_register_node> w(
         sp.topology.n, fault_plan::from_pattern(f, 0), seed * 23 + k,
         network_options{}, quorum_config::of(system), reg_state{},
-        generalized_qaf_options{});
+        push_qaf_options{});
 
     int value = 1;
     for (process_id p : u_f) {

@@ -29,14 +29,14 @@ gqs_register_world figure1_register_world(int pattern_index,
   return gqs_register_world(
       4, fault_plan::from_pattern(fig.gqs.fps[pattern_index], 0), seed,
       network_options{}, quorum_config::of(fig.gqs), reg_state{},
-      generalized_qaf_options{});
+      push_qaf_options{});
 }
 
 TEST(GqsRegister, WriteThenReadNoFailures) {
   const auto fig = make_figure1();
   gqs_register_world w(4, fault_plan::none(4), 1, {},
                        quorum_config::of(fig.gqs), reg_state{},
-                       generalized_qaf_options{});
+                       push_qaf_options{});
   w.client.invoke_write(kA, 42);
   ASSERT_TRUE(
       w.sim.run_until_condition([&] { return w.client.complete(0); }, 60_s));

@@ -41,7 +41,7 @@ run_result register_cell(int pattern, std::uint64_t seed) {
   register_world<gqs_register_node> w(
       4, fault_plan::from_pattern(fig.gqs.fps[pattern], 0), seed,
       network_options{}, quorum_config::of(fig.gqs), reg_state{},
-      generalized_qaf_options{});
+      push_qaf_options{});
   const process_set u_f = compute_u_f(fig.gqs, fig.gqs.fps[pattern]);
   run_result out;
   const process_id p = u_f.first();

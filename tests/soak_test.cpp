@@ -50,7 +50,7 @@ TEST_P(SoakSweep, RegisterManyRoundsAcrossStrike) {
   register_world<gqs_register_node> w(
       4, fault_plan::from_pattern(fig.gqs.fps[pattern], strike), seed,
       network_options{}, quorum_config::of(fig.gqs), reg_state{},
-      generalized_qaf_options{});
+      push_qaf_options{});
 
   std::bernoulli_distribution is_write(0.6);
   std::uniform_int_distribution<int> val(1, 500);

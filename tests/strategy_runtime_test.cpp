@@ -155,7 +155,7 @@ TEST(TargetedService, RejectsSelectorThatCoversNoWriteQuorum) {
   EXPECT_THROW(
       keyed_register_node(4, quorum_config::of(fig.gqs), svc),
       std::invalid_argument);
-  generalized_qaf_options qaf;
+  push_qaf_options qaf;
   qaf.selector = mismatched;
   EXPECT_THROW(atomic_register<generalized_qaf<reg_state>>(
                    quorum_config::of(fig.gqs), reg_state{}, qaf),
@@ -296,7 +296,7 @@ std::uint64_t run_register_roundtrip(selector_ptr selector,
                                      bool expect_done, fault_plan faults,
                                      std::uint64_t* escalations = nullptr) {
   const auto fig = make_figure1();
-  generalized_qaf_options options;
+  push_qaf_options options;
   options.selector = std::move(selector);
   options.escalation_timeout = escalation_timeout;
   component_world<targeted_register> world(
