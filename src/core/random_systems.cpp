@@ -2,15 +2,19 @@
 
 #include <stdexcept>
 
+#include "core/sampling.hpp"
+
 namespace gqs {
 
-failure_pattern random_failure_pattern(const random_system_params& params,
-                                       std::mt19937_64& rng) {
+namespace {
+
+/// One pattern, with the crash and channel coins built once by the caller.
+failure_pattern draw_pattern(const random_system_params& params,
+                             const sampling::bernoulli& crash,
+                             const sampling::bernoulli& chan,
+                             std::mt19937_64& rng) {
   if (params.n == 0 || params.n > process_set::max_processes)
     throw std::invalid_argument("random_failure_pattern: bad n");
-  std::bernoulli_distribution crash(params.crash_probability);
-  std::bernoulli_distribution chan(params.channel_fail_probability);
-
   process_set crashed;
   for (process_id p = 0; p < params.n; ++p)
     if (crash(rng)) crashed.insert(p);
@@ -27,11 +31,22 @@ failure_pattern random_failure_pattern(const random_system_params& params,
   return failure_pattern::from_rows(params.n, crashed, std::move(faulty));
 }
 
+}  // namespace
+
+failure_pattern random_failure_pattern(const random_system_params& params,
+                                       std::mt19937_64& rng) {
+  return draw_pattern(params, sampling::bernoulli(params.crash_probability),
+                      sampling::bernoulli(params.channel_fail_probability),
+                      rng);
+}
+
 fail_prone_system random_fail_prone_system(const random_system_params& params,
                                            std::mt19937_64& rng) {
+  const sampling::bernoulli crash(params.crash_probability);
+  const sampling::bernoulli chan(params.channel_fail_probability);
   fail_prone_system fps(params.n);
   for (int i = 0; i < params.patterns; ++i)
-    fps.add(random_failure_pattern(params, rng));
+    fps.add(draw_pattern(params, crash, chan, rng));
   return fps;
 }
 

@@ -129,10 +129,15 @@ template <class S>
 class gossip_cache {
  public:
   /// Records a gossip; keeps the freshest per origin (reordering-safe:
-  /// clocks are per-origin monotone).
-  void observe(process_id origin, S state, std::uint64_t clock) {
+  /// clocks are per-origin monotone). Returns the origin's clock before
+  /// it, nullopt if the origin had not gossiped.
+  std::optional<std::uint64_t> observe(process_id origin, S state,
+                                       std::uint64_t clock) {
     auto& e = entries_[origin];
+    const std::optional<std::uint64_t> before =
+        e ? std::optional<std::uint64_t>(e->clock) : std::nullopt;
     if (!e || e->clock < clock) e = entry{std::move(state), clock};
+    return before;
   }
 
   /// The origins that gossiped a clock ≥ cutoff. An origin counts only
@@ -216,6 +221,12 @@ struct push_qaf_options {
 /// of lowest sequence, chosen afresh after every completion, since a
 /// completion may open a new wait (an ablated push_qaf get opens ready and
 /// settles from inside the callback).
+///
+/// Freshness only grows, so a wait is ready at least as soon as any wait
+/// with a higher cutoff. The open cutoffs are kept sorted: after every
+/// settle() the lowest is unmet, and the engine reports each advance of
+/// one freshness source through freshness_moved(), which settles only when
+/// the advance reached that lowest cutoff.
 template <class Owner, class Get, class Set>
 class cutoff_waits {
  public:
@@ -238,7 +249,7 @@ class cutoff_waits {
       w.round = probe();
       return false;
     }
-    w.cutoff = 0;
+    fix(w, 0);
     return true;
   }
 
@@ -260,11 +271,21 @@ class cutoff_waits {
     const auto it = sets_.find(seq);
     if (it == sets_.end() || !cover(it->second, from, clock)) return;
     if (!use_set_confirmation_) {
+      forget(*it->second.cutoff);
       Set op = std::move(it->second.op);
       sets_.erase(it);
       owner_.complete_set(std::move(op));
     }
     settle();
+  }
+
+  /// One freshness source advanced from `from` (nullopt: it had none yet)
+  /// to `to`. That changes fresh_at(c) only for c in (from, to], so unless
+  /// the lowest open cutoff lies there no wait became ready.
+  void freshness_moved(std::optional<std::uint64_t> from, std::uint64_t to) {
+    if (cutoffs_.empty()) return;
+    const std::uint64_t lowest = cutoffs_.front();
+    if (lowest <= to && (!from || *from < lowest)) settle();
   }
 
   /// Completes every wait a read quorum is fresh for, in the order above.
@@ -294,34 +315,42 @@ class cutoff_waits {
     const auto quorum = w.acks.add(from, clock, config_.writes);
     if (!quorum) return false;
     rounds_.close(w.round);
-    w.cutoff = max_clock_over(w.acks, *quorum);
+    fix(w, max_clock_over(w.acks, *quorum));
     return true;
+  }
+
+  template <class Op>
+  void fix(wait<Op>& w, std::uint64_t cutoff) {
+    w.cutoff = cutoff;
+    cutoffs_.insert(std::upper_bound(cutoffs_.begin(), cutoffs_.end(), cutoff),
+                    cutoff);
+  }
+
+  /// Drops one open cutoff of this value (its wait is completing).
+  void forget(std::uint64_t cutoff) {
+    cutoffs_.erase(
+        std::lower_bound(cutoffs_.begin(), cutoffs_.end(), cutoff));
   }
 
   std::optional<process_set> fresh_quorum(std::uint64_t cutoff) const {
     return covered_quorum(config_.reads, owner_.fresh_at(cutoff));
   }
 
-  /// Completes the first ready wait; false if none is ready. Freshness
-  /// only grows, so a wait is ready at least as soon as any wait with a
-  /// higher cutoff: if the lowest open cutoff is unmet, the scan is
-  /// skipped.
+  /// Completes the first ready wait; false if none is ready. If the
+  /// lowest open cutoff is unmet, none is and the scan is skipped.
   bool complete_next() {
-    std::optional<std::uint64_t> lowest;
-    for (const auto& [seq, w] : gets_)
-      if (w.cutoff && (!lowest || *w.cutoff < *lowest)) lowest = w.cutoff;
-    for (const auto& [seq, w] : sets_)
-      if (w.cutoff && (!lowest || *w.cutoff < *lowest)) lowest = w.cutoff;
-    if (!lowest) return false;
-    const std::optional<process_set> at_lowest = fresh_quorum(*lowest);
+    if (cutoffs_.empty()) return false;
+    const std::uint64_t lowest = cutoffs_.front();
+    const std::optional<process_set> at_lowest = fresh_quorum(lowest);
     if (!at_lowest) return false;
     const auto ready = [&](std::uint64_t cutoff) {
-      return cutoff == *lowest ? at_lowest : fresh_quorum(cutoff);
+      return cutoff == lowest ? at_lowest : fresh_quorum(cutoff);
     };
     for (auto it = gets_.begin(); it != gets_.end(); ++it) {
       if (!it->second.cutoff) continue;
       const std::optional<process_set> quorum = ready(*it->second.cutoff);
       if (!quorum) continue;
+      forget(*it->second.cutoff);
       Get op = std::move(it->second.op);
       gets_.erase(it);
       owner_.complete_get(std::move(op), *quorum);
@@ -329,6 +358,7 @@ class cutoff_waits {
     }
     for (auto it = sets_.begin(); it != sets_.end(); ++it) {
       if (!it->second.cutoff || !ready(*it->second.cutoff)) continue;
+      forget(*it->second.cutoff);
       Set op = std::move(it->second.op);
       sets_.erase(it);
       owner_.complete_set(std::move(op));
@@ -344,6 +374,7 @@ class cutoff_waits {
   targeted_round& rounds_;
   std::map<std::uint64_t, wait<Get>> gets_;
   std::map<std::uint64_t, wait<Set>> sets_;
+  std::vector<std::uint64_t> cutoffs_;  // open waits' fixed cutoffs, ascending
 };
 
 /// Targeted-access accounting of one push_qaf instance.
@@ -434,8 +465,8 @@ class push_qaf : public quorum_access<S> {
       // from those acks and replies was sent after the write was applied
       // — the Figure 3 freshness invariant. Broadcast mode is untouched.
       if (options_.selector && clock_ < m->clock) clock_ = m->clock;
-      cache_.observe(origin, m->state, m->clock);
-      waits_.settle();
+      waits_.freshness_moved(cache_.observe(origin, m->state, m->clock),
+                             m->clock);
     } else if (const auto* m = message_cast<clock_req>(payload)) {
       // Figure 3, lines 10-11.
       this->unicast(origin, make_message<clock_resp>(m->seq, clock_));

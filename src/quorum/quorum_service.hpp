@@ -563,12 +563,18 @@ class quorum_service : public component {
 
   void on_gossip(process_id origin, const gossip_msg& m) {
     for (const gossip_entry& e : m.entries.items()) apply_entry(origin, e);
-    if (streams_[origin].observe(m.gseq, m.clock)) waits_.settle();
+    gossip_stream& s = streams_[origin];
+    const std::uint64_t before = s.freshness();
+    if (s.observe(m.gseq, m.clock))
+      waits_.freshness_moved(before, s.freshness());
   }
 
   void on_repair(process_id origin, const repair_msg& m) {
     for (const gossip_entry& e : m.entries) apply_entry(origin, e);
-    if (streams_[origin].repair(m.upto_seq, m.clock)) waits_.settle();
+    gossip_stream& s = streams_[origin];
+    const std::uint64_t before = s.freshness();
+    if (s.repair(m.upto_seq, m.clock))
+      waits_.freshness_moved(before, s.freshness());
   }
 
   void on_set_batch(process_id origin, const set_batch_msg& m) {

@@ -42,7 +42,7 @@ void flooding_node::originate(process_id dest, const message_ptr& payload) {
   // A self-send never leaves the process: no envelope, so no sequence
   // number that peers could see only partially.
   if (dest == id()) {
-    sim().post(id(), [this, payload] { on_deliver(id(), payload); });
+    sim().post_local(id(), payload);
     return;
   }
   // Resolve the unicast shortcuts BEFORE consuming a sequence number: a
@@ -64,9 +64,7 @@ void flooding_node::originate(process_id dest, const message_ptr& payload) {
   mark_seen(id(), seq);
   const message_ptr wire = make_message<envelope>(id(), seq, dest, payload);
   // Local delivery first (a process trivially "reaches" itself).
-  if (dest == to_all) {
-    sim().post(id(), [this, payload] { on_deliver(id(), payload); });
-  }
+  if (dest == to_all) sim().post_local(id(), payload);
   forward(wire, id());
 }
 

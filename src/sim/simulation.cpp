@@ -193,7 +193,7 @@ void simulation::send(process_id from, process_id to, const message_ptr& m,
   if (from >= n_ || to >= n_)
     throw std::out_of_range("simulation::send: process out of range");
   if (from == to)
-    throw std::invalid_argument("simulation::send: self-send (use post)");
+    throw std::invalid_argument("simulation::send: self-send (use post_local)");
   if (!m) throw std::invalid_argument("simulation::send: null message");
   const std::size_t epoch = current_epoch();
   if (!epochs_.alive(epoch, from)) return;  // crashed sender takes no steps
@@ -246,6 +246,17 @@ void simulation::send(process_id from, process_id to, const message_ptr& m,
 
 void simulation::post(process_id p, std::function<void()> fn) {
   post_after(p, 0, std::move(fn));
+}
+
+void simulation::post_local(process_id p, message_ptr m) {
+  if (p >= n_) throw std::out_of_range("simulation::post_local: out of range");
+  if (!m) throw std::invalid_argument("simulation::post_local: null message");
+  const std::uint32_t slot = alloc_record();
+  event_record& e = slab_[slot];
+  e.kind = event_kind::local;
+  e.a = p;
+  e.msg = std::move(m);
+  push_entry(now_, slot);
 }
 
 void simulation::post_after(process_id p, sim_time delay,
@@ -311,6 +322,10 @@ bool simulation::pop_and_dispatch(sim_time horizon) {
           trace_net("net.deliver", b, msg.get());
         nodes_[b]->on_message(a, msg);
       }
+      break;
+    case event_kind::local:
+      free_slots_.push_back(top.slot);
+      if (epochs_.alive(epoch, a)) nodes_[a]->on_message(a, msg);
       break;
     case event_kind::timer:
       free_slots_.push_back(top.slot);

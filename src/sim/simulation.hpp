@@ -5,13 +5,15 @@
 // from a single seeded RNG, so a run is a pure function of
 // (protocol, options, fault plan, seed, invocation script).
 //
-// Engine: events are typed records (start / message-delivery / timer /
-// post) living in a slab with a free list; the pending-event queue holds
-// only {time, seq, slot} keys, popped in exact (time, seq) order by a
-// timing wheel (O(1) amortized — see event_wheel below). The hot loop
-// therefore performs no per-event allocation and copies no closures —
-// only `post` events carry a std::function, and it is moved, never
-// copied. A delivery record holds one message_ptr (an intrusive,
+// Engine: events are typed records (start / message-delivery / local
+// delivery / timer / post) living in a slab with a free list; the
+// pending-event queue holds only {time, seq, slot} keys, popped in exact
+// (time, seq) order by a timing wheel (O(1) amortized — see event_wheel
+// below). The hot loop therefore performs no per-event allocation and
+// copies no closures — only `post` events (client injections and think
+// times) carry a std::function, and it is moved, never copied; a node's
+// message to itself is a typed local delivery. A
+// delivery record holds one message_ptr (an intrusive,
 // non-atomic handle from a per-thread pool — sim/message.hpp) and the
 // wire bytes charged at send time, so neither sending nor delivering
 // touches the heap or an atomic. Connectivity questions (who is alive,
@@ -169,8 +171,16 @@ class simulation {
 
   /// Schedules fn to run at the current time (after already-queued events
   /// of this instant) on behalf of process p; dropped if p has crashed by
-  /// then. Used for self-delivery and for injecting client operations.
+  /// then. Used for injecting client operations; a node's message to
+  /// itself is post_local().
   void post(process_id p, std::function<void()> fn);
+
+  /// Delivers m to process p from itself: runs p's on_message(p, m) at the
+  /// current time, after the events already queued for this instant, as
+  /// post() would. Dropped if p has crashed by then. It is no network
+  /// traffic: no counter but events_processed moves and no net.* span is
+  /// recorded. Flooding's self-deliveries use it.
+  void post_local(process_id p, message_ptr m);
 
   /// post(), but `delay` into the future — client think times and open-loop
   /// arrival schedules, without requiring the caller to be a node.
@@ -187,10 +197,11 @@ class simulation {
   const obs_bundle& obs() const noexcept { return obs_; }
 
  private:
-  enum class event_kind : std::uint8_t { start, deliver, timer, post };
+  enum class event_kind : std::uint8_t { start, deliver, local, timer, post };
 
   /// A typed event in the slab. Only `post` carries a closure; the hot
-  /// deliver path carries just the message handle and its wire bytes.
+  /// deliver and local paths carry just the message handle (and, for a
+  /// delivery, its wire bytes).
   struct event_record {
     event_kind kind = event_kind::post;
     process_id a = 0;  ///< deliver: sender; otherwise the acting process

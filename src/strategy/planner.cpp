@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/pattern_table.hpp"
+#include "core/sampling.hpp"
 
 namespace gqs {
 
@@ -904,12 +905,15 @@ availability_estimate estimate_availability(
   }
 
   std::mt19937_64 rng(options.seed);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  // p is alive unless its coin falls below fail[p].
+  std::vector<sampling::bernoulli> dies;
+  dies.reserve(n);
+  for (process_id p = 0; p < n; ++p) dies.emplace_back(fail[p]);
   std::uint64_t survived = 0;
   for (std::uint64_t s = 0; s < options.samples; ++s) {
     process_set alive;
     for (process_id p = 0; p < n; ++p)
-      if (coin(rng) >= fail[p]) alive.insert(p);
+      if (!dies[p](rng)) alive.insert(p);
     if (family_survives(reads, writes, base, alive)) ++survived;
   }
   est.trials = options.samples;

@@ -1,30 +1,30 @@
 #include "workload/clients.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace gqs {
 
-zipf_sampler::zipf_sampler(std::size_t n, double theta) {
+namespace {
+
+std::vector<double> zipf_cdf(std::size_t n, double theta) {
   if (n == 0) throw std::invalid_argument("zipf_sampler: empty domain");
   if (theta < 0) throw std::invalid_argument("zipf_sampler: bad theta");
-  cdf_.resize(n);
+  std::vector<double> cdf(n);
   double total = 0;
   for (std::size_t k = 0; k < n; ++k) {
     total += 1.0 / std::pow(static_cast<double>(k + 1), theta);
-    cdf_[k] = total;
+    cdf[k] = total;
   }
-  for (double& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // guard against rounding at the top
+  for (double& c : cdf) c /= total;
+  cdf.back() = 1.0;  // guard against rounding at the top
+  return cdf;
 }
 
-service_key zipf_sampler::operator()(std::mt19937_64& rng) const {
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  const double x = u(rng);
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), x);
-  return static_cast<service_key>(it - cdf_.begin());
-}
+}  // namespace
+
+zipf_sampler::zipf_sampler(std::size_t n, double theta)
+    : draw_(zipf_cdf(n, theta)) {}
 
 void client_workload_options::validate() const {
   if (keys == 0) throw std::invalid_argument("workload: no keys");
@@ -50,18 +50,18 @@ std::vector<std::vector<client_op>> make_schedules(
     throw std::invalid_argument(
         "workload: partitioned writes need at least one key per process");
   const zipf_sampler keys(options.keys, options.zipf_theta);
+  const sampling::bernoulli read(options.read_ratio);
   std::vector<std::vector<client_op>> schedules(n);
   for (process_id p = 0; p < n; ++p) {
     // Decorrelate neighboring clients the way the experiment runner
     // decorrelates grid cells.
     std::mt19937_64 rng(options.seed * 0x9e3779b97f4a7c15ull + p);
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
     std::uint64_t writes = 0;
     schedules[p].reserve(options.ops_per_process);
     for (std::uint64_t i = 0; i < options.ops_per_process; ++i) {
       client_op op;
       op.key = keys(rng);
-      op.is_read = coin(rng) < options.read_ratio;
+      op.is_read = read(rng);
       if (!op.is_read) {
         if (options.partition_writes) {
           // Keep the zipf skew but land in this process's partition

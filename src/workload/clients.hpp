@@ -34,6 +34,7 @@
 #include <random>
 #include <vector>
 
+#include "core/sampling.hpp"
 #include "lincheck/register_history.hpp"
 #include "sim/simulation.hpp"
 #include "workload/stats.hpp"
@@ -41,17 +42,21 @@
 namespace gqs {
 
 /// Deterministic Zipf(theta) sampler over {0..n-1} (theta = 0 is
-/// uniform): inverse-CDF table built once, one binary search per draw.
+/// uniform): an inverse-CDF table built once, drawn by integer thresholds
+/// on the engine output (core/sampling.hpp), one guide-table lookup and a
+/// short scan per draw.
 class zipf_sampler {
  public:
   zipf_sampler(std::size_t n, double theta);
 
-  service_key operator()(std::mt19937_64& rng) const;
+  service_key operator()(std::mt19937_64& rng) const {
+    return static_cast<service_key>(draw_(rng()));
+  }
 
-  std::size_t size() const noexcept { return cdf_.size(); }
+  std::size_t size() const noexcept { return draw_.size(); }
 
  private:
-  std::vector<double> cdf_;
+  sampling::inverse_cdf draw_;
 };
 
 /// One scripted client operation.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/sampling.hpp"
+
 namespace gqs {
 
 std::string to_string(topology_kind kind) {
@@ -86,11 +88,10 @@ digraph make_clusters(process_id n, process_id cluster_size) {
 digraph make_geometric(process_id n, double radius, std::uint64_t seed) {
   digraph g(n);
   std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> coord(0.0, 1.0);
   std::vector<double> x(n), y(n);
   for (process_id v = 0; v < n; ++v) {
-    x[v] = coord(rng);
-    y[v] = coord(rng);
+    x[v] = sampling::unit(rng());
+    y[v] = sampling::unit(rng());
   }
   for (process_id u = 0; u < n; ++u)
     for (process_id v = u + 1; v < n; ++v) {
@@ -157,13 +158,16 @@ std::vector<double> process_capacities(const scenario_params& params) {
   return caps;
 }
 
-failure_pattern scenario_failure_pattern(const digraph& network,
-                                         const scenario_params& params,
-                                         std::mt19937_64& rng) {
-  const process_id n = network.vertex_count();
-  std::bernoulli_distribution crash(params.crash_probability);
-  std::bernoulli_distribution chan(params.channel_fail_probability);
+namespace {
 
+/// One scenario pattern, with the crash and channel coins built once by
+/// the caller.
+failure_pattern draw_pattern(const digraph& network,
+                             const scenario_params& params,
+                             const sampling::bernoulli& crash,
+                             const sampling::bernoulli& chan,
+                             std::mt19937_64& rng) {
+  const process_id n = network.vertex_count();
   process_set crashed;
   for (process_id p = 0; p < n; ++p)
     if (crash(rng)) crashed.insert(p);
@@ -187,12 +191,25 @@ failure_pattern scenario_failure_pattern(const digraph& network,
   return failure_pattern::from_rows(n, crashed, std::move(faulty));
 }
 
+}  // namespace
+
+failure_pattern scenario_failure_pattern(const digraph& network,
+                                         const scenario_params& params,
+                                         std::mt19937_64& rng) {
+  return draw_pattern(network, params,
+                      sampling::bernoulli(params.crash_probability),
+                      sampling::bernoulli(params.channel_fail_probability),
+                      rng);
+}
+
 fail_prone_system scenario_system(const scenario_params& params,
                                   std::mt19937_64& rng) {
   const digraph network = make_topology(params.topology);
+  const sampling::bernoulli crash(params.crash_probability);
+  const sampling::bernoulli chan(params.channel_fail_probability);
   fail_prone_system fps(params.topology.n);
   for (int i = 0; i < params.patterns; ++i)
-    fps.add(scenario_failure_pattern(network, params, rng));
+    fps.add(draw_pattern(network, params, crash, chan, rng));
   return fps;
 }
 

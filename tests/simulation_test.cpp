@@ -281,6 +281,60 @@ TEST(Simulation, PostSuppressedForCrashed) {
   EXPECT_FALSE(ran);
 }
 
+TEST(Simulation, PostLocalRunsBehindSameInstantEvents) {
+  simulation sim = make_sim(1);
+  auto nodes = install_recorders(sim);
+  sim.start();
+  sim.run_until(5_ms);
+  std::vector<std::size_t> seen;  // receipts at each closure's turn
+  sim.post(0, [&] { seen.push_back(nodes[0]->received.size()); });
+  sim.post_local(0, make_message<ping>(7));
+  sim.post(0, [&] { seen.push_back(nodes[0]->received.size()); });
+  EXPECT_TRUE(nodes[0]->received.empty());  // not synchronous
+  sim.run_until(5_ms);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1}));
+  ASSERT_EQ(nodes[0]->received.size(), 1u);
+  EXPECT_EQ(nodes[0]->received[0].from, 0u);
+  EXPECT_EQ(nodes[0]->received[0].payload, 7);
+  EXPECT_EQ(nodes[0]->received[0].at, 5_ms);
+  EXPECT_THROW(sim.post_local(1, make_message<ping>(1)), std::out_of_range);
+  EXPECT_THROW(sim.post_local(0, nullptr), std::invalid_argument);
+}
+
+TEST(Simulation, PostLocalDroppedAtCrashedProcess) {
+  fault_plan faults = fault_plan::none(2);
+  faults.crash(0, 5_ms);
+  simulation sim(2, network_options{}, faults, 1);
+  auto nodes = install_recorders(sim);
+  sim.start();
+  sim.run_until(5_ms);
+  sim.post_local(0, make_message<ping>(1));
+  sim.post_local(1, make_message<ping>(2));
+  sim.run_until(1_s);
+  EXPECT_TRUE(nodes[0]->received.empty());
+  ASSERT_EQ(nodes[1]->received.size(), 1u);
+  EXPECT_EQ(sim.metrics().dropped_receiver_crashed, 0u);
+}
+
+TEST(Simulation, PostLocalMovesNoNetworkCounter) {
+  network_options net;
+  net.channel.bytes_per_us = 1.0;  // the channel layer would charge bytes
+  net.record_spans = true;
+  simulation sim = make_sim(2, net);
+  auto nodes = install_recorders(sim);
+  sim.start();
+  sim.run_until(0);
+  const sim_metrics before = sim.metrics();
+  const std::size_t spans = sim.obs().tracer.spans().size();
+  sim.post_local(1, make_message<ping>(3));
+  sim.run_until(1_s);
+  ASSERT_EQ(nodes[1]->received.size(), 1u);
+  sim_metrics want = before;
+  ++want.events_processed;  // it is an event, like a post
+  EXPECT_EQ(sim.metrics(), want);
+  EXPECT_EQ(sim.obs().tracer.spans().size(), spans);
+}
+
 TEST(Simulation, RunUntilConditionStopsEarly) {
   simulation sim = make_sim(2);
   auto nodes = install_recorders(sim);
