@@ -5,6 +5,18 @@
 namespace gqs {
 
 // ---------------------------------------------------------------------------
+// log entries
+
+smr_entry_ptr smr_entry::make_empty() {
+  return make(static_cast<const smr_command*>(nullptr), 0);
+}
+
+void smr_entry::destroy(const smr_entry* e) noexcept {
+  ::operator delete(const_cast<smr_entry*>(e),
+                    sizeof(smr_entry) + e->count_ * sizeof(smr_command));
+}
+
+// ---------------------------------------------------------------------------
 // options / construction
 
 void smr_options::validate() const {
@@ -200,6 +212,7 @@ void smr_service::step_down(std::uint32_t shard) {
   // deduplicates the second copy.
   for (const auto& [slot, round] : ss.inflight) {
     rounds_.close(round.round);
+    counters_.commands_rerouted += round.entry->size();
     ss.fwd_staged.insert(ss.fwd_staged.end(), round.entry->begin(),
                          round.entry->end());
   }
@@ -299,15 +312,15 @@ void smr_service::flush() {
 
 /// Leader batching + pipelining: pack staged commands into entries of up
 /// to max_batch and keep up to pipeline_window Phase-2 rounds in flight.
+/// Each entry is built once, at its final size.
 void smr_service::drain(std::uint32_t shard) {
   shard_state& ss = shards_[shard];
   while (!ss.staged.empty() &&
          ss.inflight.size() < static_cast<std::size_t>(options_.pipeline_window)) {
-    auto entry = std::make_shared<smr_entry>();
-    while (!ss.staged.empty() && entry->size() < options_.max_batch) {
-      entry->push_back(std::move(ss.staged.front()));
-      ss.staged.pop_front();
-    }
+    const std::size_t count = std::min(ss.staged.size(), options_.max_batch);
+    smr_entry_ptr entry = smr_entry::make(ss.staged.begin(), count);
+    ss.staged.erase(ss.staged.begin(),
+                    ss.staged.begin() + static_cast<std::ptrdiff_t>(count));
     begin_phase2(shard, ss.next_slot++, std::move(entry));
   }
 }
@@ -445,7 +458,7 @@ void smr_service::finish_phase1(std::uint32_t shard,
     const auto cs = cands.find(s);
     if (cs != cands.end())
       if (auto pick = adopt_highest(cs->second)) entry = *pick;
-    if (!entry) entry = std::make_shared<smr_entry>();  // no-op gap filler
+    if (!entry) entry = smr_entry::make_empty();  // no-op gap filler
     begin_phase2(shard, s, std::move(entry));
   }
 

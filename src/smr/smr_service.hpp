@@ -37,14 +37,19 @@
 // new leader) apply once at every replica deterministically.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "consensus/acceptor_core.hpp"
@@ -73,11 +78,115 @@ struct smr_command {
   friend bool operator==(const smr_command&, const smr_command&) = default;
 };
 
-/// A log entry: the batch of commands one Phase-2 round decides. Entries
-/// are shared immutable values (leader state, wire messages and replica
-/// logs all point at the same batch).
-using smr_entry = std::vector<smr_command>;
-using smr_entry_ptr = std::shared_ptr<const smr_entry>;
+class smr_entry_ptr;
+
+/// A log entry: the batch of commands one Phase-2 round decides. A batch
+/// is built once (smr_entry::make) and never changes after; it lives in
+/// ONE heap block, an 8-byte header (reference count, command count)
+/// with the commands inline behind it, and every holder (leader state,
+/// acceptor records, wire messages, every replica's log) shares that
+/// block through an smr_entry_ptr. Two batches compare equal iff they
+/// hold the same commands in the same order.
+class smr_entry {
+ public:
+  /// A batch of the `count` commands starting at `first`.
+  template <class It>
+  static smr_entry_ptr make(It first, std::size_t count);
+  /// An empty batch (Phase 1's no-op gap filler).
+  static smr_entry_ptr make_empty();
+
+  smr_entry(const smr_entry&) = delete;
+  smr_entry& operator=(const smr_entry&) = delete;
+
+  std::size_t size() const noexcept { return count_; }
+  bool empty() const noexcept { return count_ == 0; }
+  const smr_command* begin() const noexcept {
+    return reinterpret_cast<const smr_command*>(this + 1);
+  }
+  const smr_command* end() const noexcept { return begin() + count_; }
+  const smr_command& operator[](std::size_t i) const noexcept {
+    return begin()[i];
+  }
+
+  friend bool operator==(const smr_entry& a, const smr_entry& b) noexcept {
+    return &a == &b || std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  friend class smr_entry_ptr;
+
+  explicit smr_entry(std::uint32_t count) noexcept : count_(count) {}
+
+  /// Frees the block of a batch whose last handle went (out of line, for
+  /// the reason message_ptr::destroy gives).
+  static void destroy(const smr_entry* e) noexcept;
+
+  mutable std::uint32_t refs_ = 1;  ///< handles sharing this batch
+  std::uint32_t count_;
+  // `count_` commands follow in the same block.
+};
+
+// The commands start right behind the header, inside a block aligned for
+// any fundamental type.
+static_assert(sizeof(smr_entry) == 8 &&
+              sizeof(smr_entry) % alignof(smr_command) == 0);
+static_assert(std::is_trivially_copyable_v<smr_command> &&
+              std::is_trivially_destructible_v<smr_command>);
+
+/// Shared handle to an immutable batch: 8 bytes, the reference count
+/// lives in the batch and is NOT atomic. It follows message_ptr's rule
+/// (sim/message.hpp): a simulation and every batch it shares live on one
+/// thread (the runner pool runs whole simulations per task), and a handle
+/// may move to another thread with its batch only while no other thread
+/// holds a copy. Null by default; equality is identity.
+class smr_entry_ptr {
+ public:
+  smr_entry_ptr() noexcept = default;
+  smr_entry_ptr(std::nullptr_t) noexcept {}
+  smr_entry_ptr(const smr_entry_ptr& other) noexcept : p_(other.p_) {
+    if (p_) ++p_->refs_;
+  }
+  smr_entry_ptr(smr_entry_ptr&& other) noexcept
+      : p_(std::exchange(other.p_, nullptr)) {}
+  smr_entry_ptr& operator=(smr_entry_ptr other) noexcept {
+    std::swap(p_, other.p_);
+    return *this;
+  }
+  ~smr_entry_ptr() {
+    if (p_ && --p_->refs_ == 0) smr_entry::destroy(p_);
+  }
+
+  const smr_entry* get() const noexcept { return p_; }
+  const smr_entry& operator*() const noexcept { return *p_; }
+  const smr_entry* operator->() const noexcept { return p_; }
+  explicit operator bool() const noexcept { return p_ != nullptr; }
+
+  /// Number of handles sharing the batch (0 for a null handle).
+  std::uint32_t use_count() const noexcept { return p_ ? p_->refs_ : 0; }
+
+  friend bool operator==(const smr_entry_ptr& a,
+                         const smr_entry_ptr& b) noexcept {
+    return a.p_ == b.p_;
+  }
+
+ private:
+  friend class smr_entry;
+
+  /// Adopts the first reference of a freshly built batch.
+  explicit smr_entry_ptr(const smr_entry* p) noexcept : p_(p) {}
+
+  const smr_entry* p_ = nullptr;
+};
+
+template <class It>
+smr_entry_ptr smr_entry::make(It first, std::size_t count) {
+  if (count > UINT32_MAX)
+    throw std::length_error("smr_entry: batch too large");
+  void* block = ::operator new(sizeof(smr_entry) + count * sizeof(smr_command));
+  auto* e = ::new (block) smr_entry(static_cast<std::uint32_t>(count));
+  std::uninitialized_copy_n(first, count, reinterpret_cast<smr_command*>(e + 1));
+  return smr_entry_ptr(e);
+}
 
 struct smr_options {
   /// Number of consensus groups the keyspace partitions across.
@@ -107,7 +216,9 @@ struct smr_options {
   void validate() const;
 };
 
-/// Progress and wire-traffic counters of one replica.
+/// Progress and wire-traffic counters of one replica. Each replica counts
+/// its own: a duplicated command is deduplicated once at EVERY replica
+/// that applies it, so a sum over n replicas counts it n times.
 struct smr_counters {
   std::uint64_t commands_submitted = 0;
   std::uint64_t commands_forwarded = 0;  ///< sent towards a remote leader
@@ -123,6 +234,9 @@ struct smr_counters {
   /// higher view from a message does not count).
   std::uint64_t view_changes = 0;
   std::uint64_t retries = 0;             ///< commands re-forwarded
+  /// Commands of undecided in-flight entries that step_down re-routed
+  /// towards the next leader (each may commit twice; see step_down).
+  std::uint64_t commands_rerouted = 0;
 
   /// Every field, once (metrics_registry::observe_counters reads it).
   template <class F>
@@ -139,6 +253,7 @@ struct smr_counters {
     f("escalations", &smr_counters::escalations);
     f("view_changes", &smr_counters::view_changes);
     f("retries", &smr_counters::retries);
+    f("commands_rerouted", &smr_counters::commands_rerouted);
   }
 };
 
