@@ -17,9 +17,12 @@ quartiles, the change/parent ratio of the medians, how many pairs the
 change won (ties count for neither side) and whether a gain stands: the
 change wins at least nine tenths of the pairs and the medians differ, in
 the metric's better direction, by more than the distance between the
-parent's quartiles. Both sides must report correct results and print the
-same digest and deterministic block, or the script exits 1. --json writes
-every run's metrics.
+parent's quartiles. Both sides must report correct results, or the script
+stops and exits 1. A refactor prints the same digest and deterministic
+block on both sides. A change that moves protocol behaviour prints DIFFER
+for the workloads it moves and the script exits 1 once every pair has run;
+their metric rows still stand as the comparison. --json writes every
+run's metrics.
 
 Stdlib only.
 """

@@ -34,10 +34,6 @@
 
 namespace gqs {
 
-/// The engine core itself, whose options carry the two wait switches.
-template <class S>
-using ablated_qaf = push_qaf<S>;
-
 /// Scenario C of bench_ablation_clocks, the one the set-confirmation wait
 /// closes: disjoint write quorums {0,1} and {2,3} under read quorum {1,2}.
 /// A reader's cutoff resolves through the write quorum the writer did not

@@ -25,9 +25,9 @@
 //   * push_qaf                  — the complete Figure 3 protocol over one
 //                                 object.
 //
-// generalized_qaf (Figure 3 proper, default options) and ablated_qaf (the
-// weakened variants of bench_ablation_clocks, a wait switched off) are
-// aliases of push_qaf, and classical_qaf (Figure 2) builds on the same
+// generalized_qaf (Figure 3 proper, default options) is an alias of
+// push_qaf, whose options switch either wait off for the ablation of
+// bench_ablation_clocks, and classical_qaf (Figure 2) builds on the same
 // collectors; the multi-object quorum_service runs the same cutoff_waits
 // over batched wire messages and its own gossip streams.
 #pragma once
@@ -390,8 +390,8 @@ struct push_qaf_counters {
 
 /// The complete Figure 3 protocol over a single opaque state S: per-op
 /// wire messages and the clock rule, with the waits in cutoff_waits over a
-/// gossip_cache. generalized_qaf and ablated_qaf are aliases of it; see
-/// their headers for the protocol documentation.
+/// gossip_cache. generalized_qaf is an alias of it; see its header for
+/// the protocol documentation, and qaf_ablation.hpp for the wait switches.
 template <class S>
 class push_qaf : public quorum_access<S> {
  public:

@@ -206,16 +206,11 @@ void smr_service::step_down(std::uint32_t shard) {
     for (auto& [slot, sp] : ss.slot_spans) tracer_->end_span(sp, now());
     ss.slot_spans.clear();
   }
-  // Undecided batches are not lost: re-route their commands, in-flight
-  // ones first, towards the new leader. An in-flight entry may still be
-  // chosen in this view; its commands then commit twice, and application
-  // deduplicates the second copy.
-  for (const auto& [slot, round] : ss.inflight) {
-    rounds_.close(round.round);
-    counters_.commands_rerouted += round.entry->size();
-    ss.fwd_staged.insert(ss.fwd_staged.end(), round.entry->begin(),
-                         round.entry->end());
-  }
+  // An undecided in-flight entry stays where it is: a later leader's
+  // Phase 1 recovers it if a write quorum accepted it, and otherwise its
+  // submitters' retry_tick re-routes its commands. Staged commands were
+  // never proposed, so they go towards the new leader.
+  for (const auto& [slot, round] : ss.inflight) rounds_.close(round.round);
   ss.inflight.clear();
   for (smr_command& c : ss.staged) ss.fwd_staged.push_back(std::move(c));
   ss.staged.clear();
@@ -517,13 +512,6 @@ void smr_service::phase2_won(std::uint32_t shard, std::uint64_t slot) {
   smr_entry_ptr entry = it->second.entry;
   rounds_.close(it->second.round);
   ss.inflight.erase(it);
-  if (tracer_) {
-    const auto p2 = ss.phase2_spans.find(slot);
-    if (p2 != ss.phase2_spans.end()) {
-      tracer_->end_span(p2->second, now());
-      ss.phase2_spans.erase(p2);
-    }
-  }
   mark_chosen(shard, slot, entry);
   announce_commits(shard);
   apply_prefix(shard);
@@ -561,6 +549,15 @@ void smr_service::announce_commits(std::uint32_t shard) {
 void smr_service::mark_chosen(std::uint32_t shard, std::uint64_t slot,
                               const smr_entry_ptr& entry) {
   shard_state& ss = shards_[shard];
+  if (tracer_) {
+    // The slot's Phase-2 round here ends with the decision, also when an
+    // older view's commit brings it before this round's own quorum.
+    const auto p2 = ss.phase2_spans.find(slot);
+    if (p2 != ss.phase2_spans.end()) {
+      tracer_->end_span(p2->second, now());
+      ss.phase2_spans.erase(p2);
+    }
+  }
   if (ss.chosen.size() <= slot) ss.chosen.resize(slot + 1);
   if (ss.chosen[slot]) {
     if (!(*ss.chosen[slot] == *entry) && !safety_violation_)
@@ -692,9 +689,10 @@ void smr_service::on_commit(const commit_msg& m) {
 // ---------------------------------------------------------------------------
 // client retries
 
-/// The liveness backstop across leader changes: a command not applied
+/// The liveness backstop across leader changes, and the only re-route of
+/// an in-flight entry no later Phase 1 recovered: a command not applied
 /// within resubmit_timeout is re-routed towards the current leader.
-/// Application-side dedup makes the duplicate harmless.
+/// Application-side dedup makes a duplicate harmless.
 void smr_service::retry_tick() {
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     shard_state& ss = shards_[s];

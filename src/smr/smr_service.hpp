@@ -31,10 +31,12 @@
 // (docs/ARCHITECTURE.md, "Sharded SMR", states the schedule and the
 // report-cover rule, and why each is safe). Safety is per-slot Paxos over
 // the GQS (Consistency of the quorum system) and does not depend on how
-// views change. Exactly-once application: commands carry (submitter,
-// per-shard seq) and every replica dedups through a sequence_filter while
-// applying the identical log prefix, so retried commands (resubmitted to a
-// new leader) apply once at every replica deterministically.
+// views change. A leader leaving its view abandons its undecided entries
+// to the next Phase 1 (it recovers those a write quorum accepted) and to
+// the submitters' retries (the rest). Exactly-once application: commands
+// carry (submitter, per-shard seq) and every replica dedups through a
+// sequence_filter while applying the identical log prefix, so a retry
+// that lands in a second slot applies once everywhere, deterministically.
 #pragma once
 
 #include <algorithm>
@@ -217,8 +219,9 @@ struct smr_options {
 };
 
 /// Progress and wire-traffic counters of one replica. Each replica counts
-/// its own: a duplicated command is deduplicated once at EVERY replica
-/// that applies it, so a sum over n replicas counts it n times.
+/// its own: a duplicated command (only a retry makes one) is deduplicated
+/// once at EVERY replica that applies it, so a sum over n replicas counts
+/// it n times.
 struct smr_counters {
   std::uint64_t commands_submitted = 0;
   std::uint64_t commands_forwarded = 0;  ///< sent towards a remote leader
@@ -234,9 +237,6 @@ struct smr_counters {
   /// higher view from a message does not count).
   std::uint64_t view_changes = 0;
   std::uint64_t retries = 0;             ///< commands re-forwarded
-  /// Commands of undecided in-flight entries that step_down re-routed
-  /// towards the next leader (each may commit twice; see step_down).
-  std::uint64_t commands_rerouted = 0;
 
   /// Every field, once (metrics_registry::observe_counters reads it).
   template <class F>
@@ -253,7 +253,6 @@ struct smr_counters {
     f("escalations", &smr_counters::escalations);
     f("view_changes", &smr_counters::view_changes);
     f("retries", &smr_counters::retries);
-    f("commands_rerouted", &smr_counters::commands_rerouted);
   }
 };
 

@@ -1,12 +1,14 @@
 // Tests for the sharded, pipelined SMR service (smr/smr_service.hpp):
 // commit and convergence over Figure-1 and threshold systems, command
 // forwarding, batching, sharding, schedule-driven leader re-election
-// after a crash, retry-based exactly-once application, and strategy-targeted
-// phase quorums (fewer messages, identical outcomes, escalation as the
-// liveness fallback), and Theorem 1's liveness under Figure 1's failure
-// patterns, at time 0 and mid-run. Also the log entry itself: one shared
-// block per batch behind an 8-byte handle, compared by content, and
-// simulations that use it running side by side on runner threads.
+// after a crash, the two recoveries of a stepped-down leader's undecided
+// entries (Phase 1 and retries), the trace of a slot an older view decides,
+// retry-based exactly-once application, and strategy-targeted phase
+// quorums (fewer messages, identical outcomes, escalation as the liveness
+// fallback), and Theorem 1's liveness under Figure 1's failure patterns,
+// at time 0 and mid-run. Also the log entry itself: one shared block per
+// batch behind an 8-byte handle, compared by content, and simulations
+// that use it running side by side on runner threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -754,16 +756,18 @@ TEST(SmrEntry, GapFillersAreNonNullAndEmpty) {
   }
 }
 
-TEST(SmrService, DedupedCommandsStayWithinReroutesAndRetries) {
-  // Congested links and short views: leaders step down with entries in
-  // flight, re-route their commands, and some of those entries are chosen
-  // anyway. Every duplicate a replica skips was put into the log a second
-  // time by a re-route or a retry somewhere.
+TEST(SmrService, DedupedCommandsStayWithinRetries) {
+  // Congested links, short views and a resubmit timeout under the queueing
+  // delay: submitters re-route commands whose entries are still in flight,
+  // and some of those entries are chosen anyway. A leader that leaves its
+  // view re-routes nothing it proposed, so every duplicate a replica skips
+  // was put into the log a second time by a retry somewhere.
   network_options net = consensus_world::partial_sync();
   net.channel.bytes_per_us = 0.5;
   const auto gqs = threshold_quorum_system(4, 1);
   smr_options opts;
   opts.view_duration_unit = 5000;  // 5 ms
+  opts.resubmit_timeout = 15000;   // 15 ms
   smr_world w(gqs, fault_plan::none(4), 24, /*keys=*/8, opts, net);
   std::vector<submit_batch> batches(4 * 8);
   for (process_id p = 0; p < 4; ++p)
@@ -773,21 +777,192 @@ TEST(SmrService, DedupedCommandsStayWithinReroutesAndRetries) {
   ASSERT_TRUE(
       w.sim.run_until_condition([&] { return converged(w, 512); }, kLong));
   expect_safe(w);
-  std::uint64_t rerouted = 0, retries = 0, view_changes = 0, deduped = 0;
+  std::uint64_t retries = 0, view_changes = 0, deduped = 0;
   for (const smr_service* r : w.nodes) {
-    rerouted += r->counters().commands_rerouted;
     retries += r->counters().retries;
     view_changes += r->counters().view_changes;
     deduped = std::max(deduped, r->counters().commands_deduped);
   }
   EXPECT_GT(view_changes, 0u);
-  EXPECT_GT(rerouted, 0u);
-  EXPECT_GT(deduped, 0u) << "the scenario never committed a re-routed entry";
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(deduped, 0u) << "the scenario never committed a retry twice";
   for (const smr_service* r : w.nodes) {
     EXPECT_EQ(r->counters().commands_applied, 512u);
-    EXPECT_LE(r->counters().commands_deduped, rerouted + retries);
+    EXPECT_LE(r->counters().commands_deduped, retries);
   }
   expect_one_block_per_slot(w);
+}
+
+/// View 1's leader 0 steps down with two undecided entries. Slot 0 is
+/// accepted by every replica, but 0 never hears the acks. Slot 1 reaches
+/// no acceptor but 0 itself, and view 2's leader 1 does not hear 0's
+/// reports, so its Phase 1 cannot see that acceptance.
+struct two_inflight_replica : smr_service {
+  using smr_service::smr_service;
+  void deliver(process_id origin, const message_ptr& payload) override {
+    if (const auto* m = message_cast<p2b_msg>(payload))
+      if (id() == 0 && m->view == 1 && m->slot == 0) return;
+    if (const auto* m = message_cast<p2a_msg>(payload))
+      if (id() != 0 && m->view == 1 && m->slot == 1) return;
+    if (message_cast<p1b_msg>(payload) && id() == 1 && origin == 0) return;
+    smr_service::deliver(origin, payload);
+  }
+};
+
+TEST(SmrService, SteppedDownEntriesCommitOnceThroughPhase1OrRetry) {
+  // View 1 lasts 300 ms, view 2 until 900 ms. Leader 0 proposes slot 0 at
+  // 20 ms and slot 1 at 25 ms, and neither is decided when it steps down.
+  // Slot 0, which a write quorum accepted, must come back through view
+  // 2's Phase 1 with no retry. Slot 1's commands must come back through
+  // their submitter's retry_tick, after resubmit_timeout. Each command
+  // commits once: nothing is deduplicated anywhere.
+  const auto gqs = threshold_quorum_system(4, 1);
+  smr_options opts;
+  opts.view_duration_unit = 300000;
+  world<two_inflight_replica> w(
+      4, fault_plan::none(4), 25, consensus_world::partial_sync(),
+      [&](process_id) {
+        return std::make_unique<two_inflight_replica>(
+            4, quorum_config::of(gqs), opts);
+      });
+  std::vector<sim_time> done_at;
+  const auto fire = [&](sim_time at) {
+    w.sim.post_after(0, at, [&, at] {
+      for (service_key k = 0; k < 2; ++k)
+        w.nodes[0]->submit_write(k, pack_client_value(0, at + k),
+                                 [&](reg_version) {
+                                   done_at.push_back(w.sim.now());
+                                 });
+    });
+  };
+  fire(20000);
+  fire(25000);
+  w.sim.run_until(299000);
+  ASSERT_EQ(w.nodes[0]->view_of(0), 1u);
+  ASSERT_TRUE(done_at.empty()) << "an entry was decided inside view 1";
+  ASSERT_EQ(w.nodes[0]->counters().entries_proposed, 2u);
+
+  ASSERT_TRUE(w.sim.run_until_condition(
+      [&] {
+        for (const smr_service* r : w.nodes)
+          if (r->counters().commands_applied < 4) return false;
+        return true;
+      },
+      800000));
+  ASSERT_EQ(done_at.size(), 4u);
+  EXPECT_LT(done_at[1], 20000 + opts.resubmit_timeout)
+      << "slot 0 waited for a retry";
+  EXPECT_GE(done_at[2], 25000 + opts.resubmit_timeout)
+      << "slot 1 committed before any retry";
+  EXPECT_EQ(w.nodes[0]->counters().retries, 2u);
+  for (process_id p = 0; p < 4; ++p) {
+    const smr_service& r = *w.nodes[p];
+    EXPECT_EQ(r.view_of(0), 2u);
+    EXPECT_EQ(r.counters().commands_applied, 4u) << "replica " << p;
+    EXPECT_EQ(r.counters().commands_deduped, 0u) << "replica " << p;
+    if (p != 0) {
+      EXPECT_EQ(r.counters().retries, 0u) << "replica " << p;
+    }
+    // Every command sits in the applied log once: seqs 0 and 1 in slot 0,
+    // where Phase 1 recovered them, 2 and 3 in the slot after.
+    std::map<std::uint32_t, int> count;
+    for (std::uint64_t s = 0; s < r.applied_prefix(0); ++s)
+      for (const smr_command& c : *r.log(0)[s]) {
+        ++count[c.submit_seq];
+        if (c.submit_seq < 2) {
+          EXPECT_EQ(s, 0u) << "replica " << p;
+        }
+      }
+    EXPECT_EQ(count, (std::map<std::uint32_t, int>{{0, 1}, {1, 1}, {2, 1},
+                                                   {3, 1}}))
+        << "replica " << p;
+  }
+  const std::vector<const smr_service*> replicas(w.nodes.begin(),
+                                                 w.nodes.end());
+  EXPECT_TRUE(check_smr_agreement(replicas).linearizable);
+  for (const smr_service* r : replicas)
+    EXPECT_FALSE(r->safety_violation().has_value());
+}
+
+/// Process 0 leads view 1 and holds its view-1 acks for slot 0 until
+/// release(); it hears nothing else from 1, so nothing of view 2, which 1
+/// leads. Process 1 never hears its own view-2 acks for slot 0.
+struct late_win_replica : smr_service {
+  using smr_service::smr_service;
+  std::vector<std::pair<process_id, message_ptr>> held;
+  void deliver(process_id origin, const message_ptr& payload) override {
+    const auto* ack = message_cast<p2b_msg>(payload);
+    if (id() == 0 && ack && ack->view == 1 && ack->slot == 0) {
+      held.emplace_back(origin, payload);
+      return;
+    }
+    if (id() == 0 && origin == 1) return;
+    if (id() == 1 && ack && ack->view == 2 && ack->slot == 0) return;
+    smr_service::deliver(origin, payload);
+  }
+  void release() {
+    for (const auto& [origin, m] : held) smr_service::deliver(origin, m);
+    held.clear();
+  }
+};
+
+TEST(SmrService, SlotDecidedByAnOlderViewEndsItsPhase2Span) {
+  // Leader 0 proposes slot 0 in view 1 and every replica accepts it. At
+  // 50 ms a campaign announcement moves 1 into view 2, whose Phase 1
+  // re-proposes slot 0. At 100 ms 0 finally hears its view-1 acks, wins
+  // slot 0 and commits it, so 1 learns the decision from an older view
+  // while its own round for the slot is still open. 1's commit
+  // announcement for slot 0 must not start before that round's span ends.
+  const auto gqs = threshold_quorum_system(4, 1);
+  smr_options opts;
+  opts.view_duration_unit = kLong;
+  network_options net = consensus_world::partial_sync();
+  net.record_spans = true;
+  world<late_win_replica> w(4, fault_plan::none(4), 26, net,
+                            [&](process_id) {
+                              return std::make_unique<late_win_replica>(
+                                  4, quorum_config::of(gqs), opts);
+                            });
+  std::size_t done = 0;
+  const auto write = [&](process_id p, sim_time at) {
+    w.sim.post_after(p, at, [&, p] {
+      w.nodes[p]->submit_write(p, pack_client_value(p, 0),
+                               [&](reg_version) { ++done; });
+    });
+  };
+  write(0, 20000);
+  w.sim.post_after(1, 50000, [&] {
+    w.nodes[1]->deliver(2, make_message<smr_service::p1a_msg>(0, 2, 0));
+  });
+  w.sim.post_after(0, 100000, [&] { w.nodes[0]->release(); });
+  write(1, 150000);
+  ASSERT_TRUE(w.sim.run_until_condition([&] { return done == 2; }, kLong));
+  ASSERT_EQ(w.nodes[1]->view_of(0), 2u);
+  ASSERT_EQ(w.nodes[0]->view_of(0), 1u);
+  ASSERT_EQ(w.nodes[1]->counters().entries_proposed, 2u);  // slots 0, 1
+  ASSERT_EQ(w.nodes[1]->applied_prefix(0), 2u);
+  w.sim.run_until(w.sim.now() + 50000);  // an open span ends past the commits
+
+  trace_recorder& tracer = w.sim.obs().tracer;
+  tracer.finalize(w.sim.now());
+  const std::vector<span_rec>& spans = tracer.spans();
+  std::map<std::uint32_t, sim_time> phase2_end, commit_start;
+  for (const span_rec& sp : spans) {
+    if (sp.name == "smr.phase2") phase2_end[sp.parent] = sp.end;
+    if (sp.name == "smr.commit") commit_start[sp.parent] = sp.start;
+  }
+  std::size_t at_1 = 0;
+  for (const auto& [root, end] : phase2_end) {
+    const auto c = commit_start.find(root);
+    if (c == commit_start.end()) continue;
+    EXPECT_GE(c->second, end) << "commit before phase-2 completion at "
+                              << spans[root - 1].process;
+    at_1 += spans[root - 1].process == 1;
+  }
+  EXPECT_EQ(at_1, 2u) << "1 announced slots 0 and 1 under their own roots";
+  const std::vector<const smr_service*> replicas(w.nodes.begin(),
+                                                 w.nodes.end());
+  EXPECT_TRUE(check_smr_agreement(replicas).linearizable);
 }
 
 /// One SMR cell for the runner: 4 shards over threshold(8, 2) with
