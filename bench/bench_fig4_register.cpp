@@ -20,7 +20,7 @@
 
 #include <iostream>
 
-#include "lincheck/dependency_graph.hpp"
+#include "lincheck/history_checker.hpp"
 #include "lincheck/wing_gong.hpp"
 #include "sim/runner.hpp"
 #include "workload/stats.hpp"
@@ -53,7 +53,7 @@ run_result run_ops(World& w, process_id at, bool writes, int ops,
   }
   const bool linearizable =
       check_linearizable(w.client.history()).linearizable &&
-      check_dependency_graph(w.client.history()).linearizable;
+      check_history(w.client.history()).linearizable;
   out.metrics = w.sim.metrics();
   out.sim_end = w.sim.now();
   out.stats["attempted"] = ops;

@@ -1,5 +1,5 @@
-// bench_lincheck — the scalable dependency-graph checker vs the faithful
-// Wing–Gong baseline, plus its million-op batch/streaming/parallel rates.
+// bench_lincheck — the white-box dependency-graph checker vs the faithful
+// Wing–Gong baseline, plus its million-op batch/streaming/keyed rates.
 //
 // Head-to-head: a corpus of Wing–Gong-sized (≤64 op) synthetic histories
 // — half valid, half carrying an injected stale read, the mix a test
@@ -17,9 +17,8 @@
 // Scale: one million-op history is checked in batch mode
 // (`checker_ops_per_sec`, a per-host `info` key in bench/baselines.json,
 // never gated), streamed through the windowed checker (rate and
-// peak live-window size — the O(window) memory claim, measured), and
-// checked per-key through the experiment_runner fan-out with 1- and
-// 2-thread pools, whose results must be bit-identical.
+// peak live-window size — the O(window) memory claim, measured), and a
+// million-op keyed history is checked key by key once.
 #include "bench_main.hpp"
 
 #include <algorithm>
@@ -196,7 +195,7 @@ int bench_entry() {
   }
   const double stream_rate = static_cast<double>(h1m.size()) / stream_s;
 
-  // ---- keyed fan-out, 1- vs 2-thread runner pools bit-identical ----
+  // ---- million-op keyed history, checked key by key ----
   constexpr service_key kKeys = 8;
   std::vector<keyed_register_op> keyed;
   keyed.reserve(kMillion);
@@ -213,20 +212,15 @@ int bench_entry() {
       for (service_key k = 0; k < kKeys; ++k)
         keyed.push_back({k, per_key[k][i]});
   }
-  keyed_check_options one, two;
-  one.threads = 1;
-  two.threads = 2;
-  lincheck_result r1, r2;
-  const double keyed1_s = time_s([&] { r1 = check_keyed_history(keyed, kKeys, one); });
-  const double keyed2_s = time_s([&] { r2 = check_keyed_history(keyed, kKeys, two); });
-  if (!r1.linearizable || !r2.linearizable ||
-      r1.reason != r2.reason || r1.checked_ops != r2.checked_ops ||
-      r1.per_key_ops != r2.per_key_ops) {
-    std::cerr << "keyed fan-out results differ across runner thread counts\n";
+  lincheck_result keyed_result;
+  const double keyed_s =
+      time_s([&] { keyed_result = check_keyed_history(keyed, kKeys); });
+  if (!keyed_result.linearizable || keyed_result.checked_ops != keyed.size()) {
+    std::cerr << "million-op keyed check failed: " << keyed_result.reason
+              << "\n";
     return 1;
   }
-  const double keyed_rate =
-      static_cast<double>(keyed.size()) / std::min(keyed1_s, keyed2_s);
+  const double keyed_rate = static_cast<double>(keyed.size()) / keyed_s;
 
   // ---- report ----
   text_table t({"engine", "checked ops/sec", "notes"});
@@ -244,7 +238,7 @@ int bench_entry() {
              "peak window " + fmt_count(peak_window) + " ops"});
   t.add_row({"checker (10^6-op keyed x" + std::to_string(kKeys) + ")",
              fmt_count(static_cast<std::uint64_t>(keyed_rate)),
-             "1- and 2-thread pools identical"});
+             "key by key"});
   t.print();
   std::cout << "\nspeedup (checker/Wing–Gong): " << fmt_double(speedup, 1)
             << "x — acceptance bar " << fmt_double(kBar, 1) << "x\n";
@@ -256,7 +250,7 @@ int bench_entry() {
   gqs_bench::record("streaming_ops_per_sec", stream_rate);
   gqs_bench::record("streaming_peak_window",
                     static_cast<std::uint64_t>(peak_window));
-  gqs_bench::record("keyed_parallel_ops_per_sec", keyed_rate);
+  gqs_bench::record("keyed_ops_per_sec", keyed_rate);
   gqs_bench::record("corpus_histories",
                     static_cast<std::uint64_t>(corpus.size()));
   gqs_bench::record("corpus_unsat", corpus_unsat);

@@ -9,17 +9,16 @@
 // messages, per-key clocks, and a 4-deep per-process pipeline.
 //
 // Checks: every process drives every key to the same final (value,
-// version), and the full keyed history passes the scalable
-// dependency-graph checker (lincheck/history_checker) with identical
-// results from the 1- and 2-thread per-key fan-outs. A separate
+// version), and the full keyed history passes the white-box
+// dependency-graph checker (lincheck/history_checker). A separate
 // million-op validation pass (GQS_BENCH_BIG_OPS ops per process, default
 // 250k x 4 processes) runs the streaming checker live off the
 // workload-driver hooks, batch-checks the same run, and cross-checks
-// sampled closed sub-histories against Wing–Gong (<=64 ops) and the dense
-// Appendix-B replay (<=10^3 ops). The determinism grid (check_determinism)
-// runs at 1 and 2 runner threads; every cell must complete and reproduce
-// bit-identical client-visible results (final-state digests, latencies,
-// completion counts). Every pass is one run_keyed_pass (keyed_pass.hpp).
+// sampled closed sub-histories against Wing–Gong (<=64 ops). The
+// determinism grid (check_determinism) runs at 1 and 2 runner threads;
+// every cell must complete and reproduce bit-identical client-visible
+// results (final-state digests, latencies, completion counts). Every pass
+// is one run_keyed_pass (keyed_pass.hpp).
 //
 // The record carries the seed-1 check pass's per-key load (hottest key
 // share, max/mean ops per key — the Malkhi–Reiter–Wool load view), gossip
@@ -34,7 +33,6 @@
 
 #include "core/factories.hpp"
 #include "keyed_pass.hpp"
-#include "lincheck/dependency_graph.hpp"
 #include "lincheck/wing_gong.hpp"
 #include "register/keyed_register.hpp"
 #include "workload/table.hpp"
@@ -108,17 +106,15 @@ service_pass run_service(std::uint64_t seed, std::uint64_t ops_per_process,
 
 // ---- million-op validation pass ----
 //
-// One long service run whose full history goes through every mode of the
-// scalable checker: live streaming off the driver hooks during the run,
-// batch keyed fan-out afterwards (1- and 2-thread pools identical), and
-// sampled closed sub-histories cross-checked against the exponential
-// Wing–Gong baseline (<=64 ops) and the dense Appendix-B replay
-// (<=10^3 ops). Sizeable by GQS_BENCH_BIG_OPS (ops per process).
+// One long service run whose full history goes through both modes of the
+// white-box checker: live streaming off the driver hooks during the run,
+// the batch keyed check afterwards, and sampled closed sub-histories
+// cross-checked against the exponential Wing–Gong baseline (<=64 ops).
+// Sizeable by GQS_BENCH_BIG_OPS (ops per process).
 
 struct big_result {
   keyed_pass run;
   std::uint64_t wg_samples = 0;
-  std::uint64_t dense_samples = 0;
 };
 
 big_result big_validation_pass(std::uint64_t ops_per_process) {
@@ -130,9 +126,9 @@ big_result big_validation_pass(std::uint64_t ops_per_process) {
                 .run;
   if (!out.run.ok) return out;
 
-  // Sampled closed sub-histories: Wing–Gong and the dense replay must
-  // agree with the scalable checker's SAT verdict. Hot keys carry the
-  // long histories worth sampling.
+  // Sampled closed sub-histories: Wing–Gong must agree with the white-box
+  // checker's SAT verdict. Hot keys carry the long histories worth
+  // sampling.
   const std::vector<std::uint64_t>& ops = out.run.per_key_ops;
   std::vector<service_key> hot;
   for (service_key k = 0; k < kKeys; ++k)
@@ -155,16 +151,9 @@ big_result big_validation_pass(std::uint64_t ops_per_process) {
         }
         ++out.wg_samples;
       }
-      const register_history dense_sub = closed_sample(h, off, 1000);
-      if (!check_dependency_graph(dense_sub).linearizable) {
-        out.run.fail("dense replay rejected a closed sample of key " +
-                     std::to_string(k));
-        return out;
-      }
-      ++out.dense_samples;
     }
   }
-  if (out.wg_samples == 0 || out.dense_samples == 0)
+  if (out.wg_samples == 0)
     out.run.fail("no sampled sub-histories — workload too small?");
   return out;
 }
@@ -217,9 +206,7 @@ int bench_entry() {
   std::cout << "validation at scale: " << fmt_count(big.run.completed)
             << " service ops checked live (peak window "
             << fmt_count(big.run.peak_window) << " ops) and in batch; "
-            << big.wg_samples
-            << " closed samples agreed with Wing-Gong, "
-            << big.dense_samples << " with the dense replay\n";
+            << big.wg_samples << " closed samples agreed with Wing-Gong\n";
 
   // Per-key load of the check pass: the zipfian skew as actually served.
   std::uint64_t total_ops = 0, max_key = 0;
@@ -261,6 +248,5 @@ int bench_entry() {
   gqs_bench::record("validated_peak_window",
                     static_cast<std::uint64_t>(big.run.peak_window));
   gqs_bench::record("validated_wg_samples", big.wg_samples);
-  gqs_bench::record("validated_dense_samples", big.dense_samples);
   return 0;
 }

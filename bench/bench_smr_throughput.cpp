@@ -9,15 +9,14 @@
 // to 4 pipelined Phase-2 slots per shard, and phases targeted at
 // strategy-sampled quorums with timeout escalation armed.
 //
-// Checks: the run converges every
-// replica to identical per-shard applied prefixes with no safety violation
-// (check_smr_agreement), its full keyed history passes the
-// dependency-graph checker with identical 1- and 2-thread fan-out
-// verdicts, and rerunning the grid under a different experiment-runner
-// thread count reproduces bit-identical client-visible results. A raised
-// validation pass (GQS_BENCH_BIG_OPS ops per process, default 25k x 8 =
-// 200k commands) reruns it with the streaming checker live off the
-// workload-driver hooks and batch-checks the full history afterwards.
+// Checks: the run converges every replica to identical per-shard applied
+// prefixes with no safety violation (check_smr_agreement), its full keyed
+// history passes the dependency-graph checker, and rerunning the grid
+// under a different experiment-runner thread count reproduces
+// bit-identical client-visible results. A raised validation pass
+// (GQS_BENCH_BIG_OPS ops per process, default 25k x 8 = 200k commands)
+// reruns it with the streaming checker live off the workload-driver hooks
+// and batch-checks the full history afterwards.
 //
 // The record carries the seed-1 check pass's commit-latency p50/p99
 // (simulated time), messages per committed command, realized batching

@@ -17,10 +17,10 @@
 // Cross-checks before any measurement is reported: both modes complete
 // the same operations, drive every key to the same freshest final
 // (value, version), and the full keyed history of both modes passes the
-// scalable dependency-graph checker (lincheck/history_checker) with
-// identical 1- and 2-thread fan-out results; rerunning the targeted grid
-// under a different experiment-runner thread count must reproduce
-// bit-identical client-visible results (deterministic per-op sampling).
+// white-box dependency-graph checker (lincheck/history_checker);
+// rerunning the targeted grid under a different experiment-runner thread
+// count must reproduce bit-identical client-visible results
+// (deterministic per-op sampling).
 // A raised validation pass (GQS_BENCH_BIG_OPS ops per process, default
 // 125k x 8 processes = 10^6 ops) reruns the targeted mode with the
 // streaming checker live off the workload-driver hooks and batch-checks

@@ -10,8 +10,7 @@
 //            while the run is live; once it drains, the checker must find
 //            the run linearizable and have retired every completed op;
 //   batch  — the full keyed history goes through the batch dependency-
-//            graph checker at 1 and 2 threads, whose verdict, reason and
-//            per-key counts must agree.
+//            graph checker once, which must find it linearizable.
 //
 // A bench adds its engine-specific checks (convergence, agreement) on top,
 // reading final states through freshest_finals, and fingerprints them with
@@ -92,15 +91,9 @@ keyed_pass run_keyed_pass(gqs::simulation& sim, Adapter adapter,
       r.why = "streaming checker failed to retire the drained run";
   }
   if (checks.batch && r.why.empty()) {
-    gqs::keyed_check_options serial, pooled;
-    pooled.threads = 2;
-    const auto l1 = check_keyed_history(r.history, workload.keys, serial);
-    const auto l2 = check_keyed_history(r.history, workload.keys, pooled);
-    if (!l1.linearizable)
-      r.why = "batch check flagged the run: " + l1.reason;
-    else if (l1.reason != l2.reason || l1.per_key_ops != l2.per_key_ops ||
-             !l2.linearizable)
-      r.why = "keyed checker fan-out differs across thread counts";
+    const auto batch = check_keyed_history(r.history, workload.keys);
+    if (!batch.linearizable)
+      r.why = "batch check flagged the run: " + batch.reason;
   }
   r.ok = r.why.empty();
   return r;

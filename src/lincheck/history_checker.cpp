@@ -8,8 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "sim/runner.hpp"
-
 namespace gqs {
 
 const char* to_string(dep_edge kind) {
@@ -334,7 +332,7 @@ struct kstate {
   std::uint64_t retired = 0;
 };
 
-/// The engine behind all three checker modes. Feed completed ops in
+/// The engine behind both checker modes. Feed completed ops in
 /// completion order per key; violations latch into result_.
 struct checker_core {
   checker_core(service_key keys, reg_value initial, bool retire)
@@ -670,8 +668,7 @@ lincheck_result check_history(const register_history& history,
 }
 
 lincheck_result check_keyed_history(
-    const std::vector<keyed_register_op>& history, service_key keys,
-    const keyed_check_options& options) {
+    const std::vector<keyed_register_op>& history, service_key keys) {
   std::vector<register_history> per_key(keys);
   std::vector<std::vector<std::uint64_t>> idx(keys);
   for (std::size_t i = 0; i < history.size(); ++i) {
@@ -684,80 +681,41 @@ lincheck_result check_keyed_history(
     idx[rec.key].push_back(i);
   }
 
-  // Remaps a per-key verdict onto the global history: cycle op ids become
-  // indices into `history`, the reason re-renders with the global ops.
-  const auto decorate = [&](service_key k, lincheck_result r) {
-    for (cycle_edge& e : r.cycle) {
-      e.from = idx[k][e.from];
-      e.to = idx[k][e.to];
-    }
-    std::string why = "key " + std::to_string(k) + ": ";
-    if (r.cycle.empty()) {
-      why += r.reason;
-    } else {
-      why += "dependency graph rt ∪ wr ∪ ww ∪ rw contains a cycle: " +
-             describe_cycle(r.cycle, [&](std::uint64_t id) {
-               return &history[id].op;
-             });
-    }
-    r.reason = std::move(why);
-    return r;
-  };
-
   lincheck_result out;
   out.per_key_ops.assign(keys, 0);
   service_key failed_key = keys;
   lincheck_result failed;
-  if (options.threads == 1) {
-    for (service_key k = 0; k < keys; ++k) {
-      lincheck_result r = check_history(per_key[k], options.initial);
-      out.checked_ops += r.checked_ops;
-      out.per_key_ops[k] = r.checked_ops;
-      if (!r && failed_key == keys) {
-        failed_key = k;
-        failed = std::move(r);
-      }
+  for (service_key k = 0; k < keys; ++k) {
+    lincheck_result r = check_history(per_key[k]);
+    out.checked_ops += r.checked_ops;
+    out.per_key_ops[k] = r.checked_ops;
+    if (!r && failed_key == keys) {
+      failed_key = k;
+      failed = std::move(r);
     }
+  }
+  if (failed_key == keys) return out;
+
+  // Remap the failing key's verdict onto the global history: cycle op ids
+  // become indices into `history`, the reason re-renders with the global
+  // ops.
+  for (cycle_edge& e : failed.cycle) {
+    e.from = idx[failed_key][e.from];
+    e.to = idx[failed_key][e.to];
+  }
+  std::string why = "key " + std::to_string(failed_key) + ": ";
+  if (failed.cycle.empty()) {
+    why += failed.reason;
   } else {
-    std::vector<run_spec> specs;
-    std::vector<service_key> spec_key;
-    for (service_key k = 0; k < keys; ++k) {
-      if (per_key[k].empty()) continue;
-      spec_key.push_back(k);
-      const register_history* h = &per_key[k];
-      const reg_value initial = options.initial;
-      specs.push_back({"key" + std::to_string(k), [h, initial] {
-                         const lincheck_result r = check_history(*h, initial);
-                         run_result rr;
-                         rr.ok = r.linearizable;
-                         rr.error = r.reason;
-                         rr.stats["checked_ops"] =
-                             static_cast<double>(r.checked_ops);
-                         return rr;
-                       }});
-    }
-    const experiment_runner runner(options.threads);
-    const std::vector<run_result> cells = runner.run_all(specs);
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      const service_key k = spec_key[c];
-      const auto checked =
-          static_cast<std::uint64_t>(stat_or(cells[c], "checked_ops"));
-      out.checked_ops += checked;
-      out.per_key_ops[k] = checked;
-      if (!cells[c].ok && failed_key == keys) failed_key = k;
-    }
-    // Re-check the first failing key serially to recover the full
-    // counterexample payload (cells only carry the verdict).
-    if (failed_key != keys)
-      failed = check_history(per_key[failed_key], options.initial);
+    why += "dependency graph rt ∪ wr ∪ ww ∪ rw contains a cycle: " +
+           describe_cycle(failed.cycle, [&](std::uint64_t id) {
+             return &history[id].op;
+           });
   }
-  if (failed_key != keys) {
-    lincheck_result r = decorate(failed_key, std::move(failed));
-    r.checked_ops = out.checked_ops;
-    r.per_key_ops = std::move(out.per_key_ops);
-    return r;
-  }
-  return out;
+  failed.reason = std::move(why);
+  failed.checked_ops = out.checked_ops;
+  failed.per_key_ops = std::move(out.per_key_ops);
+  return failed;
 }
 
 register_history closed_sample(const register_history& history,
@@ -828,13 +786,12 @@ const lincheck_result& replay_streaming(streaming_checker& checker,
 }
 
 struct streaming_checker::impl {
-  impl(service_key keys, options opts)
-      : core(keys, opts.initial, /*retire=*/true) {}
+  explicit impl(service_key keys) : core(keys, 0, /*retire=*/true) {}
   checker_core core;
 };
 
-streaming_checker::streaming_checker(service_key keys, options opts)
-    : impl_(std::make_unique<impl>(keys, opts)) {}
+streaming_checker::streaming_checker(service_key keys)
+    : impl_(std::make_unique<impl>(keys)) {}
 streaming_checker::~streaming_checker() = default;
 streaming_checker::streaming_checker(streaming_checker&&) noexcept = default;
 streaming_checker& streaming_checker::operator=(streaming_checker&&) noexcept =

@@ -1,10 +1,10 @@
-// history_checker.hpp — the scalable dependency-graph linearizability
-// checker (Appendix B, Theorems 7–8 of the extended paper).
+// history_checker.hpp — the white-box linearizability checker of the
+// Figure 4 register (Appendix B, Theorems 7–8 of the extended paper).
 //
-// check_dependency_graph materializes the dense rt ∪ wr ∪ ww ∪ rw relation
-// (O(n²) edges) and is fine for the ≤64-op unit histories; it cannot touch
-// the 10⁶-op service runs the benches produce. This module checks the SAME
-// relation through a sparse, reachability-equivalent encoding:
+// Appendix B proves the register linearizable by showing the relation
+// rt ∪ wr ∪ ww ∪ rw acyclic. This module checks that relation on recorded
+// histories of any size through a sparse, reachability-equivalent
+// encoding:
 //
 //   * ww   — a chain along the version order (adjacent versions only);
 //   * wr   — one edge per read, from the write of its version;
@@ -20,12 +20,9 @@
 // cycle is detected the moment its closing edge arrives, and the offending
 // cycle (op ids + edge types) is reported in lincheck_result::cycle.
 //
-// Three modes:
-//   * check_history      — batch, one register (one key);
-//   * check_keyed_history — batch, per-key projections fanned across the
-//     experiment_runner pool; verdict and payload are identical for any
-//     thread count (keys merge in key order, failing key re-checked
-//     serially for the full counterexample);
+// Two modes share one engine:
+//   * check_history / check_keyed_history — batch, one register or every
+//     key's projection in turn;
 //   * streaming_checker  — online: the workload drivers feed invocations
 //     and completions during a soak; closed windows behind the per-key
 //     real-time cut (the oldest in-flight invocation) retire to an O(1)
@@ -40,9 +37,9 @@
 // frontier op. Reads resolve against the retired maximum write version for
 // the value check; unresolved reads never retire.
 //
-// Divergence from check_dependency_graph (documented, matching Wing–Gong):
-// an operation whose response precedes its own invocation is rejected
-// outright rather than silently tolerated.
+// Like Wing–Gong, the checker rejects an operation whose response precedes
+// its own invocation. Only completed operations participate (Appendix B
+// considers executions where all operations complete).
 #pragma once
 
 #include <cstdint>
@@ -54,34 +51,25 @@
 
 namespace gqs {
 
-/// Options for the keyed batch checker.
-struct keyed_check_options {
-  reg_value initial = 0;
-  /// Worker threads for the per-key fan-out: 1 checks keys serially in
-  /// the calling thread, anything else goes through experiment_runner
-  /// (0 = the runner's default). The result is bit-identical either way.
-  unsigned threads = 1;
-};
-
-/// Scalable batch check of one register history. Verdict-equivalent to
-/// check_dependency_graph (modulo the ret-before-inv rejection above) in
-/// near-linear time, with the counterexample cycle on failure. Op ids in
-/// the result are indices into `history`.
+/// Batch check of one register history in near-linear time, with the
+/// counterexample cycle on failure. `initial` is the register's initial
+/// value (version (0,0)). Op ids in the result are indices into `history`.
 lincheck_result check_history(const register_history& history,
                               reg_value initial = 0);
 
 /// Per-key batch check of a keyed history: every key's projection must
-/// independently linearize. Fills per_key_ops (completed ops per key) and
-/// remaps counterexample op ids to indices into `history`.
+/// independently linearize (from initial value 0); keys are checked in
+/// order and the first failing key's counterexample is reported. Fills
+/// per_key_ops (completed ops per key) and remaps counterexample op ids to
+/// indices into `history`.
 lincheck_result check_keyed_history(
-    const std::vector<keyed_register_op>& history, service_key keys,
-    const keyed_check_options& options = {});
+    const std::vector<keyed_register_op>& history, service_key keys);
 
 /// Reads-from-closed contiguous sample: completed ops from `history`
 /// starting at index `begin`, at most `max_ops` of them, plus the writes
 /// any sampled read observes (wherever they sit in the history). Any such
 /// closed subset of a linearizable history is linearizable, so samples
-/// cross-check this module against Wing–Gong and the dense checker.
+/// cross-check this module against Wing–Gong.
 register_history closed_sample(const register_history& history,
                                std::size_t begin, std::size_t max_ops);
 
@@ -90,16 +78,11 @@ register_history closed_sample(const register_history& history,
 /// order — the workload drivers' hooks do exactly this); the verdict is
 /// latched at the first violation. Requires stamped operations
 /// (simulation::take_stamp) for real-time order; unstamped ops fall back
-/// to virtual timestamps, which must then be used consistently.
-struct streaming_options {
-  reg_value initial = 0;
-};
-
+/// to virtual timestamps, which must then be used consistently. Every key
+/// starts at initial value 0.
 class streaming_checker {
  public:
-  using options = streaming_options;
-
-  explicit streaming_checker(service_key keys, options opts = {});
+  explicit streaming_checker(service_key keys);
   ~streaming_checker();
   streaming_checker(streaming_checker&&) noexcept;
   streaming_checker& operator=(streaming_checker&&) noexcept;

@@ -13,7 +13,7 @@
 
 #include <random>
 
-#include "lincheck/dependency_graph.hpp"
+#include "lincheck/history_checker.hpp"
 #include "lincheck/wing_gong.hpp"
 #include "workload/worlds.hpp"
 
@@ -57,7 +57,7 @@ TEST(FailureInjection, PostStrikeOpsAtUfStillComplete) {
                                         kBudget));
   EXPECT_EQ(w.client.history()[ri].value, 42);
   EXPECT_TRUE(check_linearizable(w.client.history()).linearizable);
-  EXPECT_TRUE(check_dependency_graph(w.client.history()).linearizable);
+  EXPECT_TRUE(check_history(w.client.history()).linearizable);
 }
 
 TEST(FailureInjection, InFlightOpsAcrossTheStrikeLinearize) {

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "history_mutations.hpp"
-#include "lincheck/dependency_graph.hpp"
 #include "lincheck/history_checker.hpp"
 #include "lincheck/history_gen.hpp"
 #include "lincheck/wing_gong.hpp"
@@ -45,7 +44,6 @@ class MutationSweep : public ::testing::TestWithParam<unsigned> {
     history_ = make_real_history(GetParam());
     ASSERT_GE(history_.size(), 6u);
     ASSERT_TRUE(check_linearizable(history_).linearizable);
-    ASSERT_TRUE(check_dependency_graph(history_).linearizable);
     ASSERT_TRUE(check_history(history_).linearizable);
   }
   register_history history_;
@@ -63,7 +61,6 @@ TEST_P(MutationSweep, PhantomReadValueRejected) {
   register_history mutated = history_;
   mutated[first_read()].value = 9999;
   EXPECT_FALSE(check_linearizable(mutated).linearizable);
-  EXPECT_FALSE(check_dependency_graph(mutated).linearizable);
   EXPECT_FALSE(check_history(mutated).linearizable);
 }
 
@@ -88,7 +85,6 @@ TEST_P(MutationSweep, StaleReadRejected) {
   mutated[last_read].value = first_written;
   mutated[last_read].version = first_version;
   EXPECT_FALSE(check_linearizable(mutated).linearizable);
-  EXPECT_FALSE(check_dependency_graph(mutated).linearizable);
   const auto fast = check_history(mutated);
   EXPECT_FALSE(fast.linearizable);
   EXPECT_TRUE(fast.cycle_contains(last_read)) << fast.reason;
@@ -104,7 +100,6 @@ TEST_P(MutationSweep, SwappedWriteVersionsRejectedByWhiteBox) {
     if (mutated[i].kind == reg_op_kind::write) writes.push_back(i);
   ASSERT_GE(writes.size(), 2u);
   std::swap(mutated[writes.front()].version, mutated[writes.back()].version);
-  EXPECT_FALSE(check_dependency_graph(mutated).linearizable);
   EXPECT_FALSE(check_history(mutated).linearizable);
 }
 
@@ -115,7 +110,6 @@ TEST_P(MutationSweep, DuplicatedVersionRejectedByWhiteBox) {
     if (mutated[i].kind == reg_op_kind::write) writes.push_back(i);
   ASSERT_GE(writes.size(), 2u);
   mutated[writes.back()].version = mutated[writes.front()].version;
-  EXPECT_FALSE(check_dependency_graph(mutated).linearizable);
   const auto fast = check_history(mutated);
   EXPECT_FALSE(fast.linearizable);
   EXPECT_NE(fast.reason.find("share version"), std::string::npos)

@@ -1,5 +1,5 @@
-// lincheck_scale_test — million-op validation of the scalable checker
-// (the acceptance scale the dense Appendix-B checker cannot touch).
+// lincheck_scale_test — million-op validation of the white-box checker
+// in batch, keyed and streaming form.
 // These tests are labeled `slow` in CTest and additionally skip unless
 // GQS_SLOW_TESTS is set, so the default test pass stays fast; the Release
 // CI job runs them with `GQS_SLOW_TESTS=1 ctest -L slow`.
@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <string_view>
 
-#include "lincheck/dependency_graph.hpp"
 #include "lincheck/history_checker.hpp"
 #include "lincheck/history_gen.hpp"
 #include "lincheck/wing_gong.hpp"
@@ -44,19 +43,13 @@ TEST(LincheckScale, MillionOpBatchValidatesWithSampledCrossChecks) {
   EXPECT_EQ(r.checked_ops, h.size());
 
   // The verdict must match Wing–Gong on sampled closed sub-histories
-  // (≤64 ops for W-G, ≤10³ for the dense checker) spread across the run.
+  // (≤64 ops) spread across the run.
   for (std::size_t begin = 0; begin + 1000 <= h.size();
        begin += h.size() / 8) {
     const register_history wg_sample = closed_sample(h, begin, 24);
     ASSERT_LE(wg_sample.size(), 64u);
     const auto wg = check_linearizable(wg_sample);
     EXPECT_TRUE(wg.linearizable) << "begin " << begin << ": " << wg.reason;
-
-    const register_history dense_sample = closed_sample(h, begin, 500);
-    ASSERT_LE(dense_sample.size(), 1000u);
-    const auto dense = check_dependency_graph(dense_sample);
-    EXPECT_TRUE(dense.linearizable)
-        << "begin " << begin << ": " << dense.reason;
   }
 }
 
@@ -75,7 +68,7 @@ TEST(LincheckScale, MillionOpStreamingKeepsWindowBounded) {
   EXPECT_EQ(checker.active_ops(), 0u);
 }
 
-TEST(LincheckScale, MillionOpKeyedParallelDeterministic) {
+TEST(LincheckScale, MillionOpKeyedValidates) {
   REQUIRE_SLOW();
   constexpr service_key kKeys = 16;
   std::vector<register_history> per_key(kKeys);
@@ -92,17 +85,12 @@ TEST(LincheckScale, MillionOpKeyedParallelDeterministic) {
     for (service_key k = 0; k < kKeys; ++k)
       keyed.push_back({k, per_key[k][i]});
 
-  keyed_check_options one, two;
-  one.threads = 1;
-  two.threads = 2;
-  const auto r1 = check_keyed_history(keyed, kKeys, one);
-  const auto r2 = check_keyed_history(keyed, kKeys, two);
-  EXPECT_TRUE(r1.linearizable) << r1.reason;
-  EXPECT_EQ(r1.linearizable, r2.linearizable);
-  EXPECT_EQ(r1.reason, r2.reason);
-  EXPECT_EQ(r1.checked_ops, r2.checked_ops);
-  EXPECT_EQ(r1.per_key_ops, r2.per_key_ops);
-  EXPECT_EQ(r1.checked_ops, keyed.size());
+  const auto r = check_keyed_history(keyed, kKeys);
+  EXPECT_TRUE(r.linearizable) << r.reason;
+  EXPECT_EQ(r.checked_ops, keyed.size());
+  ASSERT_EQ(r.per_key_ops.size(), kKeys);
+  for (const std::uint64_t ops : r.per_key_ops)
+    EXPECT_EQ(ops, kMillion / kKeys);
 }
 
 TEST(LincheckScale, MillionOpInjectedStaleReadCaught) {

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "lincheck/dependency_graph.hpp"
+#include "lincheck/history_checker.hpp"
 #include "lincheck/wing_gong.hpp"
 
 namespace gqs {
@@ -147,10 +147,21 @@ TEST(WingGong, ABAValuesHandled) {
 
 // ---------- white-box (Appendix-B dependency graph) ----------
 
+/// The white-box verdict on `h` (initial value 0): the batch checker's
+/// result, after checking that a streaming replay of the same history
+/// agrees.
+lincheck_result white_box(const register_history& h) {
+  lincheck_result batch = check_history(h);
+  streaming_checker stream(1);
+  EXPECT_EQ(replay_streaming(stream, h).linearizable, batch.linearizable)
+      << batch.reason;
+  return batch;
+}
+
 TEST(DependencyGraph, EmptyAndTrivial) {
-  EXPECT_TRUE(check_dependency_graph({}));
+  EXPECT_TRUE(white_box({}));
   register_history h = {read_op(0, 0, 10, {})};
-  EXPECT_TRUE(check_dependency_graph(h));
+  EXPECT_TRUE(white_box(h));
 }
 
 TEST(DependencyGraph, SequentialChain) {
@@ -160,25 +171,25 @@ TEST(DependencyGraph, SequentialChain) {
       write_op(2, 40, 50, {2, 1}, 1),
       read_op(2, 60, 70, {2, 1}, 0),
   };
-  EXPECT_TRUE(check_dependency_graph(h));
+  EXPECT_TRUE(white_box(h));
 }
 
 TEST(DependencyGraph, Proposition3DuplicateWriteVersions) {
   register_history h = {write_op(1, 0, 10, {1, 0}),
                         write_op(2, 20, 30, {1, 0})};
-  const auto r = check_dependency_graph(h);
+  const auto r = white_box(h);
   EXPECT_FALSE(r.linearizable);
   EXPECT_NE(r.reason.find("share version"), std::string::npos);
 }
 
 TEST(DependencyGraph, Proposition3WriteWithInitialVersion) {
   register_history h = {write_op(1, 0, 10, {0, 0})};
-  EXPECT_FALSE(check_dependency_graph(h));
+  EXPECT_FALSE(white_box(h));
 }
 
 TEST(DependencyGraph, Proposition3ReadOfUnknownVersion) {
   register_history h = {read_op(5, 0, 10, {3, 2})};
-  const auto r = check_dependency_graph(h);
+  const auto r = white_box(h);
   EXPECT_FALSE(r.linearizable);
   EXPECT_NE(r.reason.find("unknown version"), std::string::npos);
 }
@@ -186,13 +197,13 @@ TEST(DependencyGraph, Proposition3ReadOfUnknownVersion) {
 TEST(DependencyGraph, Proposition3ValueMismatch) {
   register_history h = {write_op(1, 0, 10, {1, 0}),
                         read_op(2, 20, 30, {1, 0})};
-  EXPECT_FALSE(check_dependency_graph(h));
+  EXPECT_FALSE(white_box(h));
 }
 
 TEST(DependencyGraph, InitialReadWrongValue) {
   register_history h = {read_op(3, 0, 10, {})};
-  EXPECT_FALSE(check_dependency_graph(h, 0));
-  EXPECT_TRUE(check_dependency_graph(h, 3));
+  EXPECT_FALSE(white_box(h));
+  EXPECT_TRUE(check_history(h, 3));
 }
 
 TEST(DependencyGraph, RtVersionInversionCycle) {
@@ -200,7 +211,7 @@ TEST(DependencyGraph, RtVersionInversionCycle) {
   // invoked: rt says w2 < w1 but ww says w1 < w2 → cycle.
   register_history h = {write_op(2, 0, 10, {2, 0}, 0),
                         write_op(1, 20, 30, {1, 1}, 1)};
-  const auto r = check_dependency_graph(h);
+  const auto r = white_box(h);
   EXPECT_FALSE(r.linearizable);
   EXPECT_NE(r.reason.find("cycle"), std::string::npos);
 }
@@ -213,13 +224,13 @@ TEST(DependencyGraph, StaleReadCycle) {
       write_op(2, 20, 30, {2, 0}, 0),
       read_op(1, 40, 50, {1, 0}, 1),
   };
-  EXPECT_FALSE(check_dependency_graph(h));
+  EXPECT_FALSE(white_box(h));
 }
 
 TEST(DependencyGraph, PendingOpsIgnored) {
   register_history h = {write_op(1, 0, 10, {1, 0}),
                         pending_write(2, 5)};
-  EXPECT_TRUE(check_dependency_graph(h));
+  EXPECT_TRUE(white_box(h));
 }
 
 TEST(DependencyGraph, ReadsAfterBothConcurrentWrites) {
@@ -233,7 +244,7 @@ TEST(DependencyGraph, ReadsAfterBothConcurrentWrites) {
       read_op(1, 150, 160, {1, 0}, 2),
       read_op(2, 170, 180, {1, 1}, 2),
   };
-  EXPECT_FALSE(check_dependency_graph(stale));
+  EXPECT_FALSE(white_box(stale));
   EXPECT_FALSE(check_linearizable(stale));  // checkers agree
   register_history fine = {
       write_op(1, 0, 100, {1, 0}, 0),
@@ -241,7 +252,7 @@ TEST(DependencyGraph, ReadsAfterBothConcurrentWrites) {
       read_op(2, 150, 160, {1, 1}, 2),
       read_op(2, 170, 180, {1, 1}, 2),
   };
-  EXPECT_TRUE(check_dependency_graph(fine));
+  EXPECT_TRUE(white_box(fine));
   EXPECT_TRUE(check_linearizable(fine));
 }
 
@@ -256,12 +267,12 @@ TEST(WingGong, LongSequentialHistoryChecksInstantly) {
     t += 10;
   }
   EXPECT_TRUE(check_linearizable(h));
-  EXPECT_TRUE(check_dependency_graph(h));
+  EXPECT_TRUE(white_box(h));
   // And the same history with the last read rewound is rejected fast too.
   h.back().value = 0;
   h.back().version = {};
   EXPECT_FALSE(check_linearizable(h));
-  EXPECT_FALSE(check_dependency_graph(h));
+  EXPECT_FALSE(white_box(h));
 }
 
 TEST(WingGong, WideConcurrencyChecksQuickly) {
@@ -277,12 +288,12 @@ TEST(WingGong, WideConcurrencyChecksQuickly) {
   for (int i = 0; i < 10; ++i)
     h.push_back(read_op(10, 200 + i * 10, 205 + i * 10, {1, 9}, 10));
   EXPECT_TRUE(check_linearizable(h));
-  EXPECT_TRUE(check_dependency_graph(h));
+  EXPECT_TRUE(white_box(h));
 }
 
 TEST(CheckersAgree, OnHandCraftedHistories) {
   // Where both checkers apply (complete histories with honest version
-  // tags), their verdicts must coincide.
+  // tags), the black-box and white-box verdicts must coincide.
   const std::vector<register_history> cases = {
       {},
       {write_op(1, 0, 10, {1, 0}), read_op(1, 20, 30, {1, 0})},
@@ -296,7 +307,7 @@ TEST(CheckersAgree, OnHandCraftedHistories) {
   };
   for (std::size_t i = 0; i < cases.size(); ++i)
     EXPECT_EQ(check_linearizable(cases[i]).linearizable,
-              check_dependency_graph(cases[i]).linearizable)
+              check_history(cases[i]).linearizable)
         << "case " << i;
 }
 

@@ -13,7 +13,7 @@
 #include <random>
 
 #include "core/random_systems.hpp"
-#include "lincheck/dependency_graph.hpp"
+#include "lincheck/history_checker.hpp"
 #include "lincheck/wing_gong.hpp"
 #include "workload/topologies.hpp"
 #include "workload/worlds.hpp"
@@ -69,7 +69,7 @@ TEST_P(RandomGqsSweep, RegisterCorrectOnWitnessQuorums) {
     }
     const auto bb = check_linearizable(w.client.history());
     EXPECT_TRUE(bb.linearizable) << bb.reason;
-    const auto wb = check_dependency_graph(w.client.history());
+    const auto wb = check_history(w.client.history());
     EXPECT_TRUE(wb.linearizable) << wb.reason;
   }
 }

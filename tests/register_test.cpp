@@ -7,7 +7,7 @@
 #include <string>
 
 #include "core/factories.hpp"
-#include "lincheck/dependency_graph.hpp"
+#include "lincheck/history_checker.hpp"
 #include "lincheck/wing_gong.hpp"
 #include "sim/time.hpp"
 #include "workload/worlds.hpp"
@@ -45,7 +45,7 @@ TEST(GqsRegister, WriteThenReadNoFailures) {
       w.sim.run_until_condition([&] { return w.client.complete(1); }, 60_s));
   EXPECT_EQ(w.client.history()[1].value, 42);
   EXPECT_TRUE(check_linearizable(w.client.history()));
-  EXPECT_TRUE(check_dependency_graph(w.client.history()));
+  EXPECT_TRUE(check_history(w.client.history()));
 }
 
 TEST(GqsRegister, ReadOfFreshRegisterReturnsInitial) {
@@ -73,7 +73,7 @@ TEST(GqsRegister, Example10ScenarioWorksUnderF1) {
       w.sim.run_until_condition([&] { return w.client.complete(2); }, 120_s));
   EXPECT_EQ(w.client.history()[2].value, 7);
   EXPECT_TRUE(check_linearizable(w.client.history()));
-  EXPECT_TRUE(check_dependency_graph(w.client.history()));
+  EXPECT_TRUE(check_history(w.client.history()));
 }
 
 TEST(GqsRegister, OperationsOutsideUfHang) {
@@ -96,7 +96,7 @@ TEST(GqsRegister, MultiWriterVersionsAreUnique) {
       [&] { return w.client.complete(0) && w.client.complete(1); }, 240_s));
   const auto& h = w.client.history();
   EXPECT_NE(h[0].version, h[1].version);
-  EXPECT_TRUE(check_dependency_graph(h));
+  EXPECT_TRUE(check_history(h));
 }
 
 TEST(AbdRegister, WorksUnderThresholdSystem) {
@@ -116,7 +116,7 @@ TEST(AbdRegister, WorksUnderThresholdSystem) {
   EXPECT_EQ(w.client.history()[1].value, 11);
   EXPECT_EQ(w.client.history()[2].value, 11);
   EXPECT_TRUE(check_linearizable(w.client.history()));
-  EXPECT_TRUE(check_dependency_graph(w.client.history()));
+  EXPECT_TRUE(check_history(w.client.history()));
 }
 
 TEST(AbdRegister, StuckUnderFigure1F1) {
@@ -201,7 +201,7 @@ TEST_P(RegisterWorkloadSweep, ConcurrentOpsLinearizable) {
   const auto& h = w.client.history();
   const auto bb = check_linearizable(h);
   EXPECT_TRUE(bb.linearizable) << bb.reason;
-  const auto wb = check_dependency_graph(h);
+  const auto wb = check_history(h);
   EXPECT_TRUE(wb.linearizable) << wb.reason;
 }
 
@@ -269,7 +269,7 @@ TEST_P(AbdWorkloadSweep, ConcurrentOpsLinearizable) {
         [&] { return w.client.all_complete(); }, w.sim.now() + 60_s));
   }
   EXPECT_TRUE(check_linearizable(w.client.history()));
-  EXPECT_TRUE(check_dependency_graph(w.client.history()));
+  EXPECT_TRUE(check_history(w.client.history()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AbdWorkloadSweep, ::testing::Range(0u, 6u));

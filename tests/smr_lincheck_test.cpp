@@ -1,9 +1,9 @@
 // Linearizability coverage for the sharded SMR service: committed
-// command histories stream through the PR-6 checkers live (off the
-// workload driver's on_issue/on_complete_op hooks) and batch-wise across
-// checker thread counts; a mutation test corrupts a recorded history the
-// way a dropped commit notification would manifest (an operation
-// completing against a stale state) and asserts the checkers catch it.
+// command histories stream through the white-box checker live (off the
+// workload driver's on_issue/on_complete_op hooks) and batch-wise; a
+// mutation test corrupts a recorded history the way a dropped commit
+// notification would manifest (an operation completing against a stale
+// state) and asserts the checker catches it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +11,6 @@
 
 #include "core/factories.hpp"
 #include "history_mutations.hpp"
-#include "lincheck/dependency_graph.hpp"
 #include "lincheck/history_checker.hpp"
 #include "workload/smr_workload.hpp"
 
@@ -54,15 +53,10 @@ TEST(SmrLincheck, StreamingCheckerPassesLiveWorkload) {
   EXPECT_EQ(live.active_ops(), 0u);
   EXPECT_TRUE(check_smr_agreement(w.replicas()).linearizable);
 
-  // Batch verdicts agree across checker thread counts.
-  keyed_check_options serial, pooled;
-  serial.threads = 1;
-  pooled.threads = 2;
-  const auto l1 = check_keyed_history(driver.history(), 8, serial);
-  const auto l2 = check_keyed_history(driver.history(), 8, pooled);
-  EXPECT_TRUE(l1.linearizable) << l1.reason;
-  EXPECT_EQ(l1.linearizable, l2.linearizable);
-  EXPECT_EQ(l1.per_key_ops, l2.per_key_ops);
+  // The batch checker agrees with the streaming verdict.
+  const auto batch = check_keyed_history(driver.history(), 8);
+  EXPECT_TRUE(batch.linearizable) << batch.reason;
+  EXPECT_EQ(batch.checked_ops, live.checked_ops());
 }
 
 TEST(SmrLincheck, LinearizableUnderLeaderCrash) {
@@ -114,7 +108,6 @@ TEST(SmrLincheck, DroppedCommitMutationIsCaught) {
       hosted = true;
       EXPECT_FALSE(check_history(mutated).linearizable)
           << "stale read on key " << key << " slipped past the checker";
-      EXPECT_FALSE(check_dependency_graph(mutated).linearizable);
     }
   }
   ASSERT_TRUE(hosted) << "no key history could host the mutation";

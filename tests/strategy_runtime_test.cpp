@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/factories.hpp"
-#include "lincheck/dependency_graph.hpp"
+#include "lincheck/history_checker.hpp"
 #include "register/atomic_register.hpp"
 #include "register/keyed_register.hpp"
 #include "strategy/planner.hpp"
@@ -108,7 +108,7 @@ service_run run_service_workload(const generalized_quorum_system& gqs,
     r.finals.emplace_back(freshest.value, freshest.version);
     const register_history h = driver.history_of(k);
     if (h.empty()) continue;
-    const auto lin = check_dependency_graph(h);
+    const auto lin = check_history(h);
     if (!lin.linearizable) {
       r.all_linearizable = false;
       r.lin_reason = "key " + std::to_string(k) + ": " + lin.reason;
@@ -270,7 +270,7 @@ TEST(Escalation, BroadcastFallbackCompletesUnderF1) {
   // The read must observe the write, and the recorded history must be
   // linearizable under the Appendix-B checker.
   EXPECT_EQ(w.history[1].value, 7);
-  const auto lin = check_dependency_graph(w.history);
+  const auto lin = check_history(w.history);
   EXPECT_TRUE(lin.linearizable) << lin.reason;
 }
 
