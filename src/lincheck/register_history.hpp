@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,6 +16,32 @@ namespace gqs {
 
 enum class reg_op_kind { read, write };
 
+/// An optional sim_time in 8 bytes (std::optional<sim_time> takes 16):
+/// INT64_MIN, which no run reaches, stands for "empty". Offers the subset
+/// of std::optional's interface that histories use.
+class maybe_time {
+ public:
+  constexpr maybe_time() noexcept = default;
+  constexpr maybe_time(std::nullopt_t) noexcept {}
+  constexpr maybe_time(sim_time t) noexcept : t_(t) {}
+
+  constexpr bool has_value() const noexcept { return t_ != kEmpty; }
+  constexpr explicit operator bool() const noexcept { return has_value(); }
+  constexpr const sim_time& operator*() const noexcept { return t_; }
+  constexpr sim_time& operator*() noexcept { return t_; }
+  constexpr sim_time value_or(sim_time fallback) const noexcept {
+    return has_value() ? t_ : fallback;
+  }
+  constexpr void reset() noexcept { t_ = kEmpty; }
+
+  friend constexpr bool operator==(const maybe_time&,
+                                   const maybe_time&) = default;
+
+ private:
+  static constexpr sim_time kEmpty = std::numeric_limits<sim_time>::min();
+  sim_time t_ = kEmpty;
+};
+
 /// One operation in a history. `returned_at` empty means the operation was
 /// pending when the execution ended (allowed: channel failures may prevent
 /// termination outside U_f).
@@ -23,7 +50,7 @@ struct register_op {
   process_id proc = 0;
   reg_value value = 0;  ///< value written (write) or returned (read)
   sim_time invoked_at = 0;
-  std::optional<sim_time> returned_at;
+  maybe_time returned_at;
   /// Causal event stamps (simulation::take_stamp). The virtual clock is
   /// too coarse for precedence: a response and a causally later invocation
   /// can share a timestamp. Zero means "not recorded" (hand-crafted
@@ -55,6 +82,9 @@ struct keyed_register_op {
   service_key key = 0;
   register_op op;
 };
+
+// Every recorded history is an array of these: keep them packed.
+static_assert(sizeof(register_op) == 64 && sizeof(keyed_register_op) == 72);
 
 /// Edge types of the Appendix-B dependency graph: real-time precedence,
 /// write→read of the same version (reads-from), write→write in version

@@ -1,15 +1,17 @@
 // clients.hpp — keyed workload drivers for the multi-object quorum
 // service and the engines built like it.
 //
-// A workload is a pre-generated, per-process operation schedule (key
-// choice uniform or zipfian, read/write mix, deterministic values) driven
-// either closed-loop (a configurable in-flight window per process,
-// optionally with think time between completion and next issue) or
-// open-loop (fixed arrival spacing, regardless of completions). The
-// schedule is a pure function of the options — *no timing feedback* — so
-// the same workload replayed against two engines (say, broadcast and
-// targeted quorum access) issues the identical operation sequence per
-// process, making final per-key states directly comparable.
+// A workload is a per-process operation schedule (key choice uniform or
+// zipfian, read/write mix, deterministic values) driven either
+// closed-loop (a configurable in-flight window per process, optionally
+// with think time between completion and next issue) or open-loop (fixed
+// arrival spacing, regardless of completions). Each process's schedule is
+// drawn on demand, one operation ahead of its issue, from its own
+// schedule_stream; it is still a pure function of the options — *no
+// timing feedback* — so the same workload replayed against two engines
+// (say, broadcast and targeted quorum access) issues the identical
+// operation sequence per process, making final per-key states directly
+// comparable.
 //
 // The driver is engine-agnostic: it issues through an adapter exposing
 //   void write(process_id p, service_key key, reg_value x,
@@ -86,13 +88,53 @@ struct client_workload_options {
   std::uint64_t seed = 1;
 
   void validate() const;
+  /// validate() plus the checks that need the client count n.
+  void validate(process_id n) const;
 };
 
 /// Deterministic value stamp for write i of process p.
 reg_value pack_client_value(process_id p, std::uint64_t i);
 
+/// The key and read/write draws every process's schedule shares.
+struct schedule_samplers {
+  explicit schedule_samplers(const client_workload_options& options)
+      : keys(options.keys, options.zipf_theta), read(options.read_ratio) {}
+
+  zipf_sampler keys;
+  sampling::bernoulli read;
+};
+
+/// Process p's schedule, drawn one operation ahead: front() is the next
+/// operation to issue, pop() takes it and draws the one after. Points at
+/// the options and samplers it was built with, which must outlive it.
+class schedule_stream {
+ public:
+  schedule_stream(process_id p, process_id n,
+                  const client_workload_options& options,
+                  const schedule_samplers& samplers);
+
+  bool empty() const noexcept { return left_ == 0; }
+  const client_op& front() const noexcept { return next_; }
+  client_op pop() {
+    const client_op op = next_;
+    if (--left_ > 0) draw();
+    return op;
+  }
+
+ private:
+  void draw();
+
+  const client_workload_options* options_;
+  const schedule_samplers* samplers_;
+  process_id p_, n_;
+  std::mt19937_64 rng_;
+  std::uint64_t writes_ = 0;
+  std::uint64_t left_;
+  client_op next_;
+};
+
 /// The full schedule for each of n client processes; a pure function of
-/// (n, options).
+/// (n, options). The reference the driver's streams issue in order.
 std::vector<std::vector<client_op>> make_schedules(
     process_id n, const client_workload_options& options);
 
@@ -104,17 +146,24 @@ class workload_driver {
                   client_workload_options options)
       : sim_(&sim),
         adapter_(std::move(adapter)),
-        options_(options),
-        schedules_(make_schedules(sim.size(), options)) {
-    clients_.resize(sim_->size());
+        options_((options.validate(sim.size()), options)),
+        samplers_(options_) {
+    clients_.reserve(sim_->size());
     for (process_id p = 0; p < sim_->size(); ++p)
-      clients_[p].key_busy.assign(options_.keys, 0);
+      clients_.emplace_back(
+          schedule_stream(p, sim_->size(), options_, samplers_),
+          options_.keys);
     // One record per scheduled op: reserving them all up front keeps the
     // last doubling's two buffers from meeting at the RSS peak.
-    std::size_t scheduled = 0;
-    for (const std::vector<client_op>& s : schedules_) scheduled += s.size();
-    history_.reserve(scheduled);
+    history_.reserve(std::size_t{sim_->size()} * options_.ops_per_process);
   }
+
+  // Posted closures, adapter callbacks and the streams all point into the
+  // driver: it stays where it was built.
+  workload_driver(const workload_driver&) = delete;
+  workload_driver& operator=(const workload_driver&) = delete;
+  workload_driver(workload_driver&&) = delete;
+  workload_driver& operator=(workload_driver&&) = delete;
 
   /// Posts the initial issues/arrivals; drive the simulation afterwards
   /// (e.g. sim.run_until_condition([&]{ return driver.done(); }, ...)).
@@ -132,10 +181,8 @@ class workload_driver {
   bool done() const {
     for (process_id p = 0; p < sim_->size(); ++p) {
       const client& c = clients_[p];
-      if (c.outstanding > 0 || !c.deferred.empty()) return false;
-      const std::size_t cursor =
-          options_.open_interval > 0 ? c.open_arrivals : c.next_issue;
-      if (cursor < schedules_[p].size()) return false;
+      if (c.outstanding > 0 || !c.deferred.empty() || !c.schedule.empty())
+        return false;
     }
     return true;
   }
@@ -186,37 +233,28 @@ class workload_driver {
   std::function<void(const keyed_register_op&, std::size_t)> on_issue;
   std::function<void(const keyed_register_op&, std::size_t)> on_complete_op;
 
-  /// Operations issued per client process — the issue-side half of the
-  /// load report. The serve-side half (which processes each operation's
-  /// sampled quorum actually touched) comes from the engine:
-  /// quorum_service::per_process_quorum_hits(); a bench holds the two
-  /// against the planner's predicted load_σ(p).
-  std::vector<std::uint64_t> per_process_ops() const {
-    std::vector<std::uint64_t> out(sim_->size(), 0);
-    for (const keyed_register_op& rec : history_) ++out[rec.op.proc];
-    return out;
-  }
-
  private:
   struct client {
-    std::size_t next_issue = 0;  // closed-loop schedule cursor
-    std::size_t open_arrivals = 0;  // open-loop arrival cursor
+    client(schedule_stream s, service_key keys)
+        : schedule(std::move(s)), key_busy(keys, 0) {}
+
+    /// Operations not yet issued (closed loop) or not yet arrived (open).
+    schedule_stream schedule;
     std::uint64_t issued_ops = 0;
     int outstanding = 0;
     std::vector<std::uint8_t> key_busy;
     /// Open loop: arrivals whose key was busy, waiting in arrival order.
-    std::vector<std::size_t> deferred;
+    std::vector<client_op> deferred;
   };
 
   // ---- closed loop ----
 
   void issue_ready(process_id p) {
     client& c = clients_[p];
-    while (c.outstanding < options_.inflight_window &&
-           c.next_issue < schedules_[p].size()) {
-      const client_op& op = schedules_[p][c.next_issue];
-      if (c.key_busy[op.key]) return;  // head-of-line: wait for the key
-      issue(p, c.next_issue++);
+    while (c.outstanding < options_.inflight_window && !c.schedule.empty()) {
+      // Head-of-line: wait for the key.
+      if (c.key_busy[c.schedule.front().key]) return;
+      issue(p, c.schedule.pop());
     }
   }
 
@@ -233,24 +271,17 @@ class workload_driver {
 
   void open_arrival(process_id p) {
     client& c = clients_[p];
-    if (c.open_arrivals >= schedules_[p].size()) return;
-    const std::size_t idx = c.open_arrivals;
-    ++c.open_arrivals;
-    const client_op& op = schedules_[p][idx];
-    if (c.key_busy[op.key]) {
-      c.deferred.push_back(idx);
-    } else {
-      // Keep schedule order per key: an arrival behind a deferred op on
-      // the same key must not overtake it.
-      bool behind = false;
-      for (std::size_t d : c.deferred)
-        behind |= schedules_[p][d].key == op.key;
-      if (behind)
-        c.deferred.push_back(idx);
-      else
-        issue(p, idx);
-    }
-    if (c.open_arrivals < schedules_[p].size())
+    if (c.schedule.empty()) return;
+    const client_op op = c.schedule.pop();
+    // Schedule order per key holds without a scan of `deferred`: every
+    // deferred op's key is busy (a completion frees one key and issues the
+    // first op deferred on it), so an arrival on a free key has nothing
+    // on its key to overtake.
+    if (c.key_busy[op.key])
+      c.deferred.push_back(op);
+    else
+      issue(p, op);
+    if (!c.schedule.empty())
       sim_->post_after(p, options_.open_interval,
                        [this, p] { open_arrival(p); });
   }
@@ -258,19 +289,18 @@ class workload_driver {
   void drain_deferred(process_id p) {
     client& c = clients_[p];
     for (std::size_t i = 0; i < c.deferred.size(); ++i) {
-      const std::size_t idx = c.deferred[i];
-      if (c.key_busy[schedules_[p][idx].key]) continue;
+      const client_op op = c.deferred[i];
+      if (c.key_busy[op.key]) continue;
       c.deferred.erase(c.deferred.begin() + static_cast<std::ptrdiff_t>(i));
-      issue(p, idx);
+      issue(p, op);
       return;  // at most one per completion; its key just freed
     }
   }
 
   // ---- issue/complete ----
 
-  void issue(process_id p, std::size_t idx) {
+  void issue(process_id p, const client_op& op) {
     client& c = clients_[p];
-    const client_op& op = schedules_[p][idx];
     c.key_busy[op.key] = 1;
     ++c.outstanding;
     ++c.issued_ops;
@@ -319,7 +349,7 @@ class workload_driver {
   simulation* sim_;
   Adapter adapter_;
   client_workload_options options_;
-  std::vector<std::vector<client_op>> schedules_;
+  schedule_samplers samplers_;
   std::vector<client> clients_;
   std::vector<keyed_register_op> history_;
   std::uint64_t completed_ = 0;

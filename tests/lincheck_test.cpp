@@ -41,6 +41,35 @@ register_op pending_write(reg_value x, sim_time inv, process_id p = 0) {
 
 // ---------- black-box (Wing–Gong) ----------
 
+TEST(MaybeTime, EmptyOnlyWhenUnset) {
+  EXPECT_FALSE(maybe_time().has_value());
+  EXPECT_FALSE(maybe_time(std::nullopt));
+  EXPECT_EQ(maybe_time(), maybe_time(std::nullopt));
+  const maybe_time zero = 0, negative = -5;
+  EXPECT_TRUE(zero.has_value());
+  EXPECT_TRUE(negative);
+  EXPECT_EQ(*zero, 0);
+  EXPECT_EQ(*negative, -5);
+  EXPECT_EQ(zero.value_or(7), 0);
+  EXPECT_EQ(maybe_time().value_or(7), 7);
+  EXPECT_NE(zero, maybe_time());
+  EXPECT_EQ(negative, maybe_time(-5));
+
+  maybe_time t = 3;
+  *t *= 10;
+  EXPECT_EQ(*t, 30);
+  t.reset();
+  EXPECT_FALSE(t);
+  EXPECT_EQ(t.value_or(-1), -1);
+  t = std::nullopt;
+  EXPECT_FALSE(t.has_value());
+
+  register_op op;
+  EXPECT_FALSE(op.complete());
+  op.returned_at = 0;
+  EXPECT_TRUE(op.complete());
+}
+
 TEST(WingGong, EmptyHistory) {
   EXPECT_TRUE(check_linearizable({}));
 }

@@ -4,7 +4,10 @@
 // linearizability of driver-generated traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
+#include <type_traits>
 
 #include "core/factories.hpp"
 #include "lincheck/wing_gong.hpp"
@@ -100,10 +103,40 @@ TEST(Schedules, ReadRatioRespected) {
   EXPECT_LT(reads, 850);
 }
 
+TEST(Schedules, StreamDrawsTheScheduleOneAhead) {
+  client_workload_options opts;
+  opts.keys = 10;
+  opts.ops_per_process = 50;
+  opts.zipf_theta = 0.5;
+  opts.seed = 9;
+  const auto s = make_schedules(3, opts);
+  const schedule_samplers samplers(opts);
+  for (process_id p = 0; p < 3; ++p) {
+    schedule_stream stream(p, 3, opts, samplers);
+    for (const client_op& want : s[p]) {
+      ASSERT_FALSE(stream.empty());
+      const client_op peeked = stream.front();
+      const client_op got = stream.pop();
+      EXPECT_EQ(peeked.key, got.key);
+      EXPECT_EQ(got.is_read, want.is_read);
+      EXPECT_EQ(got.key, want.key);
+      EXPECT_EQ(got.value, want.value);
+    }
+    EXPECT_TRUE(stream.empty());
+  }
+  opts.ops_per_process = 0;
+  EXPECT_TRUE(schedule_stream(0, 3, opts, samplers).empty());
+}
+
 // ---------- drivers over the quorum service ----------
 
+using register_driver =
+    workload_driver<keyed_node_adapter<keyed_register_node>>;
+static_assert(!std::is_move_constructible_v<register_driver>);
+static_assert(!std::is_copy_constructible_v<register_driver>);
+
 struct driver_world : world<keyed_register_node> {
-  workload_driver<keyed_node_adapter<keyed_register_node>> driver;
+  register_driver driver;
 
   driver_world(const client_workload_options& opts, std::uint64_t sim_seed,
                service_options svc = {})
@@ -229,6 +262,76 @@ TEST(WorkloadDriver, OpenLoopCompletes) {
     const auto r = check_linearizable(h);
     EXPECT_TRUE(r.linearizable) << "key " << k << ": " << r.reason;
   }
+}
+
+/// What a history record says was scheduled: (kind, key, write value).
+using scheduled_op = std::tuple<bool, service_key, reg_value>;
+
+scheduled_op as_scheduled(const client_op& op) {
+  return {op.is_read, op.key, op.is_read ? 0 : op.value};
+}
+
+/// Process p's issued operations, in issue order.
+std::vector<scheduled_op> issued_by(
+    const std::vector<keyed_register_op>& history, process_id p) {
+  std::vector<scheduled_op> out;
+  for (const keyed_register_op& rec : history)
+    if (rec.op.proc == p) {
+      const bool read = rec.op.kind == reg_op_kind::read;
+      out.emplace_back(read, rec.key, read ? 0 : rec.op.value);
+    }
+  return out;
+}
+
+TEST(WorkloadDriver, ClosedLoopIssuesTheScheduleInOrder) {
+  const auto opts = small_workload();
+  ASSERT_EQ(opts.inflight_window, 4);
+  driver_world w(opts, 12);
+  ASSERT_TRUE(w.run());
+  const auto schedules = make_schedules(4, opts);
+  for (process_id p = 0; p < 4; ++p) {
+    std::vector<scheduled_op> want;
+    for (const client_op& op : schedules[p]) want.push_back(as_scheduled(op));
+    EXPECT_EQ(issued_by(w.driver.history(), p), want) << "process " << p;
+  }
+}
+
+TEST(WorkloadDriver, OpenLoopKeepsPerKeyScheduleOrderAcrossDeferrals) {
+  auto opts = small_workload();
+  opts.ops_per_process = 40;
+  opts.open_interval = 10;  // arrivals far faster than operations finish
+  driver_world w(opts, 13);
+  ASSERT_TRUE(w.run());
+  const auto schedules = make_schedules(4, opts);
+  int reordered = 0;
+  for (process_id p = 0; p < 4; ++p) {
+    std::vector<scheduled_op> want;
+    for (const client_op& op : schedules[p]) want.push_back(as_scheduled(op));
+    std::vector<scheduled_op> got = issued_by(w.driver.history(), p);
+    // Without a deferral, issue order is arrival order.
+    reordered += got != want;
+    for (service_key k = 0; k < opts.keys; ++k) {
+      std::vector<scheduled_op> want_k, got_k;
+      for (const scheduled_op& op : want)
+        if (std::get<1>(op) == k) want_k.push_back(op);
+      for (const scheduled_op& op : got)
+        if (std::get<1>(op) == k) got_k.push_back(op);
+      EXPECT_EQ(got_k, want_k) << "process " << p << " key " << k;
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "process " << p;
+  }
+  EXPECT_GE(reordered, 1);
+}
+
+TEST(WorkloadDriver, ConstructionValidatesOptions) {
+  auto opts = small_workload();
+  opts.keys = 3;  // fewer keys than processes, writes partitioned
+  EXPECT_THROW(driver_world(opts, 5), std::invalid_argument);
+  opts = small_workload();
+  opts.inflight_window = 0;
+  EXPECT_THROW(driver_world(opts, 5), std::invalid_argument);
 }
 
 TEST(WorkloadDriver, PerKeyLoadAndLatenciesRecorded) {
