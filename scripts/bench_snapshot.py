@@ -3,11 +3,10 @@
 
 Usage:
     python3 scripts/bench_snapshot.py --out BENCH_<n>.json [--runs K]
-        [--seconds S]
 
 Runs `benchmark/run.py --workload W --seed S --trace T` for every workload
 of BENCHMARK.json, seeds 1 and 2, and both trace modes, each at
-BENCHMARK.json's run_seconds unless --seconds says otherwise, and writes
+BENCHMARK.json's run_seconds, and writes
 
     {"run_seconds", "host", "workloads": {W: {"seed<S>": {
         "correct", "attempted", "failed",
@@ -76,12 +75,11 @@ def main():
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--runs", type=int, default=1,
                    help="untraced runs per cell (default 1)")
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = p.parse_args()
     if args.runs < 1:
         p.error("--runs must be at least 1")
 
-    seconds = args.seconds
+    seconds = spec["run_seconds"]
     snapshot = {
         "run_seconds": seconds,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
