@@ -267,8 +267,7 @@ BENCHMARK(bm_plan_for_pattern_figure1);
 // ---- message dispatch: tag compare vs dynamic_cast ----
 //
 // Every protocol deliver() resolves each incoming payload through a chain
-// of message_cast calls, and the transport mux unwraps one more layer per
-// delivery. make_message stamps each message with a per-type tag, so the
+// of message_cast calls. make_message stamps each message with a per-type tag, so the
 // cast is a pointer compare; the benchmarks measure that against the
 // seed's dynamic_cast resolution on the same mixed stream (worst case:
 // the matching type is the last of five tried, exactly the generalized

@@ -10,15 +10,15 @@
 // any timing is reported. Valid histories are where Wing–Gong looks good
 // (the forced witness is found greedily); non-linearizable ones are where
 // its exponential nature bites, because refusal means exhausting the
-// memoized search space. The acceptance bar is checker ≥ 5× Wing–Gong
-// checked-ops/sec over the mixed corpus, gated in CI via
-// bench/baselines.json (`lincheck_speedup`).
+// memoized search space. The acceptance bar is checker ≥ 24× Wing–Gong
+// checked-ops/sec over the mixed corpus (`lincheck_speedup`); the bench
+// exits 1 below it.
 //
 // Scale: one million-op history is checked in batch mode
-// (`checker_ops_per_sec`, a per-host `info` key in bench/baselines.json,
-// never gated), streamed through the windowed checker (rate and
-// peak live-window size — the O(window) memory claim, measured), and a
-// million-op keyed history is checked key by key once.
+// (`checker_ops_per_sec`, a per-host rate, never gated), streamed through
+// the windowed checker (rate and peak live-window size — the O(window)
+// memory claim, measured), and a million-op keyed history is checked key
+// by key once.
 #include "bench_main.hpp"
 
 #include <algorithm>
@@ -44,7 +44,7 @@ constexpr std::size_t kCorpusHistories = 96;
 constexpr std::size_t kCorpusOps = 56;  // under Wing–Gong's 64-op cap
 constexpr std::size_t kMillion = 1'000'000;
 constexpr int kReps = 3;  // best-of per engine
-constexpr double kBar = 5.0;
+constexpr double kBar = 24.0;
 
 double time_s(const std::function<void()>& body) {
   const auto begin = std::chrono::steady_clock::now();

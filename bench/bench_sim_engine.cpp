@@ -16,8 +16,8 @@
 //              sim_metrics, so the hot path still sees only the single
 //              tracer.recording() guard plus a sampler next_due() compare;
 //              this prices the *disabled-mode* footprint of the obs
-//              subsystem (bar: within 5% of the slab rate, gated in
-//              baselines.json as `telemetry_overhead`);
+//              subsystem (bar: within 5% of the slab rate, recorded
+//              as `telemetry_overhead`);
 //   enabled  — spans + sampler recording too (info only: recording every
 //              network event as a leaf span is legitimately expensive).
 //

@@ -1,10 +1,10 @@
 // metrics.hpp — the counter snapshot fed by the typed counter structs.
 //
-// The counter structs (sim_metrics, service_counters, smr_counters,
-// push_qaf_counters) are the one counter surface: protocol code bumps
-// their fields, tests and the repo benchmark read them by field. Each
-// struct lists its fields once, in a static for_each_counter(f) visitor
-// next to it, calling f(name, &Struct::field) per summable count.
+// The counter structs (sim_metrics, service_counters, smr_counters) are
+// the one counter surface: protocol code bumps their fields, tests and
+// the repo benchmark read them by field. Each struct lists its fields
+// once, in a static for_each_counter(f) visitor next to it, calling
+// f(name, &Struct::field) per summable count.
 //
 // A registry armed by network_options::telemetry observes those fields:
 // observe_counters(prefix, c) records a pointer to each field, read only

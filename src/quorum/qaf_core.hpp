@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -44,7 +43,6 @@
 #include "quorum/quorum_config.hpp"
 #include "quorum/targeted_round.hpp"
 #include "sim/time.hpp"
-#include "strategy/selector.hpp"
 
 namespace gqs {
 
@@ -166,9 +164,9 @@ class gossip_cache {
 };
 
 /// Figure 3's knobs, shared by push_qaf and quorum_service (whose
-/// service_options names the same struct). The defaults are the published
-/// protocol; the two `use_*` switches exist for the ablation study
-/// (qaf_ablation.hpp) and MUST stay true in supported use.
+/// service_options extends them with targeted access). The defaults are
+/// the published protocol; the two `use_*` switches exist for the ablation
+/// study (qaf_ablation.hpp) and MUST stay true in supported use.
 struct push_qaf_options {
   /// Period of the unsolicited state/clock propagation (Figure 3 line 12).
   sim_time gossip_period = 5000;  // 5 ms
@@ -184,16 +182,6 @@ struct push_qaf_options {
   /// invariant under per-process offsets — the ablation uses an offset to
   /// widen the race that the set-confirmation wait closes.
   std::uint64_t initial_clock = 0;
-  /// Strategy-driven targeted access (strategy/selector.hpp): when set,
-  /// every clock request and set request goes only to the members of a
-  /// sampled write quorum (one direct message each) instead of to all n
-  /// processes, and responses return point-to-point. Null keeps the
-  /// broadcast protocol bit-for-bit.
-  selector_ptr selector;
-  /// With a selector: how long a request waits for its targeted quorum
-  /// before escalating to a full broadcast (targeted_round.hpp). 0
-  /// disables escalation — ONLY for the mutation tests.
-  sim_time escalation_timeout = 40000;  // 40 ms
 
   void validate() const {
     if (gossip_period <= 0)
@@ -205,12 +193,14 @@ struct push_qaf_options {
 /// operation sequence numbers: the get cutoff (lines 5-8) and the set
 /// confirmation (lines 18-20). A wait collects clock acks until they cover
 /// a write quorum; its cutoff is then the max clock over that quorum
-/// (lines 7 and 19) and its targeted round closes. It completes once a
-/// read quorum is fresh at the cutoff (lines 8 and 20). With the get
-/// cutoff ablated a get opens at cutoff 0; with the set confirmation
-/// ablated a set completes on its write-quorum ack.
+/// (lines 7 and 19) and its targeted round, if it has one, closes. It
+/// completes once a read quorum is fresh at the cutoff (lines 8 and 20).
+/// With the get cutoff ablated a get opens at cutoff 0; with the set
+/// confirmation ablated a set completes on its write-quorum ack.
 ///
-/// The engine keeps its wire messages, its clock and opens its rounds;
+/// The engine keeps its wire messages, its clock and sends its requests
+/// (an engine with targeted access opens them as rounds of the
+/// `targeted_round` it passes in; push_qaf broadcasts and passes none);
 /// as `Owner` it supplies what else differs:
 ///
 ///   process_set fresh_at(std::uint64_t cutoff) const;  // freshness source
@@ -231,16 +221,18 @@ template <class Owner, class Get, class Set>
 class cutoff_waits {
  public:
   cutoff_waits(Owner& owner, const quorum_config& config,
-               const push_qaf_options& options, targeted_round& rounds)
+               const push_qaf_options& options,
+               targeted_round* rounds = nullptr)
       : owner_(owner),
         config_(config),
         use_get_cutoff_(options.use_get_cutoff),
         use_set_confirmation_(options.use_set_confirmation),
         rounds_(rounds) {}
 
-  /// Opens get `seq`. With the get cutoff, `probe()` starts its clock
-  /// round and returns the round's handle. Ablated, no round starts and
-  /// the wait opens ready to settle (c_get = 0); returns true then.
+  /// Opens get `seq`. With the get cutoff, `probe()` sends its clock
+  /// request and returns the round's handle (`targeted_round::none` if it
+  /// opened none). Ablated, nothing is sent and the wait opens ready to
+  /// settle (c_get = 0); returns true then.
   template <class Probe>
   bool open_get(std::uint64_t seq, Get get, Probe&& probe) {
     wait<Get>& w = gets_[seq];
@@ -253,8 +245,10 @@ class cutoff_waits {
     return true;
   }
 
-  /// Opens set `seq`, whose request went out in targeted round `round`.
-  void open_set(std::uint64_t seq, Set set, targeted_round::handle round) {
+  /// Opens set `seq`, whose request went out in targeted round `round`
+  /// (`none` if it went out as a broadcast).
+  void open_set(std::uint64_t seq, Set set,
+                targeted_round::handle round = targeted_round::none) {
     wait<Set>& w = sets_[seq];
     w.op = std::move(set);
     w.round = round;
@@ -314,7 +308,7 @@ class cutoff_waits {
     if (w.cutoff) return false;
     const auto quorum = w.acks.add(from, clock, config_.writes);
     if (!quorum) return false;
-    rounds_.close(w.round);
+    if (rounds_) rounds_->close(w.round);
     fix(w, max_clock_over(w.acks, *quorum));
     return true;
   }
@@ -371,21 +365,10 @@ class cutoff_waits {
   const quorum_config& config_;
   bool use_get_cutoff_;
   bool use_set_confirmation_;
-  targeted_round& rounds_;
+  targeted_round* rounds_;  // null for an engine that opens no rounds
   std::map<std::uint64_t, wait<Get>> gets_;
   std::map<std::uint64_t, wait<Set>> sets_;
   std::vector<std::uint64_t> cutoffs_;  // open waits' fixed cutoffs, ascending
-};
-
-/// Targeted-access accounting of one push_qaf instance.
-struct push_qaf_counters {
-  std::uint64_t escalations = 0;
-
-  /// Every field, once (metrics_registry::observe_counters reads it).
-  template <class F>
-  static void for_each_counter(F&& f) {
-    f("escalations", &push_qaf_counters::escalations);
-  }
 };
 
 /// The complete Figure 3 protocol over a single opaque state S: per-op
@@ -404,20 +387,17 @@ class push_qaf : public quorum_access<S> {
         options_(options),
         state_(std::move(initial)),
         clock_(options.initial_clock),
-        rounds_(*this, options_.escalation_timeout, counters_.escalations),
-        waits_(*this, config_, options_, rounds_) {
+        waits_(*this, config_, options_) {
     config_.validate();
     options_.validate();
-    if (options_.selector)
-      check_selector_covers(options_.selector->strategy().writes,
-                            config_.writes, "write");
   }
 
   // Figure 3, lines 3-9.
   void quorum_get(get_callback done) override {
     const std::uint64_t seq = ++seq_;
     if (waits_.open_get(seq, std::move(done), [&] {
-          return rounds_.open(draw(seq), make_message<clock_req>(seq));
+          this->broadcast(make_message<clock_req>(seq));
+          return targeted_round::none;
         }))
       waits_.settle();  // ablated: c_get = 0, any gossip qualifies
   }
@@ -425,27 +405,18 @@ class push_qaf : public quorum_access<S> {
   // Figure 3, lines 15-20.
   void quorum_set(update_fn u, set_callback done) override {
     const std::uint64_t seq = ++seq_;
-    waits_.open_set(
-        seq, std::move(done),
-        rounds_.open(draw(seq), make_message<set_req>(seq, std::move(u))));
+    this->broadcast(make_message<set_req>(seq, std::move(u)));
+    waits_.open_set(seq, std::move(done));
   }
 
   const S& local_state() const override { return state_; }
   std::uint64_t logical_clock() const noexcept { return clock_; }
-  const push_qaf_counters& counters() const noexcept { return counters_; }
 
  protected:
-  void start() override {
-    if (obs_bundle* o = this->obs())
-      o->metrics.observe_counters("qaf.", counters_);
-    arm_gossip_timer();
-  }
+  void start() override { arm_gossip_timer(); }
 
   void on_timeout(int timer_id) override {
-    if (timer_id != gossip_timer_) {
-      rounds_.on_timeout(timer_id);
-      return;
-    }
+    if (timer_id != gossip_timer_) return;
     // Figure 3, lines 12-14: advance the clock and push state unprompted.
     ++clock_;
     this->broadcast(make_message<gossip>(state_, clock_));
@@ -454,17 +425,6 @@ class push_qaf : public quorum_access<S> {
 
   void deliver(process_id origin, const message_ptr& payload) override {
     if (const auto* m = message_cast<gossip>(payload)) {
-      // Targeted mode: Lamport-merge the clock. Only sampled members tick
-      // per SET_REQ, so clock rates diverge and a cold process would trail
-      // hot cutoffs by many gossip periods, stalling freshness waits.
-      // Sound: a merge only moves the clock forward, so clocks stay
-      // monotone and a CLOCK reply still covers every gossip clock already
-      // sent; and a member's SET ack clock still strictly exceeds every
-      // clock it gossiped before applying (the apply bumps the clock
-      // before the ack). So a gossip whose clock reaches a cutoff built
-      // from those acks and replies was sent after the write was applied
-      // — the Figure 3 freshness invariant. Broadcast mode is untouched.
-      if (options_.selector && clock_ < m->clock) clock_ = m->clock;
       waits_.freshness_moved(cache_.observe(origin, m->state, m->clock),
                              m->clock);
     } else if (const auto* m = message_cast<clock_req>(payload)) {
@@ -473,15 +433,9 @@ class push_qaf : public quorum_access<S> {
     } else if (const auto* m = message_cast<clock_resp>(payload)) {
       waits_.get_ack(m->seq, origin, m->clock);
     } else if (const auto* m = message_cast<set_req>(payload)) {
-      // Figure 3, lines 21-24. Under targeted access the same SET_REQ can
-      // arrive twice (direct message, then the escalated broadcast —
-      // direct messages bypass the flooding dedup) and u need not be
-      // idempotent: apply once, but re-ack so the writer still learns the
-      // incorporation clock whichever copy survived.
-      if (mark_set_applied(origin, m->seq)) {
-        state_ = m->update(state_);
-        ++clock_;
-      }
+      // Figure 3, lines 21-24.
+      state_ = m->update(state_);
+      ++clock_;
       this->unicast(origin, make_message<set_resp>(m->seq, clock_));
     } else if (const auto* m = message_cast<set_resp>(payload)) {
       waits_.set_ack(m->seq, origin, m->clock);
@@ -523,36 +477,6 @@ class push_qaf : public quorum_access<S> {
     gossip_timer_ = this->set_timer(options_.gossip_period);
   }
 
-  /// The write quorum operation `seq` targets; none without a selector.
-  std::optional<process_set> draw(std::uint64_t seq) const {
-    if (!options_.selector) return std::nullopt;
-    return options_.selector->sample_write(this->id(), seq);
-  }
-
-  /// Applies at most once per (origin, seq); only targeted mode can see
-  /// duplicates, so the tracking is skipped entirely without a selector.
-  /// Bounded: a seq can arrive at most twice (the direct copy and the one
-  /// escalation rebroadcast — the escalation entry is consumed when it
-  /// fires), so an entry is dropped the moment its duplicate shows up;
-  /// and since the rebroadcast trails the original by escalation_timeout
-  /// plus one delay bound, entries more than kAppliedWindow seqs behind
-  /// the origin's newest are pruned — no realistic run issues that many
-  /// operations inside one escalation window.
-  bool mark_set_applied(process_id origin, std::uint64_t seq) {
-    if (!options_.selector) return true;
-    auto& seen = applied_sets_[origin];
-    const auto [it, fresh] = seen.insert(seq);
-    if (!fresh) {
-      seen.erase(it);  // second and final copy: the entry is spent
-      return false;
-    }
-    if (seq > kAppliedWindow)
-      seen.erase(seen.begin(), seen.lower_bound(seq - kAppliedWindow));
-    return true;
-  }
-
-  static constexpr std::uint64_t kAppliedWindow = 1 << 16;
-
   // ---- cutoff_waits hooks ----
   process_set fresh_at(std::uint64_t cutoff) const {
     return cache_.fresh_at(cutoff);
@@ -569,10 +493,6 @@ class push_qaf : public quorum_access<S> {
   std::uint64_t clock_;  // the Figure 3 logical clock
   int gossip_timer_ = -1;
   gossip_cache<S> cache_;
-  // ---- targeted-access state (empty without a selector) ----
-  push_qaf_counters counters_;
-  targeted_round rounds_;
-  std::map<process_id, std::set<std::uint64_t>> applied_sets_;
   waits waits_;
 };
 

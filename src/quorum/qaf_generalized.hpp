@@ -25,9 +25,10 @@
 //
 // The protocol body lives in the shared engine core (qaf_core.hpp's
 // push_qaf); generalized_qaf is that engine itself, and a default
-// push_qaf_options (both waits on, clock starting at 0, no selector) is
-// the published protocol. The multi-object quorum_service runs the same
-// machinery batched over many keys.
+// push_qaf_options (both waits on, clock starting at 0) is the published
+// protocol, which sends every CLOCK_REQ and SET_REQ to all processes. The
+// multi-object quorum_service runs the same machinery batched over many
+// keys, and adds targeted access.
 #pragma once
 
 #include "quorum/qaf_core.hpp"

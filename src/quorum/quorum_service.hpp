@@ -1,12 +1,10 @@
 // quorum_service.hpp — the multi-object quorum service engine.
 //
 // The Figure 3 access functions are defined per object; running K objects
-// the seed way costs K independent protocol instances per process — K
-// gossip timers, K broadcast streams, one mux channel each (this is how
-// the snapshot object and the partition-tolerant KV example were built,
-// and it is hopeless for many keys). quorum_service multiplexes many
-// logical objects ("keys") over a *single* generalized-QAF engine per
-// process:
+// as K push_qaf instances per process costs K gossip timers and K
+// broadcast streams, which is hopeless for many keys. quorum_service
+// multiplexes many logical objects ("keys") over a *single*
+// generalized-QAF engine per process:
 //
 //   * one shared gossip timer per process: each period advances one shared
 //     engine clock and broadcasts a versioned batch of the keys dirtied
@@ -67,10 +65,21 @@
 
 namespace gqs {
 
-/// Figure 3's knobs (qaf_core.hpp). The gossip period paces the shared
-/// dirty-batch gossip; the clock is the shared engine clock; a selector
-/// targets each flush group's CLOCK probe and SET batch.
-using service_options = push_qaf_options;
+/// Figure 3's knobs (qaf_core.hpp) plus targeted access. The gossip
+/// period paces the shared dirty-batch gossip; the clock is the shared
+/// engine clock.
+struct service_options : push_qaf_options {
+  /// Strategy-driven targeted access (strategy/selector.hpp): when set,
+  /// each flush group's CLOCK probe and SET batch go only to the members
+  /// of a sampled write quorum (one direct message each) instead of to
+  /// all n processes, and acks return point-to-point. Null keeps the
+  /// broadcast protocol bit-for-bit.
+  selector_ptr selector;
+  /// With a selector: how long a group waits for its targeted quorum
+  /// before escalating to a full broadcast (targeted_round.hpp). 0
+  /// disables escalation — ONLY for the mutation tests.
+  sim_time escalation_timeout = 40000;  // 40 ms
+};
 
 /// Progress and wire-traffic counters of one service instance.
 struct service_counters {
@@ -221,7 +230,7 @@ class quorum_service : public component {
         gossip_pool_(std::make_shared<batch_pool<gossip_entry>>()),
         rounds_(*this, options_.escalation_timeout, counters_.escalations,
                 "svc"),
-        waits_(*this, config_, options_, rounds_) {
+        waits_(*this, config_, options_, &rounds_) {
     if (keys == 0)
       throw std::invalid_argument("quorum_service: no keys");
     config_.validate();

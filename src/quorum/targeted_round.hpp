@@ -1,5 +1,5 @@
 // targeted_round.hpp — the targeted quorum round with escalation to
-// broadcast, shared by push_qaf, quorum_service and smr_service.
+// broadcast, shared by quorum_service and smr_service.
 //
 // A round sends its wire message only to the members of one quorum drawn
 // from the strategy selector: one unicast per member, in ascending id
@@ -10,8 +10,8 @@
 // every process flooding can, so liveness under F (Theorem 1) is exactly
 // the broadcast engine's: targeting is a pure fast path. Receivers
 // tolerate the duplicate: collectors ignore repeat acks, service SET
-// entries merge by version, push_qaf applies a SET_REQ once per (origin,
-// seq), and SMR acceptors answer a repeated 1A/2A idempotently.
+// entries merge by version, and SMR acceptors answer a repeated 1A/2A
+// idempotently.
 //
 // SMR Phase 1 thus resends its original 1A although the leader's applied
 // prefix may have advanced since. That is safe: acceptors keep the highest

@@ -682,6 +682,10 @@ void smr_service::on_p2b(process_id origin, const p2b_msg& m) {
 void smr_service::on_commit(const commit_msg& m) {
   enter_view(m.shard, m.view);
   mark_chosen(m.shard, m.slot, m.entry);
+  // A commit from an older view can decide a slot this leader still runs
+  // Phase 2 for: that round ends here as if its own quorum had answered
+  // (its entry is the decided one, or mark_chosen flags the violation).
+  phase2_won(m.shard, m.slot);
   apply_prefix(m.shard);
   count_held(m.shard);
 }

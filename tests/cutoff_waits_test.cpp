@@ -47,24 +47,15 @@ struct fake_engine {
   }
 };
 
-/// The component the waits' targeted rounds belong to. No round is ever
-/// opened here, so it stays unbound.
-struct idle_component final : component {
-  void deliver(process_id, const message_ptr&) override {}
-};
-
 struct rig {
   using waits_type = cutoff_waits<fake_engine, std::string, std::string>;
 
   quorum_config config = three_config();
   fake_engine engine;
-  idle_component owner;
-  std::uint64_t escalations = 0;
-  targeted_round rounds{owner, 0, escalations};
   waits_type waits;
 
   explicit rig(push_qaf_options options = {})
-      : waits(engine, config, options, rounds) {}
+      : waits(engine, config, options) {}
 
   /// Opens get `seq` with the get cutoff on; the probe starts no round.
   void open_get(std::uint64_t seq, std::string label) {
@@ -76,9 +67,9 @@ struct rig {
 TEST(CutoffWaits, GetsCompleteBeforeSetsInAscendingSequence) {
   rig r;
   r.open_get(4, "g4");
-  r.waits.open_set(3, "s3", targeted_round::none);
+  r.waits.open_set(3, "s3");
   r.open_get(2, "g2");
-  r.waits.open_set(1, "s1", targeted_round::none);
+  r.waits.open_set(1, "s1");
   for (const std::uint64_t seq : {1, 2, 3, 4}) {
     const bool get = seq % 2 == 0;
     for (const process_id p : {0, 1}) {
@@ -117,7 +108,7 @@ TEST(CutoffWaits, AblatedSetCompletesOnTheWriteQuorumAck) {
   push_qaf_options ablated;
   ablated.use_set_confirmation = false;
   rig r(ablated);
-  r.waits.open_set(1, "s1", targeted_round::none);
+  r.waits.open_set(1, "s1");
   r.waits.set_ack(1, 1, 9);
   EXPECT_TRUE(r.engine.log.empty()) << "{1} covers no write quorum";
   r.waits.set_ack(1, 2, 9);  // {1,2} covered; nobody is fresh at 9
@@ -125,7 +116,7 @@ TEST(CutoffWaits, AblatedSetCompletesOnTheWriteQuorumAck) {
   EXPECT_EQ(r.waits.open_count(), 0u);
 
   rig full;  // with the confirmation the same acks leave the set open
-  full.waits.open_set(1, "s1", targeted_round::none);
+  full.waits.open_set(1, "s1");
   full.waits.set_ack(1, 1, 9);
   full.waits.set_ack(1, 2, 9);
   EXPECT_TRUE(full.engine.log.empty());
@@ -136,7 +127,7 @@ TEST(CutoffWaits, AblatedGetOpensReadyAndCompletionsMayOpenWaits) {
   push_qaf_options ablated;
   ablated.use_get_cutoff = false;
   rig r(ablated);
-  r.waits.open_set(3, "s3", targeted_round::none);
+  r.waits.open_set(3, "s3");
   r.waits.set_ack(3, 0, 1);
   r.waits.set_ack(3, 1, 1);  // c_set = 1, not met yet
   bool probed = false;

@@ -7,6 +7,7 @@
 #include "core/existence.hpp"
 #include "core/factories.hpp"
 #include "core/random_systems.hpp"
+#include "workload/topologies.hpp"
 
 namespace gqs {
 namespace {
@@ -120,6 +121,36 @@ TEST_P(MinimizeSweep, RandomWitnessesStayValidAndNeverGrow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimizeSweep, ::testing::Range(0u, 8u));
+
+TEST(MinimizeSweep, CorpusDrawsKeepUfInTheDirectionalRegime) {
+  // Ten draws from every topology_corpus(12) family with n >= 8. In most
+  // of them some pattern reads from a wider set than it writes to (reads
+  // rely on one-way reachability); minimization must keep every U_f
+  // there too, as the header claims.
+  int solved = 0;
+  int directional = 0;
+  for (const scenario_family& family : topology_corpus(12)) {
+    if (family.params.topology.n < 8) continue;
+    std::mt19937_64 rng(7);
+    for (int draw = 0; draw < 10; ++draw) {
+      const fail_prone_system fps = scenario_system(family.params, rng);
+      const auto witness = find_gqs(fps);
+      if (!witness) continue;
+      ++solved;
+      if (witness->chosen_reads != witness->chosen_writes) ++directional;
+      const auto minimized = minimize_quorums(witness->system);
+      const check_result check = check_generalized(minimized);
+      EXPECT_TRUE(check.ok) << family.name << " draw " << draw << ": "
+                            << check.reason;
+      for (std::size_t i = 0; i < fps.size(); ++i)
+        EXPECT_EQ(compute_u_f(minimized, fps[i]),
+                  compute_u_f(witness->system, fps[i]))
+            << family.name << " draw " << draw << " pattern " << i;
+    }
+  }
+  EXPECT_GT(solved, 0);
+  EXPECT_GT(directional, 0) << "no draw exercised the directional regime";
+}
 
 }  // namespace
 }  // namespace gqs

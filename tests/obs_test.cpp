@@ -13,7 +13,6 @@
 
 #include "core/factories.hpp"
 #include "obs/obs.hpp"
-#include "register/atomic_register.hpp"
 #include "register/keyed_register.hpp"
 #include "sim/runner.hpp"
 #include "strategy/selector.hpp"
@@ -385,7 +384,6 @@ TEST(CounterSurface, VisitorsListEveryField) {
   expect_visitor_lists_every_field<sim_metrics>(/*max_link_queue_depth*/ 1);
   expect_visitor_lists_every_field<service_counters>();
   expect_visitor_lists_every_field<smr_counters>();
-  expect_visitor_lists_every_field<push_qaf_counters>();
 }
 
 network_options telemetry_on() {
@@ -429,30 +427,6 @@ TEST(CounterSurface, QuorumServiceRowsEqualSummedFields) {
   EXPECT_GT(snap.counter_value("svc.set_entries_sent"), 0u);
   EXPECT_GT(snap.counter_value("svc.gossip_entries_sent"), 0u);
   EXPECT_GT(snap.counter_value("svc.escalations"), 0u);
-}
-
-TEST(CounterSurface, PushQafRowsEqualSummedFields) {
-  using targeted_register = atomic_register<generalized_qaf<reg_state>>;
-  const auto fig = make_figure1();
-  push_qaf_options options;
-  options.selector = unreachable_write_quorum(fig.gqs);
-  component_world<targeted_register> w(
-      4, fault_plan::from_pattern(fig.gqs.fps[0], 0), 21, telemetry_on(),
-      quorum_config::of(fig.gqs), reg_state{}, options);
-
-  bool done = false;
-  w.sim.post(0, [&] {
-    w.nodes[0]->write(41, [&](reg_version) {
-      w.nodes[0]->read([&](reg_value, reg_version) { done = true; });
-    });
-  });
-  ASSERT_TRUE(w.sim.run_until_condition([&] { return done; }, kLong));
-
-  const metrics_snapshot snap = w.sim.obs().metrics.snapshot();
-  expect_rows_equal_fields(snap, "qaf.",
-                           counters_of<push_qaf_counters>(w.nodes));
-  expect_rows_equal_fields<sim_metrics>(snap, "sim.", {&w.sim.metrics()});
-  EXPECT_GT(snap.counter_value("qaf.escalations"), 0u);
 }
 
 }  // namespace

@@ -29,9 +29,9 @@ generalized_world figure1_world(int pattern_index, std::uint64_t seed,
 TEST(GeneralizedQafOptions, Validation) {
   push_qaf_options opts;
   // generalized_qaf is push_qaf itself: only the defaults make it Figure 3
-  // verbatim (both clock waits on, clock from 0, broadcast access).
+  // verbatim (both clock waits on, clock from 0).
   EXPECT_TRUE(opts.use_get_cutoff && opts.use_set_confirmation &&
-              opts.initial_clock == 0 && !opts.selector);
+              opts.initial_clock == 0);
   opts.gossip_period = 0;
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 }

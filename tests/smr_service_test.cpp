@@ -911,11 +911,14 @@ TEST(SmrService, SlotDecidedByAnOlderViewEndsItsPhase2Span) {
   // 50 ms a campaign announcement moves 1 into view 2, whose Phase 1
   // re-proposes slot 0. At 100 ms 0 finally hears its view-1 acks, wins
   // slot 0 and commits it, so 1 learns the decision from an older view
-  // while its own round for the slot is still open. 1's commit
-  // announcement for slot 0 must not start before that round's span ends.
+  // while its own round for the slot is still open. That commit must end
+  // the round: with a pipeline window of one, 1's write at 150 ms gets
+  // slot 1 only once slot 0's round is gone. 1's commit announcement for
+  // slot 0 must not start before that round's span ends.
   const auto gqs = threshold_quorum_system(4, 1);
   smr_options opts;
   opts.view_duration_unit = kLong;
+  opts.pipeline_window = 1;
   network_options net = consensus_world::partial_sync();
   net.record_spans = true;
   world<late_win_replica> w(4, fault_plan::none(4), 26, net,

@@ -1,5 +1,5 @@
 // strategy_runtime_test — targeted (non-broadcast) quorum access: the
-// selector-driven fast path of quorum_service and push_qaf must preserve
+// selector-driven fast path of quorum_service must preserve
 // client-visible results while spending far fewer messages, and the
 // timeout escalation must restore the broadcast path's liveness when the
 // sampled quorum is disconnected mid-operation (with a mutation check
@@ -12,7 +12,6 @@
 
 #include "core/factories.hpp"
 #include "lincheck/history_checker.hpp"
-#include "register/atomic_register.hpp"
 #include "register/keyed_register.hpp"
 #include "strategy/planner.hpp"
 #include "strategy/selector.hpp"
@@ -145,8 +144,8 @@ TEST(TargetedService, MatchesBroadcastResultsWithFewerMessages) {
 
 TEST(TargetedService, RejectsSelectorThatCoversNoWriteQuorum) {
   // A selector planned over a different system would make every operation
-  // ride the escalation timeout (or hang with escalation disabled) —
-  // both engines must reject the mismatch at construction.
+  // ride the escalation timeout (or hang with escalation disabled) — the
+  // service must reject the mismatch at construction.
   const auto fig = make_figure1();
   const selector_ptr mismatched =
       pure_selector(fig.gqs, process_set{0});  // {a} contains no W
@@ -155,11 +154,6 @@ TEST(TargetedService, RejectsSelectorThatCoversNoWriteQuorum) {
   EXPECT_THROW(
       keyed_register_node(4, quorum_config::of(fig.gqs), svc),
       std::invalid_argument);
-  push_qaf_options qaf;
-  qaf.selector = mismatched;
-  EXPECT_THROW(atomic_register<generalized_qaf<reg_state>>(
-                   quorum_config::of(fig.gqs), reg_state{}, qaf),
-               std::invalid_argument);
 }
 
 TEST(TargetedService, RealizedLoadTracksPlannerPrediction) {
@@ -285,72 +279,6 @@ TEST(Escalation, MutationDisablingEscalationHangs) {
   EXPECT_FALSE(done) << "without escalation the op must hang";
   EXPECT_FALSE(w.history.empty());
   EXPECT_FALSE(w.history[0].complete());
-}
-
-// ---- the push_qaf (single-object Figure 3) targeted path ----
-
-using targeted_register = atomic_register<generalized_qaf<reg_state>>;
-
-std::uint64_t run_register_roundtrip(selector_ptr selector,
-                                     sim_time escalation_timeout,
-                                     bool expect_done, fault_plan faults,
-                                     std::uint64_t* escalations = nullptr) {
-  const auto fig = make_figure1();
-  push_qaf_options options;
-  options.selector = std::move(selector);
-  options.escalation_timeout = escalation_timeout;
-  component_world<targeted_register> world(
-      4, std::move(faults), 21, network_options{},
-      quorum_config::of(fig.gqs), reg_state{}, options);
-
-  bool done = false;
-  reg_value read_back = 0;
-  world.sim.post(kA, [&] {
-    world.nodes[kA]->write(41, [&](reg_version) {
-      world.nodes[kA]->read([&](reg_value v, reg_version) {
-        read_back = v;
-        done = true;
-      });
-    });
-  });
-  constexpr sim_time kHorizon = 10'000'000;
-  const bool finished =
-      world.sim.run_until_condition([&] { return done; }, kHorizon);
-  EXPECT_EQ(finished, expect_done);
-  if (expect_done) {
-    EXPECT_EQ(read_back, 41);
-  }
-  // Run on to a fixed horizon: gossip ticks at fixed instants, so every
-  // run then pays the same gossip cost and the message counts of two runs
-  // differ exactly by their quorum rounds.
-  world.sim.run_until(kHorizon);
-  if (escalations) {
-    *escalations = 0;
-    for (const targeted_register* node : world.nodes)
-      *escalations += node->counters().escalations;
-  }
-  return world.sim.metrics().messages_sent;
-}
-
-TEST(TargetedPushQaf, FewerMessagesSameResult) {
-  const auto fig = make_figure1();
-  const std::uint64_t broadcast = run_register_roundtrip(
-      nullptr, 40000, true, fault_plan::none(4));
-  const std::uint64_t targeted = run_register_roundtrip(
-      optimal_selector(fig.gqs, 23), 40000, true, fault_plan::none(4));
-  EXPECT_LT(targeted, broadcast);
-}
-
-TEST(TargetedPushQaf, EscalatesAndHangsUnderMutation) {
-  const auto fig = make_figure1();
-  const fault_plan f1 = fault_plan::from_pattern(fig.gqs.fps[0], 0);
-  std::uint64_t escalations = 0;
-  run_register_roundtrip(pure_selector(fig.gqs, process_set{kC, kD}), 40000,
-                         true, f1, &escalations);
-  EXPECT_GE(escalations, 1u);
-  // Mutation: no escalation — the same roundtrip never completes.
-  run_register_roundtrip(pure_selector(fig.gqs, process_set{kC, kD}), 0,
-                         false, f1);
 }
 
 }  // namespace
