@@ -146,8 +146,8 @@ selector_ptr strategy_selector(const read_write_strategy& strategy) {
 //
 // The per-link channel model (sim/network.hpp) with two bandwidth-starved
 // processes: every link runs at kFastIngress bytes/µs except the links
-// INTO the last two processes, which serialize at kSlowIngress. Queues are
-// unbounded, so congestion delays protocol messages but never drops them.
+// INTO the last two processes, which serialize at kSlowIngress. Links never
+// drop, so congestion delays protocol messages but never loses them.
 // The load-only plan spreads quorum mass evenly (it is latency-blind), so
 // most sampled quorums contain a starved member and the op waits out its
 // queue; the latency-aware plan (plan_latency_optimal with service rates
@@ -163,7 +163,6 @@ constexpr double kSlowIngress = 0.02;
 network_options congested_network() {
   network_options net;
   net.channel.bytes_per_us = kFastIngress;
-  net.channel.queue_capacity = 0;  // delay, never drop
   net.channel.ingress_bytes_per_us.assign(kN, kFastIngress);
   net.channel.ingress_bytes_per_us[kN - 2] = kSlowIngress;
   net.channel.ingress_bytes_per_us[kN - 1] = kSlowIngress;

@@ -8,7 +8,7 @@
 // flooding envelopes), so a receiver attaches its work to the sender's
 // span. The simulator adds one "net"-category leaf per
 // network event (net.send / net.deliver / net.drop_channel /
-// net.drop_crashed / net.drop_queue / net.timer), attached to the
+// net.drop_crashed / net.timer), attached to the
 // message's span when it was stamped. The recorder's output is Chrome
 // trace-event JSON ("X" complete events, microsecond timestamps),
 // loadable directly in Perfetto.

@@ -10,9 +10,6 @@
 //     engine clock and broadcasts a versioned batch of the keys dirtied
 //     since the previous period (an empty batch still carries the clock),
 //     instead of K per-object broadcasts;
-//   * per-key logical clocks: every key records the clock of the first
-//     gossip to carry its last local change (`key_clock`), which bounds
-//     the NACK repair below; the dirty batch carries only key and state;
 //   * per-destination coalescing: quorum_get/quorum_set invocations stage
 //     into recycled batch buffers and flush once per simulation instant —
 //     any number of operations started in the same event share one CLOCK
@@ -43,10 +40,15 @@
 // *contiguous* gossip stream processing: states merge eagerly (they are
 // version-monotone), but a process's freshness clock for an origin only
 // advances to the clock of the latest gossip received with no earlier
-// gossip missing (gossip_stream). A gossip permanently lost to a channel
-// failure would otherwise pin freshness forever, so persistent gaps are
-// NACKed and repaired with a cumulative batch of exactly the keys changed
-// since the gap began.
+// gossip missing (gossip_stream). No gossip that a U_f wait needs is ever
+// lost. Under f, a wait at a process of U_f completes once the streams of
+// R_f are fresh; U_f is the SCC of G \ f that contains W_f and R_f reaches
+// W_f, so every member of R_f reaches every process of U_f. Flooding
+// delivers each broadcast to every live process its origin reaches in the
+// final epoch (sim/flooding.hpp), over links that never drop
+// (sim/network.hpp), so every gap on those streams closes through regular
+// gossip. Only a stream whose origin stops reaching the receiver can keep
+// a gap for good, and no wait needs it.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +93,8 @@ struct service_counters {
   std::uint64_t set_entries_sent = 0;
   std::uint64_t gossip_batches_sent = 0;
   std::uint64_t gossip_entries_sent = 0;
+  // Always 0: gossip streams need no repair (see the file comment). Kept
+  // for readers of the fields.
   std::uint64_t nacks_sent = 0;
   std::uint64_t repairs_sent = 0;
   // ---- targeted access (zero without a selector) ----
@@ -118,37 +122,21 @@ struct service_counters {
 };
 
 /// Tracks one origin's gossip stream at a receiver: the freshness clock
-/// (clock of the newest gossip with no earlier gossip missing), buffered
-/// out-of-order arrivals, and the age of the oldest gap for NACK pacing.
-/// Gossip sequence numbers start at 1.
+/// (clock of the newest gossip with no earlier gossip missing) and
+/// buffered out-of-order arrivals. Gossip sequence numbers start at 1.
 class gossip_stream {
  public:
   /// Records gossip `seq` carrying `clock`. Returns true iff the freshness
   /// clock advanced (possibly through previously buffered sequences).
   bool observe(std::uint64_t seq, std::uint64_t clock);
 
-  /// Applies a cumulative repair standing in for every gossip ≤ upto_seq.
-  /// Returns true iff the freshness clock advanced.
-  bool repair(std::uint64_t upto_seq, std::uint64_t clock);
-
   /// Clock of the newest contiguously received gossip.
   std::uint64_t freshness() const noexcept { return fresh_clock_; }
-
-  /// The next gossip sequence this stream is waiting for.
-  std::uint64_t next_expected() const noexcept { return next_; }
-
-  /// True iff newer gossip arrived over a missing earlier one.
-  bool has_gap() const noexcept { return !pending_.empty(); }
 
   /// Number of buffered out-of-order gossip clocks.
   std::size_t backlog() const noexcept { return pending_.size(); }
 
-  /// Gossip-tick age of the current gap; maintained by the service.
-  int gap_ticks = 0;
-
  private:
-  void drain();
-
   std::uint64_t next_ = 1;
   std::uint64_t fresh_clock_ = 0;
   std::map<std::uint64_t, std::uint64_t> pending_;  // seq → clock
@@ -224,7 +212,6 @@ class quorum_service : public component {
         options_(options),
         clock_(options.initial_clock),
         states_(keys),
-        key_clock_(keys, 0),
         dirty_flag_(keys, 0),
         set_pool_(std::make_shared<batch_pool<set_entry>>()),
         gossip_pool_(std::make_shared<batch_pool<gossip_entry>>()),
@@ -267,13 +254,6 @@ class quorum_service : public component {
   service_key key_count() const noexcept { return keys_; }
   std::uint64_t engine_clock() const noexcept { return clock_; }
 
-  /// Per-key logical clock: the clock of the first gossip to carry the
-  /// key's last local change (0 = never changed here).
-  std::uint64_t key_clock(service_key key) const {
-    check_key(key);
-    return key_clock_[key];
-  }
-
   const service_counters& counters() const noexcept { return counters_; }
 
   /// How many targeted flush groups sampled each process into their write
@@ -284,7 +264,7 @@ class quorum_service : public component {
   }
 
   /// Sum of buffered out-of-order gossip clocks across all origins (flat
-  /// unless gossip was permanently lost and not yet repaired).
+  /// unless an origin stopped reaching this process mid-stream).
   std::size_t gossip_backlog() const {
     std::size_t total = 0;
     for (const gossip_stream& s : streams_) total += s.backlog();
@@ -346,24 +326,6 @@ class quorum_service : public component {
       return 24 + sizeof(gossip_entry) * entries.size();
     }
   };
-  struct nack_msg : message {
-    std::uint64_t from_seq;  // first missing gossip sequence
-    explicit nack_msg(std::uint64_t s) : from_seq(s) {}
-    std::size_t wire_size() const override { return 16; }
-  };
-  /// Cumulative stand-in for every gossip ≤ upto_seq: current states of
-  /// all keys changed after the requested gap began.
-  struct repair_msg : message {
-    std::uint64_t upto_seq;
-    std::uint64_t clock;
-    std::vector<gossip_entry> entries;
-    repair_msg(std::uint64_t u, std::uint64_t c,
-               std::vector<gossip_entry> e)
-        : upto_seq(u), clock(c), entries(std::move(e)) {}
-    std::size_t wire_size() const override {
-      return 24 + sizeof(gossip_entry) * entries.size();
-    }
-  };
 
   void start() override {
     ensure_tables();
@@ -397,10 +359,6 @@ class quorum_service : public component {
       on_set_batch(origin, *m);
     } else if (const auto* m = message_cast<set_ack_msg>(payload)) {
       waits_.set_ack(m->batch, origin, m->clock);
-    } else if (const auto* m = message_cast<nack_msg>(payload)) {
-      on_nack(origin, *m);
-    } else if (const auto* m = message_cast<repair_msg>(payload)) {
-      on_repair(origin, *m);
     }
   }
 
@@ -537,26 +495,9 @@ class quorum_service : public component {
     this->broadcast(make_message<gossip_msg>(
         gseq, clock_,
         pooled_batch<gossip_entry>(std::move(entries), gossip_pool_)));
-    // NACK persistent stream gaps (a gossip permanently lost to a channel
-    // failure would pin the origin's freshness forever).
-    for (process_id q = 0; q < static_cast<process_id>(streams_.size());
-         ++q) {
-      gossip_stream& s = streams_[q];
-      if (!s.has_gap()) {
-        s.gap_ticks = 0;
-        continue;
-      }
-      if (++s.gap_ticks < kNackGapTicks) continue;
-      s.gap_ticks = 0;
-      ++counters_.nacks_sent;
-      if (tracer_)
-        tracer_->leaf("svc.nack", "svc", this->id(), {}, this->now());
-      this->unicast(q, make_message<nack_msg>(s.next_expected()));
-    }
   }
 
   void mark_changed(service_key key) {
-    key_clock_[key] = clock_ + 1;  // the next gossip carries the change
     if (!dirty_flag_[key]) {
       dirty_flag_[key] = 1;
       dirty_keys_.push_back(key);
@@ -575,14 +516,6 @@ class quorum_service : public component {
     gossip_stream& s = streams_[origin];
     const std::uint64_t before = s.freshness();
     if (s.observe(m.gseq, m.clock))
-      waits_.freshness_moved(before, s.freshness());
-  }
-
-  void on_repair(process_id origin, const repair_msg& m) {
-    for (const gossip_entry& e : m.entries) apply_entry(origin, e);
-    gossip_stream& s = streams_[origin];
-    const std::uint64_t before = s.freshness();
-    if (s.repair(m.upto_seq, m.clock))
       waits_.freshness_moved(before, s.freshness());
   }
 
@@ -633,9 +566,6 @@ class quorum_service : public component {
     }
   }
 
-  /// Gossip ticks a stream gap may persist before the receiver NACKs it.
-  static constexpr int kNackGapTicks = 2;
-
   service_key keys_;
   quorum_config config_;
   service_options options_;
@@ -649,7 +579,6 @@ class quorum_service : public component {
   int flush_timer_ = -1;
 
   std::vector<state_type> states_;          // per-key replica state
-  std::vector<std::uint64_t> key_clock_;    // per-key last-change clocks
   std::vector<std::uint8_t> dirty_flag_;
   std::vector<service_key> dirty_keys_;     // since the last gossip tick
 
@@ -666,24 +595,6 @@ class quorum_service : public component {
   targeted_round rounds_;
   waits waits_;
   trace_recorder* tracer_ = nullptr;  // non-null iff spans are recording
-
-  /// Repair side: answer a NACK with a cumulative batch of exactly the
-  /// keys changed since the requested gap began. Gossip from_seq - 1, the
-  /// last one the receiver holds, had clock initial_clock + from_seq - 1;
-  /// a key it did not carry has a larger key_clock.
-  void on_nack(process_id origin, const nack_msg& m) {
-    if (gossip_seq_ == 0) return;  // nothing ever gossiped: spurious
-    const std::uint64_t floor = options_.initial_clock + m.from_seq - 1;
-    std::vector<gossip_entry> entries;
-    for (service_key k = 0; k < keys_; ++k)
-      if (key_clock_[k] > floor)
-        entries.push_back(gossip_entry{k, states_[k]});
-    ++counters_.repairs_sent;
-    if (tracer_)
-      tracer_->leaf("svc.repair", "svc", this->id(), {}, this->now());
-    this->unicast(origin, make_message<repair_msg>(gossip_seq_, clock_,
-                                                   std::move(entries)));
-  }
 };
 
 }  // namespace gqs

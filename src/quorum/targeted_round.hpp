@@ -3,7 +3,7 @@
 //
 // A round sends its wire message only to the members of one quorum drawn
 // from the strategy selector: one unicast per member, in ascending id
-// (over an up channel in a lossless run each is one direct message). If
+// (over an up channel each is one direct message). If
 // the owner has not closed the round within `escalation_timeout`, the
 // helper rebroadcasts the round's original wire to all n processes, once.
 // From then on the round is the broadcast protocol's round, which reaches

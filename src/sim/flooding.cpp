@@ -53,9 +53,9 @@ void flooding_node::originate(process_id dest, const message_ptr& payload) {
     const std::size_t e = sim().current_epoch();
     // Unreachable now means unreachable forever (monotone failures).
     if (!ep.reachable(e, id()).contains(dest)) return;
-    // Reachable implies alive; over an up channel a lossless run delivers
-    // the one direct copy, which no relay could improve on.
-    if (sim().lossless() && ep.channel_up(e, id(), dest)) {
+    // Reachable implies alive; over an up channel the one direct copy is
+    // delivered, and no relay could improve on it.
+    if (ep.channel_up(e, id(), dest)) {
       sim().send(id(), dest, payload, direct_framing);
       return;
     }
@@ -95,10 +95,8 @@ void flooding_node::forward(const message_ptr& wire, process_id from) {
   targets.erase(from);  // it has the envelope (or is this process)
   // Pruned relay: every channel out of `from` that is up now was up when
   // `from` relayed (monotone failures), so its far end already has a copy
-  // in flight or covered (the covered-set argument in flooding.hpp). Only
-  // a lossless run may rely on that copy arriving.
-  if (from != id() && sim().lossless())
-    targets -= ep.up_out_channels(e, from);
+  // in flight or covered (the covered-set argument in flooding.hpp).
+  if (from != id()) targets -= ep.up_out_channels(e, from);
   for (process_id q : targets) send(q, wire);
 }
 

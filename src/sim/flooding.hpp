@@ -8,20 +8,17 @@
 // payload reaches every process connected to its origin by a directed path
 // of correct channels.
 //
-// Two engine-level optimizations, both sound because failures are
-// monotone (a downed channel never comes back):
+// Four engine-level optimizations, all sound because of three engine
+// facts — failures are monotone (a downed channel never comes back), a
+// message already in flight is delivered even if its channel fails behind
+// it, and a send on an up channel is never lost (link queues are
+// unbounded; sim/network.hpp):
 //  * envelopes are forwarded only over channels that are up in the current
 //    connectivity epoch — a send on a downed channel is guaranteed to be
 //    dropped, so skipping it changes no delivery;
 //  * a point-to-point envelope whose destination is outside the current
 //    residual reachability of the forwarder is dropped early — it can
-//    never be delivered in this epoch or any later one.
-//
-// Two more apply only when the run is lossless (simulation::lossless():
-// no finite link queues), because they rely on three engine facts —
-// failures are monotone, a message already in flight is delivered even if
-// its channel fails behind it, and a send accepted on an up channel is
-// never lost without finite queues:
+//    never be delivered in this epoch or any later one;
 //  * pruned relays — process q, handling an envelope first received from
 //    neighbor s, forwards it only to live up-neighbors outside
 //    up_out_channels(s). Covered-set argument: when any process s handles
@@ -42,8 +39,6 @@
 //    still carries a 16-byte unicast header (origin + framing), which the
 //    send charges as framing (simulation::send) instead of building a
 //    wrapper message for it.
-// With finite queues any copy can be dropped at its source, so flooding
-// keeps its full redundancy there, targeted unicasts included.
 //
 // Protocols built on flooding_node use flood_send / flood_broadcast and
 // receive payloads through on_deliver(origin, payload); they never see the
@@ -119,9 +114,9 @@ class flooding_node : public node {
 
  protected:
   /// Sends payload to a single destination: one direct message when the
-  /// run is lossless and the channel is up, otherwise routed around channel
-  /// failures by flooding. Delivery to self is immediate (same instant, new
-  /// event) and sends nothing.
+  /// channel is up, otherwise routed around channel failures by flooding.
+  /// Delivery to self is immediate (same instant, new event) and sends
+  /// nothing.
   void flood_send(process_id dest, const message_ptr& payload);
 
   /// Sends payload to every process, including the sender itself (the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace gqs {
@@ -59,11 +58,6 @@ link_network::admit_result link_network::transmit(process_id from,
                                                   sim_time propagation) {
   link_state& l = link(from, to);
   retire(l, now);
-  if (options_.queue_capacity != 0 && l.depth >= options_.queue_capacity) {
-    ++l.stats.drops;
-    ++total_drops_;
-    return admit_result{false, 0, 0, 0};
-  }
 
   double rate = options_.bytes_per_us;
   if (to < options_.ingress_bytes_per_us.size() &&
@@ -102,19 +96,7 @@ link_network::admit_result link_network::transmit(process_id from,
 
   ++l.stats.messages;
   l.stats.bytes += bytes;
-  return admit_result{true, arrival, start, depart};
-}
-
-std::uint32_t link_network::credits(process_id from, process_id to,
-                                    sim_time now) {
-  if (!enabled()) return std::numeric_limits<std::uint32_t>::max();
-  link_state& l = link(from, to);
-  retire(l, now);
-  if (options_.queue_capacity == 0) {
-    return std::numeric_limits<std::uint32_t>::max();
-  }
-  return options_.queue_capacity > l.depth ? options_.queue_capacity - l.depth
-                                           : 0;
+  return admit_result{arrival, start, depart};
 }
 
 std::uint32_t link_network::queue_depth(process_id from, process_id to,

@@ -4,19 +4,16 @@
 // sampled* delay: infinitely fast links, no queueing, no congestion —
 // so "as fast as the hardware allows" is unmeasurable. This layer puts a
 // router-style channel on every directed link (the architecture of
-// hardware network simulators: per-link channels with finite input
-// buffers and credit-style backpressure):
+// hardware network simulators: per-link channels with FIFO queues):
 //
 //   * serialization — a link transmits `message::wire_size()` bytes at a
 //     configurable rate; a message occupies the serializer for
 //     ceil(bytes / bytes_per_us) microseconds, and messages queue FIFO
 //     behind it;
-//   * finite queue — each link holds at most `queue_capacity` messages
-//     (serializing + waiting); a send into a full queue is dropped and
-//     accounted (`sim_metrics::dropped_queue_full`, per-link `drops`);
-//   * credits — the remaining queue slots of a link are queryable
-//     (`credits()`), so a protocol can pace itself against backpressure
-//     instead of blind-firing into a full buffer;
+//   * unbounded queues — a link never drops a message: a correct channel
+//     delivers everything sent on it, as the paper's model assumes, so
+//     congestion shows as queueing delay (`queue_depth()` reads a link's
+//     occupancy);
 //   * propagation — the seed's random delay still applies after
 //     serialization (it models distance, not bandwidth), with per-link
 //     arrival times clamped monotone so every link is FIFO end to end.
@@ -30,7 +27,7 @@
 // follows send order, so the wheel's exact pop order is untouched.
 //
 // Switched off (`bytes_per_us == 0`, the default), simulation::send takes
-// the exact legacy code path: the zero-capacity configuration reproduces
+// the exact legacy code path: the disabled configuration reproduces
 // the independent-delay model bit for bit (tests/network_test.cpp pins
 // the RNG stream of that path).
 #pragma once
@@ -50,10 +47,6 @@ struct channel_options {
   /// (1.0 ≈ 8 Mbit/s of simulated wire). 0 disables the channel layer —
   /// the legacy infinite-bandwidth, independent-delay model.
   double bytes_per_us = 0;
-  /// Messages one link may hold at once, serializing message included.
-  /// A send into a full link is dropped (counted, per link and globally).
-  /// 0 means unbounded queues (pure queueing delay, no loss).
-  std::uint32_t queue_capacity = 0;
   /// Per-process ingress-rate overrides: entry p, if positive, replaces
   /// `bytes_per_us` on every link *into* p (a server's NIC). Empty means
   /// uniform rates. This is how heterogeneous process capacities are
@@ -68,7 +61,6 @@ struct channel_options {
 struct link_metrics {
   std::uint64_t messages = 0;  ///< accepted onto the link
   std::uint64_t bytes = 0;     ///< accepted payload bytes
-  std::uint64_t drops = 0;     ///< rejected: queue full
   std::uint32_t max_queue_depth = 0;  ///< peak simultaneous occupancy
 };
 
@@ -83,25 +75,19 @@ class link_network {
   process_id system_size() const noexcept { return n_; }
 
   struct admit_result {
-    bool accepted = false;
-    sim_time arrival = 0;  ///< delivery instant (meaningful iff accepted)
-    // Serialization interval (meaningful iff accepted): the message waits
-    // in the link queue during [send, serialize_start) and occupies the
-    // serializer during [serialize_start, depart). Consumed by the trace
-    // layer for queueing/serialization sub-spans.
+    sim_time arrival = 0;  ///< delivery instant
+    // Serialization interval: the message waits in the link queue during
+    // [send, serialize_start) and occupies the serializer during
+    // [serialize_start, depart). Consumed by the trace layer for
+    // queueing/serialization sub-spans.
     sim_time serialize_start = 0;
     sim_time depart = 0;
   };
 
   /// Offers `bytes` for transmission on link (from, to) at time `now`
-  /// with propagation delay `propagation`. FIFO per link; rejected (and
-  /// counted as a drop) when the link's queue is full.
+  /// with propagation delay `propagation`. FIFO per link; never drops.
   admit_result transmit(process_id from, process_id to, std::size_t bytes,
                         sim_time now, sim_time propagation);
-
-  /// Remaining queue slots of (from, to) at `now` — the link's credits.
-  /// Unbounded queues report a large constant.
-  std::uint32_t credits(process_id from, process_id to, sim_time now);
 
   /// Messages currently occupying (from, to) at `now`.
   std::uint32_t queue_depth(process_id from, process_id to, sim_time now);
@@ -114,9 +100,6 @@ class link_network {
 
   /// Peak queue depth over all links.
   std::uint32_t max_queue_depth() const noexcept { return max_depth_; }
-
-  /// Total queue-full drops over all links.
-  std::uint64_t total_drops() const noexcept { return total_drops_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffff;
@@ -143,7 +126,7 @@ class link_network {
   }
 
   /// Pops every node whose serialization finished by `now`, returning its
-  /// slot to the free list (credits come back as the queue drains).
+  /// slot to the free list.
   void retire(link_state& l, sim_time now);
 
   std::uint32_t alloc_node();
@@ -154,7 +137,6 @@ class link_network {
   std::vector<queue_node> pool_;       // recycled queue nodes
   std::uint32_t free_head_ = kNil;
   std::uint32_t max_depth_ = 0;
-  std::uint64_t total_drops_ = 0;
 };
 
 }  // namespace gqs

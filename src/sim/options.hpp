@@ -24,7 +24,7 @@ namespace gqs {
 ///
 /// When `channel.bytes_per_us > 0` the per-link bandwidth/queueing layer
 /// (sim/network.hpp) sits in front of this propagation delay: messages
-/// first serialize FIFO onto a finite-capacity directed link, then the
+/// first serialize FIFO onto a finite-bandwidth directed link, then the
 /// random delay above applies as propagation. The default (0) keeps the
 /// legacy independent-delay model, bit for bit.
 struct network_options {

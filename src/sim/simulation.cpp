@@ -207,19 +207,14 @@ void simulation::send(process_id from, process_id to, const message_ptr& m,
   }
   // The propagation delay is drawn before the channel layer is consulted
   // so the RNG stream is identical whether or not channels are enabled:
-  // with a zero-capacity config this function is byte-for-byte the legacy
-  // independent-delay model.
+  // with the channel layer disabled this function is byte-for-byte the
+  // legacy independent-delay model.
   sim_time arrival = now_ + draw_delay();
   std::size_t bytes = 0;
   if (channels_.enabled()) {
     bytes = framing + m->wire_size();
     const auto admitted =
         channels_.transmit(from, to, bytes, now_, arrival - now_);
-    if (!admitted.accepted) {
-      ++metrics_.dropped_queue_full;
-      if (traced) trace_net("net.drop_queue", from, m.get());
-      return;
-    }
     metrics_.bytes_sent += bytes;
     if (metrics_.max_link_queue_depth < channels_.max_queue_depth())
       metrics_.max_link_queue_depth = channels_.max_queue_depth();

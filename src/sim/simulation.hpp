@@ -57,7 +57,8 @@ struct sim_metrics {
   // Channel-layer counters; all zero when the bandwidth model is disabled.
   std::uint64_t bytes_sent = 0;       ///< wire bytes accepted onto links
   std::uint64_t bytes_delivered = 0;  ///< wire bytes reaching live receivers
-  std::uint64_t dropped_queue_full = 0;  ///< sends into a full link queue
+  /// Always 0: link queues are unbounded. Kept for readers of the field.
+  std::uint64_t dropped_queue_full = 0;
   std::uint64_t max_link_queue_depth = 0;  ///< peak occupancy of any link
 
   /// Every summable field, once. max_link_queue_depth is a peak, not a
@@ -114,17 +115,10 @@ class simulation {
   const connectivity_epochs& epochs() const noexcept { return epochs_; }
 
   /// The per-link bandwidth/queueing layer (inert when the channel config
-  /// is disabled). Non-const so nodes can query credits()/queue_depth(),
-  /// which lazily retire departed messages.
+  /// is disabled). Non-const so nodes can query queue_depth(), which
+  /// lazily retires departed messages.
   link_network& channels() noexcept { return channels_; }
   const link_network& channels() const noexcept { return channels_; }
-
-  /// True iff a send accepted on an up channel is always delivered (to a
-  /// receiver still alive then): no finite link queue can drop it. Derived
-  /// from this run's config; the flooding layer prunes relays on it.
-  bool lossless() const noexcept {
-    return !net_.channel.enabled() || net_.channel.queue_capacity == 0;
-  }
 
   /// Index of the epoch containing the current instant (cached; the clock
   /// is monotone, so this is O(1) amortized).

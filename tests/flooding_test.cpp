@@ -120,14 +120,13 @@ TEST(Flooding, RoutesAroundFailedDirectChannel) {
 }
 
 TEST(Flooding, DirectUnicastChargesHeaderAndDeliversFromSender) {
-  // Lossless run, channel (1,3) up: the unicast is the payload itself,
+  // Channel (1,3) up: the unicast is the payload itself,
   // with no wrapper message. The link still carries the 16-byte unicast
   // header on top of the payload's 64 bytes, and the receiver sees the
   // physical sender as the origin.
   network_options net;
   net.channel.bytes_per_us = 1.0;  // 1 byte/µs: 80 µs of serialization
   flood_world w(4, fault_plan::none(4), 1, net);
-  ASSERT_TRUE(w.sim.lossless());
   w.nodes[1]->send_to(3, 21);
   w.sim.run_until(1_s);
   EXPECT_EQ(w.sim.metrics().messages_sent, 1u);
@@ -349,43 +348,13 @@ TEST(Flooding, HealthyCompleteGraphCostsOneMessagePerReceiver) {
   }
 }
 
-TEST(Flooding, FiniteQueuesKeepFullRedundancy) {
-  // With finite link queues any copy may be dropped at its source, so the
-  // pruning shortcuts are off: every receiver relays to all n−2 peers
-  // other than its sender, and a unicast floods like a broadcast. The
-  // queues here are ample (nothing drops), so the counts are exact.
-  constexpr process_id n = 5;
-  network_options net;
-  net.channel.bytes_per_us = 100.0;
-  net.channel.queue_capacity = 1024;
-  flood_world w(n, fault_plan::none(n), 1, net);
-  ASSERT_FALSE(w.sim.lossless());
-  w.nodes[0]->broadcast_value(1);
-  w.sim.run_until(1_s);
-  EXPECT_EQ(w.sim.metrics().messages_sent, (n - 1) * (n - 1));
-  w.nodes[0]->send_to(3, 2);
-  w.sim.run_until(2_s);
-  EXPECT_EQ(w.sim.metrics().messages_sent, 2 * (n - 1) * (n - 1));
-  EXPECT_EQ(w.sim.metrics().dropped_queue_full, 0u);
-  for (auto* nd : w.nodes)
-    EXPECT_EQ(nd->delivered.size(), nd == w.nodes[3] ? 2u : 1u);
-
-  // Unbounded queues lose nothing, so pruning applies again.
-  net.channel.queue_capacity = 0;
-  flood_world lossless(n, fault_plan::none(n), 1, net);
-  ASSERT_TRUE(lossless.sim.lossless());
-  lossless.nodes[0]->broadcast_value(1);
-  lossless.sim.run_until(1_s);
-  EXPECT_EQ(lossless.sim.metrics().messages_sent, n - 1);
-}
-
 TEST(Flooding, RandomFaultPlansDeliverToFinalReachableSetExactlyOnce) {
   // Property: under any fault plan, with crashes and disconnects striking
   // mid-run, every process alive and reachable from the origin in the
   // final epoch's residual graph receives each broadcast (and each unicast
   // addressed to it) exactly once, and nobody receives anything twice.
-  // Covers the pruned path (legacy and unbounded-queue channel configs)
-  // and the full-redundancy path (finite but ample queues).
+  // Covers both channel configs (legacy delays and bandwidth-limited
+  // links).
   std::mt19937_64 rng(2024);
   for (int trial = 0; trial < 300; ++trial) {
     const auto n = static_cast<process_id>(3 + rng() % 6);
@@ -398,17 +367,7 @@ TEST(Flooding, RandomFaultPlansDeliverToFinalReachableSetExactlyOnce) {
         if (u != v && rng() % 3 == 0)
           faults.disconnect(u, v, static_cast<sim_time>(rng() % 40'000));
     network_options net;
-    switch (trial % 3) {
-      case 1:
-        net.channel.bytes_per_us = 0.5;
-        break;
-      case 2:
-        net.channel.bytes_per_us = 0.5;
-        net.channel.queue_capacity = 4096;
-        break;
-      default:
-        break;
-    }
+    if (trial % 2) net.channel.bytes_per_us = 0.5;
     flood_world w(n, faults, 100 + trial, net);
 
     struct sent {
@@ -433,7 +392,6 @@ TEST(Flooding, RandomFaultPlansDeliverToFinalReachableSetExactlyOnce) {
       });
     }
     w.sim.run_until(5_s);
-    ASSERT_EQ(w.sim.metrics().dropped_queue_full, 0u);
 
     const connectivity_epochs& ep = w.sim.epochs();
     const std::size_t last = ep.epoch_count() - 1;

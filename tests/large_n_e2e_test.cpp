@@ -88,13 +88,10 @@ TEST(LargeN, GridAt256BeatsMajorityThresholdLoad) {
 
 TEST(LargeN, GridQuorumServiceRoundTripAt256) {
   const auto qs = grid_quorum_system(kBigN);
-  // Physical network: a hub-and-spoke star, not the complete graph —
-  // flooding forwards every envelope over all up channels, so on a clique
-  // each broadcast costs n² sends while the star costs ~2n over two hops
-  // (and its diameter of 2 keeps the gossip-stream NACK pacing, which is
-  // measured in gossip ticks, well away from multi-hop latencies).
-  // Channels outside the star are down from t = 0, which also exercises
-  // the epoch/reachability tables at full 256-process width.
+  // Physical network: a hub-and-spoke star, not the complete graph, so
+  // every broadcast relays over two hops (~2n sends). Channels outside the
+  // star are down from t = 0, which also exercises the epoch/reachability
+  // tables at full 256-process width.
   const digraph star = make_topology({topology_kind::star, kBigN});
   fault_plan faults(kBigN);
   for (process_id u = 0; u < kBigN; ++u)

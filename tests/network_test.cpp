@@ -1,7 +1,7 @@
 // Tests for the per-link bandwidth/queueing channel layer: serialization
-// arithmetic, per-link FIFO ordering, finite-buffer drops and credits,
-// the zero-capacity ≡ legacy-model bit-identity contract (including a pin
-// of the legacy RNG stream), and runner determinism under congestion.
+// arithmetic, per-link FIFO ordering, queue occupancy, the
+// zero-capacity ≡ legacy-model bit-identity contract (including a pin of
+// the legacy RNG stream), and runner determinism under congestion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,53 +136,21 @@ TEST(Network, PerLinkFifoUnderRandomPropagation) {
     EXPECT_LE(d[i - 1].at, d[i].at);
 }
 
-// ---------- finite buffers, drops, credits ----------
-
-TEST(Network, QueueFullDropsAreCountedEverywhere) {
-  network_options net = pinned_delay(1000);
-  net.channel.bytes_per_us = 0.001;  // 64 kµs per probe: nothing drains
-  net.channel.queue_capacity = 2;
-  net.record_spans = true;
-  channel_world w(2, net);
-  for (int i = 0; i < 10; ++i)
-    w.nodes[0]->send(1, make_message<probe_msg>(i, std::size_t{64}));
-
-  const sim_metrics& m = w.sim.metrics();
-  EXPECT_EQ(m.messages_sent, 10u);
-  EXPECT_EQ(m.dropped_queue_full, 8u);
-  EXPECT_EQ(m.max_link_queue_depth, 2u);
-  const link_metrics& link = w.sim.channels().metrics_of(0, 1);
-  EXPECT_EQ(link.messages, 2u);
-  EXPECT_EQ(link.drops, 8u);
-  EXPECT_EQ(link.max_queue_depth, 2u);
-  EXPECT_EQ(w.sim.channels().credits(0, 1, w.sim.now()), 0u);
-
-  std::size_t drop_leaves = 0;
-  for (const span_rec& s : w.sim.obs().tracer.spans())
-    drop_leaves += s.name == "net.drop_queue";
-  EXPECT_EQ(drop_leaves, 8u);
-
-  w.sim.run_until(1_s);
-  EXPECT_EQ(w.delivers.size(), 2u);  // the accepted pair still arrives
-}
+// ---------- queue occupancy ----------
 
 TEST(Network, CreditsRecoverAsTheQueueDrains) {
   network_options net = pinned_delay(1000);
   net.channel.bytes_per_us = 1.0;  // 64 µs per probe
-  net.channel.queue_capacity = 4;
   channel_world w(2, net);
   for (int i = 0; i < 4; ++i)
     w.nodes[0]->send(1, make_message<probe_msg>(i, std::size_t{64}));
-  EXPECT_EQ(w.sim.channels().credits(0, 1, w.sim.now()), 0u);
   EXPECT_EQ(w.sim.channels().queue_depth(0, 1, w.sim.now()), 4u);
-  // After the first departure (64 µs) one slot is back.
-  EXPECT_EQ(w.sim.channels().credits(0, 1, 64), 1u);
+  // After the first departure (64 µs) one message has left the queue.
+  EXPECT_EQ(w.sim.channels().queue_depth(0, 1, 64), 3u);
   // After all four serialized, the queue is empty again.
-  EXPECT_EQ(w.sim.channels().credits(0, 1, 4 * 64), 4u);
   EXPECT_EQ(w.sim.channels().queue_depth(0, 1, 4 * 64), 0u);
   w.sim.run_until(1_s);
   EXPECT_EQ(w.delivers.size(), 4u);
-  EXPECT_EQ(w.sim.metrics().dropped_queue_full, 0u);
 }
 
 TEST(Network, ByteCountersTrackWireSizes) {
@@ -263,7 +231,6 @@ TEST(Network, LegacyDelayStreamPinned) {
 run_result congested_cell(std::uint64_t seed) {
   network_options net;
   net.channel.bytes_per_us = 0.05;  // heavily congested
-  net.channel.queue_capacity = 8;
   channel_world w(4, net, seed);
   for (int round = 0; round < 40; ++round) {
     for (process_id p = 0; p < 4; ++p)
@@ -301,7 +268,7 @@ TEST(Network, RunnerDeterministicAcrossThreadCountsUnderCongestion) {
   ASSERT_EQ(one.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_TRUE(one[i].ok);
-    EXPECT_GT(one[i].metrics.dropped_queue_full, 0u) << "not congested";
+    EXPECT_GT(one[i].metrics.max_link_queue_depth, 8u) << "not congested";
     for (const auto* other : {&two[i], &eight[i]}) {
       EXPECT_EQ(one[i].metrics, other->metrics) << specs[i].label;
       EXPECT_EQ(one[i].sim_end, other->sim_end) << specs[i].label;

@@ -1,5 +1,5 @@
 // Tests for the multi-object quorum service: engine mechanics (batching,
-// shared gossip, stream freshness, NACK repair, tick-only clocks), the
+// shared gossip, stream freshness, tick-only clocks), the
 // keyed register built on it, per-key linearizability of multi-key traces
 // under failures, and the mutation checks that dropping either Figure 3
 // clock wait produces a history the Wing–Gong checker catches.
@@ -48,19 +48,16 @@ TEST(GossipStream, InOrderAdvancesFreshness) {
   EXPECT_TRUE(s.observe(1, 10));
   EXPECT_TRUE(s.observe(2, 11));
   EXPECT_EQ(s.freshness(), 11u);
-  EXPECT_EQ(s.next_expected(), 3u);
-  EXPECT_FALSE(s.has_gap());
+  EXPECT_EQ(s.backlog(), 0u);
 }
 
 TEST(GossipStream, GapBuffersUntilFilled) {
   gossip_stream s;
   EXPECT_FALSE(s.observe(2, 11));  // gap: 1 missing
-  EXPECT_TRUE(s.has_gap());
   EXPECT_EQ(s.freshness(), 0u);
   EXPECT_EQ(s.backlog(), 1u);
   EXPECT_TRUE(s.observe(1, 10));  // fills the gap, drains 2
   EXPECT_EQ(s.freshness(), 11u);
-  EXPECT_FALSE(s.has_gap());
   EXPECT_EQ(s.backlog(), 0u);
 }
 
@@ -70,26 +67,6 @@ TEST(GossipStream, DuplicatesIgnored) {
   EXPECT_FALSE(s.observe(1, 10));
   EXPECT_FALSE(s.observe(1, 99));
   EXPECT_EQ(s.freshness(), 10u);
-}
-
-TEST(GossipStream, RepairJumpsOverLostGossip) {
-  gossip_stream s;
-  EXPECT_TRUE(s.observe(1, 10));
-  EXPECT_FALSE(s.observe(3, 30));  // 2 lost
-  EXPECT_FALSE(s.observe(5, 50));  // 4 lost
-  EXPECT_EQ(s.freshness(), 10u);
-  EXPECT_TRUE(s.repair(4, 40));  // covers 2..4, drains buffered 3 and 5
-  EXPECT_EQ(s.freshness(), 50u);
-  EXPECT_EQ(s.next_expected(), 6u);
-  EXPECT_FALSE(s.has_gap());
-}
-
-TEST(GossipStream, StaleRepairIgnored) {
-  gossip_stream s;
-  for (std::uint64_t i = 1; i <= 5; ++i) EXPECT_TRUE(s.observe(i, i));
-  EXPECT_FALSE(s.repair(3, 100));  // the gap already closed
-  EXPECT_EQ(s.freshness(), 5u);
-  EXPECT_EQ(s.next_expected(), 6u);
 }
 
 // ---------- engine mechanics ----------
@@ -147,15 +124,10 @@ TEST(QuorumService, ReplicasConvergeAndKeyClocksTrack) {
     w.client.invoke_write(p, p, 1000 + p);
   ASSERT_TRUE(w.settle());
   w.sim.run_until(w.sim.now() + 100000);  // let gossip settle
-  for (process_id p = 0; p < 4; ++p) {
-    for (service_key k = 0; k < 4; ++k) {
+  for (process_id p = 0; p < 4; ++p)
+    for (service_key k = 0; k < 4; ++k)
       EXPECT_EQ(w.nodes[p]->local_state(k).value, 1000 + k)
           << "process " << p << " key " << k;
-      EXPECT_GT(w.nodes[p]->key_clock(k), 0u);
-    }
-    for (service_key k = 4; k < 8; ++k)
-      EXPECT_EQ(w.nodes[p]->key_clock(k), 0u) << "untouched key " << k;
-  }
 }
 
 TEST(QuorumService, PipelinedOpsOnDistinctKeysOverlap) {
@@ -237,7 +209,7 @@ TEST(QuorumService, PipelinedFlushCompletesInPinnedOrder) {
             "1r2k3fs@119009 ");
 }
 
-// ---------- NACK / repair plumbing ----------
+// ---------- stream gaps ----------
 
 /// Exposes deliver() so the test can inject a crafted out-of-order
 /// gossip (a gap that regular traffic closes only slowly).
@@ -246,15 +218,14 @@ struct open_register : keyed_register_node {
   using keyed_register_node::deliver;
 };
 
-TEST(QuorumService, PersistentGossipGapTriggersNack) {
+TEST(QuorumService, InjectedGossipGapClosesWithoutRepair) {
   const auto fig = make_figure1();
   world<open_register> w(4, fault_plan::none(4), 6, network_options{}, 4,
                          quorum_config::of(fig.gqs), service_options{});
   simulation& sim = w.sim;
   std::vector<open_register*>& nodes = w.nodes;
   // Inject gossip seq 6 from origin 1 into process 0: a 5-deep gap that
-  // regular gossip needs 5 periods to close, so the NACK pacing (2 ticks)
-  // fires first.
+  // regular gossip closes within 5 periods, since every channel delivers.
   using gossip_msg = quorum_service<reg_value>::gossip_msg;
   using gossip_entry = quorum_service<reg_value>::gossip_entry;
   sim.post(0, [&] {
@@ -264,12 +235,7 @@ TEST(QuorumService, PersistentGossipGapTriggersNack) {
                              pooled_batch<gossip_entry>(std::move(entries),
                                                         nullptr)));
   });
-  EXPECT_TRUE(sim.run_until_condition(
-      [&] { return nodes[0]->counters().nacks_sent > 0; }, 200000));
-  EXPECT_TRUE(sim.run_until_condition(
-      [&] { return nodes[1]->counters().repairs_sent > 0; }, 200000));
-  // The gap eventually closes (via regular gossip reaching seq 5-6) and
-  // the backlog drains.
+  // Regular gossip reaches seq 5-6 and the backlog drains.
   EXPECT_TRUE(sim.run_until_condition(
       [&] { return nodes[0]->gossip_backlog() == 0; }, 400000));
 }
@@ -297,75 +263,6 @@ TEST(PooledBatch, StorageReturnsToPoolOnceAfterLastReceiver) {
   EXPECT_EQ(reused.data(), storage);  // the same buffer, emptied
   EXPECT_TRUE(reused.empty());
   EXPECT_EQ(pool->free_count(), 0u);
-}
-
-/// Records the keys, sequence and clock of every repair it receives, then
-/// handles the repair as usual.
-struct repair_spy : open_register {
-  using open_register::open_register;
-  using repair_msg = quorum_service<reg_value>::repair_msg;
-  struct seen {
-    std::uint64_t upto_seq;
-    std::uint64_t clock;
-    std::vector<service_key> keys;
-  };
-  std::vector<seen> repairs;
-
-  void deliver(process_id origin, const message_ptr& payload) override {
-    if (const auto* m = message_cast<repair_msg>(payload)) {
-      seen r{m->upto_seq, m->clock, {}};
-      for (const auto& e : m->entries) r.keys.push_back(e.key);
-      repairs.push_back(std::move(r));
-    }
-    open_register::deliver(origin, payload);
-  }
-};
-
-TEST(QuorumService, RepairAfterLongGapShipsOnlyKeysChangedSinceGap) {
-  // A NACK for a gap that began 100 gossip ticks ago must still ship only
-  // the keys changed since then, however long ago that was: key 5, not
-  // the keys 0 and 1 written (and gossiped) before the gap. Every clock
-  // starts at 50, so the repair floor must count from initial_clock.
-  const auto fig = make_figure1();
-  service_options opts;
-  opts.initial_clock = 50;
-  repair_spy* spy = nullptr;
-  world<open_register> w(
-      4, fault_plan::none(4), 7, network_options{},
-      [&](process_id p) -> std::unique_ptr<open_register> {
-        if (p != 0)
-          return std::make_unique<open_register>(
-              8, quorum_config::of(fig.gqs), opts);
-        auto s = std::make_unique<repair_spy>(8, quorum_config::of(fig.gqs),
-                                              opts);
-        spy = s.get();
-        return s;
-      });
-  simulation& sim = w.sim;
-  std::vector<open_register*>& nodes = w.nodes;
-  keyed_register_client<open_register> client(sim, nodes);
-  const auto settle = [&] {
-    return sim.run_until_condition([&] { return client.all_complete(); },
-                                   sim.now() + kLong);
-  };
-  client.invoke_write(2, 0, 10);
-  client.invoke_write(3, 1, 11);
-  ASSERT_TRUE(settle());
-  sim.run_until(sim.now() + 3 * opts.gossip_period);  // keys 0, 1 gossiped
-  const std::uint64_t gap_from = nodes[1]->counters().gossip_batches_sent + 1;
-  client.invoke_write(2, 5, 12);
-  ASSERT_TRUE(settle());
-  sim.run_until(sim.now() + 100 * opts.gossip_period);
-  using nack_msg = quorum_service<reg_value>::nack_msg;
-  sim.post(1, [&] {
-    nodes[1]->deliver(0, make_message<nack_msg>(gap_from));
-  });
-  ASSERT_TRUE(sim.run_until_condition([&] { return !spy->repairs.empty(); },
-                                      sim.now() + kLong));
-  const repair_spy::seen& r = spy->repairs.front();
-  EXPECT_EQ(r.keys, std::vector<service_key>{5});
-  EXPECT_GT(r.upto_seq, gap_from + 64);
-  EXPECT_EQ(r.clock, opts.initial_clock + r.upto_seq);
 }
 
 // ---------- tick-only clocks: freshness waits stay flat ----------
@@ -633,8 +530,8 @@ TEST(QuorumService, FullProtocolSafeInDisjointScenario) {
 
 TEST(QuorumService, CompletesAndStaysLinearizableOnCongestedLinks) {
   // Per-link bandwidth on: every probe, set batch and gossip pays
-  // serialization time and queues FIFO behind earlier traffic. Unbounded
-  // queues, so congestion delays but never loses protocol messages.
+  // serialization time and queues FIFO behind earlier traffic; congestion
+  // delays but never loses protocol messages.
   network_options net;
   net.channel.bytes_per_us = 0.5;
   const auto fig = make_figure1();
@@ -653,7 +550,6 @@ TEST(QuorumService, CompletesAndStaysLinearizableOnCongestedLinks) {
   }
   EXPECT_GT(w.sim.metrics().bytes_sent, 0u);
   EXPECT_GT(w.sim.metrics().max_link_queue_depth, 0u);
-  EXPECT_EQ(w.sim.metrics().dropped_queue_full, 0u);
 }
 
 }  // namespace

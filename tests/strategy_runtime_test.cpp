@@ -42,9 +42,8 @@ selector_ptr pure_selector(const generalized_quorum_system& gqs,
 struct service_run {
   std::uint64_t messages_sent = 0;
   /// Physical messages of the quorum rounds (probes, SET batches and their
-  /// acks): everything but gossip and its NACK/repair traffic. On a healthy
-  /// complete graph a gossip broadcast costs exactly n−1 messages and a
-  /// NACK or repair exactly one (see flooding_test).
+  /// acks): everything but gossip. On a healthy complete graph a gossip
+  /// broadcast costs exactly n−1 messages (see flooding_test).
   std::uint64_t round_messages = 0;
   std::uint64_t completed = 0;
   std::uint64_t escalations = 0;
@@ -87,8 +86,7 @@ service_run run_service_workload(const generalized_quorum_system& gqs,
   r.quorum_hits.assign(gqs.system_size(), 0);
   for (const keyed_register_node* node : world.nodes) {
     const service_counters& c = node->counters();
-    r.round_messages -= c.gossip_batches_sent * (gqs.system_size() - 1) +
-                        c.nacks_sent + c.repairs_sent;
+    r.round_messages -= c.gossip_batches_sent * (gqs.system_size() - 1);
     r.escalations += c.escalations;
     r.targeted_groups += c.targeted_probes + c.targeted_set_batches;
     const auto& hits = node->per_process_quorum_hits();
