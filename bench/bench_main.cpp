@@ -95,12 +95,6 @@ void record_json(const std::string& key, const std::string& raw_json) {
   set_field(key, raw_json);
 }
 
-std::string out_dir_path() {
-  std::error_code ec;
-  std::filesystem::create_directories(out_dir(), ec);
-  return out_dir().string();
-}
-
 }  // namespace gqs_bench
 
 int main(int, char** argv) {

@@ -27,9 +27,4 @@ void record(const std::string& key, const std::string& value);
 /// gqs::to_json(run_aggregate) from sim/runner.hpp.
 void record_json(const std::string& key, const std::string& raw_json);
 
-/// The directory this bench's JSON record lands in ($GQS_BENCH_OUT_DIR,
-/// else the build-time default). Benches that export side artifacts
-/// (trace files, time series) write them next to the record.
-std::string out_dir_path();
-
 }  // namespace gqs_bench

@@ -3,8 +3,8 @@
 // Workload: 256 keys, zipfian (θ = 0.99) popularity, 50/50 read/write
 // mix, writes partitioned per process (final per-key states are a pure
 // function of the schedule), driven through the multi-object quorum
-// service over the Figure 1 GQS with no failures. Two engine modes run
-// the identical schedule:
+// service over the n = 8 threshold GQS (k = 2) with no failures. Two
+// engine modes run the identical schedule:
 //
 //   broadcast — the seed path: every CLOCK probe and SET batch goes to
 //               all n processes (flooded), acks return point-to-point;
@@ -20,11 +20,8 @@
 // white-box dependency-graph checker (lincheck/history_checker);
 // rerunning the targeted grid under a different experiment-runner thread
 // count must reproduce bit-identical client-visible results
-// (deterministic per-op sampling).
-// A raised validation pass (GQS_BENCH_BIG_OPS ops per process, default
-// 125k x 8 processes = 10^6 ops) reruns the targeted mode with the
-// streaming checker live off the workload-driver hooks and batch-checks
-// the full million-op history afterwards.
+// (deterministic per-op sampling). The targeted engine's streaming check
+// at scale is gqs_bench's svc-n8-targeted gate (benchmark/).
 //
 // Acceptance bar: messages/op (broadcast) > messages/op (targeted) — the
 // bench exits 1 otherwise (key `message_reduction`). With
@@ -33,10 +30,10 @@
 // record also carries per-process load imbalance (max/mean realized
 // quorum membership), the planner-predicted vs realized per-process load
 // (closing the planner → runtime loop), simulated latencies and
-// escalations, all summed over the three paired passes, so every key but
+// escalations, all summed over the three paired passes. Every pass runs
+// in simulated time and the bench takes no host timing, so every key but
 // the harness's wall_ms is a pure function of the seeds. Host throughput
-// of the targeted engine is gqs_bench's svc-n8-targeted workload
-// (benchmark/).
+// of the targeted engine is gqs_bench's svc-n8-targeted workload.
 #include "bench_main.hpp"
 
 #include <algorithm>
@@ -44,18 +41,18 @@
 #include <iostream>
 
 #include "core/factories.hpp"
-#include "keyed_pass.hpp"
+#include "lincheck/history_checker.hpp"
 #include "register/keyed_register.hpp"
+#include "sim/runner.hpp"
 #include "strategy/planner.hpp"
 #include "strategy/selector.hpp"
+#include "workload/clients.hpp"
 #include "workload/table.hpp"
 #include "workload/worlds.hpp"
 
 namespace {
 
 using namespace gqs;
-using gqs_bench::keyed_checks;
-using gqs_bench::keyed_pass;
 
 constexpr process_id kN = 8;
 constexpr service_key kKeys = 256;
@@ -65,12 +62,12 @@ constexpr sim_time kHorizon = 600L * 1000 * 1000;
 constexpr sim_time kQuiesce = 200000;
 constexpr std::uint64_t kSelectorSeed = 0x5742;
 
-client_workload_options workload(std::uint64_t ops_per_process) {
+client_workload_options workload() {
   client_workload_options opts;
   opts.keys = kKeys;
   opts.zipf_theta = 0.99;
   opts.read_ratio = 0.5;
-  opts.ops_per_process = ops_per_process;
+  opts.ops_per_process = kOpsPerProcess;
   opts.inflight_window = 8;  // deep pipeline: gossip amortizes over more
                              // ops, so the op-path difference dominates
   opts.partition_writes = true;
@@ -85,7 +82,10 @@ plan_result make_plan() {
 }
 
 struct strategy_pass {
-  keyed_pass run;
+  bool ok = false;
+  std::string why;  // first failure, empty when ok
+  std::uint64_t completed = 0;
+  std::vector<double> latencies_us;
   std::uint64_t messages = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t max_queue_depth = 0;
@@ -97,23 +97,35 @@ struct strategy_pass {
 };
 
 /// One pass of the keyed workload through the quorum service, broadcast
-/// (null selector) or targeted, then a gossip quiesce.
+/// (null selector) or targeted, run to completion within kHorizon
+/// (optionally batch-checking its keyed history), then a gossip quiesce.
 strategy_pass run_strategy(std::uint64_t seed, selector_ptr selector,
-                           keyed_checks checks = {},
-                           const network_options& net = {},
-                           std::uint64_t ops_per_process = kOpsPerProcess,
-                           sim_time horizon = kHorizon) {
+                           bool batch_check = false,
+                           const network_options& net = {}) {
   const auto system = threshold_quorum_system(kN, 2);
   service_options options;
   options.selector = std::move(selector);
   component_world<keyed_register_node> w(kN, fault_plan::none(kN), seed, net,
                                          kKeys, quorum_config::of(system),
                                          options);
+  workload_driver<keyed_node_adapter<keyed_register_node>> driver(
+      w.sim, keyed_node_adapter<keyed_register_node>{w.nodes}, workload());
+  driver.launch();
   strategy_pass r;
-  r.run = gqs_bench::run_keyed_pass(
-      w.sim, keyed_node_adapter<keyed_register_node>{w.nodes},
-      workload(ops_per_process), horizon, checks);
-  if (!r.run.ok) return r;
+  if (!w.sim.run_until_condition([&] { return driver.done(); },
+                                 w.sim.now() + kHorizon)) {
+    r.why = "run did not complete within the horizon";
+    return r;
+  }
+  r.completed = driver.completed();
+  r.latencies_us = driver.latencies_us();
+  if (batch_check) {
+    const lincheck_result lin = check_keyed_history(driver.history(), kKeys);
+    if (!lin.linearizable) {
+      r.why = "batch check flagged the run: " + lin.reason;
+      return r;
+    }
+  }
   w.sim.run_until(w.sim.now() + kQuiesce);
   const sim_metrics& m = w.sim.metrics();
   r.messages = m.messages_sent;
@@ -125,11 +137,35 @@ strategy_pass run_strategy(std::uint64_t seed, selector_ptr selector,
     const auto& hits = n->per_process_quorum_hits();
     for (process_id p = 0; p < hits.size(); ++p) r.quorum_hits[p] += hits[p];
   }
-  r.finals = gqs_bench::freshest_finals(
-      w.nodes, kKeys,
-      [](const keyed_register_node& n, service_key k) -> const reg_state& {
-        return n.local_state(k);
-      });
+  r.finals.assign(kKeys, reg_state{});
+  for (service_key k = 0; k < kKeys; ++k)
+    for (const keyed_register_node* n : w.nodes)
+      if (n->local_state(k).version >= r.finals[k].version)
+        r.finals[k] = n->local_state(k);
+  r.ok = true;
+  return r;
+}
+
+/// A targeted pass as one determinism-grid cell: its outcome and what a
+/// client sees of it (completions, latencies, messages and an FNV-1a
+/// digest of the final (value, version) states).
+run_result grid_cell(const strategy_pass& p) {
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (const reg_state& s : p.finals)
+    for (const std::uint64_t x : {static_cast<std::uint64_t>(s.value),
+                                  s.version.number,
+                                  std::uint64_t{s.version.writer}}) {
+      digest ^= x;
+      digest *= 0x100000001b3ull;
+    }
+  run_result r;
+  r.ok = p.ok;
+  r.error = p.why;
+  r.latencies_us = p.latencies_us;
+  r.stats["completed"] = static_cast<double>(p.completed);
+  r.stats["messages"] = static_cast<double>(p.messages);
+  r.stats["digest_hi"] = static_cast<double>(digest >> 32);
+  r.stats["digest_lo"] = static_cast<double>(digest & 0xffffffffull);
   return r;
 }
 
@@ -196,15 +232,14 @@ int bench_entry() {
             << fmt_double(broadcast_network_cost(kN), 0) << "\n";
 
   // ---- correctness cross-check (one seed, full history verification) ----
-  const strategy_pass bc = run_strategy(1, nullptr, {.batch = true});
+  const strategy_pass bc = run_strategy(1, nullptr, /*batch_check=*/true);
   const strategy_pass tg =
-      run_strategy(1, bench_selector(plan), {.batch = true});
-  if (!bc.run.ok || !tg.run.ok) {
-    std::cerr << "cross-check run failed: " << bc.run.why << tg.run.why
-              << "\n";
+      run_strategy(1, bench_selector(plan), /*batch_check=*/true);
+  if (!bc.ok || !tg.ok) {
+    std::cerr << "cross-check run failed: " << bc.why << tg.why << "\n";
     return 1;
   }
-  if (bc.run.completed != tg.run.completed) {
+  if (bc.completed != tg.completed) {
     std::cerr << "op counts diverge between modes\n";
     return 1;
   }
@@ -214,7 +249,7 @@ int bench_entry() {
                 << " diverges between modes\n";
       return 1;
     }
-  std::cout << "cross-check: " << bc.run.completed
+  std::cout << "cross-check: " << bc.completed
             << " ops per mode, identical final states on all " << kKeys
             << " keys, all per-key histories linearizable\n";
 
@@ -222,13 +257,8 @@ int bench_entry() {
   std::vector<run_spec> det_specs;
   for (std::uint64_t s = 2; s < 5; ++s)
     det_specs.push_back({"targeted-" + std::to_string(s), [&plan, s] {
-                           const strategy_pass p =
-                               run_strategy(s, bench_selector(plan));
-                           run_result r = gqs_bench::grid_cell(
-                               p.run, gqs_bench::finals_digest(p.finals));
-                           r.stats["messages"] =
-                               static_cast<double>(p.messages);
-                           return r;
+                           return grid_cell(
+                               run_strategy(s, bench_selector(plan)));
                          }});
   const determinism_report det = check_determinism(det_specs, {1, 2});
   if (!det.ok()) {
@@ -239,23 +269,6 @@ int bench_entry() {
             << " targeted cells bit-identical across 1- and 2-thread "
                "runners\n";
 
-  // ---- raised validation pass (streaming + batch over 10^6 ops) ----
-  const std::uint64_t big_per_proc =
-      env_count("GQS_BENCH_BIG_OPS").value_or(125000);
-  const keyed_pass big =
-      run_strategy(99, bench_selector(plan), {.stream = true, .batch = true},
-                   {}, big_per_proc,
-                   kHorizon * static_cast<sim_time>(
-                                  1 + big_per_proc / kOpsPerProcess))
-          .run;
-  if (!big.ok) {
-    std::cerr << "raised validation failed: " << big.why << "\n";
-    return 1;
-  }
-  std::cout << "validation at scale: " << fmt_count(big.completed)
-            << " targeted ops checked live (peak window "
-            << fmt_count(big.peak_window) << " ops) and in batch\n";
-
   // ---- messages/op, load and latency (paired passes, summed) ----
   std::uint64_t bc_msgs = 0, bc_ops = 0, tg_msgs = 0, tg_ops = 0;
   std::uint64_t bc_escalations = 0, tg_escalations = 0;
@@ -265,21 +278,20 @@ int bench_entry() {
     const std::uint64_t seed = 7 + static_cast<std::uint64_t>(pass);
     const strategy_pass b = run_strategy(seed, nullptr);
     const strategy_pass t = run_strategy(seed, bench_selector(plan));
-    if (!b.run.ok || !t.run.ok) {
-      std::cerr << "measurement pass failed: " << b.run.why << t.run.why
-                << "\n";
+    if (!b.ok || !t.ok) {
+      std::cerr << "measurement pass failed: " << b.why << t.why << "\n";
       return 1;
     }
     bc_msgs += b.messages;
-    bc_ops += b.run.completed;
+    bc_ops += b.completed;
     bc_escalations += b.escalations;
-    bc_lats.insert(bc_lats.end(), b.run.latencies_us.begin(),
-                   b.run.latencies_us.end());
+    bc_lats.insert(bc_lats.end(), b.latencies_us.begin(),
+                   b.latencies_us.end());
     tg_msgs += t.messages;
-    tg_ops += t.run.completed;
+    tg_ops += t.completed;
     tg_escalations += t.escalations;
-    tg_lats.insert(tg_lats.end(), t.run.latencies_us.begin(),
-                   t.run.latencies_us.end());
+    tg_lats.insert(tg_lats.end(), t.latencies_us.begin(),
+                   t.latencies_us.end());
     for (process_id p = 0; p < kN; ++p) tg_hits[p] += t.quorum_hits[p];
   }
 
@@ -480,16 +492,16 @@ int bench_entry() {
   std::uint64_t peak_queue = 0;
   for (std::uint64_t seed = 31; seed < 33; ++seed) {
     const strategy_pass blind =
-        run_strategy(seed, bench_selector(plan), {}, congested_network());
+        run_strategy(seed, bench_selector(plan), false, congested_network());
     const strategy_pass aware =
-        run_strategy(seed, strategy_selector(aware_plan.strategy), {},
+        run_strategy(seed, strategy_selector(aware_plan.strategy), false,
                      congested_network());
-    if (!blind.run.ok || !aware.run.ok) {
-      std::cerr << "congested pass failed: " << blind.run.why
-                << aware.run.why << "\n";
+    if (!blind.ok || !aware.ok) {
+      std::cerr << "congested pass failed: " << blind.why << aware.why
+                << "\n";
       return 1;
     }
-    if (blind.run.completed != aware.run.completed) {
+    if (blind.completed != aware.completed) {
       std::cerr << "congested op counts diverge between plans\n";
       return 1;
     }
@@ -497,14 +509,14 @@ int bench_entry() {
       std::cerr << "channel layer saw no traffic — congestion not active\n";
       return 1;
     }
-    blind_lats.insert(blind_lats.end(), blind.run.latencies_us.begin(),
-                      blind.run.latencies_us.end());
-    aware_lats.insert(aware_lats.end(), aware.run.latencies_us.begin(),
-                      aware.run.latencies_us.end());
+    blind_lats.insert(blind_lats.end(), blind.latencies_us.begin(),
+                      blind.latencies_us.end());
+    aware_lats.insert(aware_lats.end(), aware.latencies_us.begin(),
+                      aware.latencies_us.end());
     blind_msgs += blind.messages;
     aware_msgs += aware.messages;
-    blind_ops += blind.run.completed;
-    aware_ops += aware.run.completed;
+    blind_ops += blind.completed;
+    aware_ops += aware.completed;
     peak_queue = std::max({peak_queue, blind.max_queue_depth,
                            aware.max_queue_depth});
   }
@@ -557,9 +569,6 @@ int bench_entry() {
   gqs_bench::record("latency_max_us", tg_lat.max);
   gqs_bench::record("workload_keys", static_cast<std::uint64_t>(kKeys));
   gqs_bench::record("workload_ops", tg_ops / kPasses);  // per pass
-  gqs_bench::record("validated_ops", big.completed);
-  gqs_bench::record("validated_peak_window",
-                    static_cast<std::uint64_t>(big.peak_window));
 
   if (reduction <= 1.0) {
     std::cerr << "message reduction " << fmt_double(reduction, 2)

@@ -1,6 +1,6 @@
 // smr_workload.hpp — wiring the keyed workload drivers onto the sharded
 // SMR service: the world preset, its convergence check and the driver
-// adapter, shared by the SMR tests and bench_smr_throughput.
+// adapter, shared by the SMR tests and the repo benchmark's driver.
 //
 // The adapter satisfies the workload_driver contract (clients.hpp): a
 // write completes when the *submitting* replica applies the command at

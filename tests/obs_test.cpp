@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -206,7 +208,7 @@ constexpr sim_time kLong = 600L * 1000 * 1000;
 struct telemetry_run {
   metrics_snapshot obs;
   std::vector<timeseries_sampler::series> series;
-  std::vector<span_rec> spans;
+  trace_recorder trace;
   std::uint64_t completed = 0;
 };
 
@@ -242,20 +244,21 @@ telemetry_run run_smr_telemetry(std::uint64_t seed, bool spans = true) {
   o.tracer.finalize(w.sim.now());
   out.obs = o.metrics.snapshot();
   out.series = o.sampler.all();
-  out.spans = o.tracer.spans();
+  out.trace = o.tracer;
   return out;
 }
 
 TEST(ObsEndToEnd, SmrTraceIsWellFormed) {
   const telemetry_run run = run_smr_telemetry(21);
-  ASSERT_FALSE(run.spans.empty());
+  const std::vector<span_rec>& spans = run.trace.spans();
+  ASSERT_FALSE(spans.empty());
 
   // Every span: closed, parent exists, opened before and closed after it.
-  for (const span_rec& s : run.spans) {
+  for (const span_rec& s : spans) {
     EXPECT_GE(s.end, s.start) << s.name;
     if (s.parent != 0) {
       ASSERT_LT(s.parent, s.id) << s.name;
-      const span_rec& p = run.spans[s.parent - 1];
+      const span_rec& p = spans[s.parent - 1];
       EXPECT_LE(p.start, s.start) << s.name << " under " << p.name;
       EXPECT_GE(p.end, s.end) << s.name << " under " << p.name;
     }
@@ -266,17 +269,17 @@ TEST(ObsEndToEnd, SmrTraceIsWellFormed) {
   // ends (the commit announcement causally follows the quorum win).
   std::map<std::uint32_t, sim_time> phase2_end, commit_start;
   std::size_t net_under_smr = 0;
-  for (const span_rec& s : run.spans) {
+  for (const span_rec& s : spans) {
     if (s.name == "smr.phase2") phase2_end[s.parent] = s.end;
     if (s.name == "smr.commit") commit_start[s.parent] = s.start;
     if (s.category == "net" && s.parent != 0 &&
-        run.spans[s.parent - 1].category == "smr")
+        spans[s.parent - 1].category == "smr")
       ++net_under_smr;
   }
   std::size_t decomposed = 0;
   for (const auto& [root, p2_end] : phase2_end) {
     ASSERT_NE(root, 0u);
-    EXPECT_EQ(run.spans[root - 1].name, "smr.slot");
+    EXPECT_EQ(spans[root - 1].name, "smr.slot");
     const auto c = commit_start.find(root);
     if (c == commit_start.end()) continue;
     EXPECT_GE(c->second, p2_end) << "commit before phase-2 completion";
@@ -293,14 +296,29 @@ TEST(ObsEndToEnd, SmrTraceIsWellFormed) {
   std::size_t points = 0;
   for (const auto& s : run.series) points += s.points.size();
   EXPECT_GT(points, 0u);
+
+  // Export: the Chrome trace written to the working directory (where
+  // scripts/obs_report.py validates it) reads back as chrome_json(), with
+  // one complete ("X") event per span.
+  ASSERT_TRUE(run.trace.write_chrome_json("smr_trace.json"));
+  std::ifstream in("smr_trace.json", std::ios::binary);
+  const std::string written{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+  EXPECT_EQ(written, run.trace.chrome_json());
+  std::size_t complete_events = 0;
+  for (std::size_t at = written.find("\"ph\":\"X\""); at != std::string::npos;
+       at = written.find("\"ph\":\"X\"", at + 1))
+    ++complete_events;
+  EXPECT_EQ(complete_events, spans.size());
+  EXPECT_FALSE(run.trace.write_chrome_json("no_such_dir/smr_trace.json"));
 }
 
 TEST(ObsEndToEnd, TraceIsAPureFunctionOfTheRun) {
   const telemetry_run a = run_smr_telemetry(33);
   const telemetry_run b = run_smr_telemetry(33);
-  ASSERT_EQ(a.spans.size(), b.spans.size());
-  for (std::size_t i = 0; i < a.spans.size(); ++i)
-    ASSERT_EQ(a.spans[i], b.spans[i]) << "span " << i;
+  ASSERT_EQ(a.trace.spans().size(), b.trace.spans().size());
+  for (std::size_t i = 0; i < a.trace.spans().size(); ++i)
+    ASSERT_EQ(a.trace.spans()[i], b.trace.spans()[i]) << "span " << i;
   EXPECT_EQ(a.obs, b.obs);
   EXPECT_EQ(a.obs.digest(), b.obs.digest());
 }

@@ -1,8 +1,9 @@
 // Tests for the multi-object quorum service: engine mechanics (batching,
 // shared gossip, stream freshness, tick-only clocks), the
 // keyed register built on it, per-key linearizability of multi-key traces
-// under failures, and the mutation checks that dropping either Figure 3
-// clock wait produces a history the Wing–Gong checker catches.
+// under failures, the mutation checks that dropping either Figure 3
+// clock wait produces a history the Wing–Gong checker catches, and
+// convergence and runner-thread determinism of a zipfian keyed workload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,9 @@
 #include "quorum/quorum_service.hpp"
 #include "register/keyed_register.hpp"
 #include "register/keyed_register_client.hpp"
+#include "sim/runner.hpp"
 #include "strategy/planner.hpp"
+#include "workload/clients.hpp"
 #include "workload/worlds.hpp"
 
 namespace gqs {
@@ -550,6 +553,83 @@ TEST(QuorumService, CompletesAndStaysLinearizableOnCongestedLinks) {
   }
   EXPECT_GT(w.sim.metrics().bytes_sent, 0u);
   EXPECT_GT(w.sim.metrics().max_link_queue_depth, 0u);
+}
+
+/// One cell of the Figure-1 keyed workload: 256 zipfian keys, 4 processes
+/// x 120 ops, window 4, writes partitioned per process (so each key's
+/// final state is a pure function of the schedule), no failures. After a
+/// gossip quiesce, every process must hold the freshest (value, version)
+/// of every key; the cell fingerprints those finals.
+run_result service_cell(std::uint64_t seed) {
+  constexpr service_key kKeys = 256;
+  const auto fig = make_figure1();
+  world<keyed_register_node> w(4, fault_plan::none(4), seed,
+                               network_options{}, kKeys,
+                               quorum_config::of(fig.gqs), service_options{});
+  client_workload_options load;
+  load.keys = kKeys;
+  load.zipf_theta = 0.99;
+  load.read_ratio = 0.5;
+  load.ops_per_process = 120;
+  load.inflight_window = 4;
+  load.partition_writes = true;
+  load.seed = 20250730;
+  workload_driver<keyed_node_adapter<keyed_register_node>> driver(
+      w.sim, keyed_node_adapter<keyed_register_node>{w.nodes}, load);
+  driver.launch();
+  run_result out;
+  out.ok = w.sim.run_until_condition([&] { return driver.done(); }, kLong);
+  if (!out.ok) {
+    out.error = "workload did not complete";
+    return out;
+  }
+  w.sim.run_until(w.sim.now() + 200000);  // gossip quiesce
+  out.metrics = w.sim.metrics();
+  out.latencies_us = driver.latencies_us();
+  out.stats["completed"] = static_cast<double>(driver.completed());
+  out.stats["linearizable"] =
+      check_keyed_history(driver.history(), kKeys).linearizable ? 1 : 0;
+  // FNV-1a over every key's freshest (value, version), 52 bits.
+  std::uint64_t digest = 14695981039346656037ull;
+  for (service_key k = 0; k < kKeys; ++k) {
+    reg_state freshest;
+    for (const keyed_register_node* n : w.nodes)
+      if (n->local_state(k).version >= freshest.version)
+        freshest = n->local_state(k);
+    for (const keyed_register_node* n : w.nodes)
+      if (!(n->local_state(k) == freshest)) ++out.stats["diverged_keys"];
+    for (const std::uint64_t x :
+         {static_cast<std::uint64_t>(freshest.value), freshest.version.number,
+          std::uint64_t{freshest.version.writer}}) {
+      digest ^= x;
+      digest *= 1099511628211ull;
+    }
+  }
+  out.stats["finals_digest"] = static_cast<double>(digest >> 12);
+  return out;
+}
+
+TEST(QuorumService, RunnerThreadsLeaveServiceCellsUnchanged) {
+  // Pooled gossip batches count their references without atomics, so
+  // each simulation must keep its batches to its own thread: three cells
+  // on a 2-thread runner come back equal to the 1-thread run (under TSAN,
+  // without a report), and each converges.
+  std::vector<run_spec> specs;
+  for (std::uint64_t seed = 2; seed <= 4; ++seed)
+    specs.push_back({"svc seed " + std::to_string(seed),
+                     [seed] { return service_cell(seed); }});
+  const determinism_report report = check_determinism(specs, {1, 2});
+  EXPECT_TRUE(report.ok()) << report.error;
+  ASSERT_EQ(report.results.size(), 3u);
+  for (const run_result& r : report.results) {
+    EXPECT_EQ(stat_or(r, "completed"), 4 * 120);
+    EXPECT_EQ(stat_or(r, "diverged_keys"), 0);
+    EXPECT_EQ(stat_or(r, "linearizable"), 1);
+  }
+  // Partitioned writes make the finals a pure function of the schedule,
+  // which the network seed does not change.
+  EXPECT_EQ(stat_or(report.results[0], "finals_digest"),
+            stat_or(report.results[2], "finals_digest"));
 }
 
 }  // namespace
